@@ -18,8 +18,8 @@ import numpy as np
 from .cloudio import PointCloud
 from .field import (FieldBank, clamp_field, deform, plan_deformation,
                     shift_jacobian)
-from .geometry import box_contains_many, iou_3d
-from .rotation import GroupScheme, group_of, group_of_axis_aligned
+from .geometry import iou_3d
+from .rotation import GroupScheme, target_boxes
 from .victim import Adam, DetHeadMini, SegNetMini
 
 PROB_FLOOR = 1e-12
@@ -40,7 +40,6 @@ class AttackConfig:
     k: int = 2
     seed: int = 0
     box_drop: float = 0.0
-    boxes: str = "gt"            # "gt" or "axis-aligned"
     batch_scenes: int = 4
 
     def __post_init__(self):
@@ -55,8 +54,6 @@ class AttackConfig:
                 raise ValueError("target class must differ from the adversarial class")
         if not 0.0 <= self.box_drop < 1.0:
             raise ValueError("box drop fraction must be in [0, 1)")
-        if self.boxes not in ("gt", "axis-aligned"):
-            raise ValueError("boxes must be 'gt' or 'axis-aligned'")
 
 
 @dataclass
@@ -136,53 +133,21 @@ def targeted_logit_grad(probs, rows, target_class: int) -> np.ndarray:
 # box selection
 # ---------------------------------------------------------------------------
 
-def drop_boxes(boxes, fraction: float, seed, cloud: PointCloud | None = None,
-               class_id: int | None = None) -> list:
+def drop_boxes(boxes, fraction: float, seed) -> list:
     """Deterministic box subsample emulating imperfect box sources.
 
-    Boxes that contain no point of ``class_id`` are always discarded (when a
-    cloud is given); of the rest, round(fraction * count) are dropped
-    uniformly at random. Order is preserved.
+    round(fraction * count) boxes are dropped uniformly at random; order is
+    preserved.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError("fraction must be in [0, 1)")
     kept = list(boxes)
-    if cloud is not None and class_id is not None:
-        kept = [b for b in kept
-                if np.any(cloud.semantic[box_contains_many(b, cloud.xyz)] == class_id)]
     n_drop = int(round(fraction * len(kept)))
     if n_drop == 0:
         return kept
     rng = np.random.default_rng(seed)
     dropped = set(rng.choice(len(kept), size=n_drop, replace=False).tolist())
     return [b for i, b in enumerate(kept) if i not in dropped]
-
-
-def _scene_attack_boxes(scene, cfg: AttackConfig, bank: FieldBank, scene_idx: int):
-    """Target boxes of one scene with their rotation groups."""
-    from .rotation import axis_aligned_box_of_instance
-
-    sensor = scene.sensor.origin
-    scheme = GroupScheme(bank.groups)
-    if cfg.boxes == "gt":
-        boxes = [sb.box for sb in scene.boxes if sb.class_id == cfg.adversarial_class]
-    else:
-        ids = np.unique(scene.cloud.instance[scene.cloud.semantic == cfg.adversarial_class])
-        boxes = []
-        for inst in ids[ids > 0]:
-            box = axis_aligned_box_of_instance(scene.cloud, int(inst), bank.step)
-            if box is not None:
-                boxes.append(box)
-    boxes = drop_boxes(boxes, cfg.box_drop,
-                       np.random.SeedSequence([cfg.seed, 23, scene_idx]),
-                       cloud=scene.cloud, class_id=cfg.adversarial_class)
-    grouped = []
-    for box in boxes:
-        if cfg.boxes == "gt":
-            grouped.append((box, group_of(box, sensor, scheme)))
-        else:
-            grouped.append((box, group_of_axis_aligned(box, sensor, scheme)))
-    return grouped
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +164,14 @@ class _SceneWork:
 def _prepare(scenes, bank: FieldBank, cfg: AttackConfig, warn: bool = True):
     work = []
     usage = {(f.group, f.variant): 0 for f in bank.fields}
+    scheme = GroupScheme(bank.groups)
     for idx, scene in enumerate(scenes):
         variant = idx % bank.variants + 1
+        targets = target_boxes(scene, cfg.adversarial_class, bank.boxes, scheme, bank.step)
+        targets = drop_boxes(targets, cfg.box_drop,
+                             np.random.SeedSequence([cfg.seed, 23, idx]))
         plans = []
-        for box, group in _scene_attack_boxes(scene, cfg, bank, idx):
+        for box, group in targets:
             plan = plan_deformation(scene.cloud, box, bank.fields[0],
                                     scene.sensor.origin, cfg.k)
             if plan.n_affected == 0:

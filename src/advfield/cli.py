@@ -22,6 +22,7 @@ import numpy as np
 from . import attack as attack_mod
 from . import baselines, cloudio, evaluate, simulator, victim as victim_mod
 from .field import make_bank
+from .rotation import BOX_MODES
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -134,12 +135,12 @@ def cmd_attack(args) -> int:
     cfg = attack_mod.AttackConfig(
         mode=mode, adversarial_class=class_id, target_class=target_id,
         eps=args.eps, psi=args.psi, lr=lr, iterations=args.iters, k=args.k,
-        seed=args.seed, box_drop=args.drop_boxes, boxes=args.boxes,
+        seed=args.seed, box_drop=args.drop_boxes,
     )
     dims = tuple(float(d) for d in args.dims.split(","))
     groups = args.G if args.boxes == "gt" else min(args.G, 6)
     bank = make_bank(class_id, args.cls, dims, args.step, groups, args.N,
-                     args.seed, eps=args.eps, psi=args.psi)
+                     args.seed, eps=args.eps, psi=args.psi, boxes=args.boxes)
     bank, trace = attack_mod.fit_bank(bank, scenes, model, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -276,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int,
                         default=int(os.environ.get("ADVFIELD_THREADS",
                                                    os.cpu_count() or 1)))
-    parser.add_argument("--config", help="key = value file; flags override it")
+    parser.add_argument("--config", help="a manifest.cfg to replay; flags given here win")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # name -> subparser, for --config
 
     p = sub.add_parser("simulate", help="generate labeled synthetic datasets")
     p.add_argument("--seed", type=int, default=0)
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--lr", type=float, default=None,
                    help="default 0.05 for detection, 0.01 for segmentation")
-    p.add_argument("--boxes", choices=["gt", "axis-aligned"], default="gt")
+    p.add_argument("--boxes", choices=BOX_MODES, default="gt")
     p.add_argument("--drop-boxes", type=float, default=0.0)
     p.add_argument("--dims", default="1.8,1.6,4.6",
                    help="reference box w,h,l in meters")
@@ -356,25 +358,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(parser: argparse.ArgumentParser, argv: list) -> list:
-    """Expand ``--config file`` into leading defaults; explicit flags win."""
+def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
+    """Apply ``--config <manifest>`` as parser defaults keyed by ``dest``.
+
+    Flags given on the command line win. The manifest's subcommand is used
+    when none is given and must match one that is. Returns argv without the
+    ``--config`` pair.
+    """
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
-    path = argv[at + 1]
-    config = cloudio.read_config(path)
+    if at + 1 == len(argv):
+        raise ValueError("--config needs a manifest path")
+    config = cloudio.read_config(argv[at + 1])
+    argv = argv[:at] + argv[at + 2:]
     command = config.pop("subcommand", None)
-    config.pop("git-describe", None)
-    config.pop("wall-time-s", None)
-    rest = argv[:at] + argv[at + 2:]
-    if command and command not in rest:
-        rest = [command] + rest
-    injected = []
-    for key, value in config.items():
-        injected += [f"--{key}", value]
-    # put injected flags right after the subcommand so later flags override
-    head, tail = rest[:1], rest[1:]
-    return head + injected + tail
+    if command not in parser.subcommands:
+        raise ValueError(f"--config: the manifest names no subcommand ({command!r})")
+    given = next((token for token in argv if token in parser.subcommands), None)
+    if given is None:
+        # after the only top-level flag, --threads, and its value
+        lead = 2 if argv[:1] == ["--threads"] else 0
+        argv = argv[:lead] + [command] + argv[lead:]
+    elif given != command:
+        raise ValueError(f"--config: the manifest is for {command!r}, not {given!r}")
+    sub = parser.subcommands[command]
+    sub_dests = {action.dest for action in sub._actions}
+    values = {key.replace("-", "_"): value for key, value in config.items()
+              if key not in ("git-describe", "wall-time-s")}
+    parser.set_defaults(**{k: v for k, v in values.items() if k not in sub_dests})
+    sub.set_defaults(**{k: v for k, v in values.items() if k in sub_dests})
+    for action in sub._actions:
+        action.required = action.required and action.dest not in values
+    return argv
 
 
 def main(argv=None) -> int:
@@ -382,7 +398,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     started = time.time()
     try:
-        argv = _merge_config(parser, argv)
+        argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
     except (OSError, ValueError, KeyError) as err:
         print(f"configuration error: {err}", file=sys.stderr)

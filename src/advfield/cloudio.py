@@ -4,8 +4,13 @@ Formats:
   * ``.bin``    little-endian float32, 4 per point (x, y, z, intensity)
   * ``.label``  little-endian uint32 per point; low 16 bits semantic id,
                 high 16 bits instance id (0 = no instance)
-  * ``.vfb``    versioned text format for field banks; floats are stored as
-                hexadecimal literals so load(save(x)) reproduces every bit
+  * ``.vfb``    versioned text format for field banks (version 2). A
+                ``key = value`` header (class_name, class_id, G, N, dims,
+                step, eps, psi, boxes) is followed by one ``field g n`` line
+                per slot and its ``v dx dy dz dtau`` rows, one per lattice
+                root. Roots are not stored: they follow from dims and step.
+                Floats are hexadecimal literals, so load(save(x)) reproduces
+                every bit; other versions are rejected
   * config      flat ``key = value`` text, ``#`` comments
 """
 
@@ -17,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 BANK_MAGIC = "advfield-vfb"
-BANK_VERSION = 1
+BANK_VERSION = 2
 
 
 class FormatError(ValueError):
@@ -174,10 +179,6 @@ def _hex(x: float) -> str:
     return float(x).hex()
 
 
-def _hex_triplet(values) -> str:
-    return " ".join(_hex(v) for v in values)
-
-
 def save_bank(bank, path) -> None:
     """Serialize a FieldBank as versioned hexfloat text."""
     lines = [f"{BANK_MAGIC} {BANK_VERSION}"]
@@ -190,19 +191,16 @@ def save_bank(bank, path) -> None:
     lines.append(f"step = {_hex(bank.step)}")
     lines.append(f"eps = {_hex(bank.eps)}")
     lines.append(f"psi = {_hex(bank.psi)}")
-    lines.append(f"roots_per_field = {bank.fields[0].roots.shape[0]}")
+    lines.append(f"boxes = {bank.boxes}")
     for f in bank.fields:
         lines.append(f"field {f.group} {f.variant}")
-        for root in f.roots:
-            lines.append("r " + _hex_triplet(root))
-        for vec in f.vectors:
-            lines.append("v " + _hex_triplet(vec))
+        lines.extend("v " + " ".join(map(float.hex, row)) for row in f.vectors.tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_bank(path):
     """Parse a .vfb file back into a FieldBank; exact float round trip."""
-    from .field import FieldBank, VectorField  # local import, avoids a cycle
+    from .field import FieldBank, VectorField, lattice_counts  # local import, avoids a cycle
 
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -210,7 +208,7 @@ def load_bank(path):
     magic = lines[0].split()
     if len(magic) != 2 or magic[0] != BANK_MAGIC:
         raise FormatError(f"{path}: not a {BANK_MAGIC} file")
-    if int(magic[1]) != BANK_VERSION:
+    if magic[1] != str(BANK_VERSION):
         raise FormatError(f"{path}: unsupported version {magic[1]}, expected {BANK_VERSION}")
 
     header = {}
@@ -223,19 +221,20 @@ def load_bank(path):
         key, _, value = line.partition("=")
         header[key.strip()] = value.strip()
 
-    required = ("class_name", "class_id", "G", "N", "dims", "step", "eps", "psi",
-                "roots_per_field")
+    required = ("class_name", "class_id", "G", "N", "dims", "step", "eps", "psi", "boxes")
     for key in required:
         if key not in header:
             raise FormatError(f"{path}: missing header key {key!r}")
 
     groups = int(header["G"])
     variants = int(header["N"])
+    class_id = int(header["class_id"])
     dims = tuple(float.fromhex(t) for t in header["dims"].split())
     if len(dims) != 3:
         raise FormatError(f"{path}: dims must have 3 entries")
     step = float.fromhex(header["step"])
-    n_roots = int(header["roots_per_field"])
+    nx, ny, nz = lattice_counts(dims, step)
+    n_roots = nx * ny * nz
 
     fields = []
     while idx < len(lines):
@@ -247,39 +246,29 @@ def load_bank(path):
         if parts[0] != "field" or len(parts) != 3:
             raise FormatError(f"{path}: expected 'field g n', got {line!r}")
         group, variant = int(parts[1]), int(parts[2])
-        roots = np.empty((n_roots, 3))
-        vectors = np.empty((n_roots, 4))
-        for row in range(n_roots):
-            tokens = lines[idx].split()
-            idx += 1
-            if tokens[0] != "r" or len(tokens) != 4:
-                raise FormatError(f"{path}: field ({group},{variant}) root row {row} malformed")
-            roots[row] = [float.fromhex(t) for t in tokens[1:]]
-        for row in range(n_roots):
-            tokens = lines[idx].split()
-            idx += 1
-            if tokens[0] != "v" or len(tokens) != 5:
-                raise FormatError(f"{path}: field ({group},{variant}) vector row {row} malformed")
-            vectors[row] = [float.fromhex(t) for t in tokens[1:]]
-        fields.append(
-            VectorField(
-                dims=dims, step=step, roots=roots, vectors=vectors,
-                group=group, variant=variant, class_id=int(header["class_id"]),
-            )
-        )
+        tokens = " ".join(lines[idx:idx + n_roots]).split()
+        idx += n_roots
+        if len(tokens) != 5 * n_roots or tokens[::5] != ["v"] * n_roots:
+            raise FormatError(f"{path}: field ({group},{variant}) needs {n_roots} "
+                              "'v dx dy dz dtau' vector rows, one per lattice root")
+        del tokens[::5]
+        vectors = np.array(list(map(float.fromhex, tokens))).reshape(n_roots, 4)
+        fields.append(VectorField(dims=dims, step=step, vectors=vectors, group=group,
+                                  variant=variant, class_id=class_id))
 
     if len(fields) != groups * variants:
         raise FormatError(
             f"{path}: expected {groups * variants} fields (G*N), found {len(fields)}"
         )
     return FieldBank(
-        class_id=int(header["class_id"]),
+        class_id=class_id,
         class_name=header["class_name"],
         groups=groups,
         variants=variants,
         fields=fields,
         eps=float.fromhex(header["eps"]),
         psi=float.fromhex(header["psi"]),
+        boxes=header["boxes"],
     )
 
 

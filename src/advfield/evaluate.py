@@ -14,8 +14,8 @@ import numpy as np
 
 from .cloudio import PointCloud
 from .field import FieldBank, deform, field_init_seed, init_random, plan_deformation
-from .geometry import OrientedBox, box_contains_many, iou_3d
-from .rotation import GroupScheme, group_of, group_of_axis_aligned
+from .geometry import OrientedBox, iou_3d
+from .rotation import GroupScheme, target_boxes
 from .simulator import Scene
 from .victim import train_det, train_seg
 
@@ -28,33 +28,24 @@ def augment_scene(scene: Scene, bank: FieldBank | None, rng: np.random.Generator
                   k: int = 2) -> PointCloud:
     """Deform exactly one eligible object with a uniformly chosen variant.
 
-    Eligible objects are the scene boxes of the bank's class that contain at
-    least one point of that class. Without any, the cloud is returned
+    Eligible objects and their groups come from ``rotation.target_boxes``
+    with the bank's class and its box mode ``bank.boxes``: boxes of that
+    class holding at least one of its points. The rng draws the box first,
+    then the variant. Without any eligible box, the cloud is returned
     untouched and ``augment_scene.skipped`` is incremented. Labels, point
     count, and every point outside the chosen box are never modified.
     """
     cloud = scene.cloud
     if bank is None:
         return cloud
-    eligible = []
-    for sb in scene.boxes:
-        if sb.class_id != bank.class_id:
-            continue
-        inside = box_contains_many(sb.box, cloud.xyz)
-        if np.any(cloud.semantic[inside] == bank.class_id):
-            eligible.append(sb.box)
+    eligible = target_boxes(scene, bank.class_id, bank.boxes, GroupScheme(bank.groups),
+                            bank.step)
     if not eligible:
         augment_scene.skipped += 1
         return cloud
-    box = eligible[int(rng.integers(len(eligible)))]
+    box, group = eligible[int(rng.integers(len(eligible)))]
     variant = int(rng.integers(1, bank.variants + 1))
-    scheme = GroupScheme(bank.groups)
-    sensor = scene.sensor.origin
-    if bank.groups == 6:
-        group = group_of_axis_aligned(box, sensor, scheme)
-    else:
-        group = group_of(box, sensor, scheme)
-    plan = plan_deformation(cloud, box, bank.fields[0], sensor, k)
+    plan = plan_deformation(cloud, box, bank.fields[0], scene.sensor.origin, k)
     return deform(cloud, plan, bank.field(group, variant))
 
 
@@ -63,18 +54,16 @@ augment_scene.skipped = 0
 
 def deform_all_objects(scene: Scene, bank: FieldBank, variant: int = 1,
                        k: int = 2) -> PointCloud:
-    """Deform every object of the bank's class with its group's field."""
+    """Deform every target of the bank with its group's field.
+
+    Targets and groups come from ``rotation.target_boxes`` with the bank's
+    class and its box mode ``bank.boxes``. Plans are made on the clean cloud.
+    """
     cloud = scene.cloud
-    scheme = GroupScheme(bank.groups)
-    sensor = scene.sensor.origin
-    for sb in scene.boxes:
-        if sb.class_id != bank.class_id:
-            continue
-        if bank.groups == 6:
-            group = group_of_axis_aligned(sb.box, sensor, scheme)
-        else:
-            group = group_of(sb.box, sensor, scheme)
-        plan = plan_deformation(scene.cloud, sb.box, bank.fields[0], sensor, k)
+    targets = target_boxes(scene, bank.class_id, bank.boxes, GroupScheme(bank.groups),
+                           bank.step)
+    for box, group in targets:
+        plan = plan_deformation(scene.cloud, box, bank.fields[0], scene.sensor.origin, k)
         cloud = deform(cloud, plan, bank.field(group, variant))
     return cloud
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .cloudio import PointCloud
 from .geometry import OrientedBox, rot_z
+from .rotation import BOX_MODES
 
 # Points closer than this to a root are hard-assigned to it (weight 1),
 # avoiding the 1/d blow-up.
@@ -26,28 +27,30 @@ COINCIDENT_EPS = 1e-9
 
 @dataclass
 class VectorField:
-    """Lattice of learnable displacement vectors for one (group, variant) slot."""
+    """Learnable displacement vectors on the lattice of ``dims`` and ``step``."""
 
     dims: tuple          # reference box (w0, h0, l0) in meters
     step: float          # lattice step t in meters
-    roots: np.ndarray    # (m, 3) lattice coordinates, box-local frame
     vectors: np.ndarray  # (m, 4) x/y/z shift in meters + intensity shift
     group: int = 1       # rotation group g, 1-based
     variant: int = 1     # variant n, 1-based
     class_id: int = 0
+    roots: np.ndarray = dc_field(init=False, repr=False)  # (m, 3), from dims and step
 
     def __post_init__(self):
-        self.roots = np.asarray(self.roots, dtype=float).reshape(-1, 3)
+        self.dims = tuple(float(d) for d in self.dims)
+        self.step = float(self.step)
+        self.roots = lattice_roots(self.dims, self.step)
         self.vectors = np.asarray(self.vectors, dtype=float).reshape(-1, 4)
-        if len(self.roots) != len(self.vectors):
-            raise ValueError("roots and vectors must have equal length")
+        if len(self.vectors) != len(self.roots):
+            raise ValueError(f"need {len(self.roots)} vectors, one per root")
 
     @property
     def size(self) -> int:
         return len(self.roots)
 
     def copy(self) -> "VectorField":
-        return VectorField(self.dims, self.step, self.roots.copy(), self.vectors.copy(),
+        return VectorField(self.dims, self.step, self.vectors.copy(),
                            self.group, self.variant, self.class_id)
 
 
@@ -62,8 +65,11 @@ class FieldBank:
     fields: list = dc_field(default_factory=list)
     eps: float = 0.3
     psi: float = 0.3
+    boxes: str = "gt"               # box mode it was fitted with, see target_boxes
 
     def __post_init__(self):
+        if self.boxes not in BOX_MODES:
+            raise ValueError(f"box mode must be one of {BOX_MODES}, got {self.boxes!r}")
         if len(self.fields) != self.groups * self.variants:
             raise ValueError(
                 f"bank needs G*N = {self.groups * self.variants} fields, got {len(self.fields)}"
@@ -92,7 +98,7 @@ class FieldBank:
 
     def copy(self) -> "FieldBank":
         return FieldBank(self.class_id, self.class_name, self.groups, self.variants,
-                         [f.copy() for f in self.fields], self.eps, self.psi)
+                         [f.copy() for f in self.fields], self.eps, self.psi, self.boxes)
 
 
 @dataclass
@@ -128,27 +134,24 @@ def lattice_counts(dims, step: float) -> tuple:
     return count(l), count(w), count(h)
 
 
-def build_lattice(dims, step: float, group: int = 1, variant: int = 1,
-                  class_id: int = 0) -> VectorField:
-    """Zero-initialized field with roots at the cell centers of the lattice.
+def lattice_roots(dims, step: float) -> np.ndarray:
+    """Cell centers of the lattice, shape (m, 3), in the box-local frame.
 
     ``dims`` is (w0, h0, l0); the grid has floor(extent/step) cells per axis
-    and is centered in the box, so roots sit at cell centers symmetric about
-    the box center.
+    and is centered in the box, so roots sit symmetric about the box center.
     """
     nx, ny, nz = lattice_counts(dims, step)
     axes = [(np.arange(n) + 0.5 - n / 2.0) * step for n in (nx, ny, nz)]
     gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    roots = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-    return VectorField(
-        dims=tuple(float(d) for d in dims),
-        step=float(step),
-        roots=roots,
-        vectors=np.zeros((len(roots), 4)),
-        group=group,
-        variant=variant,
-        class_id=class_id,
-    )
+    return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+
+
+def build_lattice(dims, step: float, group: int = 1, variant: int = 1,
+                  class_id: int = 0) -> VectorField:
+    """Zero-initialized field on the lattice of ``dims`` and ``step``."""
+    nx, ny, nz = lattice_counts(dims, step)
+    return VectorField(dims=dims, step=step, vectors=np.zeros((nx * ny * nz, 4)),
+                       group=group, variant=variant, class_id=class_id)
 
 
 def init_random(field: VectorField, seed) -> None:
@@ -163,7 +166,8 @@ def field_init_seed(base_seed: int, group: int, variant: int) -> np.random.SeedS
 
 
 def make_bank(class_id: int, class_name: str, dims, step: float, groups: int,
-              variants: int, seed: int, eps: float = 0.3, psi: float = 0.3) -> FieldBank:
+              variants: int, seed: int, eps: float = 0.3, psi: float = 0.3,
+              boxes: str = "gt") -> FieldBank:
     """Build a randomly initialized G x N bank sharing one lattice geometry."""
     fields = []
     for group in range(1, groups + 1):
@@ -173,7 +177,7 @@ def make_bank(class_id: int, class_name: str, dims, step: float, groups: int,
             init_random(fld, field_init_seed(seed, group, variant))
             fields.append(fld)
     return FieldBank(class_id=class_id, class_name=class_name, groups=groups,
-                     variants=variants, fields=fields, eps=eps, psi=psi)
+                     variants=variants, fields=fields, eps=eps, psi=psi, boxes=boxes)
 
 
 def anchor(field: VectorField, box: OrientedBox) -> np.ndarray:

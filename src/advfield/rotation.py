@@ -9,6 +9,9 @@ half-open on the upper side, so boundary angles resolve deterministically.
 Axis-aligned boxes carry no heading sign, only an orientation modulo pi
 (from the longer horizontal side). They are grouped on a 2G-slice scheme and
 opposite slice pairs (g, g+G) fold onto g, giving G usable fields.
+
+:func:`target_boxes` is the one place that picks the boxes a bank deforms and
+their groups, for fitting, augmented training and evaluation alike.
 """
 
 from __future__ import annotations
@@ -19,13 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloudio import PointCloud
-from .geometry import OrientedBox, bearing, wrap_2pi
+from .geometry import OrientedBox, bearing, box_contains_many, wrap_2pi
 
 # w ~ l within this tolerance leaves the long-side orientation undefined
 AMBIGUOUS_EXTENT_EPS = 1e-6
 
 # bias, in slice widths, that lifts a boundary angle into the upper slice
 SLICE_BOUNDARY_BIAS = 1e-12
+
+# where target boxes come from: ground-truth scene boxes, or world-axis-aligned
+# boxes around labeled instances (heading known only modulo pi)
+BOX_MODES = ("gt", "axis-aligned")
 
 
 @dataclass(frozen=True)
@@ -128,3 +135,30 @@ def axis_aligned_box_of_instance(cloud: PointCloud, instance_id: int,
     if ex >= ey:
         return OrientedBox(center, width=ey, height=ez, length=ex, yaw=0.0)
     return OrientedBox(center, width=ex, height=ez, length=ey, yaw=math.pi / 2.0)
+
+
+def target_boxes(scene, class_id: int, box_mode: str, scheme: GroupScheme,
+                 step: float) -> list:
+    """The ``(box, group)`` pairs a bank of ``class_id`` deforms in ``scene``.
+
+    With ``box_mode="gt"`` the candidates are the scene's boxes of the class,
+    in scene order, grouped by :func:`group_of`. With ``"axis-aligned"`` they
+    are :func:`axis_aligned_box_of_instance` boxes (padded by the lattice
+    ``step``) of the class's instances in ascending id order, grouped by
+    :func:`group_of_axis_aligned`. Only boxes holding at least one point of
+    the class are kept.
+    """
+    cloud = scene.cloud
+    if box_mode == "gt":
+        boxes = [sb.box for sb in scene.boxes if sb.class_id == class_id]
+        group_fn = group_of
+    elif box_mode == "axis-aligned":
+        ids = np.unique(cloud.instance[cloud.semantic == class_id])
+        boxes = [axis_aligned_box_of_instance(cloud, int(i), step) for i in ids[ids > 0]]
+        boxes = [box for box in boxes if box is not None]
+        group_fn = group_of_axis_aligned
+    else:
+        raise ValueError(f"box mode must be one of {BOX_MODES}, got {box_mode!r}")
+    sensor = scene.sensor.origin
+    return [(box, group_fn(box, sensor, scheme)) for box in boxes
+            if np.any(cloud.semantic[box_contains_many(box, cloud.xyz)] == class_id)]

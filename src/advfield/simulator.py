@@ -117,11 +117,6 @@ class Scene:
     seed: int = 0
     domain: str = "normal"
 
-    def gt_boxes(self, class_id: int | None = None) -> list:
-        if class_id is None:
-            return list(self.boxes)
-        return [b for b in self.boxes if b.class_id == class_id]
-
 
 # ---------------------------------------------------------------------------
 # analytic primitives (local frames, vectorized over rays)
@@ -555,10 +550,10 @@ def write_scene(scene: Scene, directory, index: int) -> None:
     rows = []
     for sb in scene.boxes:
         b = sb.box
-        fields = [CLASS_NAMES[sb.class_id], repr(b.center[0]), repr(b.center[1]),
-                  repr(b.center[2]), repr(b.width), repr(b.height), repr(b.length),
-                  repr(b.yaw)]
-        rows.append(" ".join(fields))
+        # repr of a Python float round-trips exactly; numpy scalars print as
+        # np.float64(...), which float() cannot parse back
+        values = (*b.center, b.width, b.height, b.length, b.yaw)
+        rows.append(" ".join([CLASS_NAMES[sb.class_id], *(repr(float(x)) for x in values)]))
     stem.with_suffix(".boxes").write_text("\n".join(rows) + ("\n" if rows else ""),
                                           encoding="utf-8")
 

@@ -118,6 +118,43 @@ class TestBankFormat:
         assert vector_rows == 119_232
 
 
+
+class TestBankFormatV2:
+    def test_roundtrip_keeps_box_mode(self, tmp_path):
+        bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 6, 2, seed=4, boxes="axis-aligned")
+        path = tmp_path / "aa.vfb"
+        cloudio.save_bank(bank, path)
+        back = cloudio.load_bank(path)
+        assert back.boxes == "axis-aligned"
+        assert [f.roots.tobytes() for f in back.fields] == [f.roots.tobytes()
+                                                            for f in bank.fields]
+
+    def test_no_root_rows_and_mode_after_psi(self, tmp_path):
+        bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 2, 1, seed=4)
+        path = tmp_path / "b.vfb"
+        cloudio.save_bank(bank, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "advfield-vfb 2"
+        assert lines[lines.index(next(x for x in lines if x.startswith("psi"))) + 1] == "boxes = gt"
+        assert not any(x.startswith(("r ", "roots_per_field")) for x in lines)
+
+    def test_version_one_rejected(self, tmp_path):
+        path = tmp_path / "v1.vfb"
+        path.write_text("advfield-vfb 1\nclass_name = car\nroots_per_field = 1\n")
+        with pytest.raises(FormatError, match="unsupported version 1"):
+            cloudio.load_bank(path)
+
+    def test_vector_rows_must_cover_the_lattice(self, tmp_path):
+        bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 2, 1, seed=4)
+        path = tmp_path / "short.vfb"
+        cloudio.save_bank(bank, path)
+        lines = path.read_text().splitlines()
+        at = lines.index("field 1 1")
+        del lines[at + 3]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="vector rows"):
+            cloudio.load_bank(path)
+
 class TestConfig:
     def test_roundtrip(self, tmp_path):
         config = {"seed": "3", "eps": "0.3", "out": "some/dir"}

@@ -1,0 +1,28 @@
+import math
+
+import numpy as np
+
+from advfield import simulator
+
+
+def test_written_scene_reads_back_exactly(tmp_path):
+    sensor = simulator.SensorSpec(channels=8, azimuth_resolution=math.radians(2.0))
+    scene = simulator.generate_scene(3, "normal", 4, sensor)
+    assert scene.boxes and scene.cloud.n
+    simulator.write_sensor_config(sensor, tmp_path)
+    simulator.write_scene(scene, tmp_path, 0)
+    (back,) = simulator.load_split(tmp_path)
+
+    assert back.sensor.origin.tobytes() == sensor.origin.tobytes()
+    assert [sb.class_id for sb in back.boxes] == [sb.class_id for sb in scene.boxes]
+    for written, read in zip(scene.boxes, back.boxes):
+        a, b = written.box, read.box
+        assert a.center.tobytes() == b.center.tobytes()
+        assert (a.width, a.height, a.length, a.yaw) == (b.width, b.height, b.length, b.yaw)
+
+    c = scene.cloud
+    as_f32 = lambda x: x.astype(np.float32).astype(float).tobytes()
+    assert back.cloud.xyz.tobytes() == as_f32(c.xyz)
+    assert back.cloud.intensity.tobytes() == as_f32(c.intensity)
+    assert np.array_equal(back.cloud.semantic, c.semantic)
+    assert np.array_equal(back.cloud.instance, c.instance)

@@ -1,0 +1,143 @@
+"""One target-selection path: ``rotation.target_boxes`` and the bank's box mode.
+
+Fitting (``attack._prepare``), augmented training (``augment_scene``) and
+evaluation (``deform_all_objects``) must deform the same boxes with the same
+group's field, as the bank's recorded box mode dictates.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from advfield import attack, evaluate, simulator
+from advfield.cloudio import PointCloud
+from advfield.field import make_bank
+from advfield.geometry import OrientedBox
+from advfield.rotation import (GroupScheme, axis_aligned_box_of_instance, group_of,
+                               group_of_axis_aligned, target_boxes)
+
+CAR = simulator.CAR
+PERSON = simulator.CLASS_NAMES.index("person")
+SENSOR = simulator.SensorSpec()
+DIMS = (1.0, 0.8, 2.0)
+STEP = 0.4
+SIX = GroupScheme(6)
+
+
+def car_box(x, y, yaw):
+    return OrientedBox(np.array([x, y, 0.8]), 1.0, 0.8, 2.0, yaw)
+
+
+def key(box):
+    return (*box.center.tolist(), box.width, box.height, box.length, box.yaw)
+
+
+def scene_of(parts, boxes):
+    """``parts``: (box, class_id, instance, n_points) point groups inside boxes."""
+    rng = np.random.default_rng(0)
+    xyz, semantic, instance = [], [], []
+    for box, class_id, inst, n in parts:
+        local = (rng.random((n, 3)) - 0.5) * 0.9 * [box.length, box.width, box.height]
+        xyz.append(box.to_world(local))
+        semantic += [class_id] * n
+        instance += [inst] * n
+    cloud = PointCloud(np.vstack(xyz), np.full(len(semantic), 0.5), semantic, instance)
+    return simulator.Scene(sensor=SENSOR, objects=[], cloud=cloud,
+                           boxes=[simulator.SceneBox(c, b, i) for c, b, i in boxes])
+
+
+def marked_bank(groups, boxes):
+    """A bank whose group-g field shifts intensity by exactly 0.01 * g."""
+    bank = make_bank(CAR, "car", DIMS, STEP, groups, 1, seed=0, boxes=boxes)
+    for f in bank.fields:
+        f.vectors[:] = 0.0
+        f.vectors[:, 3] = 0.01 * f.group
+    return bank
+
+
+def applied_groups(clean, deformed):
+    """The set of groups whose field moved some point's intensity."""
+    delta = deformed.intensity - clean.intensity
+    return set(np.round(delta[delta != 0.0] / 0.01).astype(int).tolist())
+
+
+# a car facing away from the sensor: its oriented and folded groups differ
+AWAY = car_box(10.0, 0.0, math.pi)
+
+
+def test_away_facing_car_separates_the_two_groupings():
+    assert group_of(AWAY, SENSOR.origin, SIX) != group_of_axis_aligned(AWAY, SENSOR.origin, SIX)
+
+
+class TestTargetBoxes:
+    def test_keeps_scene_order_and_drops_boxes_without_class_points(self):
+        a, empty, b = car_box(10.0, 5.0, 0.3), car_box(-8.0, 6.0, 1.0), car_box(4.0, -12.0, -2.0)
+        person = car_box(-15.0, -3.0, 0.0)
+        scene = scene_of([(a, CAR, 1, 40), (b, CAR, 2, 40), (person, CAR, 3, 40)],
+                         [(CAR, a, 1), (CAR, empty, 0), (PERSON, person, 3), (CAR, b, 2)])
+        targets = target_boxes(scene, CAR, "gt", SIX, STEP)
+        assert [key(box) for box, _ in targets] == [key(a), key(b)]
+        assert [g for _, g in targets] == [group_of(x, SENSOR.origin, SIX) for x in (a, b)]
+
+    def test_axis_aligned_uses_instance_boxes_in_id_order_with_folded_groups(self):
+        first, second = car_box(6.0, -9.0, 0.4), car_box(12.0, 4.0, math.pi)
+        nowhere = car_box(-20.0, 0.0, 0.0)  # a GT box holding no car point
+        scene = scene_of([(second, CAR, 7, 50), (first, CAR, 3, 50)], [(CAR, nowhere, 0)])
+        assert target_boxes(scene, CAR, "gt", SIX, STEP) == []
+        targets = target_boxes(scene, CAR, "axis-aligned", SIX, STEP)
+        expected = [axis_aligned_box_of_instance(scene.cloud, i, STEP) for i in (3, 7)]
+        assert [key(box) for box, _ in targets] == [key(x) for x in expected]
+        assert [g for _, g in targets] == [group_of_axis_aligned(x, SENSOR.origin, SIX)
+                                           for x in expected]
+
+    def test_unknown_mode_rejected(self):
+        scene = scene_of([(AWAY, CAR, 1, 10)], [(CAR, AWAY, 1)])
+        with pytest.raises(ValueError, match="box mode"):
+            target_boxes(scene, CAR, "oriented", SIX, STEP)
+
+
+class TestBankBoxMode:
+    def test_gt_bank_of_six_groups_uses_oriented_group(self):
+        # six groups used to be taken as the sign of an axis-aligned bank
+        scene = scene_of([(AWAY, CAR, 1, 60)], [(CAR, AWAY, 1)])
+        bank = marked_bank(6, "gt")
+        want = {group_of(AWAY, SENSOR.origin, SIX)}
+        augmented = evaluate.augment_scene(scene, bank, np.random.default_rng(0))
+        assert applied_groups(scene.cloud, augmented) == want
+        assert applied_groups(scene.cloud, evaluate.deform_all_objects(scene, bank)) == want
+        cfg = attack.AttackConfig(mode="seg-untargeted", adversarial_class=CAR)
+        (work,) = attack._prepare([scene], bank, cfg, warn=False)
+        assert {g for g, _ in work.plans} == want
+
+    def test_axis_aligned_bank_deforms_instance_boxes_with_folded_group(self):
+        nowhere = car_box(-20.0, 0.0, 0.0)
+        scene = scene_of([(AWAY, CAR, 1, 60)], [(CAR, nowhere, 0)])
+        instance_box = axis_aligned_box_of_instance(scene.cloud, 1, STEP)
+        want = {group_of_axis_aligned(instance_box, SENSOR.origin, SIX)}
+        bank = marked_bank(6, "axis-aligned")
+        assert applied_groups(scene.cloud, evaluate.deform_all_objects(scene, bank)) == want
+        augmented = evaluate.augment_scene(scene, bank, np.random.default_rng(0))
+        assert applied_groups(scene.cloud, augmented) == want
+        # a gt bank finds no target: the only GT box holds no car point
+        before = evaluate.augment_scene.skipped
+        clean = evaluate.augment_scene(scene, marked_bank(6, "gt"), np.random.default_rng(0))
+        assert clean is scene.cloud and evaluate.augment_scene.skipped == before + 1
+
+    def test_bank_rejects_unknown_mode_and_copy_keeps_it(self):
+        with pytest.raises(ValueError, match="box mode"):
+            make_bank(CAR, "car", DIMS, STEP, 2, 1, seed=0, boxes="oriented")
+        assert make_bank(CAR, "car", DIMS, STEP, 2, 1, seed=0,
+                         boxes="axis-aligned").copy().boxes == "axis-aligned"
+
+    def test_attack_config_has_no_box_mode(self):
+        with pytest.raises(TypeError):
+            attack.AttackConfig(mode="seg-untargeted", adversarial_class=CAR, boxes="gt")
+
+
+def test_drop_boxes_keeps_order_and_drops_rounded_share():
+    items = list(range(10))
+    kept = attack.drop_boxes(items, 0.25, np.random.SeedSequence([0, 23, 0]))
+    assert len(kept) == 10 - round(2.5) and kept == sorted(kept)
+    assert kept == attack.drop_boxes(items, 0.25, np.random.SeedSequence([0, 23, 0]))
+    assert attack.drop_boxes(items, 0.0, 0) == items
