@@ -22,7 +22,7 @@ import numpy as np
 from . import attack as attack_mod
 from . import baselines, cloudio, evaluate, simulator, victim as victim_mod
 from .field import make_bank
-from .rotation import BOX_MODES
+from .rotation import BOX_MODES, GroupScheme, target_boxes
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -165,15 +165,14 @@ def cmd_baseline_attack(args) -> int:
         "remove": baselines.adversarial_removal,
         "generate": baselines.adversarial_generation,
     }[args.kind]
+    kwargs = {"eps": args.eps, "psi": args.psi, "iters": args.iters}
+    if args.kind == "chamfer":
+        kwargs["lam"] = args.lam
     for index, scene in enumerate(scenes):
         cloud = scene.cloud
-        for sb in scene.boxes:
-            if sb.class_id != class_id:
-                continue
-            kwargs = {"eps": args.eps, "psi": args.psi, "iters": args.iters}
-            if args.kind == "chamfer":
-                kwargs["lam"] = args.lam
-            cloud = fn(cloud, sb.box, model, **kwargs)
+        # the gt boxes a field bank would deform; baselines need no group
+        for box, _ in target_boxes(scene, class_id, "gt", GroupScheme(1), step=0.0):
+            cloud = fn(cloud, box, model, **kwargs)
         cloudio.write_cloud(cloud, out / f"{index:06d}.bin")
         cloudio.write_labels(out / f"{index:06d}.label", cloud.semantic, cloud.instance)
     return 0

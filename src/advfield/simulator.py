@@ -563,12 +563,13 @@ def write_sensor_config(sensor: SensorSpec, directory) -> None:
 
     from . import cloudio
 
+    # angles stay in radians: a degree round trip can drift by an ulp
     config = {
         "origin_height": repr(sensor.origin_height),
         "channels": str(sensor.channels),
-        "elevation_min_deg": repr(math.degrees(sensor.elevation_min)),
-        "elevation_max_deg": repr(math.degrees(sensor.elevation_max)),
-        "azimuth_resolution_deg": repr(math.degrees(sensor.azimuth_resolution)),
+        "elevation_min": repr(float(sensor.elevation_min)),
+        "elevation_max": repr(float(sensor.elevation_max)),
+        "azimuth_resolution": repr(float(sensor.azimuth_resolution)),
         "max_range": repr(sensor.max_range),
         "range_noise": repr(sensor.range_noise),
         "classes": ",".join(CLASS_NAMES),
@@ -585,9 +586,9 @@ def read_sensor_config(directory) -> SensorSpec:
     return SensorSpec(
         origin_height=float(config["origin_height"]),
         channels=int(config["channels"]),
-        elevation_min=math.radians(float(config["elevation_min_deg"])),
-        elevation_max=math.radians(float(config["elevation_max_deg"])),
-        azimuth_resolution=math.radians(float(config["azimuth_resolution_deg"])),
+        elevation_min=float(config["elevation_min"]),
+        elevation_max=float(config["elevation_max"]),
+        azimuth_resolution=float(config["azimuth_resolution"]),
         max_range=float(config["max_range"]),
         range_noise=float(config["range_noise"]),
     )

@@ -1,10 +1,13 @@
 """The CLI in-process on a tiny split: run, replay from manifests, exit codes."""
 
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from advfield import cli, cloudio
+from advfield import cli, cloudio, simulator, victim
+from advfield.geometry import OrientedBox, box_contains_many
 
 TINY = ("--sizes", "4,2,2,2", "--objects", "4", "--channels", "8",
         "--azimuth-res-deg", "2")
@@ -78,3 +81,67 @@ def test_bare_config_exits_2():
 def test_manifest_of_another_subcommand_exits_2(pipeline, tmp_path):
     assert run("attack", "--config", pipeline / "data" / "manifest.cfg",
                "--out", tmp_path / "x.vfb") == cli.EXIT_CONFIG
+
+
+@pytest.fixture(scope="module")
+def detection(pipeline):
+    root = pipeline
+    assert run("train-victim", "--task", "det", "--data", root / "data" / "train",
+               "--epochs", 1, "--out", root / "victim" / "det.ckpt") == 0
+    assert run("attack", "--mode", "detection", "--victim", root / "victim" / "det.ckpt",
+               "--data", root / "data" / "train", "--G", 6, "--N", 1, "--iters", 1,
+               "--out", root / "det-bank" / "car.vfb") == 0
+    assert run("eval", "--victim", root / "victim" / "det.ckpt", "--data",
+               root / "data" / "val", "--metrics", "ap,asr", "--bank",
+               root / "det-bank" / "car.vfb", "--out", root / "det-eval") == 0
+    return root
+
+
+def read_csv_value(path: Path) -> float:
+    header, row = path.read_text(encoding="utf-8").splitlines()
+    return float(row.split(",")[1])
+
+
+def test_detection_eval_writes_ap_and_asr(detection):
+    assert 0.0 <= read_csv_value(detection / "det-eval" / "ap.csv") <= 1.0
+    assert 0.0 <= read_csv_value(detection / "det-eval" / "asr.csv") <= 100.0
+
+
+def test_eval_replay_is_byte_identical(detection):
+    out = detection / "det-eval-replay"
+    assert run("eval", "--config", detection / "det-eval" / "manifest.cfg",
+               "--out", out) == 0
+    for name in ("ap.csv", "asr.csv", "summary.txt"):
+        assert (out / name).read_bytes() == (detection / "det-eval" / name).read_bytes()
+
+
+def test_asr_without_bank_exits_2(detection, tmp_path):
+    assert run("eval", "--victim", detection / "victim" / "det.ckpt", "--data",
+               detection / "data" / "val", "--metrics", "asr",
+               "--out", tmp_path) == cli.EXIT_CONFIG
+
+
+def test_baseline_skips_a_car_box_without_car_points(tmp_path):
+    sensor = simulator.SensorSpec(channels=8, azimuth_resolution=math.radians(2.0))
+    scene = simulator.generate_scene(3, "normal", 4, sensor)
+    cloud = scene.cloud
+    ground = cloud.xyz[cloud.semantic == simulator.GROUND]
+    # a car-sized box over bare ground: it holds ground points and no car point
+    for center in ground[np.argsort(np.linalg.norm(ground[:, :2], axis=1))]:
+        box = OrientedBox(center + [0.0, 0.0, 0.5], 1.8, 1.6, 4.6, 0.0)
+        inside = box_contains_many(box, cloud.xyz)
+        if inside.any() and not np.any(cloud.semantic[inside] == simulator.CAR):
+            break
+    else:
+        pytest.fail("no stretch of bare ground in the scene")
+    scene.boxes = [simulator.SceneBox(simulator.CAR, box)]
+    simulator.write_scene(scene, tmp_path / "data", 0)
+    simulator.write_sensor_config(sensor, tmp_path / "data")
+    model = victim.SegNetMini(len(simulator.CLASS_NAMES))
+    model.init_random(0)
+    victim.save_checkpoint(model, tmp_path / "seg.ckpt")
+
+    assert run("baseline-attack", "--kind", "l2", "--victim", tmp_path / "seg.ckpt",
+               "--data", tmp_path / "data", "--out", tmp_path / "out") == 0
+    written = (tmp_path / "out" / "000000.bin").read_bytes()
+    assert written == (tmp_path / "data" / "000000.bin").read_bytes()

@@ -130,19 +130,51 @@ class TestIou3d:
         b = OrientedBox(offset, 1, 1, 1, 0.9)
         assert iou_3d(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
-    def test_monte_carlo_fallback_symmetric(self):
+    def test_square_against_its_45_degree_turn(self):
+        # the overlap is a regular octagon of area 8 (sqrt 2 - 1), so IoU = 1/sqrt 2
+        a = OrientedBox(np.zeros(3), 2, 1, 2, 0.0)
+        b = OrientedBox(np.zeros(3), 2, 1, 2, math.pi / 4)
+        assert iou_3d(a, b) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+
+    def test_half_turn_is_the_same_box(self):
+        box = OrientedBox([1, 2, 0.5], 1.8, 1.6, 4.6, 0.3)
+        assert iou_3d(box, OrientedBox(box.center, 1.8, 1.6, 4.6, 0.3 + math.pi)) == 1.0
+
+    def test_symmetric(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             a = OrientedBox(rng.normal(scale=0.5, size=3), *rng.uniform(0.8, 2.5, 3),
                             rng.uniform(-math.pi, math.pi))
             b = OrientedBox(rng.normal(scale=0.5, size=3), *rng.uniform(0.8, 2.5, 3),
                             rng.uniform(-math.pi, math.pi))
-            assert iou_3d(a, b) == pytest.approx(iou_3d(b, a), abs=0.01)
+            assert iou_3d(a, b) == pytest.approx(iou_3d(b, a), abs=1e-12)
 
-    def test_monte_carlo_tracks_exact_for_tiny_yaw_gap(self):
+    def test_tiny_yaw_gap_tracks_exact(self):
         a = OrientedBox(np.zeros(3), 1, 1, 1, 0.0)
         b = OrientedBox([0.5, 0, 0], 1, 1, 1, 1e-6)
-        assert iou_3d(a, b) == pytest.approx(1.0 / 3.0, abs=0.01)
+        assert iou_3d(a, b) == pytest.approx(1.0 / 3.0, abs=1e-5)
+
+    def test_matches_monte_carlo_oracle(self):
+        rng = np.random.default_rng(7)
+        checked = 0
+        while checked < 6:
+            a = OrientedBox(rng.normal(scale=0.4, size=3), *rng.uniform(0.8, 2.5, 3),
+                            rng.uniform(-math.pi, math.pi))
+            b = OrientedBox(rng.normal(scale=0.4, size=3), *rng.uniform(0.8, 2.5, 3),
+                            rng.uniform(-math.pi, math.pi))
+            exact = iou_3d(a, b)
+            if exact < 0.05:
+                continue
+            assert exact == pytest.approx(monte_carlo_iou(a, b, rng), abs=3e-3)
+            checked += 1
+
+
+def monte_carlo_iou(a, b, rng, samples=1_000_000):
+    """Sampled IoU oracle: the share of uniform points in a that b contains."""
+    local = (rng.random((samples, 3)) - 0.5) * (2.0 * a.half_extents)
+    inside = np.count_nonzero(box_contains_many(b, a.to_world(local)))
+    inter = inside / samples * a.volume
+    return inter / (a.volume + b.volume - inter)
 
 
 class TestBearing:

@@ -13,7 +13,7 @@ def test_written_scene_reads_back_exactly(tmp_path):
     simulator.write_scene(scene, tmp_path, 0)
     (back,) = simulator.load_split(tmp_path)
 
-    assert back.sensor.origin.tobytes() == sensor.origin.tobytes()
+    assert back.sensor == sensor
     assert [sb.class_id for sb in back.boxes] == [sb.class_id for sb in scene.boxes]
     for written, read in zip(scene.boxes, back.boxes):
         a, b = written.box, read.box
