@@ -7,6 +7,12 @@ scale, vectors only rotate), assigns every point inside the box to its k
 nearest roots with inverse-distance weights, and moves each point strictly
 along its sensor view ray by the projected weighted vector sum. Intensity
 shifts are weighted the same way and the result is clipped to [0, 1].
+
+The nearest-root search uses the lattice structure: each point maps back to
+a continuous lattice index per axis, and only a window of min(2k, n) indices
+around it on each axis can hold its k nearest roots. The window search gives
+the same roots, order and weights as a search over all roots; see
+:func:`plan_deformation` for why.
 """
 
 from __future__ import annotations
@@ -187,14 +193,38 @@ def anchor(field: VectorField, box: OrientedBox) -> np.ndarray:
     translate to its center. Vectors are anchored separately (rotation only,
     no scaling) by :func:`anchored_vectors`.
     """
+    return (field.roots * _anchor_scale(field, box)) @ rot_z(box.yaw).T + box.center
+
+
+def _anchor_scale(field: VectorField, box: OrientedBox) -> np.ndarray:
+    """Per local axis (x, y, z): box extent over the field's reference extent."""
     w0, h0, l0 = field.dims
-    scale = np.array([box.length / l0, box.width / w0, box.height / h0])
-    return (field.roots * scale) @ rot_z(box.yaw).T + box.center
+    return np.array([box.length / l0, box.width / w0, box.height / h0])
 
 
 def anchored_vectors(field: VectorField, yaw: float) -> np.ndarray:
     """Spatial vector components rotated into the world frame, shape (m, 3)."""
     return field.vectors[:, :3] @ rot_z(yaw).T
+
+
+def _window_candidates(points: np.ndarray, box: OrientedBox, field: VectorField,
+                       k: int) -> np.ndarray:
+    """Flat ids of the lattice window that holds each point's k nearest roots.
+
+    Per axis the window is ``min(2k, n)`` consecutive indices around the
+    point's continuous lattice index, clipped into the lattice. Returns an
+    (a, c) array whose rows ascend, since ids follow the "ij" meshgrid order.
+    """
+    counts = np.array(lattice_counts(field.dims, field.step))
+    # inverse of anchor: world -> box frame -> continuous lattice index
+    local = (points - box.center) @ rot_z(box.yaw)
+    t = local / (field.step * _anchor_scale(field, box)) + counts / 2.0 - 0.5
+    widths = np.minimum(2 * k, counts)
+    starts = np.clip(np.floor(t).astype(np.int64) - (k - 1), 0, counts - widths)
+    ix, iy, iz = (starts[:, axis, None] + np.arange(widths[axis]) for axis in range(3))
+    ny, nz = counts[1], counts[2]
+    cand = (ix[:, :, None, None] * ny + iy[:, None, :, None]) * nz + iz[:, None, None, :]
+    return cand.reshape(len(points), -1)
 
 
 def plan_deformation(cloud: PointCloud, box: OrientedBox, field: VectorField,
@@ -204,6 +234,16 @@ def plan_deformation(cloud: PointCloud, box: OrientedBox, field: VectorField,
     Weights are 1/d normalized; a point within 1e-9 of a root is assigned
     entirely to that root (lowest index wins ties). Rays point from the
     sensor to each point and must be well defined (no point at the sensor).
+
+    The search looks only at a window of at most (2k)^3 roots per point (see
+    :func:`_window_candidates`), and it finds exactly the roots and weights
+    of a search over all roots. On each axis a root outside the window lies
+    at least one scaled lattice step farther from the point than k window
+    roots that share its other two indices, so it cannot be among the k
+    nearest. Float rounding, in the distances or in the lattice index that
+    places the window, is many orders of magnitude below that margin.
+    Candidate ids ascend, so the stable sort still lets the lowest index win
+    ties, and the distances use the same expression as a dense search.
     """
     from .geometry import box_contains_many
 
@@ -220,15 +260,17 @@ def plan_deformation(cloud: PointCloud, box: OrientedBox, field: VectorField,
         raise ValueError("point coincides with the sensor; ray undefined")
     rays = deltas / norms[:, None]
 
-    roots = anchor(field, box)
     if len(inside) == 0:
         return DeformationPlan(inside, np.zeros((0, k_eff), dtype=np.int64),
                                np.zeros((0, k_eff)), rays, box.yaw)
 
-    dist = np.linalg.norm(points[:, None, :] - roots[None, :, :], axis=2)
+    roots = anchor(field, box)
+    cand = _window_candidates(points, box, field, k_eff)
+    dist = np.linalg.norm(points[:, None, :] - roots[cand], axis=2)
     # stable argsort keeps the lower root index first among exact ties
     order = np.argsort(dist, axis=1, kind="stable")[:, :k_eff]
     d = np.take_along_axis(dist, order, axis=1)
+    nearest = np.take_along_axis(cand, order, axis=1)
 
     weights = np.empty_like(d)
     coincident = d[:, 0] < COINCIDENT_EPS
@@ -240,7 +282,7 @@ def plan_deformation(cloud: PointCloud, box: OrientedBox, field: VectorField,
         weights[coincident] = 0.0
         weights[coincident, 0] = 1.0
 
-    return DeformationPlan(inside, order, weights, rays, box.yaw)
+    return DeformationPlan(inside, nearest, weights, rays, box.yaw)
 
 
 def _weighted_world_vectors(plan: DeformationPlan, field: VectorField):
@@ -290,16 +332,6 @@ class ShiftJacobian:
     def __init__(self, plan: DeformationPlan):
         self.plan = plan
         self._rot = rot_z(plan.yaw)
-
-    def displacement_block(self, row: int, root: int) -> np.ndarray:
-        """d p'_i / d v_j (world frame) for affected-point row i and root j."""
-        plan = self.plan
-        u = plan.rays[row]
-        matches = np.flatnonzero(plan.neighbor_idx[row] == root)
-        if matches.size == 0:
-            return np.zeros((3, 3))
-        w = float(plan.weights[row, matches].sum())
-        return w * np.outer(u, u)
 
     def tau_clip_active(self, cloud: PointCloud, field: VectorField) -> np.ndarray:
         """True where the intensity clip saturates for the planned points."""

@@ -574,7 +574,9 @@ def write_sensor_config(sensor: SensorSpec, directory) -> None:
         "range_noise": repr(sensor.range_noise),
         "classes": ",".join(CLASS_NAMES),
     }
-    cloudio.write_config(config, Path(directory) / "sensor.cfg")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    cloudio.write_config(config, directory / "sensor.cfg")
 
 
 def read_sensor_config(directory) -> SensorSpec:

@@ -135,8 +135,8 @@ def test_baseline_skips_a_car_box_without_car_points(tmp_path):
     else:
         pytest.fail("no stretch of bare ground in the scene")
     scene.boxes = [simulator.SceneBox(simulator.CAR, box)]
-    simulator.write_scene(scene, tmp_path / "data", 0)
     simulator.write_sensor_config(sensor, tmp_path / "data")
+    simulator.write_scene(scene, tmp_path / "data", 0)
     model = victim.SegNetMini(len(simulator.CLASS_NAMES))
     model.init_random(0)
     victim.save_checkpoint(model, tmp_path / "seg.ckpt")
@@ -145,3 +145,14 @@ def test_baseline_skips_a_car_box_without_car_points(tmp_path):
                "--data", tmp_path / "data", "--out", tmp_path / "out") == 0
     written = (tmp_path / "out" / "000000.bin").read_bytes()
     assert written == (tmp_path / "data" / "000000.bin").read_bytes()
+
+
+def test_non_finite_victim_exits_3(pipeline, tmp_path):
+    model = victim.load_checkpoint(pipeline / "victim" / "seg.ckpt")
+    model.mlp.params["W1"][:] = np.nan
+    victim.save_checkpoint(model, tmp_path / "nan.ckpt")
+    out = tmp_path / "bank" / "car.vfb"
+    assert run("attack", "--mode", "untargeted", "--victim", tmp_path / "nan.ckpt",
+               "--data", pipeline / "data" / "train", "--G", 6, "--N", 1, "--iters", 1,
+               "--out", out) == cli.EXIT_NUMERIC
+    assert not out.exists()

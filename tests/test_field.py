@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from advfield.cloudio import PointCloud
-from advfield.field import (build_lattice, clamp_field, deform, init_random,
-                            lattice_counts, make_bank, plan_deformation,
-                            shift_jacobian, anchor, anchored_vectors)
-from advfield.geometry import OrientedBox, rot_z
+from advfield.field import (COINCIDENT_EPS, build_lattice, clamp_field, deform,
+                            init_random, lattice_counts, make_bank,
+                            plan_deformation, shift_jacobian, anchor,
+                            anchored_vectors)
+from advfield.geometry import OrientedBox, box_contains_many, rot_z
 
 CAR_DIMS = (1.8, 1.6, 4.6)
 SENSOR = np.array([0.0, 0.0, 1.7])
@@ -22,6 +23,36 @@ def box_cloud(rng, box, n=200, margin=0.95):
     xyz = np.vstack([inside, outside])
     return PointCloud(xyz, rng.uniform(0.1, 0.9, len(xyz)),
                       np.ones(len(xyz), np.int32), np.ones(len(xyz), np.int32))
+
+
+def dense_plan(cloud, box, fld, k):
+    """Oracle of plan_deformation: distances to every root, one full argsort.
+
+    Returns (point_idx, neighbor_idx, weights).
+    """
+    inside = np.flatnonzero(box_contains_many(box, cloud.xyz))
+    points = cloud.xyz[inside]
+    dist = np.linalg.norm(points[:, None, :] - anchor(fld, box)[None, :, :], axis=2)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :min(k, fld.size)]
+    d = np.take_along_axis(dist, order, axis=1)
+    weights = np.empty_like(d)
+    coincident = d[:, 0] < COINCIDENT_EPS
+    inv = 1.0 / d[~coincident]
+    weights[~coincident] = inv / inv.sum(axis=1, keepdims=True)
+    weights[coincident] = 0.0
+    weights[coincident, 0] = 1.0
+    return inside, order, weights
+
+
+def displacement_block(plan, row, root):
+    """d p'_i / d v_j (world frame) for affected-point row i and root j.
+
+    The per-entry form of the shift Jacobian: w_ij * u_i u_i^T, summed over
+    the neighbour slots of row i that hold root j, zero for non-neighbours.
+    """
+    u = plan.rays[row]
+    w = float(plan.weights[row, plan.neighbor_idx[row] == root].sum())
+    return w * np.outer(u, u)
 
 
 class TestLattice:
@@ -139,6 +170,39 @@ class TestPlan:
             d = np.linalg.norm(cloud.xyz[idx] - roots, axis=1)
             expected = np.argsort(d, kind="stable")[:3]
             assert np.array_equal(plan.neighbor_idx[row], expected)
+
+    def test_window_search_equals_dense_search(self):
+        rng = np.random.default_rng(23)
+        cases = [((1.0, 1.0, 2.0), 1.0, (1.3, 0.9, 2.5))]  # 2 roots along x
+        for _ in range(3):
+            dims = tuple(rng.uniform(0.8, 2.4, 3))
+            cases.append((dims, 0.2, tuple(np.array(dims) * rng.uniform(0.6, 1.7, 3))))
+        cases.append((CAR_DIMS, 0.2, (2.0, 1.5, 4.2)))
+        checked = 0
+        for dims, step, box_dims in cases:
+            fld = build_lattice(dims, step)
+            for yaw in (0.0, math.pi / 2, math.pi, rng.uniform(-math.pi, math.pi)):
+                box = OrientedBox(rng.normal(size=3) * 4 + [15.0, 0.0, 1.0],
+                                  *box_dims, yaw)
+                roots = anchor(fld, box)
+                # exact roots and midpoints of neighbouring roots, where
+                # distances tie, on top of random points inside the box
+                on_roots = rng.choice(fld.size, min(20, fld.size), replace=False)
+                pairs = on_roots[on_roots + 1 < fld.size]
+                ties = 0.5 * (roots[pairs] + roots[pairs + 1])
+                cloud = box_cloud(rng, box, n=60)
+                xyz = np.vstack([cloud.xyz, roots[on_roots], ties])
+                cloud = PointCloud(xyz, np.full(len(xyz), 0.5),
+                                   np.ones(len(xyz), np.int32),
+                                   np.ones(len(xyz), np.int32))
+                for k in (1, 2, 3, 5, fld.size + 1):
+                    plan = plan_deformation(cloud, box, fld, SENSOR, k)
+                    inside, idx, weights = dense_plan(cloud, box, fld, k)
+                    assert np.array_equal(plan.point_idx, inside)
+                    assert np.array_equal(plan.neighbor_idx, idx)
+                    assert np.array_equal(plan.weights, weights)
+                    checked += plan.n_affected
+        assert checked > 5_000
 
     def test_sensor_coincident_point_rejected(self):
         fld = build_lattice((1.0, 1.0, 1.0), 0.5)
@@ -327,10 +391,24 @@ class TestShiftJacobian:
         box = OrientedBox([10.0, 0.0, 1.7], 1.0, 1.0, 1.0, 0.0)
         cloud = PointCloud(np.array([[10.5, 0.0, 1.7]]), [0.5], [1], [1])
         plan = plan_deformation(cloud, box, fld, SENSOR, k=1)
-        jac = shift_jacobian(plan)
-        block = jac.displacement_block(0, int(plan.neighbor_idx[0, 0]))
+        block = displacement_block(plan, 0, int(plan.neighbor_idx[0, 0]))
         e1 = np.array([1.0, 0.0, 0.0])
         assert np.allclose(block, np.outer(e1, e1), atol=1e-12)
+
+    def test_gradient_is_the_sum_of_displacement_blocks(self):
+        rng = np.random.default_rng(22)
+        box = OrientedBox([11.0, -2.0, 0.8], *CAR_DIMS, -1.1)
+        cloud = box_cloud(rng, box, n=30)
+        fld = build_lattice(CAR_DIMS, 0.4)
+        plan = plan_deformation(cloud, box, fld, SENSOR, k=3)
+        dpos = rng.normal(size=(plan.n_affected, 3))
+        grad = shift_jacobian(plan).vector_gradient(dpos, np.zeros(plan.n_affected),
+                                                    fld.size)
+        world = np.zeros((fld.size, 3))
+        for row in range(plan.n_affected):
+            for root in np.unique(plan.neighbor_idx[row]):
+                world[root] += displacement_block(plan, row, root).T @ dpos[row]
+        assert np.allclose(grad[:, :3], world @ rot_z(plan.yaw), rtol=1e-12, atol=1e-14)
 
 
 def test_make_bank_shapes_and_slots():
