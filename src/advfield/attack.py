@@ -16,14 +16,14 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cloudio import PointCloud
-from .field import (FieldBank, clamp_field, deform, plan_deformation,
-                    shift_jacobian)
+from .field import FieldBank, ShiftJacobian, clamp_field, deform, plan_deformation
 from .geometry import iou_3d
 from .rotation import GroupScheme, target_boxes
 from .victim import Adam, DetHeadMini, SegNetMini
 
 PROB_FLOOR = 1e-12
 RELEVANCE_THRESHOLD = 0.1  # proposals below this confidence are ignored
+BATCH_SCENES = 4  # scenes whose gradients accumulate before each Adam step
 
 MODES = ("detection", "seg-untargeted", "seg-targeted")
 
@@ -40,7 +40,6 @@ class AttackConfig:
     k: int = 2
     seed: int = 0
     box_drop: float = 0.0
-    batch_scenes: int = 4
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -59,7 +58,6 @@ class AttackConfig:
 @dataclass
 class AttackTrace:
     losses: list = dc_field(default_factory=list)
-    probe_metric: list = dc_field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +159,7 @@ class _SceneWork:
     plans: list  # (group, DeformationPlan)
 
 
-def _prepare(scenes, bank: FieldBank, cfg: AttackConfig, warn: bool = True):
+def _prepare(scenes, bank: FieldBank, cfg: AttackConfig):
     work = []
     usage = {(f.group, f.variant): 0 for f in bank.fields}
     scheme = GroupScheme(bank.groups)
@@ -180,7 +178,7 @@ def _prepare(scenes, bank: FieldBank, cfg: AttackConfig, warn: bool = True):
             usage[(group, variant)] += 1
         work.append(_SceneWork(scene, variant, plans))
     unused = sorted(slot for slot, count in usage.items() if count == 0)
-    if warn and unused:
+    if unused:
         warnings.warn(
             f"{len(unused)} field slots have no target objects; "
             f"risk of overfit for (group, variant) in {unused[:8]}"
@@ -225,37 +223,7 @@ def _scene_loss_and_input_grads(cloud, work: _SceneWork, victim, cfg: AttackConf
     return loss, dpos, dtau
 
 
-def _probe_metric(probe_work, bank: FieldBank, victim, cfg: AttackConfig) -> float:
-    """Victim quality on deformed probe scenes: class IoU (seg) or mean hit score (det)."""
-    if not probe_work:
-        return math.nan
-    if cfg.mode == "detection":
-        scores_sum, count = 0.0, 0
-        for work in probe_work:
-            cloud = _deform_scene(work, bank)
-            scores, _, _ = victim.forward(cloud)
-            centers = victim.anchor_centers(np.arange(victim.n_anchors))
-            for sb in work.scene.boxes:
-                if sb.class_id != cfg.adversarial_class:
-                    continue
-                near = np.linalg.norm(centers[:, :2] - sb.box.center[:2], axis=1) < 3.0
-                if near.any():
-                    scores_sum += float(scores[near].max())
-                    count += 1
-        return scores_sum / count if count else math.nan
-    inter = union = 0
-    for work in probe_work:
-        cloud = _deform_scene(work, bank)
-        pred = victim.predict(cloud)
-        truth = work.scene.cloud.semantic == cfg.adversarial_class
-        hit = pred == cfg.adversarial_class
-        inter += int(np.count_nonzero(truth & hit))
-        union += int(np.count_nonzero(truth | hit))
-    return inter / union if union else math.nan
-
-
-def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig,
-             probe_scenes=()) -> tuple:
+def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
     """Optimize all bank fields over the dataset; returns (bank, trace).
 
     Point-to-root plans are computed once from the clean clouds and frozen.
@@ -269,15 +237,13 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig,
         raise ValueError("segmentation modes need a segmentation victim")
 
     work = _prepare(scenes, bank, cfg)
-    probe_work = (_prepare(list(probe_scenes), bank, cfg, warn=False)
-                  if len(probe_scenes) else [])
     optimizers = {(f.group, f.variant): Adam(cfg.lr) for f in bank.fields}
     trace = AttackTrace()
 
     for _ in range(cfg.iterations):
         total_loss = 0.0
-        for start in range(0, len(work), cfg.batch_scenes):
-            batch = work[start:start + cfg.batch_scenes]
+        for start in range(0, len(work), BATCH_SCENES):
+            batch = work[start:start + BATCH_SCENES]
             grads = {}
             for item in batch:
                 if not item.plans:
@@ -289,7 +255,7 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig,
                 total_loss += loss
                 for group, plan in item.plans:
                     fld = bank.field(group, item.variant)
-                    jac = shift_jacobian(plan)
+                    jac = ShiftJacobian(plan)
                     clip = jac.tau_clip_active(item.scene.cloud, fld)
                     slot = (group, item.variant)
                     grads.setdefault(slot, np.zeros_like(fld.vectors))
@@ -302,5 +268,4 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig,
                 optimizers[slot].step({"v": fld.vectors}, {"v": grad})
                 clamp_field(fld, cfg.eps, cfg.psi)
         trace.losses.append(total_loss)
-        trace.probe_metric.append(_probe_metric(probe_work, bank, victim, cfg))
     return bank, trace

@@ -27,7 +27,9 @@ from .rotation import BOX_MODES, GroupScheme, target_boxes
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_SENSOR_FLAGS = ("channels", "azimuth_res_deg", "origin_height", "max_range")
+# the --metrics names eval accepts for each victim kind
+SEG_METRICS = ("miou", "distance-bins", "intensity-suite")
+DET_METRICS = ("ap", "asr")
 
 
 def _git_describe() -> str:
@@ -103,12 +105,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_scenes(data_dir) -> list:
-    return simulator.load_split(data_dir)
-
-
 def cmd_train_victim(args) -> int:
-    scenes = _load_scenes(args.data)
+    scenes = simulator.load_split(args.data)
     bank = cloudio.load_bank(args.augment_bank) if args.augment_bank else None
     n_classes = len(simulator.CLASS_NAMES)
     if args.task == "seg":
@@ -125,7 +123,7 @@ def cmd_train_victim(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    scenes = _load_scenes(args.data)
+    scenes = simulator.load_split(args.data)
     model = victim_mod.load_checkpoint(args.victim)
     class_id = simulator.CLASS_NAMES.index(args.cls)
     mode = {"untargeted": "seg-untargeted", "targeted": "seg-targeted",
@@ -134,7 +132,7 @@ def cmd_attack(args) -> int:
     lr = args.lr if args.lr is not None else (0.05 if mode == "detection" else 0.01)
     cfg = attack_mod.AttackConfig(
         mode=mode, adversarial_class=class_id, target_class=target_id,
-        eps=args.eps, psi=args.psi, lr=lr, iterations=args.iters, k=args.k,
+        eps=args.eps, psi=args.psi, lr=lr, iterations=args.iters,
         seed=args.seed, box_drop=args.drop_boxes,
     )
     dims = tuple(float(d) for d in args.dims.split(","))
@@ -145,16 +143,15 @@ def cmd_attack(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     cloudio.save_bank(bank, out)
-    trace_lines = ["iteration,loss,probe_metric"]
-    trace_lines += [f"{i},{loss!r},{metric!r}" for i, (loss, metric)
-                    in enumerate(zip(trace.losses, trace.probe_metric))]
+    trace_lines = ["iteration,loss"]
+    trace_lines += [f"{i},{loss!r}" for i, loss in enumerate(trace.losses)]
     out.with_suffix(".trace.csv").write_text("\n".join(trace_lines) + "\n",
                                              encoding="utf-8")
     return 0
 
 
 def cmd_baseline_attack(args) -> int:
-    scenes = _load_scenes(args.data)
+    scenes = simulator.load_split(args.data)
     model = victim_mod.load_checkpoint(args.victim)
     class_id = simulator.CLASS_NAMES.index(args.cls)
     out = Path(args.out)
@@ -179,15 +176,21 @@ def cmd_baseline_attack(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    scenes = _load_scenes(args.data)
+    scenes = simulator.load_split(args.data)
     model = victim_mod.load_checkpoint(args.victim)
     n_classes = len(simulator.CLASS_NAMES)
     wanted = set(args.metrics.split(","))
+    is_seg = isinstance(model, victim_mod.SegNetMini)
+    known = SEG_METRICS if is_seg else DET_METRICS
+    unknown = sorted(wanted.difference(known))
+    if unknown:
+        raise ValueError(f"--metrics {','.join(unknown)}: not a metric of a "
+                         f"{'seg' if is_seg else 'det'} victim ({','.join(known)})")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
 
-    if isinstance(model, victim_mod.SegNetMini):
+    if is_seg:
         def scene_confusion(scene):
             return evaluate.confusion_matrix(model.predict(scene.cloud),
                                              scene.cloud.semantic, n_classes)
@@ -210,7 +213,8 @@ def cmd_eval(args) -> int:
                 all_pred, all_lab, all_xyz, scenes[0].sensor.origin, n_classes)
             for b in range(ious.shape[0]):
                 for c, name in enumerate(simulator.CLASS_NAMES):
-                    rows.append(f"{b * 10},{name},{ious[b, c]!r},{int(valid[b, c])}")
+                    rows.append(f"{b * evaluate.DISTANCE_BIN_M},{name},{ious[b, c]!r},"
+                                f"{int(valid[b, c])}")
             (out / "distance_bins.csv").write_text("\n".join(rows) + "\n",
                                                    encoding="utf-8")
             summary.append("distance-bins written")
@@ -314,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", type=float, default=0.3)
     p.add_argument("--iters", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=2)
     p.add_argument("--lr", type=float, default=None,
                    help="default 0.05 for detection, 0.01 for segmentation")
     p.add_argument("--boxes", choices=BOX_MODES, default="gt")
@@ -342,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a victim and write report CSVs")
     p.add_argument("--victim", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--metrics", default="miou")
+    p.add_argument("--metrics", default="miou",
+                   help="comma-separated; seg: " + ",".join(SEG_METRICS)
+                   + "; det: " + ",".join(DET_METRICS))
     p.add_argument("--bank", default=None)
     p.add_argument("--iou-thr", type=float, default=0.7)
     p.add_argument("--seed", type=int, default=0)

@@ -16,7 +16,7 @@ Formats:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +51,6 @@ class PointCloud:
         if n and (self.intensity.min() < 0.0 or self.intensity.max() > 1.0):
             raise ValueError("intensity must lie in [0, 1]")
 
-    def __len__(self) -> int:
-        return len(self.xyz)
-
     @property
     def n(self) -> int:
         return len(self.xyz)
@@ -72,44 +69,6 @@ class PointCloud:
         n = len(np.atleast_2d(xyz))
         zeros = np.zeros(n, dtype=np.int32)
         return cls(xyz, intensity, zeros, zeros.copy())
-
-
-@dataclass(frozen=True)
-class ClassTable:
-    """Ordered class names (ids are list positions) plus attack designations."""
-
-    names: tuple
-    adversarial_class: str | None = None
-    target_class: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("class names must be unique")
-        for attr in ("adversarial_class", "target_class"):
-            name = getattr(self, attr)
-            if name is not None and name not in self.names:
-                raise ValueError(f"{attr} {name!r} not in class table")
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def id_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown class {name!r}") from None
-
-    def name_of(self, class_id: int) -> str:
-        return self.names[class_id]
-
-    @property
-    def adversarial_id(self) -> int | None:
-        return None if self.adversarial_class is None else self.id_of(self.adversarial_class)
-
-    @property
-    def target_id(self) -> int | None:
-        return None if self.target_class is None else self.id_of(self.target_class)
 
 
 # ---------------------------------------------------------------------------

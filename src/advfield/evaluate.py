@@ -16,7 +16,7 @@ from .cloudio import PointCloud
 from .field import FieldBank, deform, field_init_seed, init_random, plan_deformation
 from .geometry import OrientedBox, iou_3d
 from .rotation import GroupScheme, target_boxes
-from .simulator import Scene
+from .simulator import Scene, SensorSpec
 from .victim import train_det, train_seg
 
 
@@ -82,25 +82,25 @@ def _augment_hook(scenes, bank: FieldBank | None, k: int = 2):
 
 
 def train_augmented(scenes, bank: FieldBank | None, n_classes: int, epochs: int,
-                    lr: float, seed, k: int = 2, **train_kwargs):
+                    lr: float, seed, k: int = 2):
     """Segmentation training with per-scene adversarial augmentation.
 
     Identical to the plain trainer apart from the deformation hook, which is
-    applied before the standard global augmentations; a None bank reproduces
+    applied before the standard global augmentation; a None bank reproduces
     baseline training bit for bit.
     """
     clouds = [s.cloud for s in scenes]
     return train_seg(clouds, n_classes, epochs, lr, seed,
-                     hook=_augment_hook(scenes, bank, k=k), **train_kwargs)
+                     hook=_augment_hook(scenes, bank, k=k))
 
 
 def train_augmented_det(scenes, bank: FieldBank | None, class_id: int, epochs: int,
-                        lr: float, seed, k: int = 2, **train_kwargs):
+                        lr: float, seed, k: int = 2):
     """Detection-head twin of :func:`train_augmented`."""
     clouds = [s.cloud for s in scenes]
     boxes = [[sb.box for sb in s.boxes if sb.class_id == class_id] for s in scenes]
     return train_det(clouds, boxes, epochs, lr, seed,
-                     hook=_augment_hook(scenes, bank, k=k), **train_kwargs)
+                     hook=_augment_hook(scenes, bank, k=k))
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +140,6 @@ def iou_from_confusion(matrix: np.ndarray) -> IouResult:
     return IouResult(iou, valid)
 
 
-def miou(pred, labels, n_classes: int, class_subset=None) -> IouResult:
-    """Per-class IoU and their mean; zero-union classes are flagged out."""
-    result = iou_from_confusion(confusion_matrix(pred, labels, n_classes))
-    if class_subset is not None:
-        keep = np.zeros(n_classes, dtype=bool)
-        keep[list(class_subset)] = True
-        result = IouResult(np.where(keep, result.iou, 0.0), result.valid & keep)
-    return result
-
-
 def miou_over_scenes(victim, scenes, n_classes: int) -> IouResult:
     total = np.zeros((n_classes, n_classes), dtype=np.int64)
     for scene in scenes:
@@ -159,19 +149,24 @@ def miou_over_scenes(victim, scenes, n_classes: int) -> IouResult:
     return iou_from_confusion(total)
 
 
-def distance_binned_iou(pred, labels, xyz, sensor_origin, n_classes: int,
-                        n_bins: int = 8, bin_width: float = 10.0):
+# range bins of distance_binned_iou: DISTANCE_BINS bins of DISTANCE_BIN_M
+# meters each, the last one open-ended
+DISTANCE_BINS = 8
+DISTANCE_BIN_M = 10
+
+
+def distance_binned_iou(pred, labels, xyz, sensor_origin, n_classes: int):
     """Per-class IoU computed independently inside 3D-range bins.
 
-    Returns ``(ious, valid)`` of shape (n_bins, C); bins partition the points
-    so their confusion matrices sum to the global one.
+    Returns ``(ious, valid)`` of shape (DISTANCE_BINS, C); bins partition the
+    points so their confusion matrices sum to the global one.
     """
     xyz = np.asarray(xyz, dtype=float)
     ranges = np.linalg.norm(xyz - np.asarray(sensor_origin, dtype=float), axis=1)
-    bins = np.minimum((ranges / bin_width).astype(np.int64), n_bins - 1)
-    ious = np.zeros((n_bins, n_classes))
-    valid = np.zeros((n_bins, n_classes), dtype=bool)
-    for b in range(n_bins):
+    bins = np.minimum((ranges / DISTANCE_BIN_M).astype(np.int64), DISTANCE_BINS - 1)
+    ious = np.zeros((DISTANCE_BINS, n_classes))
+    valid = np.zeros((DISTANCE_BINS, n_classes), dtype=bool)
+    for b in range(DISTANCE_BINS):
         rows = bins == b
         result = iou_from_confusion(
             confusion_matrix(np.asarray(pred)[rows], np.asarray(labels)[rows], n_classes)
@@ -264,27 +259,31 @@ def attack_success_rate(clean_detections, attacked_detections, ground_truths,
     return 100.0 * float(lost.sum()) / float(clean.sum())
 
 
-def collect_detections(victim, scenes, score_floor: float = 0.1,
-                       class_id: int | None = None, transform=None,
-                       nms_radius: float = 2.5):
+# detections: the lowest kept confidence, and the center distance within
+# which a lower-scoring proposal is suppressed
+SCORE_FLOOR = 0.1
+NMS_RADIUS = 2.5
+
+
+def collect_detections(victim, scenes, class_id: int | None = None, transform=None):
     """Run the detector over scenes -> (detections, ground truths).
 
-    Overlapping proposals are reduced by center-distance NMS: within each
-    scene, any relevant proposal whose center lies within ``nms_radius`` of a
-    higher-scoring kept proposal is dropped.
+    Proposals scoring above ``SCORE_FLOOR`` are reduced by center-distance
+    NMS: within each scene, any proposal whose center lies within
+    ``NMS_RADIUS`` of a higher-scoring kept proposal is dropped.
     """
     detections, gts = [], []
     for index, scene in enumerate(scenes):
         cloud = scene.cloud if transform is None else transform(index, scene)
         scores, full, tape = victim.forward(cloud)
         # anchors without pooled points carry no evidence, only the prior
-        keep = np.flatnonzero((scores > score_floor) & (tape.neighbor_counts > 0))
+        keep = np.flatnonzero((scores > SCORE_FLOOR) & (tape.neighbor_counts > 0))
         boxes = victim.decode_boxes(keep, full)
         order = np.argsort(-scores[keep], kind="stable")
         chosen = []
         for rank in order:
             box = boxes[rank]
-            if all(np.linalg.norm(box.center[:2] - kept.center[:2]) > nms_radius
+            if all(np.linalg.norm(box.center[:2] - kept.center[:2]) > NMS_RADIUS
                    for kept in chosen):
                 chosen.append(box)
                 detections.append(Detection(index, float(scores[keep[rank]]), box))
@@ -374,21 +373,23 @@ def _face_of(roots: np.ndarray) -> np.ndarray:
     return face
 
 
-def analyze_fields(bank: FieldBank, init_seed: int, sensor_origin=None,
-                   reference_range: float = 15.0) -> list:
+# range at which analyze_fields places each field's reference box
+REFERENCE_RANGE = 15.0
+
+
+def analyze_fields(bank: FieldBank, init_seed: int) -> list:
     """Per-field activity statistics against the recorded initialization.
 
     A vector is active when its spatial magnitude exceeds the magnitude it
     was initialized with (regenerated from ``init_seed``). Active vectors are
-    projected on the ray through their anchored root at the field's reference
-    bearing and tallied toward (negative projection) or away from the sensor,
-    per box face region.
+    projected on the ray from the default sensor through their anchored root,
+    with the box ``REFERENCE_RANGE`` meters out at the field's reference
+    bearing, and tallied toward (negative projection) or away from the
+    sensor, per box face region.
     """
     from .field import anchor, anchored_vectors, build_lattice
-    from .geometry import OrientedBox
 
-    origin = (np.array([0.0, 0.0, 1.7]) if sensor_origin is None
-              else np.asarray(sensor_origin, dtype=float))
+    origin = SensorSpec().origin
     scheme = GroupScheme(bank.groups)
     w0, h0, l0 = bank.dims
     stats = []
@@ -400,8 +401,8 @@ def analyze_fields(bank: FieldBank, init_seed: int, sensor_origin=None,
         active = norm > init_norm
 
         beta = scheme.reference_angle(fld.group)
-        center = np.array([reference_range * math.cos(beta),
-                           reference_range * math.sin(beta), h0 / 2.0])
+        center = np.array([REFERENCE_RANGE * math.cos(beta),
+                           REFERENCE_RANGE * math.sin(beta), h0 / 2.0])
         box = OrientedBox(center, w0, h0, l0, 0.0)
         roots_world = anchor(fld, box)
         rays = roots_world - origin

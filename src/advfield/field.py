@@ -362,7 +362,3 @@ class ShiftJacobian:
             d_tau = np.where(np.asarray(clip_active, dtype=bool), 0.0, d_tau)
         np.add.at(grad[:, 3], plan.neighbor_idx, plan.weights * d_tau[:, None])
         return grad
-
-
-def shift_jacobian(plan: DeformationPlan) -> ShiftJacobian:
-    return ShiftJacobian(plan)

@@ -1,4 +1,4 @@
-"""Exact 3D primitives: rays, yaw-oriented boxes, rigid transforms, angles.
+"""Exact 3D primitives: yaw-oriented boxes, box membership and overlap, angles.
 
 All angles are in radians; degrees exist only at the CLI boundary. Boxes are
 yaw-only (no pitch/roll): ``length`` runs along the local x axis, ``width``
@@ -15,14 +15,10 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 __all__ = [
-    "Ray",
     "OrientedBox",
-    "RigidTransform",
     "wrap_2pi",
     "wrap_pi",
     "rot_z",
-    "project_onto_ray",
-    "box_contains",
     "box_contains_many",
     "iou_3d",
     "bearing",
@@ -50,32 +46,6 @@ def _as_vec3(value, name: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must have finite components, got {v}")
     return v
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Half line from ``origin`` along a unit ``direction``."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", _as_vec3(self.origin, "origin"))
-        d = _as_vec3(self.direction, "direction")
-        norm = np.linalg.norm(d)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"ray direction must be unit-norm, |d| = {norm!r}")
-        object.__setattr__(self, "direction", d)
-
-    @classmethod
-    def through(cls, origin, target) -> "Ray":
-        """Ray from ``origin`` towards ``target`` (must be distinct points)."""
-        origin = _as_vec3(origin, "origin")
-        delta = _as_vec3(target, "target") - origin
-        norm = np.linalg.norm(delta)
-        if norm < 1e-12:
-            raise ValueError("ray target coincides with origin")
-        return cls(origin, delta / norm)
 
 
 @dataclass(frozen=True)
@@ -124,58 +94,6 @@ class OrientedBox:
         """Express box-local points (n, 3) in the world frame."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return pts @ rot_z(self.yaw).T + self.center
-
-    def scaled(self, factor: float) -> "OrientedBox":
-        return OrientedBox(
-            self.center,
-            self.width * factor,
-            self.height * factor,
-            self.length * factor,
-            self.yaw,
-        )
-
-
-@dataclass(frozen=True)
-class RigidTransform:
-    """Yaw rotation about +z followed by a translation."""
-
-    yaw: float
-    translation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "translation", _as_vec3(self.translation, "translation"))
-        object.__setattr__(self, "yaw", float(self.yaw))
-
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(0.0, np.zeros(3))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return pts @ rot_z(self.yaw).T + self.translation
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Transform equivalent to applying ``other`` first, then ``self``."""
-        return RigidTransform(
-            self.yaw + other.yaw,
-            rot_z(self.yaw) @ other.translation + self.translation,
-        )
-
-    def inverse(self) -> "RigidTransform":
-        return RigidTransform(-self.yaw, -(rot_z(-self.yaw) @ self.translation))
-
-
-def project_onto_ray(v, ray: Ray) -> np.ndarray:
-    """Project a 3-vector onto the ray direction: (v . d) d."""
-    v = np.asarray(v, dtype=float)
-    d = ray.direction
-    return (v @ d) * d
-
-
-def box_contains(box: OrientedBox, point) -> bool:
-    """True iff ``point``, expressed in the box frame, lies within the half extents."""
-    local = box.to_local(np.asarray(point, dtype=float).reshape(1, 3))[0]
-    return bool(np.all(np.abs(local) <= box.half_extents))
 
 
 def box_contains_many(box: OrientedBox, points: np.ndarray) -> np.ndarray:

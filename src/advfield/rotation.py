@@ -24,9 +24,6 @@ import numpy as np
 from .cloudio import PointCloud
 from .geometry import OrientedBox, bearing, box_contains_many, wrap_2pi
 
-# w ~ l within this tolerance leaves the long-side orientation undefined
-AMBIGUOUS_EXTENT_EPS = 1e-6
-
 # bias, in slice widths, that lifts a boundary angle into the upper slice
 SLICE_BOUNDARY_BIAS = 1e-12
 
@@ -90,31 +87,6 @@ def group_of_axis_aligned(box: OrientedBox, sensor, scheme: GroupScheme) -> int:
     doubled = GroupScheme(2 * scheme.count)
     theta = bearing(box.center, sensor) - math.fmod(box.yaw, math.pi)
     return fold_opposite(doubled.slice_of(theta), scheme.count)
-
-
-def pseudo_yaw(subject):
-    """Orientation of the longer horizontal extent, modulo pi.
-
-    Accepts an :class:`OrientedBox` (long side from length vs width) or an
-    (n, 3)/(n, 2) point array (principal horizontal axis of the spread).
-    Returns ``(angle, ambiguous)``; near-isotropic subjects give (0.0, True).
-    """
-    if isinstance(subject, OrientedBox):
-        if abs(subject.length - subject.width) < AMBIGUOUS_EXTENT_EPS:
-            return 0.0, True
-        angle = subject.yaw if subject.length >= subject.width else subject.yaw + math.pi / 2.0
-        return math.fmod(wrap_2pi(angle), math.pi), False
-
-    points = np.asarray(subject, dtype=float)
-    if points.ndim != 2 or len(points) < 3:
-        raise ValueError("pseudo yaw from points needs at least 3 points")
-    xy = points[:, :2] - points[:, :2].mean(axis=0)
-    cov = xy.T @ xy / len(xy)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals[1] - eigvals[0] < AMBIGUOUS_EXTENT_EPS * max(eigvals[1], 1.0):
-        return 0.0, True
-    main = eigvecs[:, 1]  # eigenvalues ascending; last = principal axis
-    return math.fmod(wrap_2pi(math.atan2(main[1], main[0])), math.pi), False
 
 
 def axis_aligned_box_of_instance(cloud: PointCloud, instance_id: int,

@@ -21,11 +21,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cloudio import ClassTable, PointCloud
-from .geometry import OrientedBox, rot_z, wrap_pi
+from .cloudio import PointCloud
+from .geometry import OrientedBox, rot_z
 
 CLASS_NAMES = ("ground", "car", "person", "building", "vegetation")
-CLASSES = ClassTable(CLASS_NAMES)
 
 CAR = CLASS_NAMES.index("car")
 GROUND = CLASS_NAMES.index("ground")

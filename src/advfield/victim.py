@@ -11,7 +11,7 @@ gradients are exact almost everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -248,7 +248,7 @@ class DetHeadMini:
     N_OUTPUTS = 9  # score, dx, dy, dz, dlog w, dlog h, dlog l, sin 2a, cos 2a
     GROUND_CLIP = 0.25  # points at or below this height are not pooled
 
-    def __init__(self, area: float = 64.0, stride: float = 2.0, hidden: int = 48):
+    def __init__(self, area: float = 64.0, stride: float = 2.0, hidden: int = 32):
         self.area = float(area)     # grid covers [-area, area) in x and y
         self.stride = float(stride)
         self.hidden = int(hidden)
@@ -467,29 +467,46 @@ def class_weights(scenes, n_classes: int) -> np.ndarray:
     return weights
 
 
-def standard_augment(cloud: PointCloud, rng: np.random.Generator) -> PointCloud:
-    """Global yaw rotation in (-pi, pi] about the sensor axis plus a random y flip."""
-    from .geometry import rot_z
+def standard_augment(cloud: PointCloud, boxes, rng: np.random.Generator):
+    """Global yaw rotation in (-pi, pi] about the sensor axis plus a random y flip.
 
-    out = cloud.copy()
+    Returns the moved cloud and ``boxes`` (OrientedBoxes) moved by the same
+    draw. The rng draws the angle first, then the flip.
+    """
+    from .geometry import OrientedBox, rot_z, wrap_pi
+
     angle = rng.uniform(-math.pi, math.pi)
+    flip = rng.random() < 0.5
+    out = cloud.copy()
     out.xyz = out.xyz @ rot_z(angle).T
-    if rng.random() < 0.5:
+    if flip:
         out.xyz[:, 1] *= -1.0
-    return out
+    moved = []
+    for box in boxes:
+        center = rot_z(angle) @ box.center
+        yaw = box.yaw + angle
+        if flip:
+            center = center * np.array([1.0, -1.0, 1.0])
+            yaw = -yaw
+        moved.append(OrientedBox(center, box.width, box.height, box.length,
+                                 float(wrap_pi(yaw))))
+    return out, moved
+
+
+# points train_seg samples, class-balanced, per scene step
+SEG_POINTS_PER_SCENE = 1536
 
 
 def train_seg(scenes, n_classes: int, epochs: int, lr: float, seed,
-              hook=None, points_per_scene: int = 1536, hidden: int = 64,
-              radius: float = 0.5, augment_standard: bool = True) -> SegNetMini:
+              hook=None) -> SegNetMini:
     """Train a SegNetMini with Adam on weighted cross-entropy.
 
     ``scenes`` is a list of labeled PointClouds. ``hook(index, cloud, rng)``
     may return a replacement cloud and runs before the standard global
-    augmentations, once per scene per epoch. Deterministic for a fixed seed.
+    augmentation, once per scene per epoch. Deterministic for a fixed seed.
     Raises RuntimeError on non-finite loss.
     """
-    model = SegNetMini(n_classes, hidden=hidden, radius=radius)
+    model = SegNetMini(n_classes)
     model.init_random(np.random.SeedSequence([_seed_int(seed), 1]))
     weights = class_weights(scenes, n_classes)
     optim = Adam(lr)
@@ -504,18 +521,17 @@ def train_seg(scenes, n_classes: int, epochs: int, lr: float, seed,
             cloud = scenes[scene_idx]
             if hook is not None:
                 cloud = hook(int(scene_idx), cloud, rng)
-            if augment_standard:
-                cloud = standard_augment(cloud, rng)
+            cloud, _ = standard_augment(cloud, (), rng)
             n = cloud.n
             if n == 0:
                 continue
-            if n > points_per_scene:
+            if n > SEG_POINTS_PER_SCENE:
                 # class-balanced subsample: rare classes keep their gradient share
                 p = weights[cloud.semantic]
                 total = p.sum()
                 if total <= 0:
                     continue
-                rows = rng.choice(n, size=points_per_scene, replace=False, p=p / total)
+                rows = rng.choice(n, size=SEG_POINTS_PER_SCENE, replace=False, p=p / total)
             else:
                 rows = np.arange(n)
             probs, tape = model.forward(cloud, rows=rows)
@@ -539,17 +555,17 @@ def train_seg(scenes, n_classes: int, epochs: int, lr: float, seed,
 
 
 def train_det(scenes, boxes_per_scene, epochs: int, lr: float, seed,
-              hook=None, hidden: int = 32, area: float = 64.0,
-              stride: float = 2.0, augment_standard: bool = True) -> DetHeadMini:
+              hook=None) -> DetHeadMini:
     """Train the detector on (cloud, car boxes) pairs.
 
     ``boxes_per_scene[i]`` lists the ground-truth OrientedBox targets of
     scene i. Positive anchors are the cells whose center falls inside a box
-    footprint, plus the cell nearest to each box center.
+    footprint, plus the cell nearest to each box center. ``hook`` works as in
+    :func:`train_seg`; it moves points, never boxes.
     """
-    from .geometry import rot_z, wrap_pi
+    from .geometry import rot_z
 
-    model = DetHeadMini(area=area, stride=stride, hidden=hidden)
+    model = DetHeadMini()
     model.init_random(np.random.SeedSequence([_seed_int(seed), 3]))
     optim = Adam(lr)
     rng = np.random.default_rng(np.random.SeedSequence([_seed_int(seed), 4]))
@@ -561,26 +577,9 @@ def train_det(scenes, boxes_per_scene, epochs: int, lr: float, seed,
         rng.shuffle(order)
         for scene_idx in order:
             cloud = scenes[scene_idx]
-            gt = list(boxes_per_scene[scene_idx])
             if hook is not None:
                 cloud = hook(int(scene_idx), cloud, rng)
-            if augment_standard:
-                angle = rng.uniform(-math.pi, math.pi)
-                flip = rng.random() < 0.5
-                cloud = cloud.copy()
-                cloud.xyz = cloud.xyz @ rot_z(angle).T
-                if flip:
-                    cloud.xyz[:, 1] *= -1.0
-                moved = []
-                for box in gt:
-                    center = rot_z(angle) @ box.center
-                    yaw = box.yaw + angle
-                    if flip:
-                        center = center * np.array([1.0, -1.0, 1.0])
-                        yaw = -yaw
-                    moved.append(type(box)(center, box.width, box.height,
-                                           box.length, float(wrap_pi(yaw))))
-                gt = moved
+            cloud, gt = standard_augment(cloud, boxes_per_scene[scene_idx], rng)
 
             scores, full, tape = model.forward(cloud)
             targets = np.zeros(model.n_anchors)

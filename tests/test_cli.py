@@ -156,3 +156,59 @@ def test_non_finite_victim_exits_3(pipeline, tmp_path):
                "--data", pipeline / "data" / "train", "--G", 6, "--N", 1, "--iters", 1,
                "--out", out) == cli.EXIT_NUMERIC
     assert not out.exists()
+
+
+def test_unknown_or_wrong_kind_metric_exits_2(pipeline, detection, tmp_path, capsys):
+    seg = ("--victim", pipeline / "victim" / "seg.ckpt", "--data", pipeline / "data" / "val")
+    assert run("eval", *seg, "--metrics", "ap,mIoU", "--out", tmp_path / "seg") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "ap" in err and "mIoU" in err
+    assert not (tmp_path / "seg").exists()
+    det = ("--victim", detection / "victim" / "det.ckpt", "--data", detection / "data" / "val")
+    assert run("eval", *det, "--metrics", "miou", "--out", tmp_path / "det") == cli.EXIT_CONFIG
+    assert "miou" in capsys.readouterr().err
+
+
+def test_attack_has_no_k_flag(pipeline, tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        run("attack", "--mode", "untargeted", "--victim", pipeline / "victim" / "seg.ckpt",
+            "--data", pipeline / "data" / "train", "--k", 3, "--out", tmp_path / "car.vfb")
+    assert exit_info.value.code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("task,bank", [("seg", "bank"), ("det", "det-bank")])
+def test_augmented_training_uses_the_bank_and_replays(detection, task, bank):
+    root = detection
+    out = root / f"aug-{task}" / "victim.ckpt"
+    assert run("train-victim", "--task", task, "--data", root / "data" / "train",
+               "--epochs", 1, "--augment-bank", root / bank / "car.vfb", "--out", out) == 0
+    assert out.read_bytes() != (root / "victim" / f"{task}.ckpt").read_bytes()
+    replay = root / f"aug-{task}-replay" / "victim.ckpt"
+    assert run("train-victim", "--config", out.parent / "manifest.cfg", "--out", replay) == 0
+    assert replay.read_bytes() == out.read_bytes()
+
+
+SEG_REPORTS = ("miou.csv", "distance_bins.csv", "intensity_suite.csv", "summary.txt")
+
+
+def test_segmentation_eval_writes_its_reports_and_replays(pipeline):
+    out = pipeline / "seg-eval"
+    assert run("eval", "--victim", pipeline / "victim" / "seg.ckpt", "--data",
+               pipeline / "data" / "val", "--metrics", "miou,distance-bins,intensity-suite",
+               "--out", out) == 0
+    bins = (out / "distance_bins.csv").read_text(encoding="utf-8").splitlines()
+    assert len(bins) == 1 + 8 * len(simulator.CLASS_NAMES)
+    assert bins[-1].startswith("70,")
+    assert len((out / "intensity_suite.csv").read_text(encoding="utf-8").splitlines()) == 8
+    replay = pipeline / "seg-eval-replay"
+    assert run("eval", "--config", out / "manifest.cfg", "--out", replay) == 0
+    for name in SEG_REPORTS:
+        assert (replay / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_analyze_fields_writes_one_row_per_slot(pipeline):
+    out = pipeline / "analysis" / "fields.csv"
+    assert run("analyze-fields", "--bank", pipeline / "bank" / "car.vfb", "--out", out) == 0
+    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    assert header.split(",")[:5] == ["group", "variant", "active", "toward", "away"]
+    assert [row.split(",")[:2] for row in rows] == [[str(g), "1"] for g in range(1, 7)]

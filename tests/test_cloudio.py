@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from advfield import cloudio
-from advfield.cloudio import ClassTable, FormatError, PointCloud
+from advfield.cloudio import FormatError, PointCloud
 from advfield.field import init_random, make_bank
 
 
@@ -187,18 +187,3 @@ class TestPointCloudInvariants:
         with pytest.raises(ValueError):
             PointCloud(np.full((1, 3), np.inf), np.zeros(1), np.zeros(1), np.zeros(1))
 
-
-class TestClassTable:
-    def test_ids_are_positions(self):
-        table = ClassTable(("ground", "car"), adversarial_class="car")
-        assert table.id_of("car") == 1
-        assert table.adversarial_id == 1
-        assert table.name_of(0) == "ground"
-
-    def test_unique_names(self):
-        with pytest.raises(ValueError):
-            ClassTable(("a", "a"))
-
-    def test_unknown_designation(self):
-        with pytest.raises(ValueError):
-            ClassTable(("a", "b"), target_class="c")

@@ -6,7 +6,7 @@ import pytest
 from advfield.cloudio import PointCloud
 from advfield.field import (COINCIDENT_EPS, build_lattice, clamp_field, deform,
                             init_random, lattice_counts, make_bank,
-                            plan_deformation, shift_jacobian, anchor,
+                            plan_deformation, ShiftJacobian, anchor,
                             anchored_vectors)
 from advfield.geometry import OrientedBox, box_contains_many, rot_z
 
@@ -338,7 +338,7 @@ class TestShiftJacobian:
         fld = build_lattice(CAR_DIMS, 0.4)
         init_random(fld, 19)
         plan = plan_deformation(cloud, box, fld, SENSOR, k=2)
-        jac = shift_jacobian(plan)
+        jac = ShiftJacobian(plan)
         dpos = rng.normal(size=(plan.n_affected, 3))
         dtau = rng.normal(size=plan.n_affected)
         clip = jac.tau_clip_active(cloud, fld)
@@ -379,7 +379,7 @@ class TestShiftJacobian:
         cloud = box_cloud(rng, box, n=10)
         fld = build_lattice(CAR_DIMS, 0.2)
         plan = plan_deformation(cloud, box, fld, SENSOR, k=2)
-        jac = shift_jacobian(plan)
+        jac = ShiftJacobian(plan)
         grad = jac.vector_gradient(np.ones((plan.n_affected, 3)),
                                    np.ones(plan.n_affected), fld.size)
         non_neighbors = np.setdiff1d(np.arange(fld.size),
@@ -402,7 +402,7 @@ class TestShiftJacobian:
         fld = build_lattice(CAR_DIMS, 0.4)
         plan = plan_deformation(cloud, box, fld, SENSOR, k=3)
         dpos = rng.normal(size=(plan.n_affected, 3))
-        grad = shift_jacobian(plan).vector_gradient(dpos, np.zeros(plan.n_affected),
+        grad = ShiftJacobian(plan).vector_gradient(dpos, np.zeros(plan.n_affected),
                                                     fld.size)
         world = np.zeros((fld.size, 3))
         for row in range(plan.n_affected):

@@ -6,8 +6,7 @@ import pytest
 from advfield.cloudio import PointCloud
 from advfield.geometry import OrientedBox, rot_z
 from advfield.rotation import (GroupScheme, axis_aligned_box_of_instance,
-                               fold_opposite, group_of, group_of_axis_aligned,
-                               pseudo_yaw)
+                               fold_opposite, group_of, group_of_axis_aligned)
 
 SENSOR = np.array([0.0, 0.0, 1.7])
 TWELVE = GroupScheme(12)
@@ -82,54 +81,6 @@ class TestGroupOf:
         sensor = np.array([5.0, 5.0, 1.7])
         box = OrientedBox([5.0 + 10.0, 5.0, 0.8], 1.8, 1.6, 4.6, 0.0)
         assert group_of(box, sensor, TWELVE) == 1
-
-
-class TestPseudoYaw:
-    def test_long_box_along_x(self):
-        box = OrientedBox(np.zeros(3), 1.0, 1.0, 4.0, 0.0)
-        angle, ambiguous = pseudo_yaw(box)
-        assert angle == 0.0 and not ambiguous
-
-    def test_rotated_quarter_turn(self):
-        box = OrientedBox(np.zeros(3), 1.0, 1.0, 4.0, math.pi / 2)
-        angle, _ = pseudo_yaw(box)
-        assert angle == pytest.approx(math.pi / 2)
-
-    def test_wide_box_swaps_axis(self):
-        box = OrientedBox(np.zeros(3), 4.0, 1.0, 1.0, 0.0)
-        angle, _ = pseudo_yaw(box)
-        assert angle == pytest.approx(math.pi / 2)
-
-    def test_square_box_ambiguous(self):
-        box = OrientedBox(np.zeros(3), 2.0, 1.0, 2.0, 0.4)
-        angle, ambiguous = pseudo_yaw(box)
-        assert ambiguous and angle == 0.0
-
-    def test_point_cluster_matches_pca_oracle(self):
-        rng = np.random.default_rng(1)
-        for _ in range(40):
-            direction = rng.uniform(0, math.pi)
-            axis = np.array([math.cos(direction), math.sin(direction), 0.0])
-            along = rng.normal(scale=2.0, size=(300, 1)) * axis
-            across = rng.normal(scale=0.25, size=(300, 3)) * [1, 1, 0.3]
-            points = along + across + rng.normal(size=3)
-            angle, ambiguous = pseudo_yaw(points)
-            assert not ambiguous
-            # oracle: densest-variance direction by exhaustive angle scan
-            xy = points[:, :2] - points[:, :2].mean(axis=0)
-            best, best_var = 0.0, -1.0
-            for cand in np.linspace(0, math.pi, 3600, endpoint=False):
-                proj = xy @ [math.cos(cand), math.sin(cand)]
-                var = proj.var()
-                if var > best_var:
-                    best, best_var = cand, var
-            gap = abs(angle - best) % math.pi
-            gap = min(gap, math.pi - gap)
-            assert gap < math.radians(5.0)
-
-    def test_needs_three_points(self):
-        with pytest.raises(ValueError):
-            pseudo_yaw(np.zeros((2, 3)))
 
 
 class TestAxisAlignedGrouping:

@@ -107,7 +107,8 @@ class TestBankBoxMode:
         assert applied_groups(scene.cloud, augmented) == want
         assert applied_groups(scene.cloud, evaluate.deform_all_objects(scene, bank)) == want
         cfg = attack.AttackConfig(mode="seg-untargeted", adversarial_class=CAR)
-        (work,) = attack._prepare([scene], bank, cfg, warn=False)
+        with pytest.warns(UserWarning, match="5 field slots have no target objects"):
+            (work,) = attack._prepare([scene], bank, cfg)
         assert {g for g, _ in work.plans} == want
 
     def test_axis_aligned_bank_deforms_instance_boxes_with_folded_group(self):
