@@ -15,10 +15,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cloudio import PointCloud
-from .field import FieldBank, ShiftJacobian, clamp_field, deform, plan_deformation
+from .field import FieldBank, ShiftJacobian, clamp_field, deform_targets, plan_targets
 from .geometry import iou_3d
-from .rotation import GroupScheme, target_boxes
 from .victim import Adam, DetHeadMini, SegNetMini
 
 PROB_FLOOR = 1e-12
@@ -162,19 +160,11 @@ class _SceneWork:
 def _prepare(scenes, bank: FieldBank, cfg: AttackConfig):
     work = []
     usage = {(f.group, f.variant): 0 for f in bank.fields}
-    scheme = GroupScheme(bank.groups)
     for idx, scene in enumerate(scenes):
         variant = idx % bank.variants + 1
-        targets = target_boxes(scene, cfg.adversarial_class, bank.boxes, scheme, bank.step)
-        targets = drop_boxes(targets, cfg.box_drop,
-                             np.random.SeedSequence([cfg.seed, 23, idx]))
-        plans = []
-        for box, group in targets:
-            plan = plan_deformation(scene.cloud, box, bank.fields[0],
-                                    scene.sensor.origin, cfg.k)
-            if plan.n_affected == 0:
-                continue
-            plans.append((group, plan))
+        plans = drop_boxes(plan_targets(scene, bank, cfg.k), cfg.box_drop,
+                           np.random.SeedSequence([cfg.seed, 23, idx]))
+        for group, _ in plans:
             usage[(group, variant)] += 1
         work.append(_SceneWork(scene, variant, plans))
     unused = sorted(slot for slot, count in usage.items() if count == 0)
@@ -184,13 +174,6 @@ def _prepare(scenes, bank: FieldBank, cfg: AttackConfig):
             f"risk of overfit for (group, variant) in {unused[:8]}"
         )
     return work
-
-
-def _deform_scene(work: _SceneWork, bank: FieldBank) -> PointCloud:
-    cloud = work.scene.cloud
-    for group, plan in work.plans:
-        cloud = deform(cloud, plan, bank.field(group, work.variant))
-    return cloud
 
 
 def _scene_loss_and_input_grads(cloud, work: _SceneWork, victim, cfg: AttackConfig):
@@ -226,7 +209,9 @@ def _scene_loss_and_input_grads(cloud, work: _SceneWork, victim, cfg: AttackConf
 def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
     """Optimize all bank fields over the dataset; returns (bank, trace).
 
-    Point-to-root plans are computed once from the clean clouds and frozen.
+    The attack's class must be the bank's. Point-to-root plans
+    (``field.plan_targets``) are computed once from the clean clouds and
+    frozen.
     Scene index mod N picks the variant each scene trains, keeping variants
     independent. Gradients accumulate over small scene batches before each
     per-field Adam step; fields are clamped after every step.
@@ -235,6 +220,9 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
         raise ValueError("detection mode needs a detection head")
     if isinstance(victim, DetHeadMini) and cfg.mode != "detection":
         raise ValueError("segmentation modes need a segmentation victim")
+    if cfg.adversarial_class != bank.class_id:
+        raise ValueError(f"the attack's class {cfg.adversarial_class} is not the "
+                         f"bank's class {bank.class_id}")
 
     work = _prepare(scenes, bank, cfg)
     optimizers = {(f.group, f.variant): Adam(cfg.lr) for f in bank.fields}
@@ -248,7 +236,7 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
             for item in batch:
                 if not item.plans:
                     continue
-                cloud = _deform_scene(item, bank)
+                cloud = deform_targets(item.scene.cloud, item.plans, bank, item.variant)
                 loss, dpos, dtau = _scene_loss_and_input_grads(cloud, item, victim, cfg)
                 if not math.isfinite(loss):
                     raise RuntimeError("victim produced a non-finite attack loss")

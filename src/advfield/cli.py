@@ -31,6 +31,9 @@ EXIT_NUMERIC = 3
 SEG_METRICS = ("miou", "distance-bins", "intensity-suite")
 DET_METRICS = ("ap", "asr")
 
+# the IoU above which a detection matches a ground-truth box, unless --iou-thr
+DET_IOU_THR = 0.7
+
 
 def _git_describe() -> str:
     try:
@@ -186,6 +189,8 @@ def cmd_eval(args) -> int:
     if unknown:
         raise ValueError(f"--metrics {','.join(unknown)}: not a metric of a "
                          f"{'seg' if is_seg else 'det'} victim ({','.join(known)})")
+    if is_seg and (args.bank is not None or args.iou_thr is not None):
+        raise ValueError("--bank and --iou-thr are options of a det victim only")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
@@ -228,13 +233,14 @@ def cmd_eval(args) -> int:
                                                      encoding="utf-8")
             summary.append("intensity-suite written")
     else:
+        iou_thr = DET_IOU_THR if args.iou_thr is None else args.iou_thr
         detections, gts = evaluate.collect_detections(model, scenes,
                                                       class_id=simulator.CAR)
         if "ap" in wanted:
-            ap = evaluate.average_precision(detections, gts, iou_thr=args.iou_thr)
-            (out / "ap.csv").write_text(f"iou_thr,ap\n{args.iou_thr!r},{ap!r}\n",
+            ap = evaluate.average_precision(detections, gts, iou_thr=iou_thr)
+            (out / "ap.csv").write_text(f"iou_thr,ap\n{iou_thr!r},{ap!r}\n",
                                         encoding="utf-8")
-            summary.append(f"ap@{args.iou_thr} {ap:.4f}")
+            summary.append(f"ap@{iou_thr} {ap:.4f}")
         if "asr" in wanted:
             if not args.bank:
                 raise ValueError("--metrics asr needs --bank for the attacked pass")
@@ -246,9 +252,9 @@ def cmd_eval(args) -> int:
             attacked, _ = evaluate.collect_detections(
                 model, scenes, class_id=simulator.CAR, transform=deform_all)
             asr = evaluate.attack_success_rate(detections, attacked, gts,
-                                               iou_thr=args.iou_thr)
+                                               iou_thr=iou_thr)
             (out / "asr.csv").write_text(f"iou_thr,asr_percent\n"
-                                         f"{args.iou_thr!r},{asr!r}\n", encoding="utf-8")
+                                         f"{iou_thr!r},{asr!r}\n", encoding="utf-8")
             summary.append(f"asr {asr:.1f}%")
 
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
@@ -338,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", type=float, default=0.3)
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--lam", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_baseline_attack)
 
@@ -348,8 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default="miou",
                    help="comma-separated; seg: " + ",".join(SEG_METRICS)
                    + "; det: " + ",".join(DET_METRICS))
-    p.add_argument("--bank", default=None)
-    p.add_argument("--iou-thr", type=float, default=0.7)
+    p.add_argument("--bank", default=None, help="det only: the bank asr attacks with")
+    p.add_argument("--iou-thr", type=float, default=None,
+                   help=f"det only; default {DET_IOU_THR}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
@@ -366,8 +372,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
     """Apply ``--config <manifest>`` as parser defaults keyed by ``dest``.
 
     Flags given on the command line win. The manifest's subcommand is used
-    when none is given and must match one that is. Returns argv without the
-    ``--config`` pair.
+    when none is given and must match one that is, and every other key must
+    be an option of that subcommand or of the top-level parser. Returns argv
+    without the ``--config`` pair.
     """
     if "--config" not in argv:
         return argv
@@ -390,6 +397,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
     sub_dests = {action.dest for action in sub._actions}
     values = {key.replace("-", "_"): value for key, value in config.items()
               if key not in ("git-describe", "wall-time-s")}
+    top_dests = {action.dest for action in parser._actions}
+    unknown = sorted(k for k in values if k not in sub_dests | top_dests)
+    if unknown:
+        raise ValueError(f"--config: {command!r} has no option "
+                         + ", ".join(k.replace("_", "-") for k in unknown))
     parser.set_defaults(**{k: v for k, v in values.items() if k not in sub_dests})
     sub.set_defaults(**{k: v for k, v in values.items() if k in sub_dests})
     for action in sub._actions:

@@ -61,10 +61,6 @@ class PointCloud:
         )
 
     @classmethod
-    def empty(cls) -> "PointCloud":
-        return cls(np.zeros((0, 3)), np.zeros(0), np.zeros(0, np.int32), np.zeros(0, np.int32))
-
-    @classmethod
     def unlabeled(cls, xyz, intensity) -> "PointCloud":
         n = len(np.atleast_2d(xyz))
         zeros = np.zeros(n, dtype=np.int32)

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .cloudio import PointCloud
-from .field import FieldBank, deform, field_init_seed, init_random, plan_deformation
+from .field import (FieldBank, anchor, anchored_vectors, build_lattice, deform,
+                    deform_targets, field_init_seed, init_random, plan_deformation,
+                    plan_targets)
 from .geometry import OrientedBox, iou_3d
 from .rotation import GroupScheme, target_boxes
 from .simulator import Scene, SensorSpec
@@ -24,20 +27,19 @@ from .victim import train_det, train_seg
 # adversarial augmentation
 # ---------------------------------------------------------------------------
 
-def augment_scene(scene: Scene, bank: FieldBank | None, rng: np.random.Generator,
+def augment_scene(scene: Scene, bank: FieldBank, rng: np.random.Generator,
                   k: int = 2) -> PointCloud:
     """Deform exactly one eligible object with a uniformly chosen variant.
 
     Eligible objects and their groups come from ``rotation.target_boxes``
     with the bank's class and its box mode ``bank.boxes``: boxes of that
     class holding at least one of its points. The rng draws the box first,
-    then the variant. Without any eligible box, the cloud is returned
-    untouched and ``augment_scene.skipped`` is incremented. Labels, point
-    count, and every point outside the chosen box are never modified.
+    then the variant, and only the drawn box is planned. Without any
+    eligible box, the cloud is returned untouched and
+    ``augment_scene.skipped`` is incremented. Labels, point count, and every
+    point outside the chosen box are never modified.
     """
     cloud = scene.cloud
-    if bank is None:
-        return cloud
     eligible = target_boxes(scene, bank.class_id, bank.boxes, GroupScheme(bank.groups),
                             bank.step)
     if not eligible:
@@ -52,20 +54,9 @@ def augment_scene(scene: Scene, bank: FieldBank | None, rng: np.random.Generator
 augment_scene.skipped = 0
 
 
-def deform_all_objects(scene: Scene, bank: FieldBank, variant: int = 1,
-                       k: int = 2) -> PointCloud:
-    """Deform every target of the bank with its group's field.
-
-    Targets and groups come from ``rotation.target_boxes`` with the bank's
-    class and its box mode ``bank.boxes``. Plans are made on the clean cloud.
-    """
-    cloud = scene.cloud
-    targets = target_boxes(scene, bank.class_id, bank.boxes, GroupScheme(bank.groups),
-                           bank.step)
-    for box, group in targets:
-        plan = plan_deformation(scene.cloud, box, bank.fields[0], scene.sensor.origin, k)
-        cloud = deform(cloud, plan, bank.field(group, variant))
-    return cloud
+def deform_all_objects(scene: Scene, bank: FieldBank, k: int = 2) -> PointCloud:
+    """Deform every target of the bank (``field.plan_targets``) with variant 1."""
+    return deform_targets(scene.cloud, plan_targets(scene, bank, k), bank, 1)
 
 
 def _augment_hook(scenes, bank: FieldBank | None, k: int = 2):
@@ -73,10 +64,8 @@ def _augment_hook(scenes, bank: FieldBank | None, k: int = 2):
         return None
 
     def hook(index: int, cloud: PointCloud, rng: np.random.Generator) -> PointCloud:
-        scene = scenes[index]
-        stand_in = Scene(sensor=scene.sensor, objects=[], cloud=cloud,
-                         boxes=scene.boxes, seed=scene.seed, domain=scene.domain)
-        return augment_scene(stand_in, bank, rng, k=k)
+        # the trainers hand the hook their input cloud, scenes[index].cloud
+        return augment_scene(scenes[index], bank, rng, k=k)
 
     return hook
 
@@ -387,8 +376,6 @@ def analyze_fields(bank: FieldBank, init_seed: int) -> list:
     bearing, and tallied toward (negative projection) or away from the
     sensor, per box face region.
     """
-    from .field import anchor, anchored_vectors, build_lattice
-
     origin = SensorSpec().origin
     scheme = GroupScheme(bank.groups)
     w0, h0, l0 = bank.dims
@@ -427,8 +414,6 @@ def analyze_fields(bank: FieldBank, init_seed: int) -> list:
 
 
 def write_field_stats_csv(stats: list, path) -> None:
-    from pathlib import Path
-
     if not stats:
         Path(path).write_text("", encoding="utf-8")
         return

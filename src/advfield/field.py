@@ -13,6 +13,10 @@ a continuous lattice index per axis, and only a window of min(2k, n) indices
 around it on each axis can hold its k nearest roots. The window search gives
 the same roots, order and weights as a search over all roots; see
 :func:`plan_deformation` for why.
+
+:func:`plan_targets` plans every target that ``rotation.target_boxes`` picks
+for a bank, and :func:`deform_targets` applies one variant to those plans;
+fitting and evaluation both go through this pair.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cloudio import PointCloud
-from .geometry import OrientedBox, rot_z
-from .rotation import BOX_MODES
+from .geometry import OrientedBox, box_contains_many, rot_z
+from .rotation import BOX_MODES, GroupScheme, target_boxes
 
 # Points closer than this to a root are hard-assigned to it (weight 1),
 # avoiding the 1/d blow-up.
@@ -245,8 +249,6 @@ def plan_deformation(cloud: PointCloud, box: OrientedBox, field: VectorField,
     Candidate ids ascend, so the stable sort still lets the lowest index win
     ties, and the distances use the same expression as a dense search.
     """
-    from .geometry import box_contains_many
-
     if k < 1:
         raise ValueError("k must be >= 1")
     sensor = np.asarray(sensor, dtype=float).reshape(3)
@@ -310,6 +312,27 @@ def deform(cloud: PointCloud, plan: DeformationPlan, field: VectorField) -> Poin
         cloud.intensity[plan.point_idx] + tau_sum, 0.0, 1.0
     )
     return out
+
+
+def plan_targets(scene, bank: FieldBank, k: int) -> list:
+    """``(group, plan)`` for every target of ``bank`` in ``scene``.
+
+    Targets and groups come from ``rotation.target_boxes`` with the bank's
+    class and its box mode ``bank.boxes``. Plans are made on the clean cloud,
+    so fitting and evaluation deform the same points with the same weights.
+    """
+    targets = target_boxes(scene, bank.class_id, bank.boxes, GroupScheme(bank.groups),
+                           bank.step)
+    return [(group, plan_deformation(scene.cloud, box, bank.fields[0],
+                                     scene.sensor.origin, k))
+            for box, group in targets]
+
+
+def deform_targets(cloud: PointCloud, plans, bank: FieldBank, variant: int) -> PointCloud:
+    """Deform every ``(group, plan)`` target with its group's field of ``variant``."""
+    for group, plan in plans:
+        cloud = deform(cloud, plan, bank.field(group, variant))
+    return cloud
 
 
 def clamp_field(field: VectorField, eps: float, psi: float) -> None:

@@ -12,6 +12,8 @@ opposite slice pairs (g, g+G) fold onto g, giving G usable fields.
 
 :func:`target_boxes` is the one place that picks the boxes a bank deforms and
 their groups, for fitting, augmented training and evaluation alike.
+``field.plan_targets`` plans all of them for fitting and evaluation;
+augmented training plans only the one box it draws.
 """
 
 from __future__ import annotations
@@ -121,16 +123,18 @@ def target_boxes(scene, class_id: int, box_mode: str, scheme: GroupScheme,
     the class are kept.
     """
     cloud = scene.cloud
+    of_class = cloud.semantic == class_id
     if box_mode == "gt":
         boxes = [sb.box for sb in scene.boxes if sb.class_id == class_id]
         group_fn = group_of
     elif box_mode == "axis-aligned":
-        ids = np.unique(cloud.instance[cloud.semantic == class_id])
+        ids = np.unique(cloud.instance[of_class])
         boxes = [axis_aligned_box_of_instance(cloud, int(i), step) for i in ids[ids > 0]]
         boxes = [box for box in boxes if box is not None]
         group_fn = group_of_axis_aligned
     else:
         raise ValueError(f"box mode must be one of {BOX_MODES}, got {box_mode!r}")
     sensor = scene.sensor.origin
+    members = cloud.xyz[of_class]
     return [(box, group_fn(box, sensor, scheme)) for box in boxes
-            if np.any(cloud.semantic[box_contains_many(box, cloud.xyz)] == class_id)]
+            if np.any(box_contains_many(box, members))]

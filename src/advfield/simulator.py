@@ -11,6 +11,11 @@ Per-ray background visibility is decided against each car's domain-maximal
 hull rather than its actual shape, so scenes generated from the same seed
 under different domains have bit-identical non-car points. Rays blocked by
 the maximal hull but missed by the actual car yield no return.
+
+A :class:`Scene` holds what :func:`write_scene` stores and :func:`load_scene`
+reads back: the sensor, the cloud and the boxes. The generation state (object
+specs, seed, domain) goes straight from :func:`generate_scene` into
+:func:`raycast` and is not kept.
 """
 
 from __future__ import annotations
@@ -18,9 +23,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
+from pathlib import Path
 
 import numpy as np
 
+from . import cloudio
 from .cloudio import PointCloud
 from .geometry import OrientedBox, rot_z
 
@@ -109,12 +116,11 @@ class SceneBox:
 
 @dataclass
 class Scene:
+    """One labeled sweep, exactly what :func:`write_scene` stores."""
+
     sensor: SensorSpec
-    objects: list
     cloud: PointCloud
-    boxes: list
-    seed: int = 0
-    domain: str = "normal"
+    boxes: list  # SceneBox per object
 
 
 # ---------------------------------------------------------------------------
@@ -416,22 +422,22 @@ def generate_scene(seed: int, domain: str = "normal", n_objects: int | None = No
                                   reflectivity=reflectivity,
                                   dents=dents, roughness=roughness))
 
-    scene = Scene(sensor=sensor, objects=objects, cloud=PointCloud.empty(),
-                  boxes=[], seed=seed, domain=domain)
-    scene.cloud = raycast(scene)
-    scene.boxes = [SceneBox(o.class_id, o.box, o.instance) for o in objects]
-    return scene
+    return Scene(sensor=sensor, cloud=raycast(objects, sensor, seed),
+                 boxes=[SceneBox(o.class_id, o.box, o.instance) for o in objects])
 
 
-def raycast(scene: Scene) -> PointCloud:
-    """Cast all sensor rays; nearest hit per ray wins, range-noised along the ray."""
-    sensor = scene.sensor
+def raycast(objects: list, sensor: SensorSpec, seed: int) -> PointCloud:
+    """Cast all sensor rays at ``objects`` (ObjectSpecs) and the ground.
+
+    The nearest hit per ray wins and is range-noised along the ray; ``seed``
+    seeds the noise.
+    """
     origin = sensor.origin
     dirs = sensor.ray_directions()
     n_rays = len(dirs)
-    noise_rng = np.random.default_rng(np.random.SeedSequence([int(scene.seed), 17]))
+    noise_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 17]))
 
-    n_cand = len(scene.objects) + 1
+    n_cand = len(objects) + 1
     t_all = np.full((n_cand, n_rays), np.inf)
     cos_all = np.zeros((n_cand, n_rays))
     refl_all = np.zeros((n_cand, n_rays))
@@ -448,7 +454,7 @@ def raycast(scene: Scene) -> PointCloud:
     classes[0] = GROUND
 
     car_block = np.full(n_rays, np.inf)
-    for slot, obj in enumerate(scene.objects, start=1):
+    for slot, obj in enumerate(objects, start=1):
         t_in, t_out, normals = _object_surface_raycast(obj, origin, dirs)
         # per-object jitter arrays keep draws independent of other objects
         hit = np.isfinite(t_in)
@@ -513,8 +519,8 @@ def make_splits(base_seed: int, sizes=(200, 50, 50, 50),
     """Generate the four desk splits as {name: [Scene, ...]}.
 
     Integer seed ranges of train and val are disjoint; the two OOD splits
-    reuse val's integers with a different domain tag so each OOD scene pairs
-    with the val scene sharing its layout (identical non-car points).
+    reuse val's integers with another domain so each OOD scene pairs with the
+    val scene sharing its layout (identical non-car points).
     """
     n_train, n_val, n_rare, n_damaged = sizes
     if max(n_rare, n_damaged) > n_val:
@@ -536,10 +542,6 @@ def make_splits(base_seed: int, sizes=(200, 50, 50, 50),
 # ---------------------------------------------------------------------------
 
 def write_scene(scene: Scene, directory, index: int) -> None:
-    from pathlib import Path
-
-    from . import cloudio
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     stem = directory / f"{index:06d}"
@@ -558,10 +560,6 @@ def write_scene(scene: Scene, directory, index: int) -> None:
 
 
 def write_sensor_config(sensor: SensorSpec, directory) -> None:
-    from pathlib import Path
-
-    from . import cloudio
-
     # angles stay in radians: a degree round trip can drift by an ulp
     config = {
         "origin_height": repr(sensor.origin_height),
@@ -579,10 +577,6 @@ def write_sensor_config(sensor: SensorSpec, directory) -> None:
 
 
 def read_sensor_config(directory) -> SensorSpec:
-    from pathlib import Path
-
-    from . import cloudio
-
     config = cloudio.read_config(Path(directory) / "sensor.cfg")
     return SensorSpec(
         origin_height=float(config["origin_height"]),
@@ -596,10 +590,6 @@ def read_sensor_config(directory) -> SensorSpec:
 
 
 def load_scene(directory, index: int, sensor: SensorSpec) -> Scene:
-    from pathlib import Path
-
-    from . import cloudio
-
     stem = Path(directory) / f"{index:06d}"
     cloud = cloudio.read_labeled_cloud(stem.with_suffix(".bin"), stem.with_suffix(".label"))
     boxes = []
@@ -613,12 +603,10 @@ def load_scene(directory, index: int, sensor: SensorSpec) -> Scene:
             OrientedBox(np.array([float(cx), float(cy), float(cz)]),
                         float(w), float(h), float(l), float(yaw)),
         ))
-    return Scene(sensor=sensor, objects=[], cloud=cloud, boxes=boxes)
+    return Scene(sensor=sensor, cloud=cloud, boxes=boxes)
 
 
 def load_split(directory) -> list:
-    from pathlib import Path
-
     directory = Path(directory)
     sensor = read_sensor_config(directory)
     indices = sorted(int(p.stem) for p in directory.glob("*.bin"))

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .cloudio import FormatError, PointCloud
+from .geometry import OrientedBox, rot_z, wrap_pi
 
 CKPT_MAGIC = "advfield-ckpt"
 CKPT_VERSION = 1
@@ -342,8 +343,6 @@ class DetHeadMini:
 
     def decode(self, anchors: np.ndarray, outputs: np.ndarray):
         """View-frame residuals -> (center (n,3), sizes (n,3) as w/h/l, yaw (n,))."""
-        from .geometry import wrap_pi
-
         centers = self.anchor_centers(anchors)
         phi = _anchor_view_angles(centers)
         cos_p, sin_p = np.cos(phi), np.sin(phi)
@@ -361,8 +360,6 @@ class DetHeadMini:
         return center, sizes, yaw
 
     def decode_boxes(self, anchors: np.ndarray, full_outputs: np.ndarray) -> list:
-        from .geometry import OrientedBox
-
         anchors = np.asarray(anchors, dtype=np.int64)
         center, sizes, yaw = self.decode(anchors, full_outputs[anchors])
         return [
@@ -473,8 +470,6 @@ def standard_augment(cloud: PointCloud, boxes, rng: np.random.Generator):
     Returns the moved cloud and ``boxes`` (OrientedBoxes) moved by the same
     draw. The rng draws the angle first, then the flip.
     """
-    from .geometry import OrientedBox, rot_z, wrap_pi
-
     angle = rng.uniform(-math.pi, math.pi)
     flip = rng.random() < 0.5
     out = cloud.copy()
@@ -563,8 +558,6 @@ def train_det(scenes, boxes_per_scene, epochs: int, lr: float, seed,
     footprint, plus the cell nearest to each box center. ``hook`` works as in
     :func:`train_seg`; it moves points, never boxes.
     """
-    from .geometry import rot_z
-
     model = DetHeadMini()
     model.init_random(np.random.SeedSequence([_seed_int(seed), 3]))
     optim = Adam(lr)

@@ -105,6 +105,9 @@ def read_csv_value(path: Path) -> float:
 def test_detection_eval_writes_ap_and_asr(detection):
     assert 0.0 <= read_csv_value(detection / "det-eval" / "ap.csv") <= 1.0
     assert 0.0 <= read_csv_value(detection / "det-eval" / "asr.csv") <= 100.0
+    for name in ("ap.csv", "asr.csv"):  # the threshold without --iou-thr
+        row = (detection / "det-eval" / name).read_text(encoding="utf-8").splitlines()[1]
+        assert row.startswith("0.7,")
 
 
 def test_eval_replay_is_byte_identical(detection):
@@ -212,3 +215,29 @@ def test_analyze_fields_writes_one_row_per_slot(pipeline):
     header, *rows = out.read_text(encoding="utf-8").splitlines()
     assert header.split(",")[:5] == ["group", "variant", "active", "toward", "away"]
     assert [row.split(",")[:2] for row in rows] == [[str(g), "1"] for g in range(1, 7)]
+
+
+def test_manifest_with_an_unknown_key_exits_2(pipeline, tmp_path, capsys):
+    config = cloudio.read_config(pipeline / "bank" / "manifest.cfg")
+    for key, value in (("k", "3"), ("itres", "9")):
+        manifest = tmp_path / f"{key}.cfg"
+        cloudio.write_config({**config, key: value}, manifest)
+        out = tmp_path / key / "car.vfb"
+        assert run("attack", "--config", manifest, "--out", out) == cli.EXIT_CONFIG
+        assert f"no option {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_segmentation_eval_refuses_detection_flags(pipeline, tmp_path, capsys):
+    seg = ("--victim", pipeline / "victim" / "seg.ckpt", "--data", pipeline / "data" / "val")
+    for flag, value in (("--bank", pipeline / "bank" / "car.vfb"), ("--iou-thr", 0.5)):
+        assert run("eval", *seg, flag, value, "--out", tmp_path / "e") == cli.EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+def test_baseline_attack_has_no_seed_flag(pipeline, tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        run("baseline-attack", "--kind", "l2", "--victim", pipeline / "victim" / "seg.ckpt",
+            "--data", pipeline / "data" / "val", "--seed", 0, "--out", tmp_path)
+    assert exit_info.value.code == cli.EXIT_CONFIG

@@ -2,7 +2,8 @@
 
 Fitting (``attack._prepare``), augmented training (``augment_scene``) and
 evaluation (``deform_all_objects``) must deform the same boxes with the same
-group's field, as the bank's recorded box mode dictates.
+group's field, as the bank's recorded box mode dictates. Fitting and
+evaluation plan their targets through ``field.plan_targets``.
 """
 
 import math
@@ -12,8 +13,9 @@ import pytest
 
 from advfield import attack, evaluate, simulator
 from advfield.cloudio import PointCloud
-from advfield.field import make_bank
-from advfield.geometry import OrientedBox
+from advfield.field import deform, make_bank, plan_deformation
+from advfield.geometry import OrientedBox, box_contains_many
+from advfield.victim import SegNetMini
 from advfield.rotation import (GroupScheme, axis_aligned_box_of_instance, group_of,
                                group_of_axis_aligned, target_boxes)
 
@@ -43,7 +45,7 @@ def scene_of(parts, boxes):
         semantic += [class_id] * n
         instance += [inst] * n
     cloud = PointCloud(np.vstack(xyz), np.full(len(semantic), 0.5), semantic, instance)
-    return simulator.Scene(sensor=SENSOR, objects=[], cloud=cloud,
+    return simulator.Scene(sensor=SENSOR, cloud=cloud,
                            boxes=[simulator.SceneBox(c, b, i) for c, b, i in boxes])
 
 
@@ -142,3 +144,63 @@ def test_drop_boxes_keeps_order_and_drops_rounded_share():
     assert len(kept) == 10 - round(2.5) and kept == sorted(kept)
     assert kept == attack.drop_boxes(items, 0.25, np.random.SeedSequence([0, 23, 0]))
     assert attack.drop_boxes(items, 0.0, 0) == items
+
+
+# four cars, each holding its own points, and a person
+FLEET = [car_box(10.0, 5.0, 0.3), car_box(4.0, -12.0, -2.0), car_box(-9.0, 7.0, 2.5),
+         car_box(-6.0, -8.0, -0.7)]
+
+
+def fleet_scene(cars):
+    person = car_box(-15.0, -3.0, 0.0)
+    parts = [(box, CAR, i + 1, 40) for i, box in enumerate(cars)]
+    boxes = [(CAR, box, i + 1) for i, box in enumerate(cars)]
+    return scene_of(parts + [(person, PERSON, 9, 40)], boxes + [(PERSON, person, 9)])
+
+
+def inline_deform_all(scene, bank, k=2):
+    """Every target planned on the clean cloud and deformed with variant 1."""
+    cloud = scene.cloud
+    for box, group in target_boxes(scene, bank.class_id, bank.boxes,
+                                   GroupScheme(bank.groups), bank.step):
+        plan = plan_deformation(scene.cloud, box, bank.fields[0], scene.sensor.origin, k)
+        cloud = deform(cloud, plan, bank.field(group, 1))
+    return cloud
+
+
+@pytest.mark.parametrize("mode", ["gt", "axis-aligned"])
+def test_deform_all_objects_matches_the_inline_loop(mode):
+    scene = fleet_scene(FLEET[:2])
+    bank = make_bank(CAR, "car", DIMS, STEP, 6, 2, seed=1, boxes=mode)
+    rng = np.random.default_rng(2)
+    for f in bank.fields:
+        f.vectors[:] = rng.uniform(-0.3, 0.3, size=f.vectors.shape)
+    got, want = evaluate.deform_all_objects(scene, bank), inline_deform_all(scene, bank)
+    assert np.array_equal(got.xyz, want.xyz)
+    assert np.array_equal(got.intensity, want.intensity)
+    moved = np.any(got.xyz != scene.cloud.xyz, axis=1)
+    assert set(scene.cloud.instance[moved].tolist()) == {1, 2}
+
+
+@pytest.mark.filterwarnings("ignore:.*field slots have no target objects")
+def test_prepare_keeps_the_boxes_drop_boxes_keeps():
+    scene = fleet_scene(FLEET)
+    bank = make_bank(CAR, "car", DIMS, STEP, 6, 1, seed=0)
+    cfg = attack.AttackConfig(mode="seg-untargeted", adversarial_class=CAR,
+                              box_drop=0.5, seed=3)
+    (work,) = attack._prepare([scene], bank, cfg)
+    kept = attack.drop_boxes(target_boxes(scene, CAR, "gt", SIX, STEP), 0.5,
+                             np.random.SeedSequence([cfg.seed, 23, 0]))
+    assert len(kept) == 2
+    assert [(g, p.point_idx.tolist()) for g, p in work.plans] == [
+        (g, np.flatnonzero(box_contains_many(box, scene.cloud.xyz)).tolist())
+        for box, g in kept]
+
+
+def test_fit_bank_rejects_a_bank_of_another_class():
+    scene = fleet_scene(FLEET[:1])
+    bank = make_bank(CAR, "car", DIMS, STEP, 1, 1, seed=0)
+    cfg = attack.AttackConfig(mode="seg-untargeted", adversarial_class=PERSON,
+                              iterations=1)
+    with pytest.raises(ValueError, match="bank's class"):
+        attack.fit_bank(bank, [scene], SegNetMini(len(simulator.CLASS_NAMES)), cfg)
