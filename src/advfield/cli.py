@@ -132,7 +132,8 @@ def cmd_attack(args) -> int:
     mode = {"untargeted": "seg-untargeted", "targeted": "seg-targeted",
             "detection": "detection"}[args.mode]
     target_id = simulator.CLASS_NAMES.index(args.target) if args.target else None
-    lr = args.lr if args.lr is not None else (0.05 if mode == "detection" else 0.01)
+    # resolved into args, so that the manifest records it
+    lr = args.lr = args.lr if args.lr is not None else (0.05 if mode == "detection" else 0.01)
     cfg = attack_mod.AttackConfig(
         mode=mode, adversarial_class=class_id, target_class=target_id,
         eps=args.eps, psi=args.psi, lr=lr, iterations=args.iters,
@@ -191,6 +192,9 @@ def cmd_eval(args) -> int:
                          f"{'seg' if is_seg else 'det'} victim ({','.join(known)})")
     if is_seg and (args.bank is not None or args.iou_thr is not None):
         raise ValueError("--bank and --iou-thr are options of a det victim only")
+    if not is_seg and (args.bank is not None) != ("asr" in wanted):
+        raise ValueError("--metrics asr needs --bank for the attacked pass, "
+                         "and --bank serves asr only")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
@@ -233,7 +237,8 @@ def cmd_eval(args) -> int:
                                                      encoding="utf-8")
             summary.append("intensity-suite written")
     else:
-        iou_thr = DET_IOU_THR if args.iou_thr is None else args.iou_thr
+        # resolved into args, so that the manifest records it
+        iou_thr = args.iou_thr = DET_IOU_THR if args.iou_thr is None else args.iou_thr
         detections, gts = evaluate.collect_detections(model, scenes,
                                                       class_id=simulator.CAR)
         if "ap" in wanted:
@@ -242,8 +247,6 @@ def cmd_eval(args) -> int:
                                         encoding="utf-8")
             summary.append(f"ap@{iou_thr} {ap:.4f}")
         if "asr" in wanted:
-            if not args.bank:
-                raise ValueError("--metrics asr needs --bank for the attacked pass")
             bank = cloudio.load_bank(args.bank)
 
             def deform_all(index, scene):
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default 0.05 for detection, 0.01 for segmentation")
     p.add_argument("--boxes", choices=BOX_MODES, default="gt")
     p.add_argument("--drop-boxes", type=float, default=0.0)
-    p.add_argument("--dims", default="1.8,1.6,4.6",
+    p.add_argument("--dims", default=",".join(map(str, simulator.CANONICAL_CAR_DIMS)),
                    help="reference box w,h,l in meters")
     p.add_argument("--step", type=float, default=0.2)
     p.add_argument("--out", required=True)
@@ -421,7 +424,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         code = args.func(args)
-    except (FileNotFoundError, cloudio.FormatError, ValueError, KeyError) as err:
+    except (OSError, cloudio.FormatError, ValueError, KeyError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as err:

@@ -1,28 +1,32 @@
-"""Bit-exact readers and writers for clouds, labels, field banks, and configs.
+"""Bit-exact readers and writers for clouds, labels, artifacts, and configs.
 
 Formats:
   * ``.bin``    little-endian float32, 4 per point (x, y, z, intensity)
   * ``.label``  little-endian uint32 per point; low 16 bits semantic id,
                 high 16 bits instance id (0 = no instance)
-  * ``.vfb``    versioned text format for field banks (version 2). A
-                ``key = value`` header (class_name, class_id, G, N, dims,
-                step, eps, psi, boxes) is followed by one ``field g n`` line
-                per slot and its ``v dx dy dz dtau`` rows, one per lattice
-                root. Roots are not stored: they follow from dims and step.
-                Floats are hexadecimal literals, so load(save(x)) reproduces
-                every bit; other versions are rejected
-  * config      flat ``key = value`` text, ``#`` comments
+  * ``.vfb``    field banks (version 3) and ``.ckpt`` victim checkpoints
+                (version 2), in one grammar: a ``MAGIC VERSION`` line,
+                ``key = value`` header lines, then per named array an
+                ``array <name> <d0> <d1> ...`` line and one row per leading
+                index. Array values are hexfloats, so load(save(x)) keeps every
+                bit; other versions and malformed lines raise FormatError. A
+                bank stores one (m, 4) array ``field-<g>-<n>`` per slot, one
+                ``dx dy dz dtau`` row per lattice root (roots follow from dims
+                and step); a checkpoint stores one array per MLP parameter
+  * config      flat ``key = value`` text, ``#`` comments: the header rule
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 BANK_MAGIC = "advfield-vfb"
-BANK_VERSION = 2
+BANK_VERSION = 3
 
 
 class FormatError(ValueError):
@@ -127,6 +131,85 @@ def read_labeled_cloud(bin_path, label_path) -> PointCloud:
 
 
 # ---------------------------------------------------------------------------
+# versioned hexfloat artifacts and run configs
+# ---------------------------------------------------------------------------
+
+def _parse_header(lines, path, first_lineno: int) -> dict:
+    """``key = value`` lines -> ordered string dict; blanks and ``#`` comments skip."""
+    header = {}
+    for lineno, raw in enumerate(lines, first_lineno):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise FormatError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        header[key.strip()] = value.strip()
+    return header
+
+
+def write_arrays(path, magic: str, version: int, header: dict, arrays: dict) -> None:
+    """Write ``header`` values and named float64 arrays as versioned hexfloat text."""
+    lines = [f"{magic} {version}"]
+    lines += [f"{key} = {value}" for key, value in header.items()]
+    for name, array in arrays.items():
+        array = np.asarray(array, dtype=float)
+        lines.append(" ".join(["array", name, *map(str, array.shape)]))
+        rows = array.reshape(array.shape[0], math.prod(array.shape[1:]))
+        lines.extend(" ".join(map(float.hex, row)) for row in rows.tolist())
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_arrays(path, magic: str, version: int):
+    """Parse a :func:`write_arrays` file -> (header of strings, dict of arrays).
+
+    The first line must read exactly ``magic version``. Raises FormatError on
+    any other first line, a malformed header or array line, a duplicate array
+    name, and an array with missing, extra or unparsable values.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    first = lines[0].split() if lines else []
+    if len(first) != 2 or first[0] != magic:
+        raise FormatError(f"{path}: not an {magic} file, line 1 must read '{magic} {version}'")
+    if first[1] != str(version):
+        raise FormatError(f"{path}: unsupported version {first[1]}, expected {version}")
+    at = next((i for i, line in enumerate(lines) if line.startswith("array ")), len(lines))
+    header = _parse_header(lines[1:at], path, 2)
+    arrays = {}
+    while at < len(lines):
+        words = lines[at].split()
+        if len(words) < 3 or words[0] != "array" or not all(d.isdecimal() for d in words[2:]):
+            raise FormatError(f"{path}:{at + 1}: expected 'array <name> <d0> <d1> ...', "
+                              f"got {lines[at]!r}")
+        name, shape = words[1], tuple(map(int, words[2:]))
+        if name in arrays:
+            raise FormatError(f"{path}:{at + 1}: duplicate array {name}")
+        rows, cols = shape[0], math.prod(shape[1:])
+        chunk = lines[at + 1:at + 1 + rows]
+        try:
+            # single spaces, cols - 1 per row: every row holds exactly cols values
+            if len(chunk) != rows or any(line.count(" ") != cols - 1 for line in chunk):
+                raise ValueError
+            values = list(map(float.fromhex, " ".join(chunk).split(" ")))
+        except ValueError:
+            raise FormatError(f"{path}:{at + 1}: array {name} needs {rows} rows of {cols} "
+                              "hexfloats separated by single spaces") from None
+        arrays[name] = np.array(values).reshape(shape)
+        at += 1 + rows
+    return header, arrays
+
+
+def read_config(path) -> dict:
+    """Read a flat key = value file into an ordered string dict."""
+    return _parse_header(Path(path).read_text(encoding="utf-8").splitlines(), path, 1)
+
+
+def write_config(config: dict, path) -> None:
+    lines = [f"{key} = {value}" for key, value in config.items()]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
 # field banks (.vfb)
 # ---------------------------------------------------------------------------
 
@@ -135,116 +218,39 @@ def _hex(x: float) -> str:
 
 
 def save_bank(bank, path) -> None:
-    """Serialize a FieldBank as versioned hexfloat text."""
-    lines = [f"{BANK_MAGIC} {BANK_VERSION}"]
-    w0, h0, l0 = bank.dims
-    lines.append(f"class_name = {bank.class_name}")
-    lines.append(f"class_id = {bank.class_id}")
-    lines.append(f"G = {bank.groups}")
-    lines.append(f"N = {bank.variants}")
-    lines.append(f"dims = {_hex(w0)} {_hex(h0)} {_hex(l0)}")
-    lines.append(f"step = {_hex(bank.step)}")
-    lines.append(f"eps = {_hex(bank.eps)}")
-    lines.append(f"psi = {_hex(bank.psi)}")
-    lines.append(f"boxes = {bank.boxes}")
-    for f in bank.fields:
-        lines.append(f"field {f.group} {f.variant}")
-        lines.extend("v " + " ".join(map(float.hex, row)) for row in f.vectors.tolist())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write a FieldBank as a .vfb: its header, then one vector array per slot."""
+    header = {"class_name": bank.class_name, "class_id": bank.class_id,
+              "G": bank.groups, "N": bank.variants,
+              "dims": " ".join(map(_hex, bank.dims)), "step": _hex(bank.step),
+              "eps": _hex(bank.eps), "psi": _hex(bank.psi), "boxes": bank.boxes}
+    arrays = {f"field-{f.group}-{f.variant}": f.vectors for f in bank.fields}
+    write_arrays(path, BANK_MAGIC, BANK_VERSION, header, arrays)
 
 
 def load_bank(path):
-    """Parse a .vfb file back into a FieldBank; exact float round trip."""
-    from .field import FieldBank, VectorField, lattice_counts  # local import, avoids a cycle
+    """Read a .vfb back into a FieldBank; every float round-trips exactly."""
+    from .field import FieldBank, VectorField  # local import, avoids a cycle
 
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty bank file")
-    magic = lines[0].split()
-    if len(magic) != 2 or magic[0] != BANK_MAGIC:
-        raise FormatError(f"{path}: not a {BANK_MAGIC} file")
-    if magic[1] != str(BANK_VERSION):
-        raise FormatError(f"{path}: unsupported version {magic[1]}, expected {BANK_VERSION}")
-
-    header = {}
-    idx = 1
-    while idx < len(lines) and not lines[idx].startswith("field "):
-        line = lines[idx].strip()
-        idx += 1
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        header[key.strip()] = value.strip()
-
-    required = ("class_name", "class_id", "G", "N", "dims", "step", "eps", "psi", "boxes")
-    for key in required:
-        if key not in header:
-            raise FormatError(f"{path}: missing header key {key!r}")
-
-    groups = int(header["G"])
-    variants = int(header["N"])
-    class_id = int(header["class_id"])
-    dims = tuple(float.fromhex(t) for t in header["dims"].split())
-    if len(dims) != 3:
-        raise FormatError(f"{path}: dims must have 3 entries")
-    step = float.fromhex(header["step"])
-    nx, ny, nz = lattice_counts(dims, step)
-    n_roots = nx * ny * nz
-
-    fields = []
-    while idx < len(lines):
-        line = lines[idx].strip()
-        idx += 1
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "field" or len(parts) != 3:
-            raise FormatError(f"{path}: expected 'field g n', got {line!r}")
-        group, variant = int(parts[1]), int(parts[2])
-        tokens = " ".join(lines[idx:idx + n_roots]).split()
-        idx += n_roots
-        if len(tokens) != 5 * n_roots or tokens[::5] != ["v"] * n_roots:
-            raise FormatError(f"{path}: field ({group},{variant}) needs {n_roots} "
-                              "'v dx dy dz dtau' vector rows, one per lattice root")
-        del tokens[::5]
-        vectors = np.array(list(map(float.fromhex, tokens))).reshape(n_roots, 4)
-        fields.append(VectorField(dims=dims, step=step, vectors=vectors, group=group,
-                                  variant=variant, class_id=class_id))
-
-    if len(fields) != groups * variants:
-        raise FormatError(
-            f"{path}: expected {groups * variants} fields (G*N), found {len(fields)}"
-        )
-    return FieldBank(
-        class_id=class_id,
-        class_name=header["class_name"],
-        groups=groups,
-        variants=variants,
-        fields=fields,
-        eps=float.fromhex(header["eps"]),
-        psi=float.fromhex(header["psi"]),
-        boxes=header["boxes"],
-    )
-
-
-# ---------------------------------------------------------------------------
-# run configs (key = value)
-# ---------------------------------------------------------------------------
-
-def read_config(path) -> dict:
-    """Read a flat key = value file into an ordered string dict."""
-    config = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise FormatError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        config[key.strip()] = value.strip()
-    return config
-
-
-def write_config(config: dict, path) -> None:
-    lines = [f"{key} = {value}" for key, value in config.items()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header, arrays = read_arrays(path, BANK_MAGIC, BANK_VERSION)
+    try:
+        dims = tuple(map(float.fromhex, header["dims"].split()))
+        step = float.fromhex(header["step"])
+        class_id = int(header["class_id"])
+        fields = []
+        for name, vectors in arrays.items():
+            slot = re.fullmatch(r"field-(\d+)-(\d+)", name)
+            if slot is None:
+                raise ValueError(f"array {name} is not a 'field-<g>-<n>' slot")
+            fld = VectorField(dims, step, vectors, int(slot[1]), int(slot[2]), class_id)
+            if vectors.shape != fld.vectors.shape:
+                raise ValueError(f"array {name} has shape {vectors.shape}, expected "
+                                 f"{fld.vectors.shape}: one vector row per lattice root")
+            fields.append(fld)
+        return FieldBank(class_id=class_id, class_name=header["class_name"],
+                         groups=int(header["G"]), variants=int(header["N"]),
+                         fields=fields, eps=float.fromhex(header["eps"]),
+                         psi=float.fromhex(header["psi"]), boxes=header["boxes"])
+    except KeyError as err:
+        raise FormatError(f"{path}: missing header key {err}") from err
+    except ValueError as err:
+        raise FormatError(f"{path}: {err}") from err

@@ -80,6 +80,8 @@ class FieldBank:
     def __post_init__(self):
         if self.boxes not in BOX_MODES:
             raise ValueError(f"box mode must be one of {BOX_MODES}, got {self.boxes!r}")
+        if self.groups < 1 or self.variants < 1:
+            raise ValueError(f"bank needs G, N >= 1, got G={self.groups}, N={self.variants}")
         if len(self.fields) != self.groups * self.variants:
             raise ValueError(
                 f"bank needs G*N = {self.groups * self.variants} fields, got {len(self.fields)}"

@@ -109,9 +109,10 @@ class ObjectSpec:
 
 @dataclass
 class SceneBox:
+    """One object's class and box, as a ``.boxes`` row stores them."""
+
     class_id: int
     box: OrientedBox
-    instance: int = 0
 
 
 @dataclass
@@ -423,7 +424,7 @@ def generate_scene(seed: int, domain: str = "normal", n_objects: int | None = No
                                   dents=dents, roughness=roughness))
 
     return Scene(sensor=sensor, cloud=raycast(objects, sensor, seed),
-                 boxes=[SceneBox(o.class_id, o.box, o.instance) for o in objects])
+                 boxes=[SceneBox(o.class_id, o.box) for o in objects])
 
 
 def raycast(objects: list, sensor: SensorSpec, seed: int) -> PointCloud:

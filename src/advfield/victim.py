@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .cloudio import FormatError, PointCloud
+from .cloudio import FormatError, PointCloud, read_arrays, write_arrays
 from .geometry import OrientedBox, rot_z, wrap_pi
+from .simulator import CANONICAL_CAR_DIMS
 
 CKPT_MAGIC = "advfield-ckpt"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 # fixed feature normalization; changing these changes the architecture
 _REL_SCALE = 2.0     # relative offsets, +-0.5 m -> +-1
@@ -73,6 +73,15 @@ class _Mlp:
                 self.params[key] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape)
             else:
                 self.params[key] = np.zeros(shape)
+
+    def load(self, params: dict) -> None:
+        """Take ``params`` as the parameters; names and shapes must match ``shapes``."""
+        for name in sorted(set(params) | set(self.shapes)):
+            got = np.shape(params[name]) if name in params else None
+            if got != self.shapes.get(name):
+                raise FormatError(f"parameter {name} has shape {got}, "
+                                  f"expected {self.shapes.get(name)}")
+        self.params = {k: np.asarray(params[k], dtype=float) for k in self.shapes}
 
     def forward(self, x: np.ndarray):
         p = self.params
@@ -209,16 +218,13 @@ class SegNetMini:
     @classmethod
     def from_state(cls, meta: dict, params: dict) -> "SegNetMini":
         model = cls(int(meta["n_classes"]), int(meta["hidden"]), float(meta["radius"]))
-        model.mlp.params = {k: np.asarray(v, dtype=float) for k, v in params.items()}
+        model.mlp.load(params)
         return model
 
 
 # ---------------------------------------------------------------------------
 # detection head
 # ---------------------------------------------------------------------------
-
-CANONICAL_CAR = (1.8, 1.6, 4.6)  # (width, height, length) of the anchor template
-
 
 @dataclass
 class DetTape:
@@ -269,7 +275,7 @@ class DetHeadMini:
         ix, iy = np.divmod(np.asarray(anchors, dtype=np.int64), self.cells_per_axis)
         x = (ix + 0.5) * self.stride - self.area
         y = (iy + 0.5) * self.stride - self.area
-        z = np.full(len(np.atleast_1d(x)), CANONICAL_CAR[1] / 2.0)
+        z = np.full(len(np.atleast_1d(x)), CANONICAL_CAR_DIMS[1] / 2.0)
         return np.column_stack([np.atleast_1d(x).astype(float),
                                 np.atleast_1d(y).astype(float), z])
 
@@ -350,7 +356,7 @@ class DetHeadMini:
         dx = self.stride * (cos_p * res[:, 0] - sin_p * res[:, 1])
         dy = self.stride * (sin_p * res[:, 0] + cos_p * res[:, 1])
         center = centers + np.column_stack([dx, dy, res[:, 2]])
-        w0, h0, l0 = CANONICAL_CAR
+        w0, h0, l0 = CANONICAL_CAR_DIMS
         sizes = np.column_stack([
             w0 * np.exp(np.clip(res[:, 3], -2, 2)),
             h0 * np.exp(np.clip(res[:, 4], -2, 2)),
@@ -419,7 +425,7 @@ class DetHeadMini:
     @classmethod
     def from_state(cls, meta: dict, params: dict) -> "DetHeadMini":
         model = cls(float(meta["area"]), float(meta["stride"]), int(meta["hidden"]))
-        model.mlp.params = {k: np.asarray(v, dtype=float) for k, v in params.items()}
+        model.mlp.load(params)
         return model
 
 
@@ -562,7 +568,7 @@ def train_det(scenes, boxes_per_scene, epochs: int, lr: float, seed,
     model.init_random(np.random.SeedSequence([_seed_int(seed), 3]))
     optim = Adam(lr)
     rng = np.random.default_rng(np.random.SeedSequence([_seed_int(seed), 4]))
-    w0, h0, l0 = CANONICAL_CAR
+    w0, h0, l0 = CANONICAL_CAR_DIMS
 
     order = np.arange(len(scenes))
     for epoch in range(epochs):
@@ -636,54 +642,27 @@ def _seed_int(seed) -> int:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints (hexfloat text with shape header)
+# checkpoints: the versioned array format of cloudio, with the head's state()
+# meta as header and one array per MLP parameter
 # ---------------------------------------------------------------------------
+
+_HEADS = {"seg": SegNetMini, "det": DetHeadMini}
+
 
 def save_checkpoint(model, path) -> None:
     meta, params = model.state()
-    lines = [f"{CKPT_MAGIC} {CKPT_VERSION}"]
-    for key, value in meta.items():
-        lines.append(f"{key} = {value}")
-    for name, array in params.items():
-        arr = np.asarray(array, dtype=float)
-        shape = " ".join(str(s) for s in arr.shape)
-        lines.append(f"param {name} {shape}")
-        lines.extend(" ".join(float(x).hex() for x in row)
-                     for row in arr.reshape(arr.shape[0] if arr.ndim else 1, -1))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_arrays(path, CKPT_MAGIC, CKPT_VERSION, meta, params)
 
 
 def load_checkpoint(path):
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith(CKPT_MAGIC):
-        raise FormatError(f"{path}: not an {CKPT_MAGIC} file")
-    if int(lines[0].split()[1]) != CKPT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version")
-    meta = {}
-    params = {}
-    idx = 1
-    while idx < len(lines) and not lines[idx].startswith("param "):
-        key, _, value = lines[idx].partition("=")
-        if value:
-            meta[key.strip()] = value.strip()
-        idx += 1
-    while idx < len(lines):
-        header = lines[idx].split()
-        idx += 1
-        if not header:
-            continue
-        if header[0] != "param":
-            raise FormatError(f"{path}: expected a param header, got {lines[idx - 1]!r}")
-        name = header[1]
-        shape = tuple(int(s) for s in header[2:])
-        rows = shape[0] if shape else 1
-        flat = []
-        for _ in range(rows):
-            flat.extend(float.fromhex(tok) for tok in lines[idx].split())
-            idx += 1
-        params[name] = np.array(flat).reshape(shape)
-    if meta.get("kind") == "seg":
-        return SegNetMini.from_state(meta, params)
-    if meta.get("kind") == "det":
-        return DetHeadMini.from_state(meta, params)
-    raise FormatError(f"{path}: missing or unknown checkpoint kind")
+    meta, params = read_arrays(path, CKPT_MAGIC, CKPT_VERSION)
+    head = _HEADS.get(meta.get("kind"))
+    if head is None:
+        raise FormatError(f"{path}: unknown checkpoint kind {meta.get('kind')!r}, "
+                          f"expected one of {sorted(_HEADS)}")
+    try:
+        return head.from_state(meta, params)
+    except KeyError as err:
+        raise FormatError(f"{path}: missing header key {err}") from err
+    except ValueError as err:
+        raise FormatError(f"{path}: {err}") from err

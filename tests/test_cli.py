@@ -241,3 +241,25 @@ def test_baseline_attack_has_no_seed_flag(pipeline, tmp_path):
         run("baseline-attack", "--kind", "l2", "--victim", pipeline / "victim" / "seg.ckpt",
             "--data", pipeline / "data" / "val", "--seed", 0, "--out", tmp_path)
     assert exit_info.value.code == cli.EXIT_CONFIG
+
+
+def test_detection_eval_refuses_a_bank_without_asr(detection, tmp_path, capsys):
+    det = ("--victim", detection / "victim" / "det.ckpt", "--data", detection / "data" / "val")
+    assert run("eval", *det, "--metrics", "ap", "--bank", tmp_path / "no" / "such.vfb",
+               "--out", tmp_path / "e") == cli.EXIT_CONFIG
+    assert "--bank" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+def test_manifests_record_the_defaults_resolved_in_code(detection, tmp_path):
+    # the replays of these manifests are the byte-identity tests above
+    root = detection
+    assert cloudio.read_config(root / "bank" / "manifest.cfg")["lr"] == "0.01"
+    assert cloudio.read_config(root / "det-bank" / "manifest.cfg")["lr"] == "0.05"
+    assert cloudio.read_config(root / "det-eval" / "manifest.cfg")["iou-thr"] == "0.7"
+    assert run("eval", "--victim", root / "victim" / "seg.ckpt", "--data",
+               root / "data" / "val", "--out", tmp_path) == 0
+    assert "iou-thr" not in cloudio.read_config(tmp_path / "manifest.cfg")
+    replay = tmp_path / "det-bank-replay" / "car.vfb"
+    assert run("attack", "--config", root / "det-bank" / "manifest.cfg", "--out", replay) == 0
+    assert replay.read_bytes() == (root / "det-bank" / "car.vfb").read_bytes()

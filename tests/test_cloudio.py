@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from advfield import cloudio
+from advfield import cli, cloudio, simulator, victim
 from advfield.cloudio import FormatError, PointCloud
 from advfield.field import init_random, make_bank
 
@@ -102,24 +104,31 @@ class TestBankFormat:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.vfb"
-        path.write_text("advfield-vfb 999\n")
-        with pytest.raises(FormatError, match="version"):
-            cloudio.load_bank(path)
+        for version in (2, 999):  # the format before this one, and a later one
+            path.write_text(f"advfield-vfb {version}\n")
+            with pytest.raises(FormatError, match=f"unsupported version {version}, expected 3"):
+                cloudio.load_bank(path)
 
     def test_main_configuration_vector_count_on_disk(self, tmp_path):
-        # 12 groups x 6 variants x 1656 lattice vectors
+        # 12 groups x 6 variants: 72 arrays of 1656 lattice vectors
         bank = make_bank(1, "car", (1.8, 1.6, 4.6), 0.2, 12, 6, seed=3)
         for f in bank.fields:
             init_random(f, 0)
         path = tmp_path / "big.vfb"
         cloudio.save_bank(bank, path)
-        vector_rows = sum(1 for line in path.read_text().splitlines()
-                          if line.startswith("v "))
-        assert vector_rows == 119_232
-
+        lines = path.read_text().splitlines()
+        heads = [line for line in lines if line.startswith("array ")]
+        assert heads == [f"array field-{g}-{n} 1656 4"
+                         for g in range(1, 13) for n in range(1, 7)]
+        vector_rows = lines[lines.index(heads[0]):]
+        vector_rows = [line for line in vector_rows if not line.startswith("array ")]
+        assert len(vector_rows) == 119_232
+        assert all(len(line.split()) == 4 for line in vector_rows)
 
 
 class TestBankFormatV2:
+    """What bank format 2 introduced and format 3 keeps: the box mode, no root rows."""
+
     def test_roundtrip_keeps_box_mode(self, tmp_path):
         bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 6, 2, seed=4, boxes="axis-aligned")
         path = tmp_path / "aa.vfb"
@@ -134,9 +143,13 @@ class TestBankFormatV2:
         path = tmp_path / "b.vfb"
         cloudio.save_bank(bank, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "advfield-vfb 2"
+        assert lines[0] == "advfield-vfb 3"
         assert lines[lines.index(next(x for x in lines if x.startswith("psi"))) + 1] == "boxes = gt"
         assert not any(x.startswith(("r ", "roots_per_field")) for x in lines)
+        # the only arrays are the two 20 x 4 vector arrays: 20 lattice roots each
+        assert [x for x in lines if x.startswith("array ")] == ["array field-1-1 20 4",
+                                                                "array field-2-1 20 4"]
+        assert len(lines) == 1 + 9 + 2 * (1 + 20)
 
     def test_version_one_rejected(self, tmp_path):
         path = tmp_path / "v1.vfb"
@@ -149,11 +162,126 @@ class TestBankFormatV2:
         path = tmp_path / "short.vfb"
         cloudio.save_bank(bank, path)
         lines = path.read_text().splitlines()
-        at = lines.index("field 1 1")
-        del lines[at + 3]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="vector rows"):
-            cloudio.load_bank(path)
+        for head in ("array field-1-1 20 4", "array field-2-1 20 4"):
+            short = list(lines)
+            del short[short.index(head) + 3]
+            path.write_text("\n".join(short) + "\n")
+            with pytest.raises(FormatError, match="array field-.-1 needs 20 rows"):
+                cloudio.load_bank(path)
+
+
+def _edit(lines, old, new):
+    return [new if line == old else line for line in lines]
+
+
+MALFORMED_BANKS = {
+    "count": (lambda lines: _edit(lines, "G = 2", "G = 3"), "bank needs G\\*N = 3 fields"),
+    "duplicate-slot": (lambda lines: _edit(lines, "array field-2-1 20 4", "array field-1-1 20 4"),
+                       "duplicate array field-1-1"),
+    "slot-name": (lambda lines: _edit(lines, "array field-2-1 20 4", "array f2 20 4"),
+                  "array f2 is not a 'field-<g>-<n>' slot"),
+    # the same 80 values, which a reshape to (20, 4) would accept
+    "shape": (lambda lines: _edit(lines, "array field-2-1 20 4", "array field-2-1 20 2 2"),
+              "array field-2-1 has shape \\(20, 2, 2\\)"),
+    "row-width": (lambda lines: _edit(lines, "array field-2-1 20 4", "array field-2-1 20 3"),
+                  "array field-2-1 needs 20 rows of 3"),
+    "empty-bank": (lambda lines: ["advfield-vfb 3"] + _edit(
+        _edit(lines[1:10], "G = 2", "G = 0"), "N = 1", "N = 0"), "G, N >= 1"),
+    "box-mode": (lambda lines: _edit(lines, "boxes = gt", "boxes = round"), "box mode"),
+    "trailing-line": (lambda lines: lines + ["0x1.0p+0"], "expected 'array <name>"),
+    "bad-hexfloat": (lambda lines: lines[:-1] + [lines[-1].replace("0x", "0y", 1)],
+                     "array field-2-1 needs 20 rows"),
+    "double-space": (lambda lines: lines[:-1] + [lines[-1].replace(" ", "  ", 1)],
+                     "array field-2-1 needs 20 rows"),
+    # one value moved from the last row to the one before: the total still fits
+    "misaligned-rows": (lambda lines: lines[:-2] + [
+        lines[-2] + " " + lines[-1].split(" ", 1)[0], lines[-1].split(" ", 1)[1]],
+        "array field-2-1 needs 20 rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BANKS))
+def test_malformed_bank_raises_format_error(tmp_path, case):
+    edit, message = MALFORMED_BANKS[case]
+    bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 2, 1, seed=4)
+    path = tmp_path / "bad.vfb"
+    cloudio.save_bank(bank, path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(FormatError, match=message):
+        cloudio.load_bank(path)
+
+
+def _victim(kind):
+    model = victim.SegNetMini(5) if kind == "seg" else victim.DetHeadMini()
+    model.init_random(7)
+    return model
+
+
+class TestCheckpointFormat:
+    @pytest.mark.parametrize("kind", ["seg", "det"])
+    def test_roundtrip_bit_exact(self, tmp_path, kind):
+        model = _victim(kind)
+        path = tmp_path / f"{kind}.ckpt"
+        victim.save_checkpoint(model, path)
+        back = victim.load_checkpoint(path)
+        assert type(back) is type(model)
+        assert back.state()[0] == model.state()[0]
+        params, loaded = model.mlp.params, back.mlp.params
+        assert list(loaded) == list(params)
+        assert all(loaded[k].tobytes() == params[k].tobytes() for k in params)
+        victim.save_checkpoint(back, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+    def test_wrong_shape_parameter_is_named(self, tmp_path):
+        meta, params = _victim("seg").state()
+        params = {**params, "W1": np.zeros((7, 32))}
+        path = tmp_path / "w1.ckpt"
+        cloudio.write_arrays(path, victim.CKPT_MAGIC, victim.CKPT_VERSION, meta, params)
+        with pytest.raises(FormatError, match="parameter W1 has shape \\(7, 32\\)"):
+            victim.load_checkpoint(path)
+        with pytest.raises(FormatError, match="parameter W4"):
+            victim.SegNetMini.from_state(meta, {**_victim("seg").state()[1], "W4": np.zeros(3)})
+
+
+def _truncated(lines):
+    return lines[:len(lines) // 2]
+
+
+MALFORMED_CHECKPOINTS = {
+    "truncated": (_truncated, "needs"),
+    "no-version": (lambda lines: ["advfield-ckpt"] + lines[1:], "not an advfield-ckpt file"),
+    "wrong-magic": (lambda lines: ["advfield-ckptX 2"] + lines[1:], "not an advfield-ckpt file"),
+    "version-1": (lambda lines: ["advfield-ckpt 1"] + [
+        line.replace("array ", "param ") for line in lines[1:]], "unsupported version 1"),
+    "unknown-kind": (lambda lines: _edit(lines, "kind = seg", "kind = pointnet"),
+                     "unknown checkpoint kind 'pointnet'"),
+    "missing-meta": (lambda lines: [x for x in lines if not x.startswith("hidden")],
+                     "missing header key 'hidden'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_raises_format_error(tmp_path, case):
+    edit, message = MALFORMED_CHECKPOINTS[case]
+    path = tmp_path / "bad.ckpt"
+    victim.save_checkpoint(_victim("seg"), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(FormatError, match=message):
+        victim.load_checkpoint(path)
+
+
+def test_eval_of_an_unreadable_victim_exits_2(tmp_path):
+    sensor = simulator.SensorSpec(channels=8, azimuth_resolution=math.radians(4.0))
+    simulator.write_sensor_config(sensor, tmp_path / "data")
+    simulator.write_scene(simulator.generate_scene(0, "normal", 2, sensor), tmp_path / "data", 0)
+    path = tmp_path / "truncated.ckpt"
+    victim.save_checkpoint(_victim("seg"), path)
+    path.write_text("\n".join(_truncated(path.read_text().splitlines())) + "\n")
+    for ckpt in (path, tmp_path / "data"):  # a truncated file, a directory
+        assert cli.main(["eval", "--victim", str(ckpt), "--data", str(tmp_path / "data"),
+                         "--out", str(tmp_path / "e")]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "e").exists()
+
 
 class TestConfig:
     def test_roundtrip(self, tmp_path):

@@ -36,7 +36,8 @@ def key(box):
 
 
 def scene_of(parts, boxes):
-    """``parts``: (box, class_id, instance, n_points) point groups inside boxes."""
+    """``parts``: (box, class_id, instance, n_points) point groups inside boxes;
+    ``boxes``: (class_id, box) scene boxes."""
     rng = np.random.default_rng(0)
     xyz, semantic, instance = [], [], []
     for box, class_id, inst, n in parts:
@@ -46,7 +47,7 @@ def scene_of(parts, boxes):
         instance += [inst] * n
     cloud = PointCloud(np.vstack(xyz), np.full(len(semantic), 0.5), semantic, instance)
     return simulator.Scene(sensor=SENSOR, cloud=cloud,
-                           boxes=[simulator.SceneBox(c, b, i) for c, b, i in boxes])
+                           boxes=[simulator.SceneBox(c, b) for c, b in boxes])
 
 
 def marked_bank(groups, boxes):
@@ -77,7 +78,7 @@ class TestTargetBoxes:
         a, empty, b = car_box(10.0, 5.0, 0.3), car_box(-8.0, 6.0, 1.0), car_box(4.0, -12.0, -2.0)
         person = car_box(-15.0, -3.0, 0.0)
         scene = scene_of([(a, CAR, 1, 40), (b, CAR, 2, 40), (person, CAR, 3, 40)],
-                         [(CAR, a, 1), (CAR, empty, 0), (PERSON, person, 3), (CAR, b, 2)])
+                         [(CAR, a), (CAR, empty), (PERSON, person), (CAR, b)])
         targets = target_boxes(scene, CAR, "gt", SIX, STEP)
         assert [key(box) for box, _ in targets] == [key(a), key(b)]
         assert [g for _, g in targets] == [group_of(x, SENSOR.origin, SIX) for x in (a, b)]
@@ -85,7 +86,7 @@ class TestTargetBoxes:
     def test_axis_aligned_uses_instance_boxes_in_id_order_with_folded_groups(self):
         first, second = car_box(6.0, -9.0, 0.4), car_box(12.0, 4.0, math.pi)
         nowhere = car_box(-20.0, 0.0, 0.0)  # a GT box holding no car point
-        scene = scene_of([(second, CAR, 7, 50), (first, CAR, 3, 50)], [(CAR, nowhere, 0)])
+        scene = scene_of([(second, CAR, 7, 50), (first, CAR, 3, 50)], [(CAR, nowhere)])
         assert target_boxes(scene, CAR, "gt", SIX, STEP) == []
         targets = target_boxes(scene, CAR, "axis-aligned", SIX, STEP)
         expected = [axis_aligned_box_of_instance(scene.cloud, i, STEP) for i in (3, 7)]
@@ -94,7 +95,7 @@ class TestTargetBoxes:
                                            for x in expected]
 
     def test_unknown_mode_rejected(self):
-        scene = scene_of([(AWAY, CAR, 1, 10)], [(CAR, AWAY, 1)])
+        scene = scene_of([(AWAY, CAR, 1, 10)], [(CAR, AWAY)])
         with pytest.raises(ValueError, match="box mode"):
             target_boxes(scene, CAR, "oriented", SIX, STEP)
 
@@ -102,7 +103,7 @@ class TestTargetBoxes:
 class TestBankBoxMode:
     def test_gt_bank_of_six_groups_uses_oriented_group(self):
         # six groups used to be taken as the sign of an axis-aligned bank
-        scene = scene_of([(AWAY, CAR, 1, 60)], [(CAR, AWAY, 1)])
+        scene = scene_of([(AWAY, CAR, 1, 60)], [(CAR, AWAY)])
         bank = marked_bank(6, "gt")
         want = {group_of(AWAY, SENSOR.origin, SIX)}
         augmented = evaluate.augment_scene(scene, bank, np.random.default_rng(0))
@@ -115,7 +116,7 @@ class TestBankBoxMode:
 
     def test_axis_aligned_bank_deforms_instance_boxes_with_folded_group(self):
         nowhere = car_box(-20.0, 0.0, 0.0)
-        scene = scene_of([(AWAY, CAR, 1, 60)], [(CAR, nowhere, 0)])
+        scene = scene_of([(AWAY, CAR, 1, 60)], [(CAR, nowhere)])
         instance_box = axis_aligned_box_of_instance(scene.cloud, 1, STEP)
         want = {group_of_axis_aligned(instance_box, SENSOR.origin, SIX)}
         bank = marked_bank(6, "axis-aligned")
@@ -154,8 +155,8 @@ FLEET = [car_box(10.0, 5.0, 0.3), car_box(4.0, -12.0, -2.0), car_box(-9.0, 7.0, 
 def fleet_scene(cars):
     person = car_box(-15.0, -3.0, 0.0)
     parts = [(box, CAR, i + 1, 40) for i, box in enumerate(cars)]
-    boxes = [(CAR, box, i + 1) for i, box in enumerate(cars)]
-    return scene_of(parts + [(person, PERSON, 9, 40)], boxes + [(PERSON, person, 9)])
+    boxes = [(CAR, box) for box in cars]
+    return scene_of(parts + [(person, PERSON, 9, 40)], boxes + [(PERSON, person)])
 
 
 def inline_deform_all(scene, bank, k=2):
