@@ -20,7 +20,6 @@ from .geometry import iou_3d
 from .victim import Adam, DetHeadMini, SegNetMini
 
 PROB_FLOOR = 1e-12
-RELEVANCE_THRESHOLD = 0.1  # proposals below this confidence are ignored
 BATCH_SCENES = 4  # scenes whose gradients accumulate before each Adam step
 
 MODES = ("detection", "seg-untargeted", "seg-targeted")
@@ -74,26 +73,25 @@ def detection_logit_grad(scores, ious) -> np.ndarray:
     return np.asarray(ious, dtype=float) * np.asarray(scores, dtype=float)
 
 
-def loss_untargeted(probs, labels, mask=None) -> float:
+def loss_untargeted(probs, labels) -> float:
     """Log-probability of the true class summed over the scene (minimized).
 
     This is the negated cross-entropy: zero for perfect confidence, more
     negative for a healthier model, so minimizing it degrades predictions
-    everywhere the mask reaches.
+    on every point.
     """
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels)
-    rows = np.arange(len(labels)) if mask is None else np.flatnonzero(mask)
-    picked = probs[rows, labels[rows]]
+    picked = probs[np.arange(len(labels)), labels]
     return float(np.log(np.maximum(picked, PROB_FLOOR)).sum())
 
 
-def untargeted_logit_grad(probs, labels, mask=None) -> np.ndarray:
+def untargeted_logit_grad(probs, labels) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels)
-    rows = np.arange(len(labels)) if mask is None else np.flatnonzero(mask)
+    rows = np.arange(len(labels))
     grad = np.zeros_like(probs)
-    picked = probs[rows, labels[rows]]
+    picked = probs[rows, labels]
     live = picked > PROB_FLOOR  # clamped rows contribute no gradient
     rows = rows[live]
     grad[rows] = -probs[rows]
@@ -180,8 +178,7 @@ def _scene_loss_and_input_grads(cloud, work: _SceneWork, victim, cfg: AttackConf
     scene = work.scene
     if cfg.mode == "detection":
         scores, full, tape = victim.forward(cloud)
-        relevant = np.flatnonzero((scores > RELEVANCE_THRESHOLD)
-                                  & (tape.neighbor_counts > 0))
+        relevant = victim.proposals(scores, tape)
         gt = [sb.box for sb in scene.boxes if sb.class_id == cfg.adversarial_class]
         if len(relevant) == 0 or not gt:
             return 0.0, np.zeros((cloud.n, 3)), np.zeros(cloud.n)

@@ -1,9 +1,12 @@
 """Command-line entry point orchestrating the full pipeline reproducibly.
 
 Every subcommand writes a manifest (the fully resolved configuration plus
-seeds, a git describe string, and wall time) next to its outputs; rerunning
-with ``--config <manifest>`` reproduces the data outputs bit for bit. Exit
-codes: 0 success, 2 configuration error, 3 numeric failure.
+seeds, a git describe string, and wall time) next to its outputs: a
+directory output ``<dir>`` holds ``<dir>/manifest.cfg``, and a file output
+``<name>`` gets ``<name>.manifest.cfg`` beside it, so that outputs sharing a
+directory keep their own manifests. Rerunning with ``--config <manifest>``
+reproduces the data outputs bit for bit. Exit codes: 0 success, 2
+configuration error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def parallel_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def write_manifest(args: argparse.Namespace, out_dir: Path, started: float) -> None:
+def write_manifest(args: argparse.Namespace, path: Path, started: float) -> None:
     config = {"subcommand": args.command}
     skip = {"command", "func", "config"}
     for key, value in sorted(vars(args).items()):
@@ -64,8 +67,8 @@ def write_manifest(args: argparse.Namespace, out_dir: Path, started: float) -> N
         config[key.replace("_", "-")] = str(value)
     config["git-describe"] = _git_describe()
     config["wall-time-s"] = f"{time.time() - started:.3f}"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cloudio.write_config(config, out_dir / "manifest.cfg")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    cloudio.write_config(config, path)
 
 
 def _sensor_from_args(args) -> simulator.SensorSpec:
@@ -289,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int,
                         default=int(os.environ.get("ADVFIELD_THREADS",
                                                    os.cpu_count() or 1)))
-    parser.add_argument("--config", help="a manifest.cfg to replay; flags given here win")
+    parser.add_argument("--config", help="a manifest to replay; flags given here win")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = sub.choices  # name -> subparser, for --config
 
@@ -317,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="fit a vector-field bank against a victim")
     p.add_argument("--mode", choices=["untargeted", "targeted", "detection"],
                    required=True)
-    p.add_argument("--class", dest="cls", default="car")
-    p.add_argument("--target", default=None)
+    p.add_argument("--class", dest="cls", default="car", choices=simulator.CLASS_NAMES)
+    p.add_argument("--target", default=None, choices=simulator.CLASS_NAMES)
     p.add_argument("--victim", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--G", type=int, default=12)
@@ -340,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline-attack", help="run a sample-specific baseline")
     p.add_argument("--kind", choices=["l2", "chamfer", "remove", "generate"],
                    required=True)
-    p.add_argument("--class", dest="cls", default="car")
+    p.add_argument("--class", dest="cls", default="car", choices=simulator.CLASS_NAMES)
     p.add_argument("--victim", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--eps", type=float, default=0.3)
@@ -375,9 +378,10 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
     """Apply ``--config <manifest>`` as parser defaults keyed by ``dest``.
 
     Flags given on the command line win. The manifest's subcommand is used
-    when none is given and must match one that is, and every other key must
-    be an option of that subcommand or of the top-level parser. Returns argv
-    without the ``--config`` pair.
+    when none is given and must match one that is, every other key must be
+    an option of that subcommand or of the top-level parser, and a value must
+    be one of its option's choices. Returns argv without the ``--config``
+    pair.
     """
     if "--config" not in argv:
         return argv
@@ -409,6 +413,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
     sub.set_defaults(**{k: v for k, v in values.items() if k in sub_dests})
     for action in sub._actions:
         action.required = action.required and action.dest not in values
+        # argparse checks choices only on the command line, never on defaults
+        value = values.get(action.dest)
+        if action.choices is not None and value is not None and value not in action.choices:
+            raise ValueError(f"--config: {action.option_strings[0]} {value!r} is not one of "
+                             + ", ".join(action.choices))
     return argv
 
 
@@ -432,7 +441,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     if code == 0:
         out = Path(args.out)
-        write_manifest(args, out if out.is_dir() else out.parent, started)
+        manifest = (out / "manifest.cfg" if out.is_dir()
+                    else out.with_name(f"{out.name}.manifest.cfg"))
+        write_manifest(args, manifest, started)
     return code
 
 

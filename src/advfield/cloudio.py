@@ -235,18 +235,17 @@ def load_bank(path):
     try:
         dims = tuple(map(float.fromhex, header["dims"].split()))
         step = float.fromhex(header["step"])
-        class_id = int(header["class_id"])
         fields = []
         for name, vectors in arrays.items():
             slot = re.fullmatch(r"field-(\d+)-(\d+)", name)
             if slot is None:
                 raise ValueError(f"array {name} is not a 'field-<g>-<n>' slot")
-            fld = VectorField(dims, step, vectors, int(slot[1]), int(slot[2]), class_id)
+            fld = VectorField(dims, step, vectors, int(slot[1]), int(slot[2]))
             if vectors.shape != fld.vectors.shape:
                 raise ValueError(f"array {name} has shape {vectors.shape}, expected "
                                  f"{fld.vectors.shape}: one vector row per lattice root")
             fields.append(fld)
-        return FieldBank(class_id=class_id, class_name=header["class_name"],
+        return FieldBank(class_id=int(header["class_id"]), class_name=header["class_name"],
                          groups=int(header["G"]), variants=int(header["N"]),
                          fields=fields, eps=float.fromhex(header["eps"]),
                          psi=float.fromhex(header["psi"]), boxes=header["boxes"])

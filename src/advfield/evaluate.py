@@ -248,25 +248,23 @@ def attack_success_rate(clean_detections, attacked_detections, ground_truths,
     return 100.0 * float(lost.sum()) / float(clean.sum())
 
 
-# detections: the lowest kept confidence, and the center distance within
-# which a lower-scoring proposal is suppressed
-SCORE_FLOOR = 0.1
+# the center distance within which a lower-scoring proposal is suppressed
 NMS_RADIUS = 2.5
 
 
 def collect_detections(victim, scenes, class_id: int | None = None, transform=None):
     """Run the detector over scenes -> (detections, ground truths).
 
-    Proposals scoring above ``SCORE_FLOOR`` are reduced by center-distance
-    NMS: within each scene, any proposal whose center lies within
-    ``NMS_RADIUS`` of a higher-scoring kept proposal is dropped.
+    The proposals are the anchors that ``DetHeadMini.proposals`` keeps,
+    reduced by center-distance NMS: within each scene, any proposal whose
+    center lies within ``NMS_RADIUS`` of a higher-scoring kept proposal is
+    dropped.
     """
     detections, gts = [], []
     for index, scene in enumerate(scenes):
         cloud = scene.cloud if transform is None else transform(index, scene)
         scores, full, tape = victim.forward(cloud)
-        # anchors without pooled points carry no evidence, only the prior
-        keep = np.flatnonzero((scores > SCORE_FLOOR) & (tape.neighbor_counts > 0))
+        keep = victim.proposals(scores, tape)
         boxes = victim.decode_boxes(keep, full)
         order = np.argsort(-scores[keep], kind="stable")
         chosen = []

@@ -44,7 +44,6 @@ class VectorField:
     vectors: np.ndarray  # (m, 4) x/y/z shift in meters + intensity shift
     group: int = 1       # rotation group g, 1-based
     variant: int = 1     # variant n, 1-based
-    class_id: int = 0
     roots: np.ndarray = dc_field(init=False, repr=False)  # (m, 3), from dims and step
 
     def __post_init__(self):
@@ -61,7 +60,7 @@ class VectorField:
 
     def copy(self) -> "VectorField":
         return VectorField(self.dims, self.step, self.vectors.copy(),
-                           self.group, self.variant, self.class_id)
+                           self.group, self.variant)
 
 
 @dataclass
@@ -158,12 +157,11 @@ def lattice_roots(dims, step: float) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
 
-def build_lattice(dims, step: float, group: int = 1, variant: int = 1,
-                  class_id: int = 0) -> VectorField:
+def build_lattice(dims, step: float, group: int = 1, variant: int = 1) -> VectorField:
     """Zero-initialized field on the lattice of ``dims`` and ``step``."""
     nx, ny, nz = lattice_counts(dims, step)
     return VectorField(dims=dims, step=step, vectors=np.zeros((nx * ny * nz, 4)),
-                       group=group, variant=variant, class_id=class_id)
+                       group=group, variant=variant)
 
 
 def init_random(field: VectorField, seed) -> None:
@@ -184,8 +182,7 @@ def make_bank(class_id: int, class_name: str, dims, step: float, groups: int,
     fields = []
     for group in range(1, groups + 1):
         for variant in range(1, variants + 1):
-            fld = build_lattice(dims, step, group=group, variant=variant,
-                                class_id=class_id)
+            fld = build_lattice(dims, step, group=group, variant=variant)
             init_random(fld, field_init_seed(seed, group, variant))
             fields.append(fld)
     return FieldBank(class_id=class_id, class_name=class_name, groups=groups,

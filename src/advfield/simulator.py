@@ -608,7 +608,10 @@ def load_scene(directory, index: int, sensor: SensorSpec) -> Scene:
 
 
 def load_split(directory) -> list:
+    """Every scene of a split directory; FormatError if it holds none."""
     directory = Path(directory)
     sensor = read_sensor_config(directory)
     indices = sorted(int(p.stem) for p in directory.glob("*.bin"))
+    if not indices:
+        raise cloudio.FormatError(f"{directory}: the split holds no scene")
     return [load_scene(directory, i, sensor) for i in indices]

@@ -6,6 +6,11 @@ for the raw inputs (positions and intensities) so that projected-gradient
 attacks can differentiate straight through them. Neighborhoods come from
 uniform-grid binning; bin membership is piecewise constant, so the input
 gradients are exact almost everywhere.
+
+The detector builds its fixed anchor grid (centers, bearings, view-frame
+rotations) once, and ``DetHeadMini.proposals`` is the one proposal rule of
+attack and evaluation. ``train_seg`` and ``train_det`` share one loop,
+``_train``, and supply only their seed streams and a per-scene step.
 """
 
 from __future__ import annotations
@@ -119,7 +124,6 @@ class SegTape:
     inverse: np.ndarray       # (n,) voxel index per point
     counts: np.ndarray        # (nv,) points per voxel
     mlp_tape: tuple
-    probs: np.ndarray
 
 
 class SegNetMini:
@@ -169,17 +173,12 @@ class SegNetMini:
         if cloud.n == 0:
             empty = np.zeros((0, self.n_classes))
             return empty, SegTape(cloud, np.zeros(0, np.int64), np.zeros(0, np.int64),
-                                  (empty, empty, empty), empty)
+                                  (empty, empty, empty))
         feats, inverse, counts = self._features(cloud)
         if rows is not None:
             feats = feats[rows]
         logits, mlp_tape = self.mlp.forward(feats)
-        probs = _softmax(logits)
-        return probs, SegTape(cloud, inverse, counts, mlp_tape, probs)
-
-    def backward_params(self, tape: SegTape, dlogits: np.ndarray) -> dict:
-        _, grads = self.mlp.backward(tape.mlp_tape, dlogits)
-        return grads
+        return _softmax(logits), SegTape(cloud, inverse, counts, mlp_tape)
 
     def backward_inputs(self, tape: SegTape, dlogits: np.ndarray):
         """Exact gradients w.r.t. (x, y, z) and intensity of every point.
@@ -235,11 +234,6 @@ class DetTape:
     mlp_tape: tuple
 
 
-def _anchor_view_angles(centers: np.ndarray) -> np.ndarray:
-    """Bearing of each anchor from the sensor pillar at the origin."""
-    return np.arctan2(centers[:, 1], centers[:, 0])
-
-
 class DetHeadMini:
     """Single-class detector over a ground-plane anchor grid.
 
@@ -249,11 +243,16 @@ class DetHeadMini:
     whole car); an MLP maps them to a confidence logit and box residuals
     (center offsets, log-size scales, doubled-angle yaw). Intensity is not
     used by this head.
+
+    The grid is built once: ``centers``, their ``bearings`` phi from the
+    sensor, and cos/sin of phi and 2 phi (``cos_p``, ``sin_p``, ``cos2``,
+    ``sin2``), which rotate into each anchor's view frame.
     """
 
     N_FEATURES = 8
     N_OUTPUTS = 9  # score, dx, dy, dz, dlog w, dlog h, dlog l, sin 2a, cos 2a
     GROUND_CLIP = 0.25  # points at or below this height are not pooled
+    PROPOSAL_SCORE = 0.1  # confidences at or below this are no proposal
 
     def __init__(self, area: float = 64.0, stride: float = 2.0, hidden: int = 32):
         self.area = float(area)     # grid covers [-area, area) in x and y
@@ -261,6 +260,13 @@ class DetHeadMini:
         self.hidden = int(hidden)
         self.cells_per_axis = int(round(2 * self.area / self.stride))
         self.mlp = _Mlp(self.N_FEATURES, self.hidden, self.N_OUTPUTS)
+        ix, iy = np.divmod(np.arange(self.n_anchors), self.cells_per_axis)
+        half_height = np.full(self.n_anchors, CANONICAL_CAR_DIMS[1] / 2.0)
+        self.centers = np.column_stack([(ix + 0.5) * self.stride - self.area,
+                                        (iy + 0.5) * self.stride - self.area, half_height])
+        self.bearings = np.arctan2(self.centers[:, 1], self.centers[:, 0])
+        self.cos_p, self.sin_p = np.cos(self.bearings), np.sin(self.bearings)
+        self.cos2, self.sin2 = np.cos(2 * self.bearings), np.sin(2 * self.bearings)
 
     @property
     def n_anchors(self) -> int:
@@ -270,14 +276,6 @@ class DetHeadMini:
         self.mlp.init_random(seed)
         # confident-negative prior: empty anchors start well under relevance
         self.mlp.params["b3"][0] = -3.0
-
-    def anchor_centers(self, anchors: np.ndarray) -> np.ndarray:
-        ix, iy = np.divmod(np.asarray(anchors, dtype=np.int64), self.cells_per_axis)
-        x = (ix + 0.5) * self.stride - self.area
-        y = (iy + 0.5) * self.stride - self.area
-        z = np.full(len(np.atleast_1d(x)), CANONICAL_CAR_DIMS[1] / 2.0)
-        return np.column_stack([np.atleast_1d(x).astype(float),
-                                np.atleast_1d(y).astype(float), z])
 
     def _box_sum(self, grid: np.ndarray) -> np.ndarray:
         """3x3 neighborhood sums of a (K, K) per-cell grid."""
@@ -307,21 +305,18 @@ class DetHeadMini:
 
         count = sums[0]
         safe = np.maximum(count, 1.0)
-        centers = self.anchor_centers(np.arange(k * k))
         means = sums[1:4].T / safe[:, None]
         # moments are expressed in each anchor's view frame (x radial from
         # the sensor, y tangential): the offset between a car's visible side
         # and its true center, and its yaw, only make sense relative to the
         # viewing direction
-        phi = _anchor_view_angles(centers)
-        cos_p, sin_p = np.cos(phi), np.sin(phi)
-        off_x = means[:, 0] - centers[:, 0]
-        off_y = means[:, 1] - centers[:, 1]
+        cos_p, sin_p, cos2, sin2 = self.cos_p, self.sin_p, self.cos2, self.sin2
+        off_x = means[:, 0] - self.centers[:, 0]
+        off_y = means[:, 1] - self.centers[:, 1]
         var_x = sums[4] / safe - means[:, 0] ** 2
         var_y = sums[5] / safe - means[:, 1] ** 2
         cov2 = 2.0 * (sums[6] / safe - means[:, 0] * means[:, 1])
         dvar = var_x - var_y
-        cos2, sin2 = np.cos(2 * phi), np.sin(2 * phi)
 
         feats = np.zeros((k * k, self.N_FEATURES))
         feats[:, 0] = np.log1p(count) * _COUNT_SCALE
@@ -347,35 +342,30 @@ class DetHeadMini:
         tape = DetTape(cloud, point_cell, counts, means, mlp_tape)
         return scores, outputs, tape
 
-    def decode(self, anchors: np.ndarray, outputs: np.ndarray):
-        """View-frame residuals -> (center (n,3), sizes (n,3) as w/h/l, yaw (n,))."""
-        centers = self.anchor_centers(anchors)
-        phi = _anchor_view_angles(centers)
-        cos_p, sin_p = np.cos(phi), np.sin(phi)
-        res = outputs[:, 1:]
+    def proposals(self, scores: np.ndarray, tape: DetTape) -> np.ndarray:
+        """Anchors scoring above ``PROPOSAL_SCORE`` that pooled any point; an
+        empty anchor's score is the prior alone, however high."""
+        return np.flatnonzero((scores > self.PROPOSAL_SCORE) & (tape.neighbor_counts > 0))
+
+    def decode_boxes(self, anchors: np.ndarray, full_outputs: np.ndarray) -> list:
+        """OrientedBoxes of ``anchors`` from their view-frame residuals."""
+        anchors = np.asarray(anchors, dtype=np.int64)
+        res = full_outputs[anchors, 1:]
+        cos_p, sin_p = self.cos_p[anchors], self.sin_p[anchors]
         dx = self.stride * (cos_p * res[:, 0] - sin_p * res[:, 1])
         dy = self.stride * (sin_p * res[:, 0] + cos_p * res[:, 1])
-        center = centers + np.column_stack([dx, dy, res[:, 2]])
+        center = self.centers[anchors] + np.column_stack([dx, dy, res[:, 2]])
         w0, h0, l0 = CANONICAL_CAR_DIMS
         sizes = np.column_stack([
             w0 * np.exp(np.clip(res[:, 3], -2, 2)),
             h0 * np.exp(np.clip(res[:, 4], -2, 2)),
             l0 * np.exp(np.clip(res[:, 5], -2, 2)),
         ])
-        yaw = wrap_pi(phi + np.arctan2(res[:, 6], res[:, 7]) / 2.0)
-        return center, sizes, yaw
-
-    def decode_boxes(self, anchors: np.ndarray, full_outputs: np.ndarray) -> list:
-        anchors = np.asarray(anchors, dtype=np.int64)
-        center, sizes, yaw = self.decode(anchors, full_outputs[anchors])
+        yaw = wrap_pi(self.bearings[anchors] + np.arctan2(res[:, 6], res[:, 7]) / 2.0)
         return [
             OrientedBox(center[i], sizes[i, 0], sizes[i, 1], sizes[i, 2], float(yaw[i]))
             for i in range(len(anchors))
         ]
-
-    def backward_params(self, tape: DetTape, d_outputs: np.ndarray) -> dict:
-        _, grads = self.mlp.backward(tape.mlp_tape, d_outputs)
-        return grads
 
     def backward_inputs(self, tape: DetTape, d_outputs: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. point positions; the detector ignores intensity."""
@@ -391,10 +381,7 @@ class DetHeadMini:
         ci, cj = np.divmod(cells, k)
         x, y = cloud.xyz[rows, 0], cloud.xyz[rows, 1]
         # a point in cell c feeds the 9 anchors whose neighborhood covers c
-        centers = self.anchor_centers(np.arange(k * k))
-        phi = _anchor_view_angles(centers)
-        cos_p, sin_p = np.cos(phi), np.sin(phi)
-        cos2, sin2 = np.cos(2 * phi), np.sin(2 * phi)
+        cos_p, sin_p, cos2, sin2 = self.cos_p, self.sin_p, self.cos2, self.sin2
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):
                 ai, aj = ci + di, cj + dj
@@ -494,6 +481,41 @@ def standard_augment(cloud: PointCloud, boxes, rng: np.random.Generator):
     return out, moved
 
 
+def _train(model, streams, scenes, boxes_per_scene, epochs: int, lr: float, seed,
+           hook, step):
+    """Adam over shuffled scenes, each hooked, augmented and scored by ``step``.
+
+    ``streams`` picks the SeedSequence streams of ``seed`` that initialize
+    the model and draw everything else. ``step(cloud, boxes, rng)`` returns
+    ``(loss, tape, d_outputs)``, or None to skip the scene. Raises
+    RuntimeError on a non-finite loss.
+    """
+    model.init_random(np.random.SeedSequence([_seed_int(seed), streams[0]]))
+    rng = np.random.default_rng(np.random.SeedSequence([_seed_int(seed), streams[1]]))
+    optim = Adam(lr)
+    order = np.arange(len(scenes))
+    for epoch in range(epochs):
+        # step decay settles the per-scene Adam updates near the end
+        optim.lr = lr * (0.25 if epoch >= (3 * epochs) // 4 else 1.0)
+        rng.shuffle(order)
+        for scene_idx in order:
+            cloud = scenes[scene_idx]
+            if hook is not None:
+                cloud = hook(int(scene_idx), cloud, rng)
+            cloud, boxes = standard_augment(cloud, boxes_per_scene[scene_idx], rng)
+            scored = step(cloud, boxes, rng)
+            if scored is None:
+                continue
+            loss, tape, d_outputs = scored
+            if not math.isfinite(loss):
+                raise RuntimeError(
+                    f"non-finite training loss at epoch {epoch}, scene {scene_idx}"
+                )
+            _, grads = model.mlp.backward(tape.mlp_tape, d_outputs)
+            optim.step(model.mlp.params, grads)
+    return model
+
+
 # points train_seg samples, class-balanced, per scene step
 SEG_POINTS_PER_SCENE = 1536
 
@@ -508,51 +530,35 @@ def train_seg(scenes, n_classes: int, epochs: int, lr: float, seed,
     Raises RuntimeError on non-finite loss.
     """
     model = SegNetMini(n_classes)
-    model.init_random(np.random.SeedSequence([_seed_int(seed), 1]))
     weights = class_weights(scenes, n_classes)
-    optim = Adam(lr)
-    rng = np.random.default_rng(np.random.SeedSequence([_seed_int(seed), 2]))
 
-    order = np.arange(len(scenes))
-    for epoch in range(epochs):
-        # step decay settles the per-scene Adam updates near the end
-        optim.lr = lr * (0.25 if epoch >= (3 * epochs) // 4 else 1.0)
-        rng.shuffle(order)
-        for scene_idx in order:
-            cloud = scenes[scene_idx]
-            if hook is not None:
-                cloud = hook(int(scene_idx), cloud, rng)
-            cloud, _ = standard_augment(cloud, (), rng)
-            n = cloud.n
-            if n == 0:
-                continue
-            if n > SEG_POINTS_PER_SCENE:
-                # class-balanced subsample: rare classes keep their gradient share
-                p = weights[cloud.semantic]
-                total = p.sum()
-                if total <= 0:
-                    continue
-                rows = rng.choice(n, size=SEG_POINTS_PER_SCENE, replace=False, p=p / total)
-            else:
-                rows = np.arange(n)
-            probs, tape = model.forward(cloud, rows=rows)
-            labels = cloud.semantic[rows]
-            w = np.sqrt(weights[labels])
-            denom = w.sum()
-            if denom <= 0:
-                continue
-            picked = probs[np.arange(len(rows)), labels]
-            loss = float(-(w * np.log(np.maximum(picked, 1e-12))).sum() / denom)
-            if not math.isfinite(loss):
-                raise RuntimeError(
-                    f"non-finite training loss at epoch {epoch}, scene {scene_idx}"
-                )
-            dlogits = probs.copy()
-            dlogits[np.arange(len(rows)), labels] -= 1.0
-            dlogits *= (w / denom)[:, None]
-            grads = model.backward_params(tape, dlogits)
-            optim.step(model.mlp.params, grads)
-    return model
+    def step(cloud, _, rng):
+        n = cloud.n
+        if n == 0:
+            return None
+        if n > SEG_POINTS_PER_SCENE:
+            # class-balanced subsample: rare classes keep their gradient share
+            p = weights[cloud.semantic]
+            total = p.sum()
+            if total <= 0:
+                return None
+            rows = rng.choice(n, size=SEG_POINTS_PER_SCENE, replace=False, p=p / total)
+        else:
+            rows = np.arange(n)
+        probs, tape = model.forward(cloud, rows=rows)
+        labels = cloud.semantic[rows]
+        w = np.sqrt(weights[labels])
+        denom = w.sum()
+        if denom <= 0:
+            return None
+        picked = probs[np.arange(len(rows)), labels]
+        loss = float(-(w * np.log(np.maximum(picked, 1e-12))).sum() / denom)
+        dlogits = probs.copy()
+        dlogits[np.arange(len(rows)), labels] -= 1.0
+        dlogits *= (w / denom)[:, None]
+        return loss, tape, dlogits
+
+    return _train(model, (1, 2), scenes, [()] * len(scenes), epochs, lr, seed, hook, step)
 
 
 def train_det(scenes, boxes_per_scene, epochs: int, lr: float, seed,
@@ -565,76 +571,62 @@ def train_det(scenes, boxes_per_scene, epochs: int, lr: float, seed,
     :func:`train_seg`; it moves points, never boxes.
     """
     model = DetHeadMini()
-    model.init_random(np.random.SeedSequence([_seed_int(seed), 3]))
-    optim = Adam(lr)
-    rng = np.random.default_rng(np.random.SeedSequence([_seed_int(seed), 4]))
+    centers = model.centers
     w0, h0, l0 = CANONICAL_CAR_DIMS
 
-    order = np.arange(len(scenes))
-    for epoch in range(epochs):
-        optim.lr = lr * (0.25 if epoch >= (3 * epochs) // 4 else 1.0)
-        rng.shuffle(order)
-        for scene_idx in order:
-            cloud = scenes[scene_idx]
-            if hook is not None:
-                cloud = hook(int(scene_idx), cloud, rng)
-            cloud, gt = standard_augment(cloud, boxes_per_scene[scene_idx], rng)
+    def step(cloud, gt, _):
+        scores, full, tape = model.forward(cloud)
+        targets = np.zeros(model.n_anchors)
+        reg_targets = {}
+        for box in gt:
+            local = (centers[:, :2] - box.center[:2]) @ rot_z(box.yaw)[:2, :2]
+            inside = np.all(
+                np.abs(local) <= np.array([box.length / 2, box.width / 2]), axis=1
+            )
+            dist = np.linalg.norm(centers[:, :2] - box.center[:2], axis=1)
+            pos = np.flatnonzero(inside | (dist < 2.0))
+            pos = np.union1d(pos, [int(np.argmin(dist))])
+            targets[pos] = 1.0
+            for a in pos:
+                ac = centers[a]
+                # math.atan2, not the stored bearings: they differ in the last
+                # bit on some anchors, which would change every trained detector
+                phi = math.atan2(ac[1], ac[0])
+                dx, dy = box.center[0] - ac[0], box.center[1] - ac[1]
+                reg_targets[int(a)] = np.array([
+                    (math.cos(phi) * dx + math.sin(phi) * dy) / model.stride,
+                    (-math.sin(phi) * dx + math.cos(phi) * dy) / model.stride,
+                    box.center[2] - ac[2],
+                    math.log(box.width / w0),
+                    math.log(box.height / h0),
+                    math.log(box.length / l0),
+                    math.sin(2 * (box.yaw - phi)),
+                    math.cos(2 * (box.yaw - phi)),
+                ])
 
-            scores, full, tape = model.forward(cloud)
-            targets = np.zeros(model.n_anchors)
-            reg_targets = {}
-            centers_all = model.anchor_centers(np.arange(model.n_anchors))
-            for box in gt:
-                local = (centers_all[:, :2] - box.center[:2]) @ rot_z(box.yaw)[:2, :2]
-                inside = np.all(
-                    np.abs(local) <= np.array([box.length / 2, box.width / 2]), axis=1
-                )
-                dist = np.linalg.norm(centers_all[:, :2] - box.center[:2], axis=1)
-                pos = np.flatnonzero(inside | (dist < 2.0))
-                pos = np.union1d(pos, [int(np.argmin(dist))])
-                targets[pos] = 1.0
-                for a in pos:
-                    ac = centers_all[a]
-                    phi = math.atan2(ac[1], ac[0])
-                    dx, dy = box.center[0] - ac[0], box.center[1] - ac[1]
-                    reg_targets[int(a)] = np.array([
-                        (math.cos(phi) * dx + math.sin(phi) * dy) / model.stride,
-                        (-math.sin(phi) * dx + math.cos(phi) * dy) / model.stride,
-                        box.center[2] - ac[2],
-                        math.log(box.width / w0),
-                        math.log(box.height / h0),
-                        math.log(box.length / l0),
-                        math.sin(2 * (box.yaw - phi)),
-                        math.cos(2 * (box.yaw - phi)),
-                    ])
+        # confidence BCE balanced three ways: positives, occupied
+        # negatives (the hard ones), and empty anchors
+        occupied = tape.neighbor_counts > 0
+        pos_mask = targets > 0
+        hard_neg = occupied & ~pos_mask
+        n_pos = max(pos_mask.sum(), 1)
+        n_hard = max(hard_neg.sum(), 1)
+        n_empty = max((~occupied & ~pos_mask).sum(), 1)
+        w_anchor = np.where(pos_mask, 0.5 / n_pos,
+                            np.where(hard_neg, 0.35 / n_hard, 0.15 / n_empty))
+        d_full = np.zeros_like(full)
+        d_full[:, 0] = w_anchor * (scores - targets)
+        loss = float(-(w_anchor * (targets * np.log(np.maximum(scores, 1e-12))
+                     + (1 - targets) * np.log(np.maximum(1 - scores, 1e-12)))).sum())
+        if reg_targets:
+            idx = np.fromiter(reg_targets.keys(), dtype=np.int64)
+            tgt = np.stack([reg_targets[int(a)] for a in idx])
+            diff = full[idx, 1:] - tgt
+            loss += float(0.5 * (diff * diff).sum() / len(idx))
+            d_full[idx, 1:] += diff / len(idx)
+        return loss, tape, d_full
 
-            # confidence BCE balanced three ways: positives, occupied
-            # negatives (the hard ones), and empty anchors
-            occupied = tape.neighbor_counts > 0
-            pos_mask = targets > 0
-            hard_neg = occupied & ~pos_mask
-            n_pos = max(pos_mask.sum(), 1)
-            n_hard = max(hard_neg.sum(), 1)
-            n_empty = max((~occupied & ~pos_mask).sum(), 1)
-            w_anchor = np.where(pos_mask, 0.5 / n_pos,
-                                np.where(hard_neg, 0.35 / n_hard, 0.15 / n_empty))
-            d_full = np.zeros_like(full)
-            d_full[:, 0] = w_anchor * (scores - targets)
-            loss = float(-(w_anchor * (targets * np.log(np.maximum(scores, 1e-12))
-                         + (1 - targets) * np.log(np.maximum(1 - scores, 1e-12)))).sum())
-            if reg_targets:
-                idx = np.fromiter(reg_targets.keys(), dtype=np.int64)
-                tgt = np.stack([reg_targets[int(a)] for a in idx])
-                diff = full[idx, 1:] - tgt
-                loss += float(0.5 * (diff * diff).sum() / len(idx))
-                d_full[idx, 1:] += diff / len(idx)
-            if not math.isfinite(loss):
-                raise RuntimeError(
-                    f"non-finite detection loss at epoch {epoch}, scene {scene_idx}"
-                )
-            grads = model.backward_params(tape, d_full)
-            optim.step(model.mlp.params, grads)
-    return model
+    return _train(model, (3, 4), scenes, boxes_per_scene, epochs, lr, seed, hook, step)
 
 
 def _seed_int(seed) -> int:

@@ -17,6 +17,11 @@ def run(*argv) -> int:
     return cli.main([str(a) for a in argv])
 
 
+def manifest(out: Path) -> Path:
+    """The manifest of a file output: ``<name>.manifest.cfg`` beside it."""
+    return out.with_name(f"{out.name}.manifest.cfg")
+
+
 def data_files(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
             if p.suffix in (".bin", ".label", ".boxes")}
@@ -40,8 +45,10 @@ def test_steps_write_their_outputs(pipeline):
     assert len(files) == 3 * (4 + 2 + 2 + 2)
     bank = cloudio.load_bank(pipeline / "bank" / "car.vfb")
     assert (bank.groups, bank.variants, bank.boxes) == (6, 1, "gt")
-    for step in ("data", "victim", "bank"):
-        assert (pipeline / step / "manifest.cfg").is_file()
+    assert (pipeline / "data" / "manifest.cfg").is_file()
+    for out in (pipeline / "victim" / "seg.ckpt", pipeline / "bank" / "car.vfb"):
+        assert manifest(out).is_file()
+        assert not (out.parent / "manifest.cfg").exists()
 
 
 def test_simulate_replay_is_byte_identical(pipeline):
@@ -52,17 +59,17 @@ def test_simulate_replay_is_byte_identical(pipeline):
 
 
 def test_attack_replay_is_byte_identical(pipeline):
-    manifest = pipeline / "bank" / "manifest.cfg"
-    assert cloudio.read_config(manifest)["cls"] == "car"
+    config = manifest(pipeline / "bank" / "car.vfb")
+    assert cloudio.read_config(config)["cls"] == "car"
     out = pipeline / "bank-replay" / "car.vfb"
     # a top-level flag before the subcommand stays where it is
-    assert run("--threads", 2, "attack", "--config", manifest, "--out", out) == 0
+    assert run("--threads", 2, "attack", "--config", config, "--out", out) == 0
     assert out.read_bytes() == (pipeline / "bank" / "car.vfb").read_bytes()
 
 
 def test_replay_takes_the_subcommand_from_the_manifest(pipeline):
     out = pipeline / "bank-bare" / "car.vfb"
-    assert run("--config", pipeline / "bank" / "manifest.cfg", "--out", out) == 0
+    assert run("--config", manifest(pipeline / "bank" / "car.vfb"), "--out", out) == 0
     assert out.read_bytes() == (pipeline / "bank" / "car.vfb").read_bytes()
 
 
@@ -187,7 +194,7 @@ def test_augmented_training_uses_the_bank_and_replays(detection, task, bank):
                "--epochs", 1, "--augment-bank", root / bank / "car.vfb", "--out", out) == 0
     assert out.read_bytes() != (root / "victim" / f"{task}.ckpt").read_bytes()
     replay = root / f"aug-{task}-replay" / "victim.ckpt"
-    assert run("train-victim", "--config", out.parent / "manifest.cfg", "--out", replay) == 0
+    assert run("train-victim", "--config", manifest(out), "--out", replay) == 0
     assert replay.read_bytes() == out.read_bytes()
 
 
@@ -218,12 +225,12 @@ def test_analyze_fields_writes_one_row_per_slot(pipeline):
 
 
 def test_manifest_with_an_unknown_key_exits_2(pipeline, tmp_path, capsys):
-    config = cloudio.read_config(pipeline / "bank" / "manifest.cfg")
+    config = cloudio.read_config(manifest(pipeline / "bank" / "car.vfb"))
     for key, value in (("k", "3"), ("itres", "9")):
-        manifest = tmp_path / f"{key}.cfg"
-        cloudio.write_config({**config, key: value}, manifest)
+        edited = tmp_path / f"{key}.cfg"
+        cloudio.write_config({**config, key: value}, edited)
         out = tmp_path / key / "car.vfb"
-        assert run("attack", "--config", manifest, "--out", out) == cli.EXIT_CONFIG
+        assert run("attack", "--config", edited, "--out", out) == cli.EXIT_CONFIG
         assert f"no option {key}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -254,12 +261,72 @@ def test_detection_eval_refuses_a_bank_without_asr(detection, tmp_path, capsys):
 def test_manifests_record_the_defaults_resolved_in_code(detection, tmp_path):
     # the replays of these manifests are the byte-identity tests above
     root = detection
-    assert cloudio.read_config(root / "bank" / "manifest.cfg")["lr"] == "0.01"
-    assert cloudio.read_config(root / "det-bank" / "manifest.cfg")["lr"] == "0.05"
+    assert cloudio.read_config(manifest(root / "bank" / "car.vfb"))["lr"] == "0.01"
+    assert cloudio.read_config(manifest(root / "det-bank" / "car.vfb"))["lr"] == "0.05"
     assert cloudio.read_config(root / "det-eval" / "manifest.cfg")["iou-thr"] == "0.7"
     assert run("eval", "--victim", root / "victim" / "seg.ckpt", "--data",
                root / "data" / "val", "--out", tmp_path) == 0
     assert "iou-thr" not in cloudio.read_config(tmp_path / "manifest.cfg")
     replay = tmp_path / "det-bank-replay" / "car.vfb"
-    assert run("attack", "--config", root / "det-bank" / "manifest.cfg", "--out", replay) == 0
+    assert run("attack", "--config", manifest(root / "det-bank" / "car.vfb"),
+               "--out", replay) == 0
     assert replay.read_bytes() == (root / "det-bank" / "car.vfb").read_bytes()
+
+
+def test_file_outputs_in_one_directory_keep_their_own_manifests(pipeline):
+    shared = pipeline / "shared"
+    seg = ("--victim", pipeline / "victim" / "seg.ckpt", "--data", pipeline / "data" / "train",
+           "--G", 6, "--N", 1, "--iters", 1)
+    assert run("attack", "--mode", "untargeted", *seg, "--out", shared / "untargeted.vfb") == 0
+    assert run("attack", "--mode", "targeted", "--target", "building", *seg, "--seed", 1,
+               "--out", shared / "targeted.vfb") == 0
+    assert not (shared / "manifest.cfg").exists()
+    for name in ("untargeted.vfb", "targeted.vfb"):
+        replay = pipeline / "shared-replay" / name
+        assert run("attack", "--config", manifest(shared / name), "--out", replay) == 0
+        assert replay.read_bytes() == (shared / name).read_bytes()
+    assert ((shared / "untargeted.vfb").read_bytes()
+            != (shared / "targeted.vfb").read_bytes())
+
+
+@pytest.fixture(scope="module")
+def empty_split(tmp_path_factory):
+    root = tmp_path_factory.mktemp("empty")
+    sizes = ("--sizes", "1,1,0,1") + TINY[2:]
+    assert run("simulate", "--out", root, *sizes) == 0
+    assert [p.name for p in (root / "ood-rare").iterdir()] == ["sensor.cfg"]
+    return root / "ood-rare"
+
+
+@pytest.mark.parametrize("command", ["train-victim", "attack", "eval"])
+def test_a_split_without_scenes_exits_2(pipeline, empty_split, command, tmp_path, capsys):
+    args = {"train-victim": ("--out", tmp_path / "victim.ckpt"),
+            "attack": ("--mode", "untargeted", "--victim", pipeline / "victim" / "seg.ckpt",
+                       "--out", tmp_path / "car.vfb"),
+            "eval": ("--victim", pipeline / "victim" / "seg.ckpt", "--metrics",
+                     "miou,distance-bins", "--out", tmp_path / "eval")}[command]
+    assert run(command, "--data", empty_split, *args) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(empty_split) in err and "holds no scene" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,flag", [("attack", "--class"), ("attack", "--target"),
+                                          ("baseline-attack", "--class")])
+def test_an_unknown_class_name_exits_2(pipeline, command, flag, tmp_path, capsys):
+    kind = ("--mode", "targeted") if command == "attack" else ("--kind", "l2")
+    with pytest.raises(SystemExit) as exit_info:
+        run(command, *kind, flag, "nosuch", "--victim", pipeline / "victim" / "seg.ckpt",
+            "--data", pipeline / "data" / "train", "--out", tmp_path / "out")
+    assert exit_info.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "invalid choice: 'nosuch'" in err
+
+
+def test_a_manifest_with_an_unknown_class_name_exits_2(pipeline, tmp_path, capsys):
+    config = cloudio.read_config(manifest(pipeline / "bank" / "car.vfb"))
+    cloudio.write_config({**config, "cls": "nosuch"}, tmp_path / "nosuch.cfg")
+    out = tmp_path / "out" / "car.vfb"
+    assert run("attack", "--config", tmp_path / "nosuch.cfg", "--out", out) == cli.EXIT_CONFIG
+    assert "--class 'nosuch' is not one of ground, car," in capsys.readouterr().err
+    assert not out.exists()

@@ -1,4 +1,5 @@
-"""The standard global augmentation and the hook contract of both trainers."""
+"""The standard global augmentation, the shared trainer loop, and the detector's
+fixed anchor grid: box decoding and the proposal rule."""
 
 import math
 from collections import Counter
@@ -8,7 +9,8 @@ import pytest
 
 from advfield.cloudio import PointCloud
 from advfield.geometry import OrientedBox, box_contains_many
-from advfield.victim import standard_augment, train_det, train_seg
+from advfield.simulator import CANONICAL_CAR_DIMS
+from advfield.victim import DetHeadMini, standard_augment, train_det, train_seg
 
 
 def test_boxes_move_with_their_points():
@@ -77,3 +79,56 @@ def test_trainers_are_deterministic_and_hook_each_scene_once_per_epoch(kind):
     assert first.mlp.params.keys() == second.mlp.params.keys()
     for name, value in first.mlp.params.items():
         assert np.array_equal(value, second.mlp.params[name]), name
+
+
+@pytest.mark.parametrize("kind", ["seg", "det"])
+def test_trainers_refuse_a_non_finite_loss(kind):
+    clouds, boxes = tiny_scenes()
+    # an infinite step size wrecks the parameters on the first Adam step
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError) as err:
+        if kind == "seg":
+            train_seg(clouds, 5, epochs=2, lr=math.inf, seed=7)
+        else:
+            train_det(clouds, boxes, epochs=2, lr=math.inf, seed=7)
+    assert str(err.value) == "non-finite training loss at epoch 0, scene 1"
+
+
+def test_decoding_a_subset_matches_the_full_grid():
+    model = DetHeadMini()
+    full = np.random.default_rng(8).normal(size=(model.n_anchors, DetHeadMini.N_OUTPUTS))
+    every = model.decode_boxes(np.arange(model.n_anchors), full)
+    subset = np.array([4095, 7, 2080, 7, 0, 1234])
+    for anchor, box in zip(subset, model.decode_boxes(subset, full)):
+        ref = every[anchor]
+        assert np.array_equal(box.center, ref.center)
+        assert (box.width, box.height, box.length, box.yaw) == (
+            ref.width, ref.height, ref.length, ref.yaw)
+
+
+def test_zero_residuals_decode_to_the_canonical_car_facing_along_the_bearing():
+    model = DetHeadMini()
+    anchors = np.array([0, 63, 2080, 4032, 4095])
+    boxes = model.decode_boxes(anchors, np.zeros((model.n_anchors, DetHeadMini.N_OUTPUTS)))
+    for anchor, box in zip(anchors, boxes):
+        ix, iy = divmod(int(anchor), model.cells_per_axis)
+        center = [(ix + 0.5) * model.stride - model.area,
+                  (iy + 0.5) * model.stride - model.area, CANONICAL_CAR_DIMS[1] / 2.0]
+        assert np.array_equal(box.center, center)
+        assert (box.width, box.height, box.length) == CANONICAL_CAR_DIMS
+        assert box.yaw == model.bearings[anchor]
+        assert math.isclose(box.yaw, math.atan2(center[1], center[0]), abs_tol=1e-15)
+
+
+def test_proposals_leave_out_empty_anchors_however_high_they_score():
+    model = DetHeadMini()
+    model.init_random(0)
+    model.mlp.params["b3"][0] = 10.0
+    points = [[10.5, 10.5, 1.0], [-20.3, 5.1, 0.8], [30.0, -30.0, 0.1]]  # last: ground
+    scores, _, tape = model.forward(PointCloud.unlabeled(points, [0.5] * 3))
+    assert np.all(scores > DetHeadMini.PROPOSAL_SCORE)
+    k = model.cells_per_axis
+    occupied = set()
+    for x, y, _ in points[:2]:
+        ix, iy = int((x + model.area) // model.stride), int((y + model.area) // model.stride)
+        occupied |= {(ix + di) * k + iy + dj for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+    assert model.proposals(scores, tape).tolist() == sorted(occupied)
