@@ -55,6 +55,9 @@ class AttackConfig:
 @dataclass
 class AttackTrace:
     losses: list = dc_field(default_factory=list)
+    # (group, variant) of every field slot that no scene's target trains;
+    # such a slot keeps its initial vectors
+    unused_slots: list = dc_field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +159,7 @@ class _SceneWork:
 
 
 def _prepare(scenes, bank: FieldBank, cfg: AttackConfig):
+    """Per-scene plans, and the sorted (group, variant) slots that none uses."""
     work = []
     usage = {(f.group, f.variant): 0 for f in bank.fields}
     for idx, scene in enumerate(scenes):
@@ -165,13 +169,7 @@ def _prepare(scenes, bank: FieldBank, cfg: AttackConfig):
         for group, _ in plans:
             usage[(group, variant)] += 1
         work.append(_SceneWork(scene, variant, plans))
-    unused = sorted(slot for slot, count in usage.items() if count == 0)
-    if unused:
-        warnings.warn(
-            f"{len(unused)} field slots have no target objects; "
-            f"risk of overfit for (group, variant) in {unused[:8]}"
-        )
-    return work
+    return work, sorted(slot for slot, count in usage.items() if count == 0)
 
 
 def _scene_loss_and_input_grads(cloud, work: _SceneWork, victim, cfg: AttackConfig):
@@ -221,9 +219,9 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
         raise ValueError(f"the attack's class {cfg.adversarial_class} is not the "
                          f"bank's class {bank.class_id}")
 
-    work = _prepare(scenes, bank, cfg)
+    work, unused_slots = _prepare(scenes, bank, cfg)
     optimizers = {(f.group, f.variant): Adam(cfg.lr) for f in bank.fields}
-    trace = AttackTrace()
+    trace = AttackTrace(unused_slots=unused_slots)
 
     for _ in range(cfg.iterations):
         total_loss = 0.0

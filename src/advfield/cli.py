@@ -147,6 +147,10 @@ def cmd_attack(args) -> int:
     bank = make_bank(class_id, args.cls, dims, args.step, groups, args.N,
                      args.seed, eps=args.eps, psi=args.psi, boxes=args.boxes)
     bank, trace = attack_mod.fit_bank(bank, scenes, model, cfg)
+    if trace.unused_slots:
+        print(f"attack: {len(trace.unused_slots)} of {len(bank.fields)} field slots have "
+              f"no target objects and keep their initial vectors; (group, variant): "
+              + " ".join(f"({g},{v})" for g, v in trace.unused_slots), file=sys.stderr)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     cloudio.save_bank(bank, out)

@@ -12,6 +12,16 @@ hull rather than its actual shape, so scenes generated from the same seed
 under different domains have bit-identical non-car points. Rays blocked by
 the maximal hull but missed by the actual car yield no return.
 
+Each object is intersected only with the rays whose azimuth lies in the
+sector that its bounding cylinder subtends at the sensor, 1-10 % of the rays
+at 5-60 m. The culling is exact: every primitive lies inside the vertical
+cylinder around its box centre (for a car, the maximal hull's, which also
+holds the car), and a ray whose azimuth lies outside the cylinder's sector
+cannot meet it. A 1e-6 rad margin covers the rounding of the azimuths. The
+random draws do not depend on the culling: every ``noise_rng`` draw, and the
+dent and roughness arithmetic, stay one value per ray, so the noise streams,
+and with them the pairing of domains, are those of casting every ray.
+
 A :class:`Scene` holds what :func:`write_scene` stores and :func:`load_scene`
 reads back: the sensor, the cloud and the boxes. The generation state (object
 specs, seed, domain) goes straight from :func:`generate_scene` into
@@ -29,7 +39,7 @@ import numpy as np
 
 from . import cloudio
 from .cloudio import PointCloud
-from .geometry import OrientedBox, rot_z
+from .geometry import OrientedBox, rot_z, wrap_pi
 
 CLASS_NAMES = ("ground", "car", "person", "building", "vegetation")
 
@@ -39,6 +49,12 @@ GROUND = CLASS_NAMES.index("ground")
 CANONICAL_CAR_DIMS = (1.8, 1.6, 4.6)     # (w, h, l)
 CANONICAL_PERSON_DIMS = (0.54, 1.7, 0.66)
 _MAX_CAR_FACTOR = 1.45                   # covers rare scaling (<= 1.4) with margin
+# (w, h, l) of the domain-maximal car hull, which holds every domain's car
+_MAX_HULL_DIMS = tuple(d * _MAX_CAR_FACTOR for d in CANONICAL_CAR_DIMS)
+# widens every object's azimuth sector (rad) and, where the sensor may lie
+# inside the object's bounding circle, that circle (m); far above the
+# rounding of a ray's azimuth
+_CULL_MARGIN = 1e-6
 
 # range noise is squashed smoothly into (-0.009, 0.009) so every point stays
 # within 1 cm of its surface; tanh keeps distinct draws distinct (no ties)
@@ -79,10 +95,14 @@ class SensorSpec:
     def origin(self) -> np.ndarray:
         return np.array([0.0, 0.0, self.origin_height])
 
-    def ray_directions(self) -> np.ndarray:
-        """Unit directions for every (channel, azimuth) pair, shape (R, 3)."""
+    def azimuths(self) -> np.ndarray:
+        """The azimuth of every ray column, in [0, 2 pi)."""
         n_az = int(round(2.0 * math.pi / self.azimuth_resolution))
-        azimuth = np.arange(n_az) * self.azimuth_resolution
+        return np.arange(n_az) * self.azimuth_resolution
+
+    def ray_directions(self) -> np.ndarray:
+        """Unit directions, channel-major over (channel, azimuth), shape (R, 3)."""
+        azimuth = self.azimuths()
         elevation = np.linspace(self.elevation_min, self.elevation_max, self.channels)
         az, el = np.meshgrid(azimuth, elevation)
         cos_el = np.cos(el)
@@ -292,8 +312,7 @@ def _object_surface_raycast(obj: ObjectSpec, origin: np.ndarray, dirs: np.ndarra
 
 def _max_hull_entry(obj: ObjectSpec, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Entry distance into the car's domain-maximal hull (same in all domains)."""
-    w0, h0, l0 = CANONICAL_CAR_DIMS
-    w, h, l = (d * _MAX_CAR_FACTOR for d in (w0, h0, l0))
+    w, h, l = _MAX_HULL_DIMS
     rot = rot_z(obj.box.yaw)
     footprint = np.array([obj.box.center[0], obj.box.center[1], h / 2.0])
     local_origin = (origin - footprint) @ rot
@@ -340,9 +359,12 @@ def _sample_dents(shape_rng: np.random.Generator, dims) -> list:
 
 
 def _horizontal_clearance(class_id: int, box_w: float, box_l: float) -> float:
+    """Radius of the vertical cylinder around the box centre that holds the object.
+
+    A car's is its maximal hull's, which holds the car in every domain.
+    """
     if class_id == CAR:
-        w = CANONICAL_CAR_DIMS[0] * _MAX_CAR_FACTOR
-        l = CANONICAL_CAR_DIMS[2] * _MAX_CAR_FACTOR
+        w, _, l = _MAX_HULL_DIMS
         return math.hypot(w, l) / 2.0
     return math.hypot(box_w, box_l) / 2.0
 
@@ -427,11 +449,40 @@ def generate_scene(seed: int, domain: str = "normal", n_objects: int | None = No
                  boxes=[SceneBox(o.class_id, o.box) for o in objects])
 
 
+def _sector_rays(obj: ObjectSpec, sensor: SensorSpec) -> np.ndarray:
+    """Indices of the rays whose azimuth lies in ``obj``'s sector, ascending.
+
+    The sector is the one that the object's bounding cylinder
+    (:func:`_horizontal_clearance`) subtends at the sensor, widened by
+    ``_CULL_MARGIN``. An object whose cylinder holds the sensor takes every ray.
+    """
+    azimuth = sensor.azimuths()
+    n_az = len(azimuth)
+    radius = _horizontal_clearance(obj.class_id, obj.box.width, obj.box.length)
+    dx, dy = obj.box.center[:2] - sensor.origin[:2]
+    distance = math.hypot(dx, dy)
+    if distance <= radius + _CULL_MARGIN:
+        return np.arange(sensor.channels * n_az)
+    half_width = math.asin(radius / distance) + _CULL_MARGIN
+    offset = wrap_pi(azimuth - math.atan2(dy, dx))
+    columns = np.flatnonzero(np.abs(offset) <= half_width)
+    return (np.arange(sensor.channels)[:, None] * n_az + columns).ravel()
+
+
 def raycast(objects: list, sensor: SensorSpec, seed: int) -> PointCloud:
     """Cast all sensor rays at ``objects`` (ObjectSpecs) and the ground.
 
     The nearest hit per ray wins and is range-noised along the ray; ``seed``
     seeds the noise.
+
+    Each object is intersected with the rays of its azimuth sector only
+    (:func:`_sector_rays`); every other ray gets distance inf and a zero
+    normal. This is exact: the object, and a car's maximal hull, lie inside
+    the vertical cylinder that defines the sector, and a ray whose azimuth
+    lies outside the sector cannot meet that cylinder. The dent and roughness
+    arithmetic and every ``noise_rng`` draw stay one value per ray, so the
+    random streams, and with them the pairing of domains, are those of casting
+    every ray at every object.
     """
     origin = sensor.origin
     dirs = sensor.ray_directions()
@@ -456,7 +507,11 @@ def raycast(objects: list, sensor: SensorSpec, seed: int) -> PointCloud:
 
     car_block = np.full(n_rays, np.inf)
     for slot, obj in enumerate(objects, start=1):
-        t_in, t_out, normals = _object_surface_raycast(obj, origin, dirs)
+        rays = _sector_rays(obj, sensor)
+        t_in, t_out = np.full(n_rays, np.inf), np.full(n_rays, np.inf)
+        normals = np.zeros((n_rays, 3))
+        t_in[rays], t_out[rays], normals[rays] = _object_surface_raycast(
+            obj, origin, dirs[rays])
         # per-object jitter arrays keep draws independent of other objects
         hit = np.isfinite(t_in)
         t_safe = np.where(hit, t_in, 0.0)
@@ -477,7 +532,8 @@ def raycast(objects: list, sensor: SensorSpec, seed: int) -> PointCloud:
                 t_in = np.where(hit, t_in + np.minimum(extra, room), t_in)
                 # crumpled paint scatters back brighter than the smooth hull
                 reflectivity = reflectivity * (1.0 + 0.9 * np.minimum(dent_weight, 1.0))
-            car_block = np.minimum(car_block, _max_hull_entry(obj, origin, dirs))
+            car_block[rays] = np.minimum(car_block[rays],
+                                         _max_hull_entry(obj, origin, dirs[rays]))
         elif obj.roughness > 0.0:
             jitter = noise_rng.random(n_rays) * obj.roughness
             t_in = np.where(hit, t_in + np.minimum(jitter, room), t_in)

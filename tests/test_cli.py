@@ -81,6 +81,22 @@ def test_flags_on_the_command_line_win(pipeline):
     assert data_files(out) != data_files(pipeline / "data")
 
 
+def test_attack_names_the_field_slots_without_targets(pipeline, tmp_path, capsys):
+    # four scenes over 6 x 2 slots: some slot sees no car, and stays at its start
+    attack = ("attack", "--mode", "untargeted", "--victim", pipeline / "victim" / "seg.ckpt",
+              "--data", pipeline / "data" / "train", "--G", 6, "--N", 2)
+    assert run(*attack, "--iters", 0, "--out", tmp_path / "start.vfb") == 0
+    capsys.readouterr()
+    assert run(*attack, "--iters", 1, "--out", tmp_path / "car.vfb") == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    start, fitted = (cloudio.load_bank(tmp_path / n) for n in ("start.vfb", "car.vfb"))
+    unused = [(a.group, a.variant) for a, b in zip(start.fields, fitted.fields)
+              if np.array_equal(a.vectors, b.vectors)]
+    assert unused and len(unused) < 12
+    assert line.startswith(f"attack: {len(unused)} of 12 field slots have no target objects")
+    assert line.endswith(" ".join(f"({g},{v})" for g, v in unused))
+
+
 def test_bare_config_exits_2():
     assert run("simulate", "--config") == cli.EXIT_CONFIG
 

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 
 from advfield import simulator
+from advfield.geometry import OrientedBox
+from advfield.simulator import CAR
 
 
 def test_written_scene_reads_back_exactly(tmp_path):
@@ -50,3 +54,121 @@ def test_paired_domains_share_their_non_car_points():
                 a = getattr(clean.cloud, attr)[keep]
                 b = getattr(other, attr)[mask]
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, name, attr)
+
+
+# ---------------------------------------------------------------------------
+# per-object ray culling against the all-rays caster
+# ---------------------------------------------------------------------------
+
+EIGHT = simulator.SensorSpec(channels=8)
+PERSON = simulator.CLASS_NAMES.index("person")
+BUILDING = simulator.CLASS_NAMES.index("building")
+VEGETATION = simulator.CLASS_NAMES.index("vegetation")
+
+
+def every_ray(obj, sensor):
+    return np.arange(len(sensor.ray_directions()))
+
+
+def all_rays(fn, *args):
+    """The oracle: ``fn`` with every object intersected with every ray."""
+    with mock.patch.object(simulator, "_sector_rays", every_ray):
+        return fn(*args)
+
+
+def assert_same_cloud(got, want):
+    for name in ("xyz", "intensity", "semantic", "instance"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def spec(class_id, x, y, w, h, l, yaw=0.0, lift=0.0, instance=1, roughness=0.0):
+    box = OrientedBox(np.array([x, y, h / 2.0 + lift]), w, h, l, yaw)
+    return simulator.ObjectSpec(class_id, box, instance, 0.5, roughness=roughness)
+
+
+def car(x, y, yaw=0.0, instance=1):
+    return spec(CAR, x, y, *simulator.CANONICAL_CAR_DIMS, yaw=yaw, instance=instance)
+
+
+def cast_both(objects, sensor=EIGHT, seed=0):
+    got = simulator.raycast(objects, sensor, seed)
+    assert_same_cloud(got, all_rays(simulator.raycast, objects, sensor, seed))
+    return got
+
+
+@pytest.mark.parametrize("domain", ["normal", "rare", "damaged"])
+def test_generated_scenes_match_the_all_rays_caster(domain):
+    cases = [(seed, EIGHT) for seed in range(4)] + [(4, simulator.SensorSpec())]
+    for seed, sensor in cases:
+        got = simulator.generate_scene(seed, domain, sensor=sensor)
+        want = all_rays(simulator.generate_scene, seed, domain, None, sensor)
+        assert_same_cloud(got.cloud, want.cloud)
+
+
+@pytest.mark.parametrize("bearing", [math.pi - 0.05, -math.pi + 0.05, 0.05, -0.05])
+def test_an_object_across_an_azimuth_seam(bearing):
+    # the sectors cross the atan2 seam at +-pi or the ray grid's seam at 0
+    x, y = 15.0 * math.cos(bearing), 15.0 * math.sin(bearing)
+    for obj in (car(x, y, yaw=1.0), spec(BUILDING, x, y, 3.0, 4.0, 5.0, yaw=0.3)):
+        cloud = cast_both([obj])
+        side = cloud.xyz[cloud.instance == 1, 1]
+        assert np.any(side > 0) and np.any(side < 0)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_a_box_corner_on_the_edge_of_its_sector(side):
+    # the box's corner (l/2, w/2) lies on its bounding circle where one grid
+    # ray is tangent to it; rounding decides whether that ray hits the corner
+    # and whether it falls inside the sector, and the margin must cover both
+    w, l = 3.0, 5.0
+    r = math.hypot(w, l) / 2.0
+    azimuth = EIGHT.azimuths()
+    for theta in azimuth[::150]:
+        tangent = np.array([math.cos(theta), math.sin(theta)])
+        normal = side * np.array([-tangent[1], tangent[0]])
+        x, y = 12.0 * tangent + r * normal
+        yaw = math.atan2(-normal[1], -normal[0]) - math.atan2(w / 2.0, l / 2.0)
+        cast_both([spec(BUILDING, x, y, w, 4.0, l, yaw=yaw)])
+
+
+def test_a_sensor_inside_an_objects_bounding_circle():
+    # a wall and a car's hull whose circles hold the sensor; both reach more
+    # than 90 degrees round from their centre's bearing, so no sector covers
+    # them, and the hull hides a person behind it
+    wall = spec(BUILDING, 6.0, 4.5, 1.0, 4.0, 24.0)
+    near_car = car(2.5, -1.6, instance=2)
+    hull_w, _, hull_l = simulator._MAX_HULL_DIMS
+    assert math.hypot(2.5, -1.6) < math.hypot(hull_w, hull_l) / 2.0
+    person = spec(PERSON, 3.0, -5.0, 0.54, 1.7, 0.66, instance=3)
+    cloud = cast_both([wall, near_car, person])
+    assert {1, 2} <= set(cloud.instance.tolist()) and 3 not in cloud.instance
+    wall_xy = cloud.xyz[cloud.instance == 1, :2]
+    assert np.any(wall_xy[:, 0] < -4.0)   # > 90 degrees from the wall's bearing
+
+
+def test_objects_at_the_edge_of_the_range():
+    near = spec(BUILDING, 80.4, 0.0, 4.0, 8.0, 1.0)               # face at 79.9 m
+    far = spec(BUILDING, -80.6, 0.0, 4.0, 8.0, 1.0, instance=2)   # face at 80.1 m
+    cloud = cast_both([near, far])
+    assert set(cloud.instance.tolist()) == {0, 1}
+
+
+@pytest.mark.parametrize("obj", [
+    car(12.0, 4.0, yaw=0.7),
+    spec(CAR, -9.0, 7.0, *(1.4 * d for d in simulator.CANONICAL_CAR_DIMS), yaw=2.0),
+    spec(PERSON, 4.0, -3.0, 0.54, 1.7, 0.66, yaw=0.4),
+    spec(PERSON, -2.0, 2.0, 0.594, 1.87, 0.726),       # the head at sensor height
+    spec(VEGETATION, 14.0, -6.0, 3.2, 3.2, 3.2, lift=2.0, roughness=0.1),
+    spec(BUILDING, 14.0, 9.0, 10.0, 8.0, 16.0, yaw=-0.5),
+], ids=["car", "largest-rare-car", "person", "near-person", "vegetation", "building"])
+def test_every_hit_lies_in_the_objects_sector(obj):
+    dirs = EIGHT.ray_directions()
+    hits = np.isfinite(simulator._object_surface_raycast(obj, EIGHT.origin, dirs)[0])
+    if obj.class_id == CAR:
+        hits |= np.isfinite(simulator._max_hull_entry(obj, EIGHT.origin, dirs))
+    inside = np.zeros(len(dirs), dtype=bool)
+    inside[simulator._sector_rays(obj, EIGHT)] = True
+    assert hits.any() and not np.any(hits & ~inside)
+    cloud = cast_both([obj])
+    assert np.any(cloud.instance == 1)

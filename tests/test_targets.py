@@ -110,9 +110,9 @@ class TestBankBoxMode:
         assert applied_groups(scene.cloud, augmented) == want
         assert applied_groups(scene.cloud, evaluate.deform_all_objects(scene, bank)) == want
         cfg = attack.AttackConfig(mode="seg-untargeted", adversarial_class=CAR)
-        with pytest.warns(UserWarning, match="5 field slots have no target objects"):
-            (work,) = attack._prepare([scene], bank, cfg)
+        (work,), unused = attack._prepare([scene], bank, cfg)
         assert {g for g, _ in work.plans} == want
+        assert unused == [(g, 1) for g in range(1, 7) if g not in want]
 
     def test_axis_aligned_bank_deforms_instance_boxes_with_folded_group(self):
         nowhere = car_box(-20.0, 0.0, 0.0)
@@ -183,13 +183,12 @@ def test_deform_all_objects_matches_the_inline_loop(mode):
     assert set(scene.cloud.instance[moved].tolist()) == {1, 2}
 
 
-@pytest.mark.filterwarnings("ignore:.*field slots have no target objects")
 def test_prepare_keeps_the_boxes_drop_boxes_keeps():
     scene = fleet_scene(FLEET)
     bank = make_bank(CAR, "car", DIMS, STEP, 6, 1, seed=0)
     cfg = attack.AttackConfig(mode="seg-untargeted", adversarial_class=CAR,
                               box_drop=0.5, seed=3)
-    (work,) = attack._prepare([scene], bank, cfg)
+    (work,), _ = attack._prepare([scene], bank, cfg)
     kept = attack.drop_boxes(target_boxes(scene, CAR, "gt", SIX, STEP), 0.5,
                              np.random.SeedSequence([cfg.seed, 23, 0]))
     assert len(kept) == 2
