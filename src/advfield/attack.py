@@ -10,7 +10,6 @@ after every Adam step the fields are clamped back into their feasible set.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -105,9 +104,6 @@ def untargeted_logit_grad(probs, labels) -> np.ndarray:
 def loss_targeted(probs, rows, target_class: int) -> float:
     """Negated log-probability of the target class on the perturbed class's points."""
     rows = np.asarray(rows)
-    if rows.size == 0:
-        warnings.warn("targeted loss: no points of the adversarial class in scene")
-        return 0.0
     probs = np.asarray(probs, dtype=float)
     picked = probs[rows, target_class]
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).sum())
@@ -117,8 +113,6 @@ def targeted_logit_grad(probs, rows, target_class: int) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     rows = np.asarray(rows)
     grad = np.zeros_like(probs)
-    if rows.size == 0:
-        return grad
     live = probs[rows, target_class] > PROB_FLOOR
     rows = rows[live]
     grad[rows] = probs[rows]
@@ -218,6 +212,10 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
     if cfg.adversarial_class != bank.class_id:
         raise ValueError(f"the attack's class {cfg.adversarial_class} is not the "
                          f"bank's class {bank.class_id}")
+    if (cfg.eps, cfg.psi) != (bank.eps, bank.psi):
+        # the bank records its budget; its vectors must be clamped to that one
+        raise ValueError(f"the attack's budget (eps, psi) = ({cfg.eps}, {cfg.psi}) is "
+                         f"not the bank's ({bank.eps}, {bank.psi})")
 
     work, unused_slots = _prepare(scenes, bank, cfg)
     optimizers = {(f.group, f.variant): Adam(cfg.lr) for f in bank.fields}

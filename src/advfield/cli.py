@@ -143,8 +143,9 @@ def cmd_attack(args) -> int:
         seed=args.seed, box_drop=args.drop_boxes,
     )
     dims = tuple(float(d) for d in args.dims.split(","))
-    groups = args.G if args.boxes == "gt" else min(args.G, 6)
-    bank = make_bank(class_id, args.cls, dims, args.step, groups, args.N,
+    # resolved into args, so that the manifest records the bank's group count
+    args.G = args.G if args.boxes == "gt" else min(args.G, 6)
+    bank = make_bank(class_id, args.cls, dims, args.step, args.G, args.N,
                      args.seed, eps=args.eps, psi=args.psi, boxes=args.boxes)
     bank, trace = attack_mod.fit_bank(bank, scenes, model, cfg)
     if trace.unused_slots:

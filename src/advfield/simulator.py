@@ -17,10 +17,13 @@ sector that its bounding cylinder subtends at the sensor, 1-10 % of the rays
 at 5-60 m. The culling is exact: every primitive lies inside the vertical
 cylinder around its box centre (for a car, the maximal hull's, which also
 holds the car), and a ray whose azimuth lies outside the cylinder's sector
-cannot meet it. A 1e-6 rad margin covers the rounding of the azimuths. The
-random draws do not depend on the culling: every ``noise_rng`` draw, and the
-dent and roughness arithmetic, stay one value per ray, so the noise streams,
-and with them the pairing of domains, are those of casting every ray.
+cannot meet it. A 1e-6 rad margin covers the rounding of the azimuths. All
+per-object arithmetic (distances, normals, dents, reflectivity, the maximal
+hull) runs on the sector's rays only, and each object updates one nearest-hit
+record per ray where it is strictly nearer. The random draws do not depend
+on the culling: every ``noise_rng`` draw, the roughness jitter included,
+stays one value per ray, so the noise streams, and with them the pairing of
+domains, are those of casting every ray.
 
 A :class:`Scene` holds what :func:`write_scene` stores and :func:`load_scene`
 reads back: the sensor, the cloud and the boxes. The generation state (object
@@ -476,53 +479,47 @@ def raycast(objects: list, sensor: SensorSpec, seed: int) -> PointCloud:
     seeds the noise.
 
     Each object is intersected with the rays of its azimuth sector only
-    (:func:`_sector_rays`); every other ray gets distance inf and a zero
-    normal. This is exact: the object, and a car's maximal hull, lie inside
-    the vertical cylinder that defines the sector, and a ray whose azimuth
-    lies outside the sector cannot meet that cylinder. The dent and roughness
-    arithmetic and every ``noise_rng`` draw stay one value per ray, so the
-    random streams, and with them the pairing of domains, are those of casting
-    every ray at every object.
+    (:func:`_sector_rays`), and its distances, normals, dents, reflectivity
+    and maximal-hull entry are computed on those rays alone. This is exact:
+    the object, and a car's maximal hull, lie inside the vertical cylinder
+    that defines the sector, and a ray whose azimuth lies outside the sector
+    cannot meet that cylinder. One nearest-hit record per ray (distance,
+    incidence cosine, reflectivity, class, instance) starts from the ground
+    plane, and an object replaces a ray's entry only where it is strictly
+    nearer, so of equally near surfaces the ground or the earlier object
+    wins. Every ``noise_rng`` draw, the roughness jitter included, stays one
+    value per ray, so the random streams, and with them the pairing of
+    domains, are those of casting every ray at every object.
     """
     origin = sensor.origin
     dirs = sensor.ray_directions()
     n_rays = len(dirs)
     noise_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 17]))
 
-    n_cand = len(objects) + 1
-    t_all = np.full((n_cand, n_rays), np.inf)
-    cos_all = np.zeros((n_cand, n_rays))
-    refl_all = np.zeros((n_cand, n_rays))
-    classes = np.zeros(n_cand, dtype=np.int32)
-    instances = np.zeros(n_cand, dtype=np.int32)
-
-    # candidate 0: ground plane z = 0
+    # the nearest-hit record, starting from the ground plane z = 0
     dz = dirs[:, 2]
     with np.errstate(divide="ignore"):
-        t_ground = np.where(dz < -1e-12, -origin[2] / dz, np.inf)
-    t_all[0] = t_ground
-    cos_all[0] = np.abs(dz)
-    refl_all[0] = 0.07
-    classes[0] = GROUND
+        t_best = np.where(dz < -1e-12, -origin[2] / dz, np.inf)
+    cos_best = np.abs(dz)
+    refl_best = np.full(n_rays, 0.07)
+    semantic = np.full(n_rays, GROUND, dtype=np.int32)
+    instance = np.zeros(n_rays, dtype=np.int32)
 
     car_block = np.full(n_rays, np.inf)
-    for slot, obj in enumerate(objects, start=1):
+    for obj in objects:
         rays = _sector_rays(obj, sensor)
-        t_in, t_out = np.full(n_rays, np.inf), np.full(n_rays, np.inf)
-        normals = np.zeros((n_rays, 3))
-        t_in[rays], t_out[rays], normals[rays] = _object_surface_raycast(
-            obj, origin, dirs[rays])
-        # per-object jitter arrays keep draws independent of other objects
+        sector_dirs = dirs[rays]
+        t_in, t_out, normals = _object_surface_raycast(obj, origin, sector_dirs)
         hit = np.isfinite(t_in)
         t_safe = np.where(hit, t_in, 0.0)
         room = np.maximum(np.where(hit, t_out, 0.0) - t_safe - 0.011, 0.0)
-        reflectivity = np.full(n_rays, obj.reflectivity)
+        reflectivity = np.full(len(rays), obj.reflectivity)
         if obj.class_id == CAR:
             if obj.dents:
-                points_local = (origin + t_safe[:, None] * dirs - obj.box.center) \
+                points_local = (origin + t_safe[:, None] * sector_dirs - obj.box.center) \
                     @ rot_z(obj.box.yaw)
-                extra = np.zeros(n_rays)
-                dent_weight = np.zeros(n_rays)
+                extra = np.zeros(len(rays))
+                dent_weight = np.zeros(len(rays))
                 for dent in obj.dents:
                     dist = np.linalg.norm(points_local - dent.center, axis=1)
                     profile = np.cos(0.5 * math.pi * np.minimum(dist / dent.radius, 1.0))
@@ -533,41 +530,35 @@ def raycast(objects: list, sensor: SensorSpec, seed: int) -> PointCloud:
                 # crumpled paint scatters back brighter than the smooth hull
                 reflectivity = reflectivity * (1.0 + 0.9 * np.minimum(dent_weight, 1.0))
             car_block[rays] = np.minimum(car_block[rays],
-                                         _max_hull_entry(obj, origin, dirs[rays]))
+                                         _max_hull_entry(obj, origin, sector_dirs))
         elif obj.roughness > 0.0:
-            jitter = noise_rng.random(n_rays) * obj.roughness
+            # one draw per ray keeps the stream independent of the sector
+            jitter = noise_rng.random(n_rays)[rays] * obj.roughness
             t_in = np.where(hit, t_in + np.minimum(jitter, room), t_in)
-        t_all[slot] = t_in
-        cos_all[slot] = np.abs(np.einsum("rc,rc->r", dirs, normals))
-        refl_all[slot] = reflectivity
-        classes[slot] = obj.class_id
-        instances[slot] = obj.instance
+        nearer = t_in < t_best[rays]
+        won = rays[nearer]
+        t_best[won] = t_in[nearer]
+        cos_best[won] = np.abs(np.einsum("rc,rc->r", sector_dirs[nearer], normals[nearer]))
+        refl_best[won] = reflectivity[nearer]
+        semantic[won] = obj.class_id
+        instance[won] = obj.instance
 
-    winner = np.argmin(t_all, axis=0)
-    t_best = t_all[winner, np.arange(n_rays)]
     in_range = np.isfinite(t_best) & (t_best <= sensor.max_range) & (t_best > 0.1)
-    winner_is_car = classes[winner] == CAR
-    blocked = (car_block < t_best) & ~winner_is_car
+    blocked = (car_block < t_best) & (semantic != CAR)
     keep = in_range & ~blocked
 
     # one draw per ray regardless of hits, so paired scenes share noise
     range_noise = _NOISE_CLIP * np.tanh(
         noise_rng.normal(0.0, sensor.range_noise, n_rays) / _NOISE_CLIP)
     t_final = (t_best + range_noise)[keep]
-    dirs_kept = dirs[keep]
-    winner_kept = winner[keep]
-
     falloff = 1.0 / (1.0 + (t_final / 120.0) ** 2)
-    kept_rays = np.flatnonzero(keep)
-    cos_inc = cos_all[winner_kept, kept_rays]
-    reflectivity = refl_all[winner_kept, kept_rays]
-    intensity = np.clip(reflectivity * (1.0 + 0.2 * cos_inc) * falloff, 0.0, 1.0)
+    intensity = np.clip(refl_best[keep] * (1.0 + 0.2 * cos_best[keep]) * falloff, 0.0, 1.0)
 
     return PointCloud(
-        xyz=origin + t_final[:, None] * dirs_kept,
+        xyz=origin + t_final[:, None] * dirs[keep],
         intensity=intensity,
-        semantic=classes[winner_kept],
-        instance=instances[winner_kept],
+        semantic=semantic[keep],
+        instance=instance[keep],
     )
 
 

@@ -289,6 +289,19 @@ def test_manifests_record_the_defaults_resolved_in_code(detection, tmp_path):
     assert replay.read_bytes() == (root / "det-bank" / "car.vfb").read_bytes()
 
 
+def test_manifest_records_the_groups_an_axis_aligned_bank_was_fitted_with(pipeline, tmp_path):
+    # axis-aligned boxes take at most 6 rotation groups
+    out = tmp_path / "aligned" / "car.vfb"
+    assert run("attack", "--mode", "untargeted", "--victim", pipeline / "victim" / "seg.ckpt",
+               "--data", pipeline / "data" / "train", "--boxes", "axis-aligned",
+               "--G", 12, "--N", 1, "--iters", 1, "--out", out) == 0
+    assert cloudio.read_config(manifest(out))["G"] == "6"
+    assert cloudio.load_bank(out).groups == 6
+    replay = tmp_path / "aligned-replay" / "car.vfb"
+    assert run("attack", "--config", manifest(out), "--out", replay) == 0
+    assert replay.read_bytes() == out.read_bytes()
+
+
 def test_file_outputs_in_one_directory_keep_their_own_manifests(pipeline):
     shared = pipeline / "shared"
     seg = ("--victim", pipeline / "victim" / "seg.ckpt", "--data", pipeline / "data" / "train",

@@ -99,11 +99,27 @@ def cast_both(objects, sensor=EIGHT, seed=0):
 
 @pytest.mark.parametrize("domain", ["normal", "rare", "damaged"])
 def test_generated_scenes_match_the_all_rays_caster(domain):
-    cases = [(seed, EIGHT) for seed in range(4)] + [(4, simulator.SensorSpec())]
+    # seed 7 shows a tree crown, whose roughness jitter is drawn per ray and
+    # indexed by the sector
+    cases = [(seed, EIGHT) for seed in (0, 1, 2, 3, 7)] + [(4, simulator.SensorSpec())]
+    rough = 0
     for seed, sensor in cases:
-        got = simulator.generate_scene(seed, domain, sensor=sensor)
+        with mock.patch.object(simulator, "raycast", wraps=simulator.raycast) as cast:
+            got = simulator.generate_scene(seed, domain, sensor=sensor)
+        if any(o.class_id == VEGETATION and o.roughness > 0 for o in cast.call_args.args[0]):
+            rough += np.count_nonzero(got.cloud.semantic == VEGETATION)
         want = all_rays(simulator.generate_scene, seed, domain, None, sensor)
         assert_same_cloud(got.cloud, want.cloud)
+    assert rough
+
+
+def test_of_equally_near_hits_the_earlier_object_wins():
+    # an object takes a ray's nearest hit only where it is strictly nearer
+    first, second = (spec(BUILDING, 12.0, 3.0, 3.0, 4.0, 5.0, yaw=0.3, instance=i)
+                     for i in (1, 2))
+    cloud = cast_both([first, second])
+    building = cloud.semantic == BUILDING
+    assert building.any() and np.all(cloud.instance[building] == 1)
 
 
 @pytest.mark.parametrize("bearing", [math.pi - 0.05, -math.pi + 0.05, 0.05, -0.05])

@@ -204,3 +204,15 @@ def test_fit_bank_rejects_a_bank_of_another_class():
                               iterations=1)
     with pytest.raises(ValueError, match="bank's class"):
         attack.fit_bank(bank, [scene], SegNetMini(len(simulator.CLASS_NAMES)), cfg)
+
+
+def test_fit_bank_rejects_a_budget_the_bank_does_not_record():
+    # the .vfb header records the bank's eps and psi, so the clamp must use them
+    scene = fleet_scene(FLEET[:1])
+    bank = make_bank(CAR, "car", DIMS, STEP, 1, 1, seed=0)
+    victim = SegNetMini(len(simulator.CLASS_NAMES))
+    for eps, psi in ((0.1, 0.3), (0.3, 0.1)):
+        cfg = attack.AttackConfig(mode="seg-untargeted", adversarial_class=CAR,
+                                  eps=eps, psi=psi, iterations=1)
+        with pytest.raises(ValueError, match="budget"):
+            attack.fit_bank(bank, [scene], victim, cfg)
