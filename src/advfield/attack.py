@@ -9,6 +9,7 @@ after every Adam step the fields are clamped back into their feasible set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -75,17 +76,17 @@ def detection_logit_grad(scores, ious) -> np.ndarray:
     return np.asarray(ious, dtype=float) * np.asarray(scores, dtype=float)
 
 
-def loss_untargeted(probs, labels) -> float:
-    """Log-probability of the true class summed over the scene (minimized).
+def untargeted_point_losses(probs, labels) -> np.ndarray:
+    """Per row: the log-probability of the true class, floored at PROB_FLOOR.
 
-    This is the negated cross-entropy: zero for perfect confidence, more
-    negative for a healthier model, so minimizing it degrades predictions
-    on every point.
+    Their sum over the scene is the untargeted loss (minimized). It is the
+    negated cross-entropy: zero for perfect confidence, more negative for a
+    healthier model, so minimizing it degrades predictions on every point.
     """
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels)
     picked = probs[np.arange(len(labels)), labels]
-    return float(np.log(np.maximum(picked, PROB_FLOOR)).sum())
+    return np.log(np.maximum(picked, PROB_FLOOR))
 
 
 def untargeted_logit_grad(probs, labels) -> np.ndarray:
@@ -101,12 +102,15 @@ def untargeted_logit_grad(probs, labels) -> np.ndarray:
     return grad
 
 
-def loss_targeted(probs, rows, target_class: int) -> float:
-    """Negated log-probability of the target class on the perturbed class's points."""
+def targeted_point_losses(probs, rows, target_class: int) -> np.ndarray:
+    """Per entry of ``rows``: the negated log-probability of the target class.
+
+    ``rows`` are the perturbed class's points; the targeted loss is the sum.
+    """
     rows = np.asarray(rows)
     probs = np.asarray(probs, dtype=float)
     picked = probs[rows, target_class]
-    return float(-np.log(np.maximum(picked, PROB_FLOOR)).sum())
+    return -np.log(np.maximum(picked, PROB_FLOOR))
 
 
 def targeted_logit_grad(probs, rows, target_class: int) -> np.ndarray:
@@ -150,6 +154,7 @@ class _SceneWork:
     scene: object
     variant: int
     plans: list  # (group, DeformationPlan)
+    moved: np.ndarray  # increasing union of the plans' points
 
 
 def _prepare(scenes, bank: FieldBank, cfg: AttackConfig):
@@ -162,37 +167,55 @@ def _prepare(scenes, bank: FieldBank, cfg: AttackConfig):
                            np.random.SeedSequence([cfg.seed, 23, idx]))
         for group, _ in plans:
             usage[(group, variant)] += 1
-        work.append(_SceneWork(scene, variant, plans))
+        moved = np.unique(np.concatenate([np.zeros(0, np.int64)]
+                                         + [plan.point_idx for _, plan in plans]))
+        work.append(_SceneWork(scene, variant, plans, moved))
     return work, sorted(slot for slot, count in usage.items() if count == 0)
 
 
-def _scene_loss_and_input_grads(cloud, work: _SceneWork, victim, cfg: AttackConfig):
-    scene = work.scene
-    if cfg.mode == "detection":
-        scores, full, tape = victim.forward(cloud)
-        relevant = victim.proposals(scores, tape)
-        gt = [sb.box for sb in scene.boxes if sb.class_id == cfg.adversarial_class]
-        if len(relevant) == 0 or not gt:
-            return 0.0, np.zeros((cloud.n, 3)), np.zeros(cloud.n)
-        proposals = victim.decode_boxes(relevant, full)
-        ious = np.array([max(iou_3d(p, g) for g in gt) for p in proposals])
-        loss = loss_detection(scores[relevant], ious)
-        d_full = np.zeros_like(full)
-        d_full[relevant, 0] = detection_logit_grad(scores[relevant], ious)
-        dpos = victim.backward_inputs(tape, d_full)
-        return loss, dpos, np.zeros(cloud.n)
-
-    probs, tape = victim.forward(cloud)
-    labels = scene.cloud.semantic
+def _seg_point_losses(probs, labels, cfg: AttackConfig):
+    """Per-row loss of a segmentation mode (zero on rows it does not count)
+    and its logit gradient."""
     if cfg.mode == "seg-untargeted":
-        loss = loss_untargeted(probs, labels)
-        dlogits = untargeted_logit_grad(probs, labels)
-    else:
-        rows = np.flatnonzero(labels == cfg.adversarial_class)
-        loss = loss_targeted(probs, rows, cfg.target_class)
-        dlogits = targeted_logit_grad(probs, rows, cfg.target_class)
+        return untargeted_point_losses(probs, labels), untargeted_logit_grad(probs, labels)
+    rows = np.flatnonzero(labels == cfg.adversarial_class)
+    losses = np.zeros(len(labels))
+    losses[rows] = targeted_point_losses(probs, rows, cfg.target_class)
+    return losses, targeted_logit_grad(probs, rows, cfg.target_class)
+
+
+def _detection_loss_and_input_grads(cloud, work: _SceneWork, victim, cfg: AttackConfig):
+    """Scene loss and the input gradients of ``work.moved`` in detection mode."""
+    scores, full, tape = victim.forward(cloud)
+    relevant = victim.proposals(scores, tape)
+    gt = [sb.box for sb in work.scene.boxes if sb.class_id == cfg.adversarial_class]
+    no_tau = np.zeros(len(work.moved))
+    if len(relevant) == 0 or not gt:
+        return 0.0, np.zeros((len(work.moved), 3)), no_tau
+    proposals = victim.decode_boxes(relevant, full)
+    ious = np.array([max(iou_3d(p, g) for g in gt) for p in proposals])
+    loss = loss_detection(scores[relevant], ious)
+    d_full = np.zeros_like(full)
+    d_full[relevant, 0] = detection_logit_grad(scores[relevant], ious)
+    dpos = victim.backward_inputs(tape, d_full)
+    return loss, dpos[work.moved], no_tau
+
+
+def touched_loss_and_grads(victim, clean, clean_losses, deformed, moved, objective):
+    """Loss of ``deformed`` and the input gradients of its points ``moved``.
+
+    ``deformed`` is ``clean`` with only the points ``moved`` changed, and
+    ``objective(probs, labels)`` returns per-row losses and their logit
+    gradient. The segmenter runs on the voxels that ``moved`` occupies in
+    either cloud. Every other row's loss is its entry of ``clean_losses``,
+    its loss in ``clean``, since the victim is frozen.
+    """
+    rows = victim.touched_rows(clean, deformed, moved)
+    probs, tape = victim.forward(deformed, rows=rows)
+    losses, dlogits = objective(probs, clean.semantic[rows])
     dpos, dtau = victim.backward_inputs(tape, dlogits)
-    return loss, dpos, dtau
+    at = np.searchsorted(rows, moved)
+    return float(np.delete(clean_losses, rows).sum() + losses.sum()), dpos[at], dtau[at]
 
 
 def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
@@ -204,6 +227,11 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
     Scene index mod N picks the variant each scene trains, keeping variants
     independent. Gradients accumulate over small scene batches before each
     per-field Adam step; fields are clamped after every step.
+
+    In the segmentation modes the victim runs, once per scene, on the clean
+    cloud; each iteration then runs it only on the voxels that the planned
+    points occupy before or after the deformation. Every other row keeps its
+    clean loss, so ``trace.losses`` still sums the loss of every row.
     """
     if isinstance(victim, SegNetMini) and cfg.mode == "detection":
         raise ValueError("detection mode needs a detection head")
@@ -220,17 +248,26 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
     work, unused_slots = _prepare(scenes, bank, cfg)
     optimizers = {(f.group, f.variant): Adam(cfg.lr) for f in bank.fields}
     trace = AttackTrace(unused_slots=unused_slots)
+    seg = cfg.mode != "detection"
+    objective = functools.partial(_seg_point_losses, cfg=cfg)
+    clean = [objective(victim.forward(item.scene.cloud)[0], item.scene.cloud.semantic)[0]
+             if seg and item.plans else None for item in work]
 
     for _ in range(cfg.iterations):
         total_loss = 0.0
         for start in range(0, len(work), BATCH_SCENES):
-            batch = work[start:start + BATCH_SCENES]
             grads = {}
-            for item in batch:
+            for item, clean_losses in zip(work[start:start + BATCH_SCENES],
+                                          clean[start:start + BATCH_SCENES]):
                 if not item.plans:
                     continue
                 cloud = deform_targets(item.scene.cloud, item.plans, bank, item.variant)
-                loss, dpos, dtau = _scene_loss_and_input_grads(cloud, item, victim, cfg)
+                if seg:
+                    loss, dpos, dtau = touched_loss_and_grads(
+                        victim, item.scene.cloud, clean_losses, cloud, item.moved, objective)
+                else:
+                    loss, dpos, dtau = _detection_loss_and_input_grads(cloud, item, victim,
+                                                                       cfg)
                 if not math.isfinite(loss):
                     raise RuntimeError("victim produced a non-finite attack loss")
                 total_loss += loss
@@ -239,10 +276,10 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
                     jac = ShiftJacobian(plan)
                     clip = jac.tau_clip_active(item.scene.cloud, fld)
                     slot = (group, item.variant)
+                    at = np.searchsorted(item.moved, plan.point_idx)
                     grads.setdefault(slot, np.zeros_like(fld.vectors))
                     grads[slot] += jac.vector_gradient(
-                        dpos[plan.point_idx], dtau[plan.point_idx],
-                        fld.size, clip_active=clip,
+                        dpos[at], dtau[at], fld.size, clip_active=clip,
                     )
             for slot, grad in sorted(grads.items()):
                 fld = bank.field(*slot)

@@ -5,6 +5,11 @@ These deliberately skip the ray and smoothness constraints of the field
 attack; they are fitted per object on the very clouds they are evaluated on,
 which is what makes them strong and poorly transferable. None of them ever
 touches a point outside the target object's box.
+
+Each call runs the victim once on the cloud it is given. Every step after
+that runs it only on the voxels that the attacked points occupy before or
+after moving; every other row keeps its loss in the given cloud, since the
+victim is frozen, so the loss still covers every row.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import loss_untargeted, untargeted_logit_grad
+from .attack import (touched_loss_and_grads, untargeted_logit_grad,
+                     untargeted_point_losses)
 from .cloudio import PointCloud
 from .geometry import OrientedBox, box_contains_many
 
@@ -44,11 +50,14 @@ def _apply_offsets(cloud: PointCloud, idx, offsets, tau_shift) -> PointCloud:
     return out
 
 
-def _objective_grads(victim, cloud: PointCloud, labels):
-    probs, tape = victim.forward(cloud)
-    loss = loss_untargeted(probs, labels)
-    dpos, dtau = victim.backward_inputs(tape, untargeted_logit_grad(probs, labels))
-    return loss, dpos, dtau
+def _untargeted(probs, labels):
+    return untargeted_point_losses(probs, labels), untargeted_logit_grad(probs, labels)
+
+
+def _clean_losses(victim, cloud: PointCloud) -> np.ndarray:
+    """Per-row untargeted loss of the cloud an attack starts from."""
+    probs, _ = victim.forward(cloud)
+    return untargeted_point_losses(probs, cloud.semantic)
 
 
 def _normalized_rows(g: np.ndarray) -> np.ndarray:
@@ -63,22 +72,27 @@ def _l2_attack(cloud: PointCloud, box: OrientedBox, victim, eps: float, psi: flo
     ``active`` optionally restricts which of the object's points may move
     (used by the generation baseline). After every step each spatial offset
     is clipped to the eps ball and each intensity offset to [-psi, psi].
+    With no point to move, the cloud comes back unchanged and the victim
+    never runs.
     """
-    labels = cloud.semantic
     idx = np.flatnonzero(box_contains_many(box, cloud.xyz))
     if active is not None:
         idx = np.asarray(active)
     offsets = np.zeros((len(idx), 3))
     tau_shift = np.zeros(len(idx))
+    if len(idx) == 0:
+        return _L2Result(cloud.copy(), idx, offsets, tau_shift)
+    clean_losses = _clean_losses(victim, cloud)
     for _ in range(iters):
         attacked = _apply_offsets(cloud, idx, offsets, tau_shift)
-        loss, dpos, dtau = _objective_grads(victim, attacked, labels)
+        loss, dpos, dtau = touched_loss_and_grads(victim, cloud, clean_losses, attacked, idx,
+                                                  _untargeted)
         if not math.isfinite(loss):
             raise RuntimeError("victim produced a non-finite baseline loss")
-        step = _normalized_rows(dpos[idx])
+        step = _normalized_rows(dpos)
         offsets -= lr * step
         raw_tau = cloud.intensity[idx] + tau_shift
-        g_tau = np.where((raw_tau <= 0.0) | (raw_tau >= 1.0), 0.0, dtau[idx])
+        g_tau = np.where((raw_tau <= 0.0) | (raw_tau >= 1.0), 0.0, dtau)
         tau_shift -= lr * np.sign(g_tau)
         norms = np.linalg.norm(offsets, axis=1, keepdims=True)
         offsets *= np.minimum(1.0, eps / np.maximum(norms, 1e-12))
@@ -104,13 +118,13 @@ def chamfer_attack(cloud: PointCloud, box: OrientedBox, victim, lam: float = 0.1
     uniformly rescaling the offsets, so a few points may move far while the
     average stays small.
     """
-    labels = cloud.semantic
     idx = np.flatnonzero(box_contains_many(box, cloud.xyz))
     original = cloud.xyz[idx]
     offsets = np.zeros((len(idx), 3))
     tau_shift = np.zeros(len(idx))
     if len(idx) == 0:
         return cloud.copy()
+    clean_losses = _clean_losses(victim, cloud)
 
     def project(off):
         for _ in range(20):
@@ -122,7 +136,8 @@ def chamfer_attack(cloud: PointCloud, box: OrientedBox, victim, lam: float = 0.1
 
     for _ in range(iters):
         attacked = _apply_offsets(cloud, idx, offsets, tau_shift)
-        loss, dpos, dtau = _objective_grads(victim, attacked, labels)
+        loss, dpos, dtau = touched_loss_and_grads(victim, cloud, clean_losses, attacked, idx,
+                                                  _untargeted)
         if not math.isfinite(loss):
             raise RuntimeError("victim produced a non-finite baseline loss")
         moved = original + offsets
@@ -133,10 +148,10 @@ def chamfer_attack(cloud: PointCloud, box: OrientedBox, victim, lam: float = 0.1
         # subgradient of the mean nearest distance; zero at unmoved points
         d_chamfer = np.where(gap_norm > 1e-12, gap / np.maximum(gap_norm, 1e-12), 0.0)
         d_chamfer /= len(idx)
-        total = dpos[idx] + lam * d_chamfer
+        total = dpos + lam * d_chamfer
         offsets -= lr * _normalized_rows(total)
         raw_tau = cloud.intensity[idx] + tau_shift
-        g_tau = np.where((raw_tau <= 0.0) | (raw_tau >= 1.0), 0.0, dtau[idx])
+        g_tau = np.where((raw_tau <= 0.0) | (raw_tau >= 1.0), 0.0, dtau)
         tau_shift -= lr * np.sign(g_tau)
 
         offsets = project(offsets)

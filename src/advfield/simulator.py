@@ -33,6 +33,7 @@ specs, seed, domain) goes straight from :func:`generate_scene` into
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -103,14 +104,21 @@ class SensorSpec:
         n_az = int(round(2.0 * math.pi / self.azimuth_resolution))
         return np.arange(n_az) * self.azimuth_resolution
 
+    @functools.lru_cache(maxsize=8)
     def ray_directions(self) -> np.ndarray:
-        """Unit directions, channel-major over (channel, azimuth), shape (R, 3)."""
+        """Unit directions, channel-major over (channel, azimuth), shape (R, 3).
+
+        Computed once per sensor (equal sensors share it); the array is
+        read-only.
+        """
         azimuth = self.azimuths()
         elevation = np.linspace(self.elevation_min, self.elevation_max, self.channels)
         az, el = np.meshgrid(azimuth, elevation)
         cos_el = np.cos(el)
         dirs = np.stack([cos_el * np.cos(az), cos_el * np.sin(az), np.sin(el)], axis=-1)
-        return dirs.reshape(-1, 3)
+        dirs = dirs.reshape(-1, 3)
+        dirs.flags.writeable = False
+        return dirs
 
 
 @dataclass

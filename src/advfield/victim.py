@@ -7,6 +7,14 @@ attacks can differentiate straight through them. Neighborhoods come from
 uniform-grid binning; bin membership is piecewise constant, so the input
 gradients are exact almost everywhere.
 
+A segmenter point's features depend only on the points of its own voxel. So
+when a few points move, only the voxels they occupy before or after moving
+change their features, and ``SegNetMini.touched_rows`` names the rows of
+those voxels. A tape over whole voxels gives the exact input gradients of
+the loss over its rows: every point that feeds a row's voxel statistics is
+itself a row. The attacks run the MLP on those rows alone and keep the clean
+cloud's loss for every other row.
+
 The detector builds its fixed anchor grid (centers, bearings, view-frame
 rotations) once, and ``DetHeadMini.proposals`` is the one proposal rule of
 attack and evaluation. ``train_seg`` and ``train_det`` share one loop,
@@ -124,6 +132,7 @@ class SegTape:
     inverse: np.ndarray       # (n,) voxel index per point
     counts: np.ndarray        # (nv,) points per voxel
     mlp_tape: tuple
+    rows: np.ndarray | None = None  # the cloud rows the MLP ran on; None for all
 
 
 class SegNetMini:
@@ -164,11 +173,26 @@ class SegNetMini:
         feats[:, 6] = mean_tau[inverse]
         return feats, inverse, counts
 
+    def touched_rows(self, before: PointCloud, after: PointCloud, moved) -> np.ndarray:
+        """Increasing rows of ``after`` in every voxel that a ``moved`` point
+        occupies in ``before`` or in ``after``; both clouds hold the same points.
+
+        Each such voxel comes whole. Every other voxel holds the same unmoved
+        points in both clouds, so its rows keep their features, and their
+        losses, from ``before``.
+        """
+        keys = _grid_keys(after.xyz, self.radius)
+        moved_keys = np.concatenate([_grid_keys(before.xyz[moved], self.radius),
+                                     keys[moved]])
+        return np.flatnonzero(np.isin(keys, moved_keys))
+
     def forward(self, cloud: PointCloud, rows: np.ndarray | None = None):
         """Per-point class probabilities; rows restricts the MLP to a subset.
 
         Neighborhood statistics always come from the full cloud. Returns
         ``(probs, tape)``; with ``rows`` given, probs has one row per entry.
+        Rows that hold whole voxels, such as those of :meth:`touched_rows`,
+        give a tape that :meth:`backward_inputs` accepts.
         """
         if cloud.n == 0:
             empty = np.zeros((0, self.n_classes))
@@ -178,31 +202,41 @@ class SegNetMini:
         if rows is not None:
             feats = feats[rows]
         logits, mlp_tape = self.mlp.forward(feats)
-        return _softmax(logits), SegTape(cloud, inverse, counts, mlp_tape)
+        return _softmax(logits), SegTape(cloud, inverse, counts, mlp_tape, rows)
 
     def backward_inputs(self, tape: SegTape, dlogits: np.ndarray):
-        """Exact gradients w.r.t. (x, y, z) and intensity of every point.
+        """Exact gradients w.r.t. (x, y, z) and intensity of the tape's rows.
 
-        Only full-cloud tapes are supported (the neighborhood-mean terms need
-        every point's feature gradient).
+        ``dlogits`` holds one row per tape row, and so do the returned
+        ``(dpos, dtau)``. A point's gradient sums the feature gradients of the
+        points of its voxel, so a row-restricted tape must hold whole voxels
+        (rows in increasing order): then every term of those sums is a row of
+        the tape, and the result is the exact gradient of the loss over the
+        tape's rows. Raises ValueError on rows that split a voxel.
         """
         cloud = tape.cloud
-        if len(tape.mlp_tape[0]) != cloud.n:
-            raise ValueError("input gradients need a full-cloud forward pass")
         if cloud.n == 0:
             return np.zeros((0, 3)), np.zeros(0)
+        inverse = tape.inverse
+        if tape.rows is not None:
+            inverse = inverse[tape.rows]
+            held = np.bincount(inverse, minlength=len(tape.counts))
+            split = (held > 0) & (held != tape.counts)
+            if np.any(np.diff(tape.rows) <= 0) or split.any():
+                raise ValueError("input gradients need increasing rows that hold "
+                                 "whole voxels")
         dfeat, _ = self.mlp.backward(tape.mlp_tape, dlogits)
 
         nv = len(tape.counts)
         rel_sums = np.zeros((nv, 3))
-        np.add.at(rel_sums, tape.inverse, dfeat[:, 0:3])
+        np.add.at(rel_sums, inverse, dfeat[:, 0:3])
         rel_means = rel_sums / tape.counts[:, None]
-        dpos = (dfeat[:, 0:3] - rel_means[tape.inverse]) * _REL_SCALE
+        dpos = (dfeat[:, 0:3] - rel_means[inverse]) * _REL_SCALE
         dpos[:, 2] += dfeat[:, 3] * _Z_SCALE
 
         mtau_sums = np.zeros(nv)
-        np.add.at(mtau_sums, tape.inverse, dfeat[:, 6])
-        dtau = dfeat[:, 4] + (mtau_sums / tape.counts)[tape.inverse]
+        np.add.at(mtau_sums, inverse, dfeat[:, 6])
+        dtau = dfeat[:, 4] + (mtau_sums / tape.counts)[inverse]
         return dpos, dtau
 
     def predict(self, cloud: PointCloud) -> np.ndarray:

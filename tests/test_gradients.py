@@ -7,9 +7,9 @@ and the analytic input gradients must match to rounding.
 
 import numpy as np
 
-from advfield.attack import (detection_logit_grad, loss_detection, loss_targeted,
-                             loss_untargeted, targeted_logit_grad,
-                             untargeted_logit_grad)
+from advfield.attack import (detection_logit_grad, loss_detection, targeted_logit_grad,
+                             targeted_point_losses, untargeted_logit_grad,
+                             untargeted_point_losses)
 from advfield.cloudio import PointCloud
 from advfield.victim import DetHeadMini, SegNetMini
 
@@ -113,7 +113,8 @@ class TestAttackLossGradients:
         logits = rng.normal(size=(9, 4))
         labels = rng.integers(0, 4, size=9)
         analytic = untargeted_logit_grad(softmax(logits), labels)
-        numeric = central_difference(lambda z: loss_untargeted(softmax(z), labels), logits)
+        numeric = central_difference(
+            lambda z: untargeted_point_losses(softmax(z), labels).sum(), logits)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-7, atol=1e-9)
 
     def test_targeted(self):
@@ -121,5 +122,6 @@ class TestAttackLossGradients:
         logits = rng.normal(size=(9, 4))
         rows = np.array([0, 3, 4, 8])
         analytic = targeted_logit_grad(softmax(logits), rows, 2)
-        numeric = central_difference(lambda z: loss_targeted(softmax(z), rows, 2), logits)
+        numeric = central_difference(
+            lambda z: targeted_point_losses(softmax(z), rows, 2).sum(), logits)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-7, atol=1e-9)

@@ -56,6 +56,23 @@ def test_paired_domains_share_their_non_car_points():
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, name, attr)
 
 
+@pytest.mark.parametrize("sensor", [simulator.SensorSpec(),
+                                    simulator.SensorSpec(channels=8, azimuth_resolution=0.05)],
+                         ids=["default", "eight-channels"])
+def test_ray_directions_are_the_formula_computed_once_and_read_only(sensor):
+    azimuth = np.arange(int(round(2.0 * math.pi / sensor.azimuth_resolution))) \
+        * sensor.azimuth_resolution
+    elevation = np.linspace(sensor.elevation_min, sensor.elevation_max, sensor.channels)
+    az, el = np.meshgrid(azimuth, elevation)
+    want = np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)],
+                    axis=-1).reshape(-1, 3)
+    dirs = sensor.ray_directions()
+    assert dirs.dtype == want.dtype and dirs.tobytes() == want.tobytes()
+    assert simulator.SensorSpec(**vars(sensor)).ray_directions() is dirs
+    with pytest.raises(ValueError, match="read-only"):
+        dirs[0, 0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # per-object ray culling against the all-rays caster
 # ---------------------------------------------------------------------------
