@@ -40,7 +40,6 @@ class _L2Result:
     cloud: PointCloud
     object_idx: np.ndarray   # cloud indices of the attacked points
     offsets: np.ndarray      # (a, 3) final spatial offsets
-    tau_shift: np.ndarray    # (a,) final intensity offsets
 
 
 def _apply_offsets(cloud: PointCloud, idx, offsets, tau_shift) -> PointCloud:
@@ -81,7 +80,7 @@ def _l2_attack(cloud: PointCloud, box: OrientedBox, victim, eps: float, psi: flo
     offsets = np.zeros((len(idx), 3))
     tau_shift = np.zeros(len(idx))
     if len(idx) == 0:
-        return _L2Result(cloud.copy(), idx, offsets, tau_shift)
+        return _L2Result(cloud.copy(), idx, offsets)
     clean_losses = _clean_losses(victim, cloud)
     for _ in range(iters):
         attacked = _apply_offsets(cloud, idx, offsets, tau_shift)
@@ -97,8 +96,7 @@ def _l2_attack(cloud: PointCloud, box: OrientedBox, victim, eps: float, psi: flo
         norms = np.linalg.norm(offsets, axis=1, keepdims=True)
         offsets *= np.minimum(1.0, eps / np.maximum(norms, 1e-12))
         np.clip(tau_shift, -psi, psi, out=tau_shift)
-    return _L2Result(_apply_offsets(cloud, idx, offsets, tau_shift), idx, offsets,
-                     tau_shift)
+    return _L2Result(_apply_offsets(cloud, idx, offsets, tau_shift), idx, offsets)
 
 
 def iterative_gradient_l2(cloud: PointCloud, box: OrientedBox, victim,

@@ -274,7 +274,7 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze_fields(args) -> int:
     bank = cloudio.load_bank(args.bank)
-    stats = evaluate.analyze_fields(bank, args.seed)
+    stats = evaluate.analyze_fields(bank)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     evaluate.write_field_stats_csv(stats, out)
@@ -373,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze-fields", help="field activity statistics as CSV")
     p.add_argument("--bank", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_fields)
     return parser

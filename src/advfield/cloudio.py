@@ -4,13 +4,14 @@ Formats:
   * ``.bin``    little-endian float32, 4 per point (x, y, z, intensity)
   * ``.label``  little-endian uint32 per point; low 16 bits semantic id,
                 high 16 bits instance id (0 = no instance)
-  * ``.vfb``    field banks (version 3) and ``.ckpt`` victim checkpoints
+  * ``.vfb``    field banks (version 4) and ``.ckpt`` victim checkpoints
                 (version 2), in one grammar: a ``MAGIC VERSION`` line,
                 ``key = value`` header lines, then per named array an
                 ``array <name> <d0> <d1> ...`` line and one row per leading
                 index. Array values are hexfloats, so load(save(x)) keeps every
                 bit; other versions and malformed lines raise FormatError. A
-                bank stores one (m, 4) array ``field-<g>-<n>`` per slot, one
+                bank's header holds the ``seed`` its initial vectors were drawn
+                from; it stores one (m, 4) array ``field-<g>-<n>`` per slot, one
                 ``dx dy dz dtau`` row per lattice root (roots follow from dims
                 and step); a checkpoint stores one array per MLP parameter
   * config      flat ``key = value`` text, ``#`` comments: the header rule
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 BANK_MAGIC = "advfield-vfb"
-BANK_VERSION = 3
+BANK_VERSION = 4
 
 
 class FormatError(ValueError):
@@ -222,7 +223,8 @@ def save_bank(bank, path) -> None:
     header = {"class_name": bank.class_name, "class_id": bank.class_id,
               "G": bank.groups, "N": bank.variants,
               "dims": " ".join(map(_hex, bank.dims)), "step": _hex(bank.step),
-              "eps": _hex(bank.eps), "psi": _hex(bank.psi), "boxes": bank.boxes}
+              "eps": _hex(bank.eps), "psi": _hex(bank.psi), "boxes": bank.boxes,
+              "seed": bank.seed}
     arrays = {f"field-{f.group}-{f.variant}": f.vectors for f in bank.fields}
     write_arrays(path, BANK_MAGIC, BANK_VERSION, header, arrays)
 
@@ -247,8 +249,9 @@ def load_bank(path):
             fields.append(fld)
         return FieldBank(class_id=int(header["class_id"]), class_name=header["class_name"],
                          groups=int(header["G"]), variants=int(header["N"]),
-                         fields=fields, eps=float.fromhex(header["eps"]),
-                         psi=float.fromhex(header["psi"]), boxes=header["boxes"])
+                         seed=int(header["seed"]), fields=fields,
+                         eps=float.fromhex(header["eps"]), psi=float.fromhex(header["psi"]),
+                         boxes=header["boxes"])
     except KeyError as err:
         raise FormatError(f"{path}: missing header key {err}") from err
     except ValueError as err:

@@ -14,9 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .cloudio import PointCloud
-from .field import (FieldBank, anchor, anchored_vectors, build_lattice, deform,
-                    deform_targets, field_init_seed, init_random, plan_deformation,
-                    plan_targets)
+from .field import (FieldBank, anchor, anchored_vectors, deform, deform_targets,
+                    make_bank, plan_deformation, plan_targets)
 from .geometry import OrientedBox, iou_3d
 from .rotation import GroupScheme, target_boxes
 from .simulator import Scene, SensorSpec
@@ -190,7 +189,6 @@ def _match_matrix(detections, ground_truths, iou_thr: float):
         by_scene.setdefault(gt.scene, []).append(j)
     taken = np.zeros(len(ground_truths), dtype=bool)
     is_tp = np.zeros(len(detections), dtype=bool)
-    matched_gt = np.full(len(detections), -1, dtype=np.int64)
     for i in order:
         det = detections[i]
         best, best_iou = -1, iou_thr
@@ -203,8 +201,7 @@ def _match_matrix(detections, ground_truths, iou_thr: float):
         if best >= 0:
             taken[best] = True
             is_tp[i] = True
-            matched_gt[i] = best
-    return order, is_tp, matched_gt
+    return order, is_tp
 
 
 def average_precision(detections, ground_truths, iou_thr: float = 0.7) -> float:
@@ -213,7 +210,7 @@ def average_precision(detections, ground_truths, iou_thr: float = 0.7) -> float:
         return 0.0
     if not detections:
         return 0.0
-    order, is_tp, _ = _match_matrix(detections, ground_truths, iou_thr)
+    order, is_tp = _match_matrix(detections, ground_truths, iou_thr)
     tp = np.cumsum(is_tp[order])
     fp = np.cumsum(~is_tp[order])
     recall = tp / len(ground_truths)
@@ -364,24 +361,25 @@ def _face_of(roots: np.ndarray) -> np.ndarray:
 REFERENCE_RANGE = 15.0
 
 
-def analyze_fields(bank: FieldBank, init_seed: int) -> list:
-    """Per-field activity statistics against the recorded initialization.
+def analyze_fields(bank: FieldBank) -> list:
+    """Per-field activity statistics against the bank's initial vectors.
 
     A vector is active when its spatial magnitude exceeds the magnitude it
-    was initialized with (regenerated from ``init_seed``). Active vectors are
-    projected on the ray from the default sensor through their anchored root,
-    with the box ``REFERENCE_RANGE`` meters out at the field's reference
-    bearing, and tallied toward (negative projection) or away from the
-    sensor, per box face region.
+    was initialized with, which ``make_bank`` rebuilds from ``bank.seed``.
+    Active vectors are projected on the ray from the default sensor through
+    their anchored root, with the box ``REFERENCE_RANGE`` meters out at the
+    field's reference bearing, and tallied toward (negative projection) or
+    away from the sensor, per box face region.
     """
     origin = SensorSpec().origin
     scheme = GroupScheme(bank.groups)
     w0, h0, l0 = bank.dims
+    start = make_bank(bank.class_id, bank.class_name, bank.dims, bank.step, bank.groups,
+                      bank.variants, bank.seed)
     stats = []
     for fld in bank.fields:
-        reference = build_lattice(bank.dims, bank.step)
-        init_random(reference, field_init_seed(init_seed, fld.group, fld.variant))
-        init_norm = np.linalg.norm(reference.vectors[:, :3], axis=1)
+        initial = start.field(fld.group, fld.variant).vectors
+        init_norm = np.linalg.norm(initial[:, :3], axis=1)
         norm = np.linalg.norm(fld.vectors[:, :3], axis=1)
         active = norm > init_norm
 

@@ -71,6 +71,7 @@ class FieldBank:
     class_name: str
     groups: int                     # G
     variants: int                   # N
+    seed: int                       # seed of the initial vectors, see make_bank
     fields: list = dc_field(default_factory=list)
     eps: float = 0.3
     psi: float = 0.3
@@ -106,10 +107,6 @@ class FieldBank:
             if f.group == group and f.variant == variant:
                 return f
         raise KeyError(f"no field for group {group}, variant {variant}")
-
-    def copy(self) -> "FieldBank":
-        return FieldBank(self.class_id, self.class_name, self.groups, self.variants,
-                         [f.copy() for f in self.fields], self.eps, self.psi, self.boxes)
 
 
 @dataclass
@@ -170,23 +167,24 @@ def init_random(field: VectorField, seed) -> None:
     field.vectors[:] = rng.uniform(-0.01, 0.01, size=field.vectors.shape)
 
 
-def field_init_seed(base_seed: int, group: int, variant: int) -> np.random.SeedSequence:
-    """Per-slot init seed; shared with the activity analysis for reproduction."""
-    return np.random.SeedSequence([int(base_seed), 29, int(group), int(variant)])
-
-
 def make_bank(class_id: int, class_name: str, dims, step: float, groups: int,
               variants: int, seed: int, eps: float = 0.3, psi: float = 0.3,
               boxes: str = "gt") -> FieldBank:
-    """Build a randomly initialized G x N bank sharing one lattice geometry."""
+    """Build a randomly initialized G x N bank sharing one lattice geometry.
+
+    Slot (g, n) draws its vectors from its own stream of ``seed``, which the
+    bank records, so the same call rebuilds the initial vectors of any bank.
+    """
+    seed = int(seed)
     fields = []
     for group in range(1, groups + 1):
         for variant in range(1, variants + 1):
             fld = build_lattice(dims, step, group=group, variant=variant)
-            init_random(fld, field_init_seed(seed, group, variant))
+            init_random(fld, np.random.SeedSequence([seed, 29, group, variant]))
             fields.append(fld)
     return FieldBank(class_id=class_id, class_name=class_name, groups=groups,
-                     variants=variants, fields=fields, eps=eps, psi=psi, boxes=boxes)
+                     variants=variants, seed=seed, fields=fields, eps=eps, psi=psi,
+                     boxes=boxes)
 
 
 def anchor(field: VectorField, box: OrientedBox) -> np.ndarray:

@@ -241,7 +241,7 @@ class SegNetMini:
 
     def predict(self, cloud: PointCloud) -> np.ndarray:
         probs, _ = self.forward(cloud)
-        return probs.argmax(axis=1).astype(np.int32) if cloud.n else np.zeros(0, np.int32)
+        return probs.argmax(axis=1).astype(np.int32)
 
     def state(self) -> dict:
         meta = {"kind": "seg", "n_classes": self.n_classes, "hidden": self.hidden,

@@ -173,6 +173,49 @@ def test_baseline_skips_a_car_box_without_car_points(tmp_path):
     assert written == (tmp_path / "data" / "000000.bin").read_bytes()
 
 
+def test_chamfer_baseline_moves_only_car_points_and_replays(pipeline, tmp_path):
+    val = pipeline / "data" / "val"
+    out = tmp_path / "chamfer"
+    assert run("baseline-attack", "--kind", "chamfer", "--iters", 1, "--lam", 0.2,
+               "--victim", pipeline / "victim" / "seg.ckpt", "--data", val, "--out", out) == 0
+    moved_any = False
+    for index, scene in enumerate(simulator.load_split(val)):
+        clean = scene.cloud
+        attacked = cloudio.read_labeled_cloud(out / f"{index:06d}.bin",
+                                              out / f"{index:06d}.label")
+        assert attacked.n == clean.n
+        assert np.array_equal(attacked.semantic, clean.semantic)
+        assert np.array_equal(attacked.instance, clean.instance)
+        moved = (np.any(attacked.xyz != clean.xyz, axis=1)
+                 | (attacked.intensity != clean.intensity))
+        in_car_box = np.zeros(clean.n, dtype=bool)
+        for sb in scene.boxes:
+            if sb.class_id == simulator.CAR:
+                in_car_box |= box_contains_many(sb.box, clean.xyz)
+        assert not np.any(moved & ~in_car_box)
+        moved_any = moved_any or bool(moved.any())
+    assert moved_any
+    assert cloudio.read_config(out / "manifest.cfg")["lam"] == "0.2"
+    replay = tmp_path / "chamfer-replay"
+    assert run("baseline-attack", "--config", out / "manifest.cfg", "--out", replay) == 0
+    assert data_files(replay) == data_files(out)
+
+
+def test_single_domain_simulate_writes_generate_scene_in_order(tmp_path):
+    sensor = simulator.SensorSpec(channels=8, azimuth_resolution=math.radians(2.0))
+    reference = tmp_path / "reference"
+    for index in range(3):
+        simulator.write_scene(simulator.generate_scene(5 + index, "damaged", 4, sensor),
+                              reference, index)
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        assert run("--threads", threads, "simulate", "--domain", "damaged", "--scenes", 3,
+                   "--seed", 5, "--out", out, *TINY[2:]) == 0
+        assert (out / "sensor.cfg").is_file()
+        assert data_files(out) == data_files(reference)
+        assert len(data_files(out)) == 3 * 3
+
+
 def test_non_finite_victim_exits_3(pipeline, tmp_path):
     model = victim.load_checkpoint(pipeline / "victim" / "seg.ckpt")
     model.mlp.params["W1"][:] = np.nan
@@ -238,6 +281,36 @@ def test_analyze_fields_writes_one_row_per_slot(pipeline):
     header, *rows = out.read_text(encoding="utf-8").splitlines()
     assert header.split(",")[:5] == ["group", "variant", "active", "toward", "away"]
     assert [row.split(",")[:2] for row in rows] == [[str(g), "1"] for g in range(1, 7)]
+
+
+def test_analyze_fields_finds_no_active_vector_in_an_unfitted_bank(pipeline, tmp_path):
+    # with no iteration, every vector is still the start that the bank's seed draws
+    bank = tmp_path / "start.vfb"
+    assert run("attack", "--mode", "untargeted", "--victim", pipeline / "victim" / "seg.ckpt",
+               "--data", pipeline / "data" / "train", "--G", 6, "--N", 1, "--iters", 0,
+               "--seed", 1, "--out", bank) == 0
+    assert cloudio.load_bank(bank).seed == 1
+    out = tmp_path / "fields.csv"
+    assert run("analyze-fields", "--bank", bank, "--out", out) == 0
+    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    assert header.split(",")[2] == "active"
+    assert [row.split(",")[2] for row in rows] == ["0"] * 6
+
+
+def test_analyze_fields_has_no_seed_flag(pipeline, tmp_path, capsys):
+    bank = ("--bank", pipeline / "bank" / "car.vfb")
+    with pytest.raises(SystemExit) as exit_info:
+        run("analyze-fields", *bank, "--seed", 0, "--out", tmp_path / "fields.csv")
+    assert exit_info.value.code == cli.EXIT_CONFIG
+    # a manifest written while the flag existed
+    assert run("analyze-fields", *bank, "--out", tmp_path / "fields.csv") == 0
+    config = cloudio.read_config(manifest(tmp_path / "fields.csv"))
+    cloudio.write_config({**config, "seed": "0"}, tmp_path / "old.cfg")
+    capsys.readouterr()
+    assert run("analyze-fields", "--config", tmp_path / "old.cfg",
+               "--out", tmp_path / "replay.csv") == cli.EXIT_CONFIG
+    assert "no option seed" in capsys.readouterr().err
+    assert not (tmp_path / "replay.csv").exists()
 
 
 def test_manifest_with_an_unknown_key_exits_2(pipeline, tmp_path, capsys):

@@ -87,6 +87,7 @@ class TestBankFormat:
         assert back.groups == bank.groups and back.variants == bank.variants
         assert back.class_name == bank.class_name
         assert back.eps == bank.eps and back.psi == bank.psi
+        assert type(back.seed) is int and back.seed == bank.seed == 0
         for f, g in zip(bank.fields, back.fields):
             assert (f.group, f.variant) == (g.group, g.variant)
             assert np.array_equal(f.roots, g.roots)
@@ -96,17 +97,19 @@ class TestBankFormat:
         bank = self._random_bank()
         path = tmp_path / "bank.vfb"
         cloudio.save_bank(bank, path)
-        lines = path.read_text().splitlines()
-        del lines[4]  # drop the 'N = ...' line
-        path.write_text("\n".join(lines))
-        with pytest.raises(FormatError, match="'N'"):
-            cloudio.load_bank(path)
+        saved = path.read_text().splitlines()
+        for key in ("N", "seed"):
+            lines = [line for line in saved if not line.startswith(f"{key} = ")]
+            assert len(lines) == len(saved) - 1
+            path.write_text("\n".join(lines))
+            with pytest.raises(FormatError, match=f"missing header key '{key}'"):
+                cloudio.load_bank(path)
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.vfb"
-        for version in (2, 999):  # the format before this one, and a later one
+        for version in (3, 999):  # the format before this one, and a later one
             path.write_text(f"advfield-vfb {version}\n")
-            with pytest.raises(FormatError, match=f"unsupported version {version}, expected 3"):
+            with pytest.raises(FormatError, match=f"unsupported version {version}, expected 4"):
                 cloudio.load_bank(path)
 
     def test_main_configuration_vector_count_on_disk(self, tmp_path):
@@ -127,7 +130,7 @@ class TestBankFormat:
 
 
 class TestBankFormatV2:
-    """What bank format 2 introduced and format 3 keeps: the box mode, no root rows."""
+    """What bank format 2 introduced and format 4 keeps: the box mode, no root rows."""
 
     def test_roundtrip_keeps_box_mode(self, tmp_path):
         bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 6, 2, seed=4, boxes="axis-aligned")
@@ -143,13 +146,14 @@ class TestBankFormatV2:
         path = tmp_path / "b.vfb"
         cloudio.save_bank(bank, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "advfield-vfb 3"
-        assert lines[lines.index(next(x for x in lines if x.startswith("psi"))) + 1] == "boxes = gt"
+        assert lines[0] == "advfield-vfb 4"
+        at = lines.index(next(x for x in lines if x.startswith("psi")))
+        assert lines[at + 1:at + 3] == ["boxes = gt", "seed = 4"]
         assert not any(x.startswith(("r ", "roots_per_field")) for x in lines)
         # the only arrays are the two 20 x 4 vector arrays: 20 lattice roots each
         assert [x for x in lines if x.startswith("array ")] == ["array field-1-1 20 4",
                                                                 "array field-2-1 20 4"]
-        assert len(lines) == 1 + 9 + 2 * (1 + 20)
+        assert len(lines) == 1 + 10 + 2 * (1 + 20)
 
     def test_version_one_rejected(self, tmp_path):
         path = tmp_path / "v1.vfb"
@@ -185,8 +189,8 @@ MALFORMED_BANKS = {
               "array field-2-1 has shape \\(20, 2, 2\\)"),
     "row-width": (lambda lines: _edit(lines, "array field-2-1 20 4", "array field-2-1 20 3"),
                   "array field-2-1 needs 20 rows of 3"),
-    "empty-bank": (lambda lines: ["advfield-vfb 3"] + _edit(
-        _edit(lines[1:10], "G = 2", "G = 0"), "N = 1", "N = 0"), "G, N >= 1"),
+    "empty-bank": (lambda lines: _edit(_edit(lines[:11], "G = 2", "G = 0"), "N = 1", "N = 0"),
+                   "G, N >= 1"),
     "box-mode": (lambda lines: _edit(lines, "boxes = gt", "boxes = round"), "box mode"),
     "trailing-line": (lambda lines: lines + ["0x1.0p+0"], "expected 'array <name>"),
     "bad-hexfloat": (lambda lines: lines[:-1] + [lines[-1].replace("0x", "0y", 1)],

@@ -22,26 +22,25 @@ class TestMatching:
     def test_duplicate_is_a_false_positive(self):
         dets = [Detection(0, 0.9, car(0.0)), Detection(0, 0.8, car(0.1)),
                 Detection(0, 0.5, car(10.0))]
-        order, is_tp, matched = _match_matrix(dets, GTS, 0.7)
+        order, is_tp = _match_matrix(dets, GTS, 0.7)
         assert order == [0, 1, 2]
         assert is_tp.tolist() == [True, False, True]
-        assert matched.tolist() == [0, -1, 1]
 
     def test_best_untaken_ground_truth_wins(self):
         gts = [GroundTruth(0, car(0.0)), GroundTruth(0, car(0.3))]
-        # IoU 4.4/4.8 with the first, 4.5/4.7 with the second
+        # the first-ranked detection has IoU 4.4/4.8 with the first and 4.5/4.7
+        # with the second; had it taken the first, the other detection would be
+        # left with IoU 4.3/4.9 < 0.9 and become a false positive
         dets = [Detection(0, 0.4, car(0.0)), Detection(0, 0.9, car(0.2))]
-        order, is_tp, matched = _match_matrix(dets, gts, 0.7)
+        order, is_tp = _match_matrix(dets, gts, 0.9)
         assert order == [1, 0]
         assert is_tp.tolist() == [True, True]
-        assert matched.tolist() == [0, 1]
 
     def test_other_scenes_and_the_threshold_do_not_match(self):
         # IoU 3.0/6.2 < 0.7, and scene 1 has no ground truth
         dets = [Detection(0, 0.9, car(1.6)), Detection(1, 0.8, car(0.0))]
-        _, is_tp, matched = _match_matrix(dets, GTS, 0.7)
+        _, is_tp = _match_matrix(dets, GTS, 0.7)
         assert is_tp.tolist() == [False, False]
-        assert matched.tolist() == [-1, -1]
 
 
 class TestAveragePrecision:
@@ -100,7 +99,7 @@ class TestRotatedOverlap:
     def test_threshold(self, thr, hit):
         dets = [Detection(0, 0.9, self.turned)]
         gts = [GroundTruth(0, self.square)]
-        _, is_tp, _ = _match_matrix(dets, gts, thr)
+        _, is_tp = _match_matrix(dets, gts, thr)
         assert is_tp.tolist() == [hit]
         assert average_precision(dets, gts, thr) == (1.0 if hit else 0.0)
         assert detected_mask(dets, gts, thr).tolist() == [hit]

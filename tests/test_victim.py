@@ -10,7 +10,8 @@ import pytest
 from advfield.cloudio import PointCloud
 from advfield.geometry import OrientedBox, box_contains_many
 from advfield.simulator import CANONICAL_CAR_DIMS
-from advfield.victim import DetHeadMini, standard_augment, train_det, train_seg
+from advfield.victim import (SEG_POINTS_PER_SCENE, DetHeadMini, SegNetMini, standard_augment,
+                             train_det, train_seg)
 
 
 def test_boxes_move_with_their_points():
@@ -79,6 +80,39 @@ def test_trainers_are_deterministic_and_hook_each_scene_once_per_epoch(kind):
     assert first.mlp.params.keys() == second.mlp.params.keys()
     for name, value in first.mlp.params.items():
         assert np.array_equal(value, second.mlp.params[name]), name
+
+
+def test_train_seg_draws_a_class_balanced_subsample_of_a_large_cloud(monkeypatch):
+    # two clouds of twice the per-step budget; class 1 holds 50 points of each
+    rng = np.random.default_rng(9)
+    n, rare = 2 * SEG_POINTS_PER_SCENE, 50
+    labels = [1] * rare + [0] * (n - rare)
+    clouds = [PointCloud(rng.uniform(-20.0, 20.0, (n, 3)), rng.uniform(0.0, 1.0, n),
+                         labels, np.zeros(n)) for _ in range(2)]
+    steps = []
+    forward = SegNetMini.forward
+
+    def recording(self, cloud, rows=None):
+        steps.append((cloud.semantic, rows))
+        return forward(self, cloud, rows)
+
+    monkeypatch.setattr(SegNetMini, "forward", recording)
+    first = train_seg(clouds, 5, epochs=2, lr=0.01, seed=7)
+    second = train_seg(clouds, 5, epochs=2, lr=0.01, seed=7)
+    assert len(steps) == 2 * 2 * 2  # runs x epochs x clouds
+    for semantic, rows in steps:
+        assert len(np.unique(rows)) == len(rows) == SEG_POINTS_PER_SCENE
+        # a uniform draw would give class 1 about its cloud share, 50 / n
+        assert np.mean(semantic[rows] == 1) > 1.5 * rare / n
+    for name, value in first.mlp.params.items():
+        assert value.tobytes() == second.mlp.params[name].tobytes(), name
+
+
+def test_predict_on_an_empty_cloud_is_an_empty_int32_array():
+    model = SegNetMini(5)
+    model.init_random(0)
+    pred = model.predict(PointCloud.unlabeled(np.zeros((0, 3)), np.zeros(0)))
+    assert pred.dtype == np.int32 and pred.shape == (0,)
 
 
 @pytest.mark.parametrize("kind", ["seg", "det"])
