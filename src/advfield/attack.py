@@ -1,10 +1,16 @@
 """Projected-gradient learning of field banks against a frozen victim.
 
-Three objectives are supported: suppressing overlap-weighted detection
-confidence, pushing per-point predictions off the true class anywhere
-(untargeted), and pulling the perturbed class's predictions onto a chosen
-target class. Gradients flow victim -> point shifts -> vector components;
-after every Adam step the fields are clamped back into their feasible set.
+Each attack mode has one objective function, which returns a loss and the
+gradient of that loss in the victim's logits: :func:`detection_objective`
+suppresses overlap-weighted detection confidence, :func:`untargeted_objective`
+pushes per-point predictions off the true class anywhere, and
+:func:`targeted_objective` pulls the perturbed class's predictions onto a
+chosen target class. The two segmentation objectives take the victim's
+per-point probabilities and labels and return one loss per row, so that
+:func:`touched_loss_and_grads` can keep the clean loss of every row the
+deformation leaves alone. Gradients flow victim -> point shifts -> vector
+components; after every Adam step the fields are clamped back into their
+feasible set.
 """
 
 from __future__ import annotations
@@ -61,67 +67,51 @@ class AttackTrace:
 
 
 # ---------------------------------------------------------------------------
-# losses (values and logit gradients)
+# objectives: losses and their logit gradients
 # ---------------------------------------------------------------------------
 
-def loss_detection(scores, ious) -> float:
-    """Sum of -iou * log(1 - s) over relevant proposals; zero without overlap."""
+def detection_objective(scores, ious) -> tuple:
+    """Loss sum(-iou * log(1 - s)) over relevant proposals, zero without
+    overlap, and its gradient in the confidence logits; the overlap weight is
+    treated as constant."""
     scores = np.asarray(scores, dtype=float)
     ious = np.asarray(ious, dtype=float)
-    return float(-(ious * np.log(np.maximum(1.0 - scores, PROB_FLOOR))).sum())
+    return float(-(ious * np.log(np.maximum(1.0 - scores, PROB_FLOOR))).sum()), ious * scores
 
 
-def detection_logit_grad(scores, ious) -> np.ndarray:
-    """d loss / d confidence-logit; the overlap weight is treated as constant."""
-    return np.asarray(ious, dtype=float) * np.asarray(scores, dtype=float)
+def _floored_log_prob(probs, classes) -> tuple:
+    """Per row: log of the probability of ``classes[row]`` floored at
+    PROB_FLOOR, and its logit gradient, zero on floored rows."""
+    rows = np.arange(len(classes))
+    picked = probs[rows, classes]
+    grad = np.zeros_like(probs)
+    live = rows[picked > PROB_FLOOR]
+    grad[live] = -probs[live]
+    grad[live, classes[live]] += 1.0
+    return np.log(np.maximum(picked, PROB_FLOOR)), grad
 
 
-def untargeted_point_losses(probs, labels) -> np.ndarray:
-    """Per row: the log-probability of the true class, floored at PROB_FLOOR.
+def untargeted_objective(probs, labels) -> tuple:
+    """Per row: the floored log-probability of the true class; and its
+    logit gradient.
 
-    Their sum over the scene is the untargeted loss (minimized). It is the
+    Its sum over the scene is the untargeted loss (minimized). It is the
     negated cross-entropy: zero for perfect confidence, more negative for a
     healthier model, so minimizing it degrades predictions on every point.
     """
-    probs = np.asarray(probs, dtype=float)
+    return _floored_log_prob(np.asarray(probs, dtype=float), np.asarray(labels))
+
+
+def targeted_objective(probs, labels, adversarial_class: int, target_class: int) -> tuple:
+    """Per row of ``adversarial_class``: the negated floored log-probability
+    of ``target_class``; zero loss and gradient on every other row."""
     labels = np.asarray(labels)
-    picked = probs[np.arange(len(labels)), labels]
-    return np.log(np.maximum(picked, PROB_FLOOR))
-
-
-def untargeted_logit_grad(probs, labels) -> np.ndarray:
-    probs = np.asarray(probs, dtype=float)
-    labels = np.asarray(labels)
-    rows = np.arange(len(labels))
-    grad = np.zeros_like(probs)
-    picked = probs[rows, labels]
-    live = picked > PROB_FLOOR  # clamped rows contribute no gradient
-    rows = rows[live]
-    grad[rows] = -probs[rows]
-    grad[rows, labels[rows]] += 1.0
-    return grad
-
-
-def targeted_point_losses(probs, rows, target_class: int) -> np.ndarray:
-    """Per entry of ``rows``: the negated log-probability of the target class.
-
-    ``rows`` are the perturbed class's points; the targeted loss is the sum.
-    """
-    rows = np.asarray(rows)
-    probs = np.asarray(probs, dtype=float)
-    picked = probs[rows, target_class]
-    return -np.log(np.maximum(picked, PROB_FLOOR))
-
-
-def targeted_logit_grad(probs, rows, target_class: int) -> np.ndarray:
-    probs = np.asarray(probs, dtype=float)
-    rows = np.asarray(rows)
-    grad = np.zeros_like(probs)
-    live = probs[rows, target_class] > PROB_FLOOR
-    rows = rows[live]
-    grad[rows] = probs[rows]
-    grad[rows, target_class] -= 1.0
-    return grad
+    log_prob, grad = _floored_log_prob(np.asarray(probs, dtype=float),
+                                       np.full(len(labels), target_class))
+    counted = labels == adversarial_class
+    # 0.0 - grad, not -grad: a zero entry stays +0.0
+    return (np.where(counted, -log_prob, 0.0),
+            np.where(counted[:, None], 0.0 - grad, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +163,6 @@ def _prepare(scenes, bank: FieldBank, cfg: AttackConfig):
     return work, sorted(slot for slot, count in usage.items() if count == 0)
 
 
-def _seg_point_losses(probs, labels, cfg: AttackConfig):
-    """Per-row loss of a segmentation mode (zero on rows it does not count)
-    and its logit gradient."""
-    if cfg.mode == "seg-untargeted":
-        return untargeted_point_losses(probs, labels), untargeted_logit_grad(probs, labels)
-    rows = np.flatnonzero(labels == cfg.adversarial_class)
-    losses = np.zeros(len(labels))
-    losses[rows] = targeted_point_losses(probs, rows, cfg.target_class)
-    return losses, targeted_logit_grad(probs, rows, cfg.target_class)
-
-
 def _detection_loss_and_input_grads(cloud, work: _SceneWork, victim, cfg: AttackConfig):
     """Scene loss and the input gradients of ``work.moved`` in detection mode."""
     scores, full, tape = victim.forward(cloud)
@@ -194,9 +173,8 @@ def _detection_loss_and_input_grads(cloud, work: _SceneWork, victim, cfg: Attack
         return 0.0, np.zeros((len(work.moved), 3)), no_tau
     proposals = victim.decode_boxes(relevant, full)
     ious = np.array([max(iou_3d(p, g) for g in gt) for p in proposals])
-    loss = loss_detection(scores[relevant], ious)
     d_full = np.zeros_like(full)
-    d_full[relevant, 0] = detection_logit_grad(scores[relevant], ious)
+    loss, d_full[relevant, 0] = detection_objective(scores[relevant], ious)
     dpos = victim.backward_inputs(tape, d_full)
     return loss, dpos[work.moved], no_tau
 
@@ -205,10 +183,11 @@ def touched_loss_and_grads(victim, clean, clean_losses, deformed, moved, objecti
     """Loss of ``deformed`` and the input gradients of its points ``moved``.
 
     ``deformed`` is ``clean`` with only the points ``moved`` changed, and
-    ``objective(probs, labels)`` returns per-row losses and their logit
-    gradient. The segmenter runs on the voxels that ``moved`` occupies in
-    either cloud. Every other row's loss is its entry of ``clean_losses``,
-    its loss in ``clean``, since the victim is frozen.
+    ``objective(probs, labels)`` is a segmentation objective: for (r, C)
+    probabilities and r labels it returns the r per-row losses and their
+    (r, C) logit gradient. The segmenter runs on the voxels that ``moved``
+    occupies in either cloud. Every other row's loss is its entry of
+    ``clean_losses``, its loss in ``clean``, since the victim is frozen.
     """
     rows = victim.touched_rows(clean, deformed, moved)
     probs, tape = victim.forward(deformed, rows=rows)
@@ -249,7 +228,9 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
     optimizers = {(f.group, f.variant): Adam(cfg.lr) for f in bank.fields}
     trace = AttackTrace(unused_slots=unused_slots)
     seg = cfg.mode != "detection"
-    objective = functools.partial(_seg_point_losses, cfg=cfg)
+    objective = (untargeted_objective if cfg.mode == "seg-untargeted" else
+                 functools.partial(targeted_objective, adversarial_class=cfg.adversarial_class,
+                                   target_class=cfg.target_class))
     clean = [objective(victim.forward(item.scene.cloud)[0], item.scene.cloud.semantic)[0]
              if seg and item.plans else None for item in work]
 

@@ -6,6 +6,13 @@ attack; they are fitted per object on the very clouds they are evaluated on,
 which is what makes them strong and poorly transferable. None of them ever
 touches a point outside the target object's box.
 
+Both attacks run one PGD loop on the untargeted loss of the whole scene
+(:func:`attack.untargeted_objective`). Each step moves every attacked point
+by ``lr`` along its normalized spatial gradient, plus an optional penalty
+gradient; moves each intensity offset by ``lr`` against the sign of its
+gradient, which is zero where the raw intensity already sits at a clip bound
+of [0, 1]; and then projects the offsets back into the attack's budget.
+
 Each call runs the victim once on the cloud it is given. Every step after
 that runs it only on the voxels that the attacked points occupy before or
 after moving; every other row keeps its loss in the given cloud, since the
@@ -19,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import (touched_loss_and_grads, untargeted_logit_grad,
-                     untargeted_point_losses)
+from .attack import touched_loss_and_grads, untargeted_objective
 from .cloudio import PointCloud
 from .geometry import OrientedBox, box_contains_many
 
@@ -49,53 +55,58 @@ def _apply_offsets(cloud: PointCloud, idx, offsets, tau_shift) -> PointCloud:
     return out
 
 
-def _untargeted(probs, labels):
-    return untargeted_point_losses(probs, labels), untargeted_logit_grad(probs, labels)
-
-
-def _clean_losses(victim, cloud: PointCloud) -> np.ndarray:
-    """Per-row untargeted loss of the cloud an attack starts from."""
-    probs, _ = victim.forward(cloud)
-    return untargeted_point_losses(probs, cloud.semantic)
-
-
 def _normalized_rows(g: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     return g / np.maximum(norms, 1e-12)
 
 
-def _l2_attack(cloud: PointCloud, box: OrientedBox, victim, eps: float, psi: float,
-               iters: int, lr: float, active=None) -> _L2Result:
-    """Per-point PGD minimizing the untargeted loss over the whole scene.
+def _pgd(cloud: PointCloud, idx, victim, iters: int, lr: float, project,
+         penalty=None) -> tuple:
+    """The spatial and intensity offsets of the points ``idx`` after PGD.
 
-    ``active`` optionally restricts which of the object's points may move
-    (used by the generation baseline). After every step each spatial offset
-    is clipped to the eps ball and each intensity offset to [-psi, psi].
-    With no point to move, the cloud comes back unchanged and the victim
-    never runs.
+    ``penalty(offsets)``, if given, is added to the spatial gradient of the
+    loss; ``project(offsets, tau_shift)`` pulls both back into the budget in
+    place after every step. With no point to move, the offsets stay empty and
+    the victim never runs.
     """
-    idx = np.flatnonzero(box_contains_many(box, cloud.xyz))
-    if active is not None:
-        idx = np.asarray(active)
     offsets = np.zeros((len(idx), 3))
     tau_shift = np.zeros(len(idx))
     if len(idx) == 0:
-        return _L2Result(cloud.copy(), idx, offsets)
-    clean_losses = _clean_losses(victim, cloud)
+        return offsets, tau_shift
+    clean_losses = untargeted_objective(victim.forward(cloud)[0], cloud.semantic)[0]
     for _ in range(iters):
         attacked = _apply_offsets(cloud, idx, offsets, tau_shift)
         loss, dpos, dtau = touched_loss_and_grads(victim, cloud, clean_losses, attacked, idx,
-                                                  _untargeted)
+                                                  untargeted_objective)
         if not math.isfinite(loss):
             raise RuntimeError("victim produced a non-finite baseline loss")
-        step = _normalized_rows(dpos)
-        offsets -= lr * step
+        if penalty is not None:
+            dpos = dpos + penalty(offsets)
+        offsets -= lr * _normalized_rows(dpos)
         raw_tau = cloud.intensity[idx] + tau_shift
         g_tau = np.where((raw_tau <= 0.0) | (raw_tau >= 1.0), 0.0, dtau)
         tau_shift -= lr * np.sign(g_tau)
+        project(offsets, tau_shift)
+    return offsets, tau_shift
+
+
+def _l2_attack(cloud: PointCloud, box: OrientedBox, victim, eps: float, psi: float,
+               iters: int, lr: float, active=None) -> _L2Result:
+    """Per-point PGD with each spatial offset in the eps ball and each
+    intensity offset in [-psi, psi].
+
+    ``active`` optionally restricts which of the object's points may move
+    (used by the generation baseline).
+    """
+    idx = (np.flatnonzero(box_contains_many(box, cloud.xyz)) if active is None
+           else np.asarray(active))
+
+    def project(offsets, tau_shift):
         norms = np.linalg.norm(offsets, axis=1, keepdims=True)
         offsets *= np.minimum(1.0, eps / np.maximum(norms, 1e-12))
         np.clip(tau_shift, -psi, psi, out=tau_shift)
+
+    offsets, tau_shift = _pgd(cloud, idx, victim, iters, lr, project)
     return _L2Result(_apply_offsets(cloud, idx, offsets, tau_shift), idx, offsets)
 
 
@@ -114,48 +125,33 @@ def chamfer_attack(cloud: PointCloud, box: OrientedBox, victim, lam: float = 0.1
     Minimizes loss + lam * C(deformed, original) over the object points; the
     overall Chamfer distance (not single offsets) is kept below eps by
     uniformly rescaling the offsets, so a few points may move far while the
-    average stays small.
+    average stays small. The mean absolute intensity offset is kept below
+    psi the same way.
     """
     idx = np.flatnonzero(box_contains_many(box, cloud.xyz))
     original = cloud.xyz[idx]
-    offsets = np.zeros((len(idx), 3))
-    tau_shift = np.zeros(len(idx))
-    if len(idx) == 0:
-        return cloud.copy()
-    clean_losses = _clean_losses(victim, cloud)
 
-    def project(off):
-        for _ in range(20):
-            c = chamfer_distance(original + off, original)
-            if c <= eps:
-                break
-            off *= (eps / c) * 0.999
-        return off
-
-    for _ in range(iters):
-        attacked = _apply_offsets(cloud, idx, offsets, tau_shift)
-        loss, dpos, dtau = touched_loss_and_grads(victim, cloud, clean_losses, attacked, idx,
-                                                  _untargeted)
-        if not math.isfinite(loss):
-            raise RuntimeError("victim produced a non-finite baseline loss")
+    def penalty(offsets):
         moved = original + offsets
         dists = np.linalg.norm(moved[:, None, :] - original[None, :, :], axis=2)
-        nearest = dists.argmin(axis=1)
-        gap = moved - original[nearest]
+        gap = moved - original[dists.argmin(axis=1)]
         gap_norm = np.linalg.norm(gap, axis=1, keepdims=True)
         # subgradient of the mean nearest distance; zero at unmoved points
         d_chamfer = np.where(gap_norm > 1e-12, gap / np.maximum(gap_norm, 1e-12), 0.0)
         d_chamfer /= len(idx)
-        total = dpos + lam * d_chamfer
-        offsets -= lr * _normalized_rows(total)
-        raw_tau = cloud.intensity[idx] + tau_shift
-        g_tau = np.where((raw_tau <= 0.0) | (raw_tau >= 1.0), 0.0, dtau)
-        tau_shift -= lr * np.sign(g_tau)
+        return lam * d_chamfer
 
-        offsets = project(offsets)
+    def project(offsets, tau_shift):
+        for _ in range(20):
+            c = chamfer_distance(original + offsets, original)
+            if c <= eps:
+                break
+            offsets *= (eps / c) * 0.999
         mean_tau = np.abs(tau_shift).mean()
         if mean_tau > psi:
             tau_shift *= psi / mean_tau
+
+    offsets, tau_shift = _pgd(cloud, idx, victim, iters, lr, project, penalty)
     return _apply_offsets(cloud, idx, offsets, tau_shift)
 
 

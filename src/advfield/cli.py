@@ -208,12 +208,13 @@ def cmd_eval(args) -> int:
     summary = []
 
     if is_seg:
-        def scene_confusion(scene):
-            return evaluate.confusion_matrix(model.predict(scene.cloud),
-                                             scene.cloud.semantic, n_classes)
+        if wanted & {"miou", "distance-bins"}:
+            pred = parallel_map(lambda scene: model.predict(scene.cloud), scenes,
+                                args.threads)
         if "miou" in wanted:
-            total = sum(parallel_map(scene_confusion, scenes, args.threads))
-            result = evaluate.iou_from_confusion(total)
+            result = evaluate.iou_from_confusion(sum(
+                evaluate.confusion_matrix(p, s.cloud.semantic, n_classes)
+                for p, s in zip(pred, scenes)))
             lines = ["class,iou,valid"]
             lines += [f"{name},{result.iou[i]!r},{int(result.valid[i])}"
                       for i, name in enumerate(simulator.CLASS_NAMES)]
@@ -222,8 +223,7 @@ def cmd_eval(args) -> int:
             summary.append(f"miou {result.mean:.4f}")
         if "distance-bins" in wanted:
             rows = ["bin_low_m,class,iou,valid"]
-            pred = [model.predict(s.cloud) for s in scenes]
-            all_pred = np.concatenate(pred) if pred else np.zeros(0, np.int64)
+            all_pred = np.concatenate(pred)
             all_lab = np.concatenate([s.cloud.semantic for s in scenes])
             all_xyz = np.concatenate([s.cloud.xyz for s in scenes])
             ious, valid = evaluate.distance_binned_iou(

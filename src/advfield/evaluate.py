@@ -331,16 +331,14 @@ def apply_intensity_transform(cloud: PointCloud, name: str,
 
 def intensity_suite(victim, scenes, n_classes: int, seed: int = 0) -> dict:
     """mIoU (and per-class IoU) of the victim under each intensity transform."""
-    table = {}
-    for t_index, name in enumerate(INTENSITY_TRANSFORMS):
-        total = np.zeros((n_classes, n_classes), dtype=np.int64)
+    def transformed(t_index, name):
         for s_index, scene in enumerate(scenes):
             rng = np.random.default_rng(
                 np.random.SeedSequence([int(seed), 31, t_index, s_index]))
-            cloud = apply_intensity_transform(scene.cloud, name, rng)
-            total += confusion_matrix(victim.predict(cloud), cloud.semantic, n_classes)
-        table[name] = iou_from_confusion(total)
-    return table
+            yield apply_intensity_transform(scene.cloud, name, rng)
+
+    return {name: miou_over_scenes(victim, transformed(t_index, name), n_classes)
+            for t_index, name in enumerate(INTENSITY_TRANSFORMS)}
 
 
 # ---------------------------------------------------------------------------

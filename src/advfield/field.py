@@ -58,10 +58,6 @@ class VectorField:
     def size(self) -> int:
         return len(self.roots)
 
-    def copy(self) -> "VectorField":
-        return VectorField(self.dims, self.step, self.vectors.copy(),
-                           self.group, self.variant)
-
 
 @dataclass
 class FieldBank:
@@ -86,9 +82,15 @@ class FieldBank:
             raise ValueError(
                 f"bank needs G*N = {self.groups * self.variants} fields, got {len(self.fields)}"
             )
-        seen = {(f.group, f.variant) for f in self.fields}
-        if len(seen) != len(self.fields):
-            raise ValueError("bank has duplicate (group, variant) slots")
+        seen = set()
+        for f in self.fields:
+            slot = (f.group, f.variant)
+            if slot in seen or not (1 <= f.group <= self.groups
+                                    and 1 <= f.variant <= self.variants):
+                raise ValueError(f"field slot (group {f.group}, variant {f.variant}) is "
+                                 f"{'repeated' if slot in seen else 'outside'} the bank's "
+                                 f"{self.groups} x {self.variants} grid")
+            seen.add(slot)
         ref = self.fields[0]
         for f in self.fields:
             if f.dims != ref.dims or f.step != ref.step:

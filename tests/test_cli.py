@@ -275,6 +275,32 @@ def test_segmentation_eval_writes_its_reports_and_replays(pipeline):
         assert (replay / name).read_bytes() == (out / name).read_bytes()
 
 
+def test_segmentation_eval_predicts_each_scene_once(pipeline, monkeypatch):
+    calls = []
+    predict = victim.SegNetMini.predict
+
+    def counting(self, cloud):
+        calls.append(cloud.n)
+        return predict(self, cloud)
+
+    monkeypatch.setattr(victim.SegNetMini, "predict", counting)
+    seg_eval = ("eval", "--victim", pipeline / "victim" / "seg.ckpt",
+                "--data", pipeline / "data" / "val", "--metrics")
+    both = pipeline / "seg-eval-both"
+    assert run("--threads", 1, *seg_eval, "miou,distance-bins", "--out", both) == 0
+    assert len(calls) == 2
+    for metric, name in (("miou", "miou.csv"), ("distance-bins", "distance_bins.csv")):
+        alone = pipeline / f"seg-eval-{metric}"
+        assert run("--threads", 2, *seg_eval, metric, "--out", alone) == 0
+        assert (alone / name).read_bytes() == (both / name).read_bytes()
+    # no transform leaves the clouds as they are: the suite's first row is the mIoU
+    suite = pipeline / "seg-eval-suite"
+    assert run(*seg_eval, "intensity-suite", "--out", suite) == 0
+    row = (suite / "intensity_suite.csv").read_text(encoding="utf-8").splitlines()[1]
+    mean = (both / "miou.csv").read_text(encoding="utf-8").splitlines()[-1]
+    assert row.split(",")[:2] == ["none", mean.split(",")[1]]
+
+
 def test_analyze_fields_writes_one_row_per_slot(pipeline):
     out = pipeline / "analysis" / "fields.csv"
     assert run("analyze-fields", "--bank", pipeline / "bank" / "car.vfb", "--out", out) == 0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from advfield.cloudio import PointCloud
 from advfield.field import (COINCIDENT_EPS, build_lattice, clamp_field, deform,
                             init_random, lattice_counts, make_bank,
-                            plan_deformation, ShiftJacobian, anchor,
+                            plan_deformation, ShiftJacobian, VectorField, anchor,
                             anchored_vectors)
 from advfield.geometry import OrientedBox, box_contains_many, rot_z
 
@@ -362,7 +363,8 @@ class TestShiftJacobian:
         checked = 0
         for j in rng.choice(used, min(12, len(used)), replace=False):
             for c in range(4):
-                f1, f2 = fld.copy(), fld.copy()
+                f1, f2 = (VectorField(fld.dims, fld.step, fld.vectors.copy())
+                          for _ in range(2))
                 f1.vectors[j, c] += h
                 f2.vectors[j, c] -= h
                 assert np.array_equal(jac.tau_clip_active(cloud, f1), clip)
@@ -418,3 +420,13 @@ def test_make_bank_shapes_and_slots():
         (g, n) for g in range(1, 13) for n in range(1, 7)}
     total = sum(f.size for f in bank.fields)
     assert total == 119_232
+
+
+# a group beyond G is a malformed-bank case of tests/test_cloudio.py
+@pytest.mark.parametrize("slot, problem", [((1, 1), "repeated"), ((1, 0), "outside")])
+def test_bank_slots_must_be_exactly_the_grid(slot, problem):
+    bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, groups=2, variants=1, seed=0)
+    bank.fields[1].group, bank.fields[1].variant = slot
+    with pytest.raises(ValueError, match=f"slot \\(group {slot[0]}, variant {slot[1]}\\) "
+                                         f"is {problem} the bank's 2 x 1 grid"):
+        replace(bank)

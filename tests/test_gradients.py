@@ -7,9 +7,8 @@ and the analytic input gradients must match to rounding.
 
 import numpy as np
 
-from advfield.attack import (detection_logit_grad, loss_detection, targeted_logit_grad,
-                             targeted_point_losses, untargeted_logit_grad,
-                             untargeted_point_losses)
+from advfield.attack import (PROB_FLOOR, detection_objective, targeted_objective,
+                             untargeted_objective)
 from advfield.cloudio import PointCloud
 from advfield.victim import DetHeadMini, SegNetMini
 
@@ -104,24 +103,56 @@ class TestAttackLossGradients:
         rng = np.random.default_rng(33)
         logits = rng.normal(size=7)
         ious = rng.uniform(0.0, 1.0, size=7)
-        analytic = detection_logit_grad(sigmoid(logits), ious)
-        numeric = central_difference(lambda z: loss_detection(sigmoid(z), ious), logits)
+        analytic = detection_objective(sigmoid(logits), ious)[1]
+        numeric = central_difference(lambda z: detection_objective(sigmoid(z), ious)[0],
+                                     logits)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-7, atol=1e-9)
 
     def test_untargeted(self):
         rng = np.random.default_rng(34)
         logits = rng.normal(size=(9, 4))
         labels = rng.integers(0, 4, size=9)
-        analytic = untargeted_logit_grad(softmax(logits), labels)
+        analytic = untargeted_objective(softmax(logits), labels)[1]
         numeric = central_difference(
-            lambda z: untargeted_point_losses(softmax(z), labels).sum(), logits)
+            lambda z: untargeted_objective(softmax(z), labels)[0].sum(), logits)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-7, atol=1e-9)
 
     def test_targeted(self):
         rng = np.random.default_rng(35)
         logits = rng.normal(size=(9, 4))
-        rows = np.array([0, 3, 4, 8])
-        analytic = targeted_logit_grad(softmax(logits), rows, 2)
+        # rows 0, 3, 4 and 8 hold the adversarial class 1; the target is 2
+        labels = np.array([1, 0, 2, 1, 1, 3, 0, 2, 1])
+        analytic = targeted_objective(softmax(logits), labels, 1, 2)[1]
         numeric = central_difference(
-            lambda z: targeted_point_losses(softmax(z), rows, 2).sum(), logits)
+            lambda z: targeted_objective(softmax(z), labels, 1, 2)[0].sum(), logits)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-7, atol=1e-9)
+
+
+class TestProbabilityFloor:
+    """A row whose scored probability is at or below PROB_FLOOR has the loss
+    of PROB_FLOOR and a zero logit gradient."""
+
+    # rows 0 and 1 score class 1 at and below the floor, rows 2 and 3 above it
+    PROBS = np.array([[0.5, PROB_FLOOR, 0.5 - PROB_FLOOR],
+                      [0.6, 0.25 * PROB_FLOOR, 0.4 - 0.25 * PROB_FLOOR],
+                      [0.2, 0.3, 0.5],
+                      [0.1, 0.7, 0.2]])
+
+    def test_untargeted(self):
+        losses, grad = untargeted_objective(self.PROBS, np.array([1, 1, 1, 2]))
+        assert losses[0] == losses[1] == np.log(PROB_FLOOR)
+        assert np.all(grad[:2] == 0.0)
+        np.testing.assert_array_equal(losses[2:], np.log([0.3, 0.2]))
+        np.testing.assert_array_equal(grad[2], [-0.2, 0.7, -0.5])
+        assert np.all(grad[2:] != 0.0)
+
+    def test_targeted(self):
+        # class 0 is adversarial in rows 0, 1 and 3; row 2 is not counted
+        losses, grad = targeted_objective(self.PROBS, np.array([0, 0, 2, 0]), 0, 1)
+        assert losses[0] == losses[1] == -np.log(PROB_FLOOR)
+        assert losses[2] == 0.0 and np.all(grad[2] == 0.0)
+        assert np.all(grad[:2] == 0.0)
+        assert losses[3] == -np.log(0.7)
+        np.testing.assert_array_equal(grad[3], [0.1, 0.7 - 1.0, 0.2])
+        # a zero gradient entry is +0.0, never -0.0
+        assert not np.signbit(grad[:3]).any()

@@ -1,6 +1,6 @@
 """Package-wide invariants: every module imports, its exports resolve, the
-runtime needs numpy and the standard library alone, and every name the
-benchmark wraps or calls with ``k=`` still exists."""
+runtime needs numpy and the standard library alone, every name the
+benchmark wraps still exists, and every call the benchmark makes still binds."""
 
 import ast
 import importlib
@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import advfield
-from advfield import attack, evaluate, field
+from advfield import field
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(advfield.__path__, "advfield."))
 
@@ -63,8 +64,93 @@ def test_every_name_the_benchmark_traces_resolves():
     assert not unresolved, f"the benchmark traces missing names {unresolved}"
 
 
-def test_the_benchmark_passes_k_where_the_library_accepts_it():
-    for fn in (attack.AttackConfig, evaluate.train_augmented, evaluate.deform_all_objects):
-        assert "k" in inspect.signature(fn).parameters, fn.__qualname__
+def _advfield_modules(tree) -> dict:
+    """Local name -> module of every ``from advfield import <module>``."""
+    return {alias.asname or alias.name: importlib.import_module(f"advfield.{alias.name}")
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            and node.module == "advfield" for alias in node.names}
+
+
+def _resolve(node, modules):
+    """The advfield object that ``module.attr...`` names, else None; raises
+    AttributeError for a name the library lacks."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name) or node.id not in modules or not parts:
+        return None
+    target = modules[node.id]
+    for part in reversed(parts):
+        target = getattr(target, part)
+    return target
+
+
+def _loop_bindings(tree) -> dict:
+    """``id(call) -> {name: [element]}`` for calls inside ``for a, b in ((x, y), ...)``
+    loops over literal tuples: each name with every element it takes."""
+    bindings = {}
+    for loop in ast.walk(tree):
+        if not (isinstance(loop, ast.For) and isinstance(loop.target, ast.Tuple)
+                and isinstance(loop.iter, (ast.Tuple, ast.List))
+                and all(isinstance(t, ast.Name) for t in loop.target.elts)
+                and all(isinstance(row, ast.Tuple) for row in loop.iter.elts)):
+            continue
+        names = [t.id for t in loop.target.elts]
+        values = {name: [row.elts[i] for row in loop.iter.elts]
+                  for i, name in enumerate(names)}
+        for call in (n for stmt in loop.body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Call)):
+            bindings.setdefault(id(call), {}).update(values)
+    return bindings
+
+
+# workload helpers that take the library callable as an argument: its position
+FORWARDERS = {"call": 0, "attempt": 1}
+
+
+def _benchmark_calls():
+    """``(line, callable expression, callable, positional count, keyword names)``
+    of every advfield call in the workloads, resolved against the library."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    modules = _advfield_modules(tree)
+    assert {"attack", "baselines", "evaluate"} <= modules.keys()
+    loops = _loop_bindings(tree)
+    calls = []
+    for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        fn_node, args = call.func, call.args
+        at = FORWARDERS.get(getattr(fn_node, "attr", None))
+        if at is not None and len(args) > at:
+            fn_node, args = args[at], args[at + 1:]
+        candidates = [fn_node]
+        if isinstance(fn_node, ast.Name):
+            candidates = loops.get(id(call), {}).get(fn_node.id, [])
+        for node in candidates:
+            try:
+                fn = _resolve(node, modules)
+            except AttributeError as err:
+                raise AssertionError(f"workloads.py:{call.lineno}: {err}") from None
+            if fn is None:
+                continue
+            assert not any(isinstance(a, ast.Starred) for a in args), call.lineno
+            assert all(kw.arg for kw in call.keywords), call.lineno
+            calls.append((call.lineno, ast.unparse(node), fn, len(args),
+                          [kw.arg for kw in call.keywords]))
+    return calls
+
+
+def test_every_call_the_benchmark_makes_binds_to_the_library():
+    calls = _benchmark_calls()
+    names = {name for _, name, *_ in calls}
+    # direct, through Ops.call and Ops.attempt, and through the baseline loop
+    assert {"attack.AttackConfig", "attack.fit_bank", "simulator.load_split",
+            "baselines.iterative_gradient_l2", "baselines.chamfer_attack"} <= names
+    unbound = []
+    for line, name, fn, n_args, keywords in calls:
+        try:
+            inspect.signature(fn).bind(*[None] * n_args, **dict.fromkeys(keywords))
+        except TypeError as err:
+            unbound.append(f"workloads.py:{line}: {name}: {err}")
+    assert not unbound, "the benchmark's calls no longer bind:\n" + "\n".join(unbound)
     # the tracing hook of plan_deformation reads k as its fifth positional argument
     assert list(inspect.signature(field.plan_deformation).parameters)[4] == "k"

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from advfield import attack, baselines, simulator
-from advfield.attack import (targeted_logit_grad, targeted_point_losses,
-                             untargeted_logit_grad, untargeted_point_losses)
+from advfield.attack import targeted_objective, untargeted_objective
 from advfield.cloudio import PointCloud
 from advfield.field import deform_targets, make_bank, plan_targets
 from advfield.geometry import OrientedBox, box_contains_many
@@ -97,14 +96,12 @@ def full_cloud_objective(model, cloud, labels, cfg):
     """The oracle: loss and input gradients with every row through the MLP."""
     probs, tape = model.forward(cloud)
     if cfg.mode == "seg-untargeted":
-        loss = untargeted_point_losses(probs, labels).sum()
-        dlogits = untargeted_logit_grad(probs, labels)
+        losses, dlogits = untargeted_objective(probs, labels)
     else:
-        rows = np.flatnonzero(labels == cfg.adversarial_class)
-        loss = targeted_point_losses(probs, rows, cfg.target_class).sum()
-        dlogits = targeted_logit_grad(probs, rows, cfg.target_class)
+        losses, dlogits = targeted_objective(probs, labels, cfg.adversarial_class,
+                                             cfg.target_class)
     dpos, dtau = model.backward_inputs(tape, dlogits)
-    return float(loss), dpos, dtau
+    return float(losses.sum()), dpos, dtau
 
 
 def assert_close(got, want):
@@ -148,13 +145,13 @@ def test_a_whole_voxel_tape_gives_the_full_cloud_gradients_of_its_rows():
     labels = after.semantic
 
     probs, tape = model.forward(after, rows=rows)
-    dpos, dtau = model.backward_inputs(tape, untargeted_logit_grad(probs, labels[rows]))
+    dpos, dtau = model.backward_inputs(tape, untargeted_objective(probs, labels[rows])[1])
     assert dpos.shape == (len(rows), 3) and dtau.shape == (len(rows),)
 
     full_probs, full_tape = model.forward(after)
     # the loss over the rows alone: other rows' logit gradients are zero
     dlogits = np.zeros_like(full_probs)
-    dlogits[rows] = untargeted_logit_grad(full_probs[rows], labels[rows])
+    dlogits[rows] = untargeted_objective(full_probs[rows], labels[rows])[1]
     want_pos, want_tau = model.backward_inputs(full_tape, dlogits)
     assert_close(probs, full_probs[rows])
     assert_close(dpos, want_pos[rows])
