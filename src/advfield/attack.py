@@ -21,7 +21,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import FieldBank, ShiftJacobian, clamp_field, deform_targets, plan_targets
+from .field import (FieldBank, ShiftJacobian, check_budget, clamp_field, deform_targets,
+                    plan_targets)
 from .geometry import iou_3d
 from .victim import Adam, DetHeadMini, SegNetMini
 
@@ -47,8 +48,7 @@ class AttackConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.eps <= 0 or self.psi <= 0:
-            raise ValueError("eps and psi must be positive")
+        check_budget(self.eps, self.psi)
         if self.mode == "seg-targeted":
             if self.target_class is None:
                 raise ValueError("targeted mode needs a target class")

@@ -71,6 +71,14 @@ def write_manifest(args: argparse.Namespace, path: Path, started: float) -> None
     cloudio.write_config(config, path)
 
 
+def finite_float(text: str) -> float:
+    """The argparse type of every float option: a number, neither nan nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _sensor_from_args(args) -> simulator.SensorSpec:
     return simulator.SensorSpec(
         origin_height=args.origin_height,
@@ -208,13 +216,11 @@ def cmd_eval(args) -> int:
     summary = []
 
     if is_seg:
-        if wanted & {"miou", "distance-bins"}:
-            pred = parallel_map(lambda scene: model.predict(scene.cloud), scenes,
-                                args.threads)
+        pred = parallel_map(lambda scene: model.predict(scene.cloud), scenes, args.threads)
+        result = evaluate.iou_from_confusion(sum(
+            evaluate.confusion_matrix(p, s.cloud.semantic, n_classes)
+            for p, s in zip(pred, scenes)))
         if "miou" in wanted:
-            result = evaluate.iou_from_confusion(sum(
-                evaluate.confusion_matrix(p, s.cloud.semantic, n_classes)
-                for p, s in zip(pred, scenes)))
             lines = ["class,iou,valid"]
             lines += [f"{name},{result.iou[i]!r},{int(result.valid[i])}"
                       for i, name in enumerate(simulator.CLASS_NAMES)]
@@ -236,11 +242,11 @@ def cmd_eval(args) -> int:
                                                    encoding="utf-8")
             summary.append("distance-bins written")
         if "intensity-suite" in wanted:
-            table = evaluate.intensity_suite(model, scenes, n_classes, seed=args.seed)
+            table = evaluate.intensity_suite(model, scenes, n_classes, result, seed=args.seed)
             rows = ["transform,miou," + ",".join(simulator.CLASS_NAMES)]
-            for name, result in table.items():
-                per = ",".join(repr(v) for v in result.iou)
-                rows.append(f"{name},{result.mean!r},{per}")
+            for name, row in table.items():
+                per = ",".join(repr(v) for v in row.iou)
+                rows.append(f"{name},{row.mean!r},{per}")
             (out / "intensity_suite.csv").write_text("\n".join(rows) + "\n",
                                                      encoding="utf-8")
             summary.append("intensity-suite written")
@@ -287,9 +293,9 @@ def cmd_analyze_fields(args) -> int:
 
 def _add_sensor_flags(sub):
     sub.add_argument("--channels", type=int, default=32)
-    sub.add_argument("--azimuth-res-deg", type=float, default=0.4)
-    sub.add_argument("--origin-height", type=float, default=1.7)
-    sub.add_argument("--max-range", type=float, default=80.0)
+    sub.add_argument("--azimuth-res-deg", type=finite_float, default=0.4)
+    sub.add_argument("--origin-height", type=finite_float, default=1.7)
+    sub.add_argument("--max-range", type=finite_float, default=80.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=["seg", "det"], default="seg")
     p.add_argument("--data", required=True)
     p.add_argument("--epochs", type=int, default=8)
-    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--lr", type=finite_float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--augment-bank", default=None)
     p.add_argument("--out", required=True)
@@ -331,17 +337,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--G", type=int, default=12)
     p.add_argument("--N", type=int, default=6)
-    p.add_argument("--eps", type=float, default=0.3)
-    p.add_argument("--psi", type=float, default=0.3)
+    p.add_argument("--eps", type=finite_float, default=0.3)
+    p.add_argument("--psi", type=finite_float, default=0.3)
     p.add_argument("--iters", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=None,
+    p.add_argument("--lr", type=finite_float, default=None,
                    help="default 0.05 for detection, 0.01 for segmentation")
     p.add_argument("--boxes", choices=BOX_MODES, default="gt")
-    p.add_argument("--drop-boxes", type=float, default=0.0)
+    p.add_argument("--drop-boxes", type=finite_float, default=0.0)
     p.add_argument("--dims", default=",".join(map(str, simulator.CANONICAL_CAR_DIMS)),
                    help="reference box w,h,l in meters")
-    p.add_argument("--step", type=float, default=0.2)
+    p.add_argument("--step", type=finite_float, default=0.2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attack)
 
@@ -351,10 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", default="car", choices=simulator.CLASS_NAMES)
     p.add_argument("--victim", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--eps", type=float, default=0.3)
-    p.add_argument("--psi", type=float, default=0.3)
+    p.add_argument("--eps", type=finite_float, default=0.3)
+    p.add_argument("--psi", type=finite_float, default=0.3)
     p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--lam", type=float, default=0.1)
+    p.add_argument("--lam", type=finite_float, default=0.1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_baseline_attack)
 
@@ -365,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated; seg: " + ",".join(SEG_METRICS)
                    + "; det: " + ",".join(DET_METRICS))
     p.add_argument("--bank", default=None, help="det only: the bank asr attacks with")
-    p.add_argument("--iou-thr", type=float, default=None,
+    p.add_argument("--iou-thr", type=finite_float, default=None,
                    help=f"det only; default {DET_IOU_THR}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -281,10 +281,6 @@ def collect_detections(victim, scenes, class_id: int | None = None, transform=No
 # intensity robustness suite
 # ---------------------------------------------------------------------------
 
-def _t_none(tau, rng):
-    return tau
-
-
 def _t_zero(tau, rng):
     return np.zeros_like(tau)
 
@@ -311,7 +307,6 @@ def _t_shift(tau, rng):
 
 
 INTENSITY_TRANSFORMS = {
-    "none": _t_none,
     "zero": _t_zero,
     "gauss_std_0.3": _t_gauss,
     "uniform_0_1": _t_uniform_replace,
@@ -329,16 +324,20 @@ def apply_intensity_transform(cloud: PointCloud, name: str,
     return out
 
 
-def intensity_suite(victim, scenes, n_classes: int, seed: int = 0) -> dict:
-    """mIoU (and per-class IoU) of the victim under each intensity transform."""
+def intensity_suite(victim, scenes, n_classes: int, clean: IouResult, seed: int = 0) -> dict:
+    """mIoU (and per-class IoU) of the victim under each intensity transform.
+
+    Row 0, ``none``, is ``clean``: the victim's result on the scenes as they
+    are. Row t draws its transform's noise from stream t of ``seed``."""
     def transformed(t_index, name):
         for s_index, scene in enumerate(scenes):
             rng = np.random.default_rng(
                 np.random.SeedSequence([int(seed), 31, t_index, s_index]))
             yield apply_intensity_transform(scene.cloud, name, rng)
 
-    return {name: miou_over_scenes(victim, transformed(t_index, name), n_classes)
-            for t_index, name in enumerate(INTENSITY_TRANSFORMS)}
+    return {"none": clean, **{
+        name: miou_over_scenes(victim, transformed(t_index, name), n_classes)
+        for t_index, name in enumerate(INTENSITY_TRANSFORMS, start=1)}}
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,7 @@ class FieldBank:
     boxes: str = "gt"               # box mode it was fitted with, see target_boxes
 
     def __post_init__(self):
+        check_budget(self.eps, self.psi)
         if self.boxes not in BOX_MODES:
             raise ValueError(f"box mode must be one of {BOX_MODES}, got {self.boxes!r}")
         if self.groups < 1 or self.variants < 1:
@@ -334,10 +335,15 @@ def deform_targets(cloud: PointCloud, plans, bank: FieldBank, variant: int) -> P
     return cloud
 
 
+def check_budget(eps: float, psi: float) -> None:
+    """Raise ValueError unless the budgets eps and psi are finite and positive."""
+    if not (0.0 < eps < math.inf and 0.0 < psi < math.inf):
+        raise ValueError(f"eps and psi must be finite and positive, got {eps} and {psi}")
+
+
 def clamp_field(field: VectorField, eps: float, psi: float) -> None:
     """Clip spatial components to [-eps, eps] and the intensity shift to [-psi, psi]."""
-    if eps <= 0.0 or psi <= 0.0:
-        raise ValueError("eps and psi must be positive")
+    check_budget(eps, psi)
     np.clip(field.vectors[:, :3], -eps, eps, out=field.vectors[:, :3])
     np.clip(field.vectors[:, 3], -psi, psi, out=field.vectors[:, 3])
 

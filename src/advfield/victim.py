@@ -15,6 +15,10 @@ the loss over its rows: every point that feeds a row's voxel statistics is
 itself a row. The attacks run the MLP on those rows alone and keep the clean
 cloud's loss for every other row.
 
+Each head's forward pass and input gradient share one aggregation operator,
+which is its own adjoint: the segmenter's voxel mean and the detector's 3x3
+box sum over anchor cells.
+
 The detector builds its fixed anchor grid (centers, bearings, view-frame
 rotations) once, and ``DetHeadMini.proposals`` is the one proposal rule of
 attack and evaluation. ``train_seg`` and ``train_det`` share one loop,
@@ -124,11 +128,18 @@ class _Mlp:
 # segmentation head
 # ---------------------------------------------------------------------------
 
+def _voxel_means(values: np.ndarray, inverse: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per row of ``values``, the column means over the rows of its voxel
+    (``inverse`` per row, ``counts`` per voxel); symmetric, so its own adjoint."""
+    sums = np.column_stack([np.bincount(inverse, weights=column, minlength=len(counts))
+                            for column in values.T])
+    return (sums / counts[:, None])[inverse]
+
+
 @dataclass
 class SegTape:
     """Activations of one forward pass, consumed by the backward passes."""
 
-    cloud: PointCloud
     inverse: np.ndarray       # (n,) voxel index per point
     counts: np.ndarray        # (nv,) points per voxel
     mlp_tape: tuple
@@ -157,20 +168,14 @@ class SegNetMini:
     def _features(self, cloud: PointCloud):
         keys = _grid_keys(cloud.xyz, self.radius)
         _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        nv = len(counts)
-        sums = np.zeros((nv, 3))
-        np.add.at(sums, inverse, cloud.xyz)
-        centroids = sums / counts[:, None]
-        tau_sums = np.zeros(nv)
-        np.add.at(tau_sums, inverse, cloud.intensity)
-        mean_tau = tau_sums / counts
+        means = _voxel_means(np.column_stack([cloud.xyz, cloud.intensity]), inverse, counts)
 
         feats = np.empty((cloud.n, self.N_FEATURES))
-        feats[:, 0:3] = (cloud.xyz - centroids[inverse]) * _REL_SCALE
+        feats[:, 0:3] = (cloud.xyz - means[:, 0:3]) * _REL_SCALE
         feats[:, 3] = cloud.xyz[:, 2] * _Z_SCALE
         feats[:, 4] = cloud.intensity
         feats[:, 5] = np.log1p(counts[inverse]) * _COUNT_SCALE
-        feats[:, 6] = mean_tau[inverse]
+        feats[:, 6] = means[:, 3]
         return feats, inverse, counts
 
     def touched_rows(self, before: PointCloud, after: PointCloud, moved) -> np.ndarray:
@@ -194,15 +199,11 @@ class SegNetMini:
         Rows that hold whole voxels, such as those of :meth:`touched_rows`,
         give a tape that :meth:`backward_inputs` accepts.
         """
-        if cloud.n == 0:
-            empty = np.zeros((0, self.n_classes))
-            return empty, SegTape(cloud, np.zeros(0, np.int64), np.zeros(0, np.int64),
-                                  (empty, empty, empty))
         feats, inverse, counts = self._features(cloud)
         if rows is not None:
             feats = feats[rows]
         logits, mlp_tape = self.mlp.forward(feats)
-        return _softmax(logits), SegTape(cloud, inverse, counts, mlp_tape, rows)
+        return _softmax(logits), SegTape(inverse, counts, mlp_tape, rows)
 
     def backward_inputs(self, tape: SegTape, dlogits: np.ndarray):
         """Exact gradients w.r.t. (x, y, z) and intensity of the tape's rows.
@@ -214,9 +215,6 @@ class SegNetMini:
         the tape, and the result is the exact gradient of the loss over the
         tape's rows. Raises ValueError on rows that split a voxel.
         """
-        cloud = tape.cloud
-        if cloud.n == 0:
-            return np.zeros((0, 3)), np.zeros(0)
         inverse = tape.inverse
         if tape.rows is not None:
             inverse = inverse[tape.rows]
@@ -226,17 +224,10 @@ class SegNetMini:
                 raise ValueError("input gradients need increasing rows that hold "
                                  "whole voxels")
         dfeat, _ = self.mlp.backward(tape.mlp_tape, dlogits)
-
-        nv = len(tape.counts)
-        rel_sums = np.zeros((nv, 3))
-        np.add.at(rel_sums, inverse, dfeat[:, 0:3])
-        rel_means = rel_sums / tape.counts[:, None]
-        dpos = (dfeat[:, 0:3] - rel_means[inverse]) * _REL_SCALE
+        means = _voxel_means(dfeat[:, [0, 1, 2, 6]], inverse, tape.counts)
+        dpos = (dfeat[:, 0:3] - means[:, 0:3]) * _REL_SCALE
         dpos[:, 2] += dfeat[:, 3] * _Z_SCALE
-
-        mtau_sums = np.zeros(nv)
-        np.add.at(mtau_sums, inverse, dfeat[:, 6])
-        dtau = dfeat[:, 4] + (mtau_sums / tape.counts)[inverse]
+        dtau = dfeat[:, 4] + means[:, 3]
         return dpos, dtau
 
     def predict(self, cloud: PointCloud) -> np.ndarray:
@@ -278,6 +269,9 @@ class DetHeadMini:
     (center offsets, log-size scales, doubled-angle yaw). Intensity is not
     used by this head.
 
+    The box sum is symmetric, so it is its own adjoint, and the input
+    gradient is one box sum of per-anchor coefficient grids.
+
     The grid is built once: ``centers``, their ``bearings`` phi from the
     sensor, and cos/sin of phi and 2 phi (``cos_p``, ``sin_p``, ``cos2``,
     ``sin2``), which rotate into each anchor's view frame.
@@ -311,14 +305,15 @@ class DetHeadMini:
         # confident-negative prior: empty anchors start well under relevance
         self.mlp.params["b3"][0] = -3.0
 
-    def _box_sum(self, grid: np.ndarray) -> np.ndarray:
-        """3x3 neighborhood sums of a (K, K) per-cell grid."""
-        padded = np.pad(grid, 1)
-        integral = np.pad(padded.cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
+    def _box_sum(self, grids: np.ndarray) -> np.ndarray:
+        """3x3 neighborhood sums of a (C, K * K) stack of per-cell grids."""
         k = self.cells_per_axis
+        padded = np.pad(grids.reshape(-1, k, k), ((0, 0), (1, 1), (1, 1)))
+        integral = np.pad(padded.cumsum(axis=1).cumsum(axis=2), ((0, 0), (1, 0), (1, 0)))
         # neighborhood of cell (i, j) spans padded rows i..i+2, cols j..j+2
-        return (integral[3:3 + k, 3:3 + k] - integral[:k, 3:3 + k]
-                - integral[3:3 + k, :k] + integral[:k, :k])
+        sums = (integral[:, 3:3 + k, 3:3 + k] - integral[:, :k, 3:3 + k]
+                - integral[:, 3:3 + k, :k] + integral[:, :k, :k])
+        return sums.reshape(len(grids), k * k)
 
     def _pool(self, cloud: PointCloud):
         k = self.cells_per_axis
@@ -327,15 +322,12 @@ class DetHeadMini:
         valid &= cloud.xyz[:, 2] > self.GROUND_CLIP  # ground returns carry no box cue
         point_cell = np.where(valid, ij[:, 0] * k + ij[:, 1], -1)
 
-        moments = np.zeros((7, k * k))
-        rows = np.flatnonzero(valid)
-        if rows.size:
-            x, y, z = cloud.xyz[rows, 0], cloud.xyz[rows, 1], cloud.xyz[rows, 2]
-            cells = point_cell[rows]
-            for channel, values in enumerate(
-                    (np.ones_like(x), x, y, z, x * x, y * y, x * y)):
-                np.add.at(moments[channel], cells, values)
-        sums = np.stack([self._box_sum(m.reshape(k, k)).ravel() for m in moments])
+        x, y, z = cloud.xyz[valid].T
+        cells = point_cell[valid]
+        moments = np.array([np.bincount(cells, weights=values, minlength=k * k)
+                            for values in (np.ones_like(x), x, y, z, x * x, y * y, x * y)],
+                           dtype=float)
+        sums = self._box_sum(moments)
 
         count = sums[0]
         safe = np.maximum(count, 1.0)
@@ -360,10 +352,7 @@ class DetHeadMini:
         feats[:, 4] = var_x + var_y                        # rotation invariant
         feats[:, 5] = cos2 * dvar + sin2 * cov2            # doubled-angle pair,
         feats[:, 6] = -sin2 * dvar + cos2 * cov2           # view frame
-        own = np.zeros(k * k)
-        if rows.size:
-            np.add.at(own, point_cell[rows], 1.0)
-        feats[:, 7] = np.log1p(own) * _COUNT_SCALE  # own-cell occupancy
+        feats[:, 7] = np.log1p(moments[0]) * _COUNT_SCALE  # own-cell occupancy
         empty = count == 0
         feats[empty] = 0.0
         return feats, point_cell, count, means
@@ -402,40 +391,37 @@ class DetHeadMini:
         ]
 
     def backward_inputs(self, tape: DetTape, d_outputs: np.ndarray) -> np.ndarray:
-        """Gradient w.r.t. point positions; the detector ignores intensity."""
-        cloud = tape.cloud
-        dpos = np.zeros((cloud.n, 3))
-        rows = np.flatnonzero(tape.point_cell >= 0)
-        if rows.size == 0:
-            return dpos
-        dfeat, _ = self.mlp.backward(tape.mlp_tape, d_outputs)
+        """Gradient w.r.t. point positions; the detector ignores intensity.
 
-        k = self.cells_per_axis
-        cells = tape.point_cell[rows]
-        ci, cj = np.divmod(cells, k)
-        x, y = cloud.xyz[rows, 0], cloud.xyz[rows, 1]
-        # a point in cell c feeds the 9 anchors whose neighborhood covers c
+        Under one anchor, a pooled point's gradient is affine in its (x, y).
+        An anchor's neighborhood holds a cell exactly when the cell's
+        neighborhood holds the anchor; so the box sum of the per-anchor
+        coefficients, read at a point's cell, gives the point's coefficients.
+        """
+        dfeat, _ = self.mlp.backward(tape.mlp_tape, d_outputs)
+        # undo the per-anchor view rotation of offsets and moments
         cos_p, sin_p, cos2, sin2 = self.cos_p, self.sin_p, self.cos2, self.sin2
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                ai, aj = ci + di, cj + dj
-                ok = (ai >= 0) & (ai < k) & (aj >= 0) & (aj < k)
-                a = ai[ok] * k + aj[ok]
-                inv = 1.0 / np.maximum(tape.neighbor_counts[a], 1.0)
-                sub = rows[ok]
-                # undo the per-anchor view rotation of offsets and moments
-                d_off_x = cos_p[a] * dfeat[a, 1] - sin_p[a] * dfeat[a, 2]
-                d_off_y = sin_p[a] * dfeat[a, 1] + cos_p[a] * dfeat[a, 2]
-                d_dvar = cos2[a] * dfeat[a, 5] - sin2[a] * dfeat[a, 6]
-                d_cov2 = sin2[a] * dfeat[a, 5] + cos2[a] * dfeat[a, 6]
-                cx = 2.0 * (x[ok] - tape.means[a, 0])
-                cy = 2.0 * (y[ok] - tape.means[a, 1])
-                gx = d_off_x + (dfeat[a, 4] + d_dvar) * cx + d_cov2 * cy
-                gy = d_off_y + (dfeat[a, 4] - d_dvar) * cy + d_cov2 * cx
-                gz = dfeat[a, 3] * _Z_SCALE
-                np.add.at(dpos[:, 0], sub, gx * inv)
-                np.add.at(dpos[:, 1], sub, gy * inv)
-                np.add.at(dpos[:, 2], sub, gz * inv)
+        d_off_x = cos_p * dfeat[:, 1] - sin_p * dfeat[:, 2]
+        d_off_y = sin_p * dfeat[:, 1] + cos_p * dfeat[:, 2]
+        d_dvar = cos2 * dfeat[:, 5] - sin2 * dfeat[:, 6]
+        d_cov2 = sin2 * dfeat[:, 5] + cos2 * dfeat[:, 6]
+        # d var_x / d x = 2 (x - mean x) / count, and alike for var_y and cov2
+        xx = 2.0 * (dfeat[:, 4] + d_dvar)
+        yy = 2.0 * (dfeat[:, 4] - d_dvar)
+        xy = 2.0 * d_cov2
+        mean_x, mean_y = tape.means[:, 0], tape.means[:, 1]
+        coefficients = np.stack([d_off_x - xx * mean_x - xy * mean_y,
+                                 d_off_y - yy * mean_y - xy * mean_x,
+                                 dfeat[:, 3] * _Z_SCALE, xx, yy, xy])
+        # an empty anchor reaches no point; zeroed, it adds no rounding to the
+        # integral image either
+        counts = tape.neighbor_counts
+        coefficients *= np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
+        pooled = tape.point_cell >= 0
+        gx, gy, gz, gxx, gyy, gxy = self._box_sum(coefficients)[:, tape.point_cell[pooled]]
+        x, y = tape.cloud.xyz[pooled, 0], tape.cloud.xyz[pooled, 1]
+        dpos = np.zeros((tape.cloud.n, 3))
+        dpos[pooled] = np.column_stack([gx + gxx * x + gxy * y, gy + gyy * y + gxy * x, gz])
         return dpos
 
     def state(self) -> dict:
@@ -601,8 +587,9 @@ def train_det(scenes, boxes_per_scene, epochs: int, lr: float, seed,
 
     ``boxes_per_scene[i]`` lists the ground-truth OrientedBox targets of
     scene i. Positive anchors are the cells whose center falls inside a box
-    footprint, plus the cell nearest to each box center. ``hook`` works as in
-    :func:`train_seg`; it moves points, never boxes.
+    footprint or lies less than 2 m from the box center, plus the cell
+    nearest to the box center. ``hook`` works as in :func:`train_seg`; it
+    moves points, never boxes.
     """
     model = DetHeadMini()
     centers = model.centers

@@ -286,18 +286,20 @@ def test_segmentation_eval_predicts_each_scene_once(pipeline, monkeypatch):
     monkeypatch.setattr(victim.SegNetMini, "predict", counting)
     seg_eval = ("eval", "--victim", pipeline / "victim" / "seg.ckpt",
                 "--data", pipeline / "data" / "val", "--metrics")
-    both = pipeline / "seg-eval-both"
-    assert run("--threads", 1, *seg_eval, "miou,distance-bins", "--out", both) == 0
-    assert len(calls) == 2
-    for metric, name in (("miou", "miou.csv"), ("distance-bins", "distance_bins.csv")):
+    every = pipeline / "seg-eval-every"
+    assert run("--threads", 1, *seg_eval, "miou,distance-bins,intensity-suite",
+               "--out", every) == 0
+    # one clean pass, shared by the three metrics, and one per intensity
+    # transform that changes the clouds
+    assert len(calls) == 2 * 7
+    for metric, name in (("miou", "miou.csv"), ("distance-bins", "distance_bins.csv"),
+                         ("intensity-suite", "intensity_suite.csv")):
         alone = pipeline / f"seg-eval-{metric}"
         assert run("--threads", 2, *seg_eval, metric, "--out", alone) == 0
-        assert (alone / name).read_bytes() == (both / name).read_bytes()
+        assert (alone / name).read_bytes() == (every / name).read_bytes()
     # no transform leaves the clouds as they are: the suite's first row is the mIoU
-    suite = pipeline / "seg-eval-suite"
-    assert run(*seg_eval, "intensity-suite", "--out", suite) == 0
-    row = (suite / "intensity_suite.csv").read_text(encoding="utf-8").splitlines()[1]
-    mean = (both / "miou.csv").read_text(encoding="utf-8").splitlines()[-1]
+    row = (every / "intensity_suite.csv").read_text(encoding="utf-8").splitlines()[1]
+    mean = (every / "miou.csv").read_text(encoding="utf-8").splitlines()[-1]
     assert row.split(",")[:2] == ["none", mean.split(",")[1]]
 
 
@@ -458,3 +460,54 @@ def test_a_manifest_with_an_unknown_class_name_exits_2(pipeline, tmp_path, capsy
     assert run("attack", "--config", tmp_path / "nosuch.cfg", "--out", out) == cli.EXIT_CONFIG
     assert "--class 'nosuch' is not one of ground, car," in capsys.readouterr().err
     assert not out.exists()
+
+
+def float_options() -> list:
+    """(subcommand, flag) of every option of build_parser() that takes a float."""
+    parser = cli.build_parser()
+    found = []
+    for command, sub in parser.subcommands.items():
+        for action in parser._actions + sub._actions:
+            assert action.type is not float, f"{command} {action.option_strings} takes nan"
+            if action.type is cli.finite_float:
+                found.append((command, action.option_strings[0]))
+    return found
+
+
+FLOAT_OPTIONS = float_options()
+
+
+def test_the_float_options_are_found_by_their_type():
+    named = {("simulate", "--azimuth-res-deg"), ("simulate", "--origin-height"),
+             ("simulate", "--max-range"), ("train-victim", "--lr"), ("attack", "--lr"),
+             ("attack", "--eps"), ("baseline-attack", "--eps"), ("attack", "--psi"),
+             ("baseline-attack", "--psi"), ("attack", "--drop-boxes"), ("attack", "--step"),
+             ("baseline-attack", "--lam"), ("eval", "--iou-thr")}
+    assert named <= set(FLOAT_OPTIONS)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,flag", FLOAT_OPTIONS)
+def test_a_non_finite_float_option_exits_2(command, flag, value, tmp_path, capsys):
+    argv = [command]
+    for action in cli.build_parser().subcommands[command]._actions:
+        if action.required:
+            given = action.choices[0] if action.choices else tmp_path / "out"
+            argv += [action.option_strings[0], given]
+    with pytest.raises(SystemExit) as exit_info:
+        run(*argv, f"{flag}={value}")
+    assert exit_info.value.code == cli.EXIT_CONFIG
+    assert f"argument {flag}: '{value}' is not a finite number" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_manifest_with_a_nan_budget_exits_2_and_writes_no_bank(pipeline, tmp_path, capsys):
+    config = cloudio.read_config(manifest(pipeline / "bank" / "car.vfb"))
+    for key in ("eps", "psi"):
+        cloudio.write_config({**config, key: "nan"}, tmp_path / f"{key}.cfg")
+        out = tmp_path / key / "car.vfb"
+        with pytest.raises(SystemExit) as exit_info:
+            run("attack", "--config", tmp_path / f"{key}.cfg", "--out", out)
+        assert exit_info.value.code == cli.EXIT_CONFIG
+        assert f"argument --{key}: 'nan' is not a finite number" in capsys.readouterr().err
+        assert not out.parent.exists()

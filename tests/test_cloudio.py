@@ -195,6 +195,8 @@ MALFORMED_BANKS = {
     "empty-bank": (lambda lines: _edit(_edit(lines[:11], "G = 2", "G = 0"), "N = 1", "N = 0"),
                    "G, N >= 1"),
     "box-mode": (lambda lines: _edit(lines, "boxes = gt", "boxes = round"), "box mode"),
+    "eps-nan": (lambda lines: _edit(lines, "eps = 0x1.3333333333333p-2", "eps = nan"),
+                "eps and psi must be finite and positive, got nan and 0.3"),
     "trailing-line": (lambda lines: lines + ["0x1.0p+0"], "expected 'array <name>"),
     "bad-hexfloat": (lambda lines: lines[:-1] + [lines[-1].replace("0x", "0y", 1)],
                      "array field-2-1 needs 20 rows"),

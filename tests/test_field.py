@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from advfield.attack import AttackConfig
 from advfield.cloudio import PointCloud
 from advfield.field import (COINCIDENT_EPS, build_lattice, clamp_field, deform,
                             init_random, lattice_counts, make_bank,
@@ -430,3 +431,17 @@ def test_bank_slots_must_be_exactly_the_grid(slot, problem):
     with pytest.raises(ValueError, match=f"slot \\(group {slot[0]}, variant {slot[1]}\\) "
                                          f"is {problem} the bank's 2 x 1 grid"):
         replace(bank)
+
+
+# a nan budget passes every `<= 0` test and would fit a bank of nan vectors
+@pytest.mark.parametrize("eps, psi", [(math.nan, 0.3), (0.3, math.nan), (math.inf, 0.3),
+                                      (0.3, math.inf), (-1.0, 0.3), (0.3, 0.0)])
+def test_budgets_must_be_finite_and_positive(eps, psi):
+    message = "eps and psi must be finite and positive"
+    with pytest.raises(ValueError, match=message):
+        make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, groups=1, variants=1, seed=0,
+                  eps=eps, psi=psi)
+    with pytest.raises(ValueError, match=message):
+        AttackConfig(mode="seg-untargeted", adversarial_class=1, eps=eps, psi=psi)
+    with pytest.raises(ValueError, match=message):
+        clamp_field(build_lattice((1, 1, 1), 0.5), eps, psi)

@@ -1,5 +1,6 @@
-"""The standard global augmentation, the shared trainer loop, and the detector's
-fixed anchor grid: box decoding and the proposal rule."""
+"""The standard global augmentation, the shared trainer loop, the detector's
+fixed anchor grid (box decoding and the proposal rule), and each head's one
+aggregation operator against a scatter oracle."""
 
 import math
 from collections import Counter
@@ -7,11 +8,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from advfield import simulator
 from advfield.cloudio import PointCloud
 from advfield.geometry import OrientedBox, box_contains_many
 from advfield.simulator import CANONICAL_CAR_DIMS
-from advfield.victim import (SEG_POINTS_PER_SCENE, DetHeadMini, SegNetMini, standard_augment,
-                             train_det, train_seg)
+from advfield.victim import (_COUNT_SCALE, _REL_SCALE, _Z_SCALE, SEG_POINTS_PER_SCENE,
+                             DetHeadMini, SegNetMini, standard_augment, train_det, train_seg)
 
 
 def test_boxes_move_with_their_points():
@@ -166,3 +168,179 @@ def test_proposals_leave_out_empty_anchors_however_high_they_score():
         ix, iy = int((x + model.area) // model.stride), int((y + model.area) // model.stride)
         occupied |= {(ix + di) * k + iy + dj for di in (-1, 0, 1) for dj in (-1, 0, 1)}
     assert model.proposals(scores, tape).tolist() == sorted(occupied)
+
+
+# ---------------------------------------------------------------------------
+# one aggregation operator per head, against the scatters it replaced
+# ---------------------------------------------------------------------------
+
+DESK_SENSOR = simulator.SensorSpec(channels=20, elevation_min=math.radians(-15.0),
+                                   elevation_max=math.radians(4.0),
+                                   azimuth_resolution=math.radians(0.7))
+
+
+@pytest.fixture(scope="module")
+def desk_clouds():
+    return [simulator.generate_scene(seed, domain, None, DESK_SENSOR).cloud
+            for seed, domain in ((0, "normal"), (1, "rare"), (2, "damaged"))]
+
+
+def scatter_box_sum(grid, k):
+    """3x3 neighborhood sums of one (K, K) grid, from its own integral image."""
+    integral = np.pad(np.pad(grid, 1).cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
+    return (integral[3:3 + k, 3:3 + k] - integral[:k, 3:3 + k]
+            - integral[3:3 + k, :k] + integral[:k, :k])
+
+
+def scatter_pool(model, cloud):
+    """The detector's features, moment by moment through np.add.at."""
+    k = model.cells_per_axis
+    ij = np.floor((cloud.xyz[:, :2] + model.area) / model.stride).astype(np.int64)
+    valid = np.all((ij >= 0) & (ij < k), axis=1) & (cloud.xyz[:, 2] > model.GROUND_CLIP)
+    point_cell = np.where(valid, ij[:, 0] * k + ij[:, 1], -1)
+    rows = np.flatnonzero(valid)
+    x, y, z = cloud.xyz[rows, 0], cloud.xyz[rows, 1], cloud.xyz[rows, 2]
+    moments = np.zeros((7, k * k))
+    for channel, values in enumerate((np.ones_like(x), x, y, z, x * x, y * y, x * y)):
+        np.add.at(moments[channel], point_cell[rows], values)
+    sums = np.stack([scatter_box_sum(m.reshape(k, k), k).ravel() for m in moments])
+    count = sums[0]
+    safe = np.maximum(count, 1.0)
+    means = sums[1:4].T / safe[:, None]
+    off_x = means[:, 0] - model.centers[:, 0]
+    off_y = means[:, 1] - model.centers[:, 1]
+    var_x = sums[4] / safe - means[:, 0] ** 2
+    var_y = sums[5] / safe - means[:, 1] ** 2
+    cov2 = 2.0 * (sums[6] / safe - means[:, 0] * means[:, 1])
+    dvar = var_x - var_y
+    feats = np.zeros((k * k, model.N_FEATURES))
+    feats[:, 0] = np.log1p(count) * _COUNT_SCALE
+    feats[:, 1] = model.cos_p * off_x + model.sin_p * off_y
+    feats[:, 2] = -model.sin_p * off_x + model.cos_p * off_y
+    feats[:, 3] = means[:, 2] * _Z_SCALE
+    feats[:, 4] = var_x + var_y
+    feats[:, 5] = model.cos2 * dvar + model.sin2 * cov2
+    feats[:, 6] = -model.sin2 * dvar + model.cos2 * cov2
+    own = np.zeros(k * k)
+    np.add.at(own, point_cell[rows], 1.0)
+    feats[:, 7] = np.log1p(own) * _COUNT_SCALE
+    feats[count == 0] = 0.0
+    return feats, point_cell, count, means
+
+
+def neighborhood_loop_gradient(model, tape, d_outputs):
+    """The detector's input gradient, one 3x3 neighbor offset at a time."""
+    dpos = np.zeros((tape.cloud.n, 3))
+    dfeat, _ = model.mlp.backward(tape.mlp_tape, d_outputs)
+    k = model.cells_per_axis
+    rows = np.flatnonzero(tape.point_cell >= 0)
+    ci, cj = np.divmod(tape.point_cell[rows], k)
+    x, y = tape.cloud.xyz[rows, 0], tape.cloud.xyz[rows, 1]
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            ai, aj = ci + di, cj + dj
+            ok = (ai >= 0) & (ai < k) & (aj >= 0) & (aj < k)
+            a = ai[ok] * k + aj[ok]
+            inv = 1.0 / np.maximum(tape.neighbor_counts[a], 1.0)
+            d_off_x = model.cos_p[a] * dfeat[a, 1] - model.sin_p[a] * dfeat[a, 2]
+            d_off_y = model.sin_p[a] * dfeat[a, 1] + model.cos_p[a] * dfeat[a, 2]
+            d_dvar = model.cos2[a] * dfeat[a, 5] - model.sin2[a] * dfeat[a, 6]
+            d_cov2 = model.sin2[a] * dfeat[a, 5] + model.cos2[a] * dfeat[a, 6]
+            cx = 2.0 * (x[ok] - tape.means[a, 0])
+            cy = 2.0 * (y[ok] - tape.means[a, 1])
+            gx = d_off_x + (dfeat[a, 4] + d_dvar) * cx + d_cov2 * cy
+            gy = d_off_y + (dfeat[a, 4] - d_dvar) * cy + d_cov2 * cx
+            np.add.at(dpos[:, 0], rows[ok], gx * inv)
+            np.add.at(dpos[:, 1], rows[ok], gy * inv)
+            np.add.at(dpos[:, 2], rows[ok], dfeat[a, 3] * _Z_SCALE * inv)
+    return dpos
+
+
+def test_the_detector_pools_what_the_scatter_oracle_pools(desk_clouds):
+    model = DetHeadMini()
+    for cloud in desk_clouds + [PointCloud.unlabeled(np.zeros((0, 3)), np.zeros(0))]:
+        for got, want in zip(model._pool(cloud), scatter_pool(model, cloud)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_the_detector_input_gradient_matches_the_neighborhood_loop(desk_clouds):
+    model = DetHeadMini()
+    model.init_random(2)
+    for seed, cloud in enumerate(desk_clouds):
+        _, _, tape = model.forward(cloud)
+        assert (tape.point_cell >= 0).sum() > 100
+        d_outputs = np.random.default_rng(seed).normal(size=(model.n_anchors,
+                                                             DetHeadMini.N_OUTPUTS))
+        got = model.backward_inputs(tape, d_outputs)
+        want = neighborhood_loop_gradient(model, tape, d_outputs)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
+        assert np.all(got[tape.point_cell < 0] == 0.0)
+
+
+def test_the_box_sum_is_its_own_adjoint():
+    model = DetHeadMini(area=8.0)
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(2, 5, model.n_anchors))
+    left = np.sum(model._box_sum(a) * b, axis=1)
+    right = np.sum(a * model._box_sum(b), axis=1)
+    np.testing.assert_allclose(left, right, rtol=1e-12)
+
+
+def scatter_voxel_features(model, cloud):
+    """The segmenter's features, voxel sums through np.add.at."""
+    keys = np.floor(cloud.xyz / model.radius).astype(np.int64)
+    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    sums = np.zeros((len(counts), 3))
+    np.add.at(sums, inverse, cloud.xyz)
+    tau_sums = np.zeros(len(counts))
+    np.add.at(tau_sums, inverse, cloud.intensity)
+    feats = np.empty((cloud.n, model.N_FEATURES))
+    feats[:, 0:3] = (cloud.xyz - (sums / counts[:, None])[inverse]) * _REL_SCALE
+    feats[:, 3] = cloud.xyz[:, 2] * _Z_SCALE
+    feats[:, 4] = cloud.intensity
+    feats[:, 5] = np.log1p(counts[inverse]) * _COUNT_SCALE
+    feats[:, 6] = (tau_sums / counts)[inverse]
+    return feats
+
+
+def scatter_voxel_gradient(model, tape, dlogits):
+    """The segmenter's input gradient, voxel sums through np.add.at."""
+    inverse = tape.inverse if tape.rows is None else tape.inverse[tape.rows]
+    dfeat, _ = model.mlp.backward(tape.mlp_tape, dlogits)
+    rel_sums = np.zeros((len(tape.counts), 3))
+    np.add.at(rel_sums, inverse, dfeat[:, 0:3])
+    dpos = (dfeat[:, 0:3] - (rel_sums / tape.counts[:, None])[inverse]) * _REL_SCALE
+    dpos[:, 2] += dfeat[:, 3] * _Z_SCALE
+    tau_sums = np.zeros(len(tape.counts))
+    np.add.at(tau_sums, inverse, dfeat[:, 6])
+    return dpos, dfeat[:, 4] + (tau_sums / tape.counts)[inverse]
+
+
+def test_the_segmenter_matches_the_scatter_oracle_on_full_and_touched_tapes(desk_clouds):
+    model = SegNetMini(len(simulator.CLASS_NAMES))
+    model.init_random(6)
+    for seed, cloud in enumerate(desk_clouds):
+        rng = np.random.default_rng(seed)
+        feats, _, _ = model._features(cloud)
+        assert feats.tobytes() == scatter_voxel_features(model, cloud).tobytes()
+        moved = rng.choice(cloud.n, size=20, replace=False)
+        after = cloud.copy()
+        after.xyz[moved] += rng.uniform(-0.3, 0.3, size=(20, 3))
+        touched = model.touched_rows(cloud, after, moved)
+        assert 20 <= len(touched) < cloud.n
+        for rows in (None, touched):
+            probs, tape = model.forward(after, rows=rows)
+            dlogits = rng.normal(size=probs.shape)
+            got = model.backward_inputs(tape, dlogits)
+            want = scatter_voxel_gradient(model, tape, dlogits)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+
+def test_segmenter_input_gradients_of_an_empty_cloud_are_empty():
+    model = SegNetMini(5)
+    model.init_random(0)
+    probs, tape = model.forward(PointCloud.unlabeled(np.zeros((0, 3)), np.zeros(0)))
+    assert probs.shape == (0, 5)
+    dpos, dtau = model.backward_inputs(tape, np.zeros((0, 5)))
+    assert dpos.shape == (0, 3) and dtau.shape == (0,)
