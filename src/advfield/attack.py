@@ -150,17 +150,17 @@ class _SceneWork:
 def _prepare(scenes, bank: FieldBank, cfg: AttackConfig):
     """Per-scene plans, and the sorted (group, variant) slots that none uses."""
     work = []
-    usage = {(f.group, f.variant): 0 for f in bank.fields}
+    usage = np.zeros((bank.groups, bank.variants), dtype=np.int64)
     for idx, scene in enumerate(scenes):
         variant = idx % bank.variants + 1
         plans = drop_boxes(plan_targets(scene, bank, cfg.k), cfg.box_drop,
                            np.random.SeedSequence([cfg.seed, 23, idx]))
         for group, _ in plans:
-            usage[(group, variant)] += 1
+            usage[group - 1, variant - 1] += 1
         moved = np.unique(np.concatenate([np.zeros(0, np.int64)]
                                          + [plan.point_idx for _, plan in plans]))
         work.append(_SceneWork(scene, variant, plans, moved))
-    return work, sorted(slot for slot, count in usage.items() if count == 0)
+    return work, [(g + 1, n + 1) for g, n in np.argwhere(usage == 0).tolist()]
 
 
 def _detection_loss_and_input_grads(cloud, work: _SceneWork, victim, cfg: AttackConfig):

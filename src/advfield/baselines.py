@@ -28,6 +28,7 @@ import numpy as np
 
 from .attack import touched_loss_and_grads, untargeted_objective
 from .cloudio import PointCloud
+from .field import check_budget
 from .geometry import OrientedBox, box_contains_many
 
 
@@ -98,6 +99,7 @@ def _l2_attack(cloud: PointCloud, box: OrientedBox, victim, eps: float, psi: flo
     ``active`` optionally restricts which of the object's points may move
     (used by the generation baseline).
     """
+    check_budget(eps, psi)
     idx = (np.flatnonzero(box_contains_many(box, cloud.xyz)) if active is None
            else np.asarray(active))
 
@@ -128,6 +130,7 @@ def chamfer_attack(cloud: PointCloud, box: OrientedBox, victim, lam: float = 0.1
     average stays small. The mean absolute intensity offset is kept below
     psi the same way.
     """
+    check_budget(eps, psi)
     idx = np.flatnonzero(box_contains_many(box, cloud.xyz))
     original = cloud.xyz[idx]
 

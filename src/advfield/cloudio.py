@@ -11,16 +11,16 @@ Formats:
                 index. Array values are hexfloats, so load(save(x)) keeps every
                 bit; other versions and malformed lines raise FormatError. A
                 bank's header holds the ``seed`` its initial vectors were drawn
-                from; it stores one (m, 4) array ``field-<g>-<n>`` per slot, one
-                ``dx dy dz dtau`` row per lattice root (roots follow from dims
-                and step); a checkpoint stores one array per MLP parameter
+                from; slot (g, n) of its (G, N, m, 4) vectors is the (m, 4) array
+                ``field-<g>-<n>``, one ``dx dy dz dtau`` row per lattice root
+                (roots follow from dims and step), and the array names must be
+                the G x N slots; a checkpoint stores one array per MLP parameter
   * config      flat ``key = value`` text, ``#`` comments: the header rule
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -231,25 +231,27 @@ def save_bank(bank, path) -> None:
 
 def load_bank(path):
     """Read a .vfb back into a FieldBank; every float round-trips exactly."""
-    from .field import FieldBank, VectorField  # local import, avoids a cycle
+    from .field import FieldBank, lattice_counts  # local import, avoids a cycle
 
     header, arrays = read_arrays(path, BANK_MAGIC, BANK_VERSION)
     try:
         dims = tuple(map(float.fromhex, header["dims"].split()))
         step = float.fromhex(header["step"])
-        fields = []
-        for name, vectors in arrays.items():
-            slot = re.fullmatch(r"field-(\d+)-(\d+)", name)
-            if slot is None:
-                raise ValueError(f"array {name} is not a 'field-<g>-<n>' slot")
-            fld = VectorField(dims, step, vectors, int(slot[1]), int(slot[2]))
-            if vectors.shape != fld.vectors.shape:
-                raise ValueError(f"array {name} has shape {vectors.shape}, expected "
-                                 f"{fld.vectors.shape}: one vector row per lattice root")
-            fields.append(fld)
+        groups, variants = int(header["G"]), int(header["N"])
+        if len(arrays) != groups * variants:
+            raise ValueError(f"bank needs G*N = {groups * variants} fields, got {len(arrays)}")
+        slots = {f"field-{g + 1}-{n + 1}": (g, n) for g, n in np.ndindex(groups, variants)}
+        vectors = np.empty((groups, variants, math.prod(lattice_counts(dims, step)), 4))
+        for name, array in arrays.items():
+            if name not in slots:
+                raise ValueError(f"array {name} is not a 'field-<g>-<n>' slot of the bank's "
+                                 f"{groups} x {variants} grid")
+            if array.shape != vectors.shape[2:]:
+                raise ValueError(f"array {name} has shape {array.shape}, expected "
+                                 f"{vectors.shape[2:]}: one vector row per lattice root")
+            vectors[slots[name]] = array
         return FieldBank(class_id=int(header["class_id"]), class_name=header["class_name"],
-                         groups=int(header["G"]), variants=int(header["N"]),
-                         seed=int(header["seed"]), fields=fields,
+                         dims=dims, step=step, vectors=vectors, seed=int(header["seed"]),
                          eps=float.fromhex(header["eps"]), psi=float.fromhex(header["psi"]),
                          boxes=header["boxes"])
     except KeyError as err:

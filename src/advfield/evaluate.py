@@ -373,10 +373,10 @@ def analyze_fields(bank: FieldBank) -> list:
     w0, h0, l0 = bank.dims
     start = make_bank(bank.class_id, bank.class_name, bank.dims, bank.step, bank.groups,
                       bank.variants, bank.seed)
+    face = _face_of(bank.fields[0].roots)
     stats = []
-    for fld in bank.fields:
-        initial = start.field(fld.group, fld.variant).vectors
-        init_norm = np.linalg.norm(initial[:, :3], axis=1)
+    for fld, initial in zip(bank.fields, start.fields):
+        init_norm = np.linalg.norm(initial.vectors[:, :3], axis=1)
         norm = np.linalg.norm(fld.vectors[:, :3], axis=1)
         active = norm > init_norm
 
@@ -391,7 +391,6 @@ def analyze_fields(bank: FieldBank) -> list:
         toward = active & (signed < 0)
         away = active & (signed > 0)
 
-        face = _face_of(fld.roots)
         entry = {
             "group": fld.group,
             "variant": fld.variant,

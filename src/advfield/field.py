@@ -17,10 +17,14 @@ the same roots, order and weights as a search over all roots; see
 :func:`plan_targets` plans every target that ``rotation.target_boxes`` picks
 for a bank, and :func:`deform_targets` applies one variant to those plans;
 fitting and evaluation both go through this pair.
+
+A :class:`FieldBank` holds the G x N fields of one class as one (G, N, m, 4)
+array on one lattice; its fields are views of it that share one roots array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -61,55 +65,50 @@ class VectorField:
 
 @dataclass
 class FieldBank:
-    """All G x N vector fields for one class, sharing dims and step."""
+    """All G x N vector fields for one class, on one lattice of dims and step.
+
+    G and N are the shape of ``vectors``. ``fields`` are VectorField views in
+    (g, n) order, sharing one read-only roots array: ``field(g, n).vectors``
+    is ``vectors[g - 1, n - 1]``, so updating a field updates the bank.
+    """
 
     class_id: int
     class_name: str
-    groups: int                     # G
-    variants: int                   # N
+    dims: tuple                     # reference box (w0, h0, l0) in meters
+    step: float                     # lattice step t in meters
+    vectors: np.ndarray             # (G, N, m, 4), slot (g, n) at [g - 1, n - 1]
     seed: int                       # seed of the initial vectors, see make_bank
-    fields: list = dc_field(default_factory=list)
     eps: float = 0.3
     psi: float = 0.3
     boxes: str = "gt"               # box mode it was fitted with, see target_boxes
+    fields: list = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         check_budget(self.eps, self.psi)
         if self.boxes not in BOX_MODES:
             raise ValueError(f"box mode must be one of {BOX_MODES}, got {self.boxes!r}")
+        self.dims = tuple(float(d) for d in self.dims)
+        self.step = float(self.step)
+        self.vectors = np.asarray(self.vectors, dtype=float)
+        if self.vectors.ndim != 4 or self.vectors.shape[3] != 4:
+            raise ValueError(f"bank vectors need shape (G, N, m, 4), got {self.vectors.shape}")
         if self.groups < 1 or self.variants < 1:
             raise ValueError(f"bank needs G, N >= 1, got G={self.groups}, N={self.variants}")
-        if len(self.fields) != self.groups * self.variants:
-            raise ValueError(
-                f"bank needs G*N = {self.groups * self.variants} fields, got {len(self.fields)}"
-            )
-        seen = set()
-        for f in self.fields:
-            slot = (f.group, f.variant)
-            if slot in seen or not (1 <= f.group <= self.groups
-                                    and 1 <= f.variant <= self.variants):
-                raise ValueError(f"field slot (group {f.group}, variant {f.variant}) is "
-                                 f"{'repeated' if slot in seen else 'outside'} the bank's "
-                                 f"{self.groups} x {self.variants} grid")
-            seen.add(slot)
-        ref = self.fields[0]
-        for f in self.fields:
-            if f.dims != ref.dims or f.step != ref.step:
-                raise ValueError("all fields in a bank must share dims and step")
+        self.fields = [VectorField(self.dims, self.step, self.vectors[g, n], g + 1, n + 1)
+                       for g, n in np.ndindex(self.groups, self.variants)]
 
     @property
-    def dims(self) -> tuple:
-        return self.fields[0].dims
+    def groups(self) -> int:
+        return self.vectors.shape[0]
 
     @property
-    def step(self) -> float:
-        return self.fields[0].step
+    def variants(self) -> int:
+        return self.vectors.shape[1]
 
     def field(self, group: int, variant: int) -> VectorField:
-        for f in self.fields:
-            if f.group == group and f.variant == variant:
-                return f
-        raise KeyError(f"no field for group {group}, variant {variant}")
+        if not (1 <= group <= self.groups and 1 <= variant <= self.variants):
+            raise KeyError(f"no field for group {group}, variant {variant}")
+        return self.fields[(group - 1) * self.variants + variant - 1]
 
 
 @dataclass
@@ -139,22 +138,29 @@ def lattice_counts(dims, step: float) -> tuple:
         raise ValueError("dims and step must be positive")
     if step > min(w, h, l):
         raise ValueError(f"step {step} exceeds smallest box extent {min(w, h, l)}")
+    if not all(math.isfinite(x) for x in (w, h, l, step, max(w, h, l) / step)):
+        raise ValueError(f"dims {(w, h, l)} and step {step} need a finite cell count")
     # the tiny bias keeps exact-ratio extents (e.g. 4.6 / 0.2) from
     # truncating one cell short under binary rounding
     count = lambda extent: int(math.floor(extent / step + 1e-9))
     return count(l), count(w), count(h)
 
 
-def lattice_roots(dims, step: float) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def lattice_roots(dims: tuple, step: float) -> np.ndarray:
     """Cell centers of the lattice, shape (m, 3), in the box-local frame.
 
     ``dims`` is (w0, h0, l0); the grid has floor(extent/step) cells per axis
     and is centered in the box, so roots sit symmetric about the box center.
+    Computed once per (dims, step), which every field of a bank shares; the
+    array is read-only.
     """
     nx, ny, nz = lattice_counts(dims, step)
     axes = [(np.arange(n) + 0.5 - n / 2.0) * step for n in (nx, ny, nz)]
     gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+    roots = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+    roots.flags.writeable = False
+    return roots
 
 
 def build_lattice(dims, step: float, group: int = 1, variant: int = 1) -> VectorField:
@@ -178,16 +184,11 @@ def make_bank(class_id: int, class_name: str, dims, step: float, groups: int,
     Slot (g, n) draws its vectors from its own stream of ``seed``, which the
     bank records, so the same call rebuilds the initial vectors of any bank.
     """
-    seed = int(seed)
-    fields = []
-    for group in range(1, groups + 1):
-        for variant in range(1, variants + 1):
-            fld = build_lattice(dims, step, group=group, variant=variant)
-            init_random(fld, np.random.SeedSequence([seed, 29, group, variant]))
-            fields.append(fld)
-    return FieldBank(class_id=class_id, class_name=class_name, groups=groups,
-                     variants=variants, seed=seed, fields=fields, eps=eps, psi=psi,
-                     boxes=boxes)
+    vectors = np.empty((groups, variants, math.prod(lattice_counts(dims, step)), 4))
+    bank = FieldBank(class_id, class_name, dims, step, vectors, int(seed), eps, psi, boxes)
+    for fld in bank.fields:
+        init_random(fld, np.random.SeedSequence([bank.seed, 29, fld.group, fld.variant]))
+    return bank
 
 
 def anchor(field: VectorField, box: OrientedBox) -> np.ndarray:

@@ -633,7 +633,11 @@ def write_sensor_config(sensor: SensorSpec, directory) -> None:
 
 
 def read_sensor_config(directory) -> SensorSpec:
-    config = cloudio.read_config(Path(directory) / "sensor.cfg")
+    path = Path(directory) / "sensor.cfg"
+    config = cloudio.read_config(path)
+    if config["classes"] != ",".join(CLASS_NAMES):
+        raise cloudio.FormatError(f"{path}: classes {config['classes']} are not this "
+                                  f"build's {','.join(CLASS_NAMES)}")
     return SensorSpec(
         origin_height=float(config["origin_height"]),
         channels=int(config["channels"]),
@@ -648,6 +652,10 @@ def read_sensor_config(directory) -> SensorSpec:
 def load_scene(directory, index: int, sensor: SensorSpec) -> Scene:
     stem = Path(directory) / f"{index:06d}"
     cloud = cloudio.read_labeled_cloud(stem.with_suffix(".bin"), stem.with_suffix(".label"))
+    if cloud.n and cloud.semantic.max() >= len(CLASS_NAMES):
+        raise cloudio.FormatError(f"{stem.with_suffix('.label')}: semantic id "
+                                  f"{cloud.semantic.max()} is not a class of this build "
+                                  f"(0 to {len(CLASS_NAMES) - 1})")
     boxes = []
     text = stem.with_suffix(".boxes").read_text(encoding="utf-8")
     for line in text.splitlines():

@@ -511,3 +511,81 @@ def test_a_manifest_with_a_nan_budget_exits_2_and_writes_no_bank(pipeline, tmp_p
         assert exit_info.value.code == cli.EXIT_CONFIG
         assert f"argument --{key}: 'nan' is not a finite number" in capsys.readouterr().err
         assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("dims", ["inf,1.6,4.6", "1e308,1.6,4.6", "1.8,nan,4.6"])
+def test_a_lattice_without_a_finite_cell_count_exits_2(pipeline, dims, tmp_path, capsys):
+    out = tmp_path / "bank" / "car.vfb"
+    assert run("attack", "--mode", "untargeted", "--victim", pipeline / "victim" / "seg.ckpt",
+               "--data", pipeline / "data" / "train", "--G", 6, "--N", 1, "--iters", 1,
+               "--dims", dims, "--out", out) == cli.EXIT_CONFIG
+    assert "finite cell count" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_analyze_fields_of_a_bank_with_infinite_dims_exits_2(pipeline, tmp_path, capsys):
+    lines = (pipeline / "bank" / "car.vfb").read_text(encoding="utf-8").splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("dims = "))
+    lines[at] = "dims = inf " + lines[at].split(" ", 3)[3]
+    bank = tmp_path / "inf.vfb"
+    bank.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "fields.csv"
+    assert run("analyze-fields", "--bank", bank, "--out", out) == cli.EXIT_CONFIG
+    assert "finite cell count" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bank]
+
+
+@pytest.mark.parametrize("kind", ["l2", "chamfer"])
+def test_a_baseline_with_a_negative_budget_exits_2(pipeline, kind, tmp_path, capsys):
+    out = tmp_path / kind
+    assert run("baseline-attack", "--kind", kind, "--eps", -1, "--psi", -0.5, "--iters", 2,
+               "--victim", pipeline / "victim" / "seg.ckpt",
+               "--data", pipeline / "data" / "val", "--out", out) == cli.EXIT_CONFIG
+    assert "eps and psi must be finite and positive" in capsys.readouterr().err
+    assert not list(out.glob("*.bin"))
+
+
+def copy_split(source: Path, target: Path) -> Path:
+    target.mkdir()
+    for path in source.iterdir():
+        if path.suffix in (".bin", ".label", ".boxes", ".cfg"):
+            (target / path.name).write_bytes(path.read_bytes())
+    return target
+
+
+SPLIT_READERS = {
+    "train-victim": lambda root, out: ("--out", out / "victim.ckpt"),
+    "attack": lambda root, out: ("--mode", "untargeted", "--victim",
+                                 root / "victim" / "seg.ckpt", "--out", out / "car.vfb"),
+    "eval": lambda root, out: ("--victim", root / "victim" / "seg.ckpt",
+                               "--out", out / "eval"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SPLIT_READERS))
+def test_a_label_outside_this_builds_classes_exits_2(pipeline, command, tmp_path, capsys):
+    split = copy_split(pipeline / "data" / "val", tmp_path / "split")
+    label = split / "000001.label"
+    packed = np.frombuffer(label.read_bytes(), dtype="<u4").copy()
+    packed[3] = (packed[3] & 0xFFFF0000) | 7
+    label.write_bytes(packed.tobytes())
+    out = tmp_path / "out"
+    argv = SPLIT_READERS[command](pipeline, out)
+    assert run(command, "--data", split, *argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(label) in err and "semantic id 7" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(SPLIT_READERS))
+def test_a_split_of_other_classes_exits_2(pipeline, command, tmp_path, capsys):
+    split = copy_split(pipeline / "data" / "val", tmp_path / "split")
+    config = cloudio.read_config(split / "sensor.cfg")
+    cloudio.write_config({**config, "classes": "ground,car,person,building"},
+                         split / "sensor.cfg")
+    out = tmp_path / "out"
+    argv = SPLIT_READERS[command](pipeline, out)
+    assert run(command, "--data", split, *argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(split / "sensor.cfg") in err and "ground,car,person,building" in err
+    assert not out.exists()

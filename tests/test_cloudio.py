@@ -180,11 +180,13 @@ def _edit(lines, old, new):
 
 MALFORMED_BANKS = {
     "count": (lambda lines: _edit(lines, "G = 2", "G = 3"), "bank needs G\\*N = 3 fields"),
+    # the header's G = 2, but the array of slot (2, 1) is gone
+    "missing-slot": (lambda lines: lines[:-21], "bank needs G\\*N = 2 fields, got 1"),
     "duplicate-slot": (lambda lines: _edit(lines, "array field-2-1 20 4", "array field-1-1 20 4"),
                        "duplicate array field-1-1"),
     # the right slot count, but a group that a G = 2 bank does not have
     "slot-range": (lambda lines: _edit(lines, "array field-2-1 20 4", "array field-7-1 20 4"),
-                   "field slot \\(group 7, variant 1\\) is outside the bank's 2 x 1 grid"),
+                   "array field-7-1 is not a 'field-<g>-<n>' slot of the bank's 2 x 1 grid"),
     "slot-name": (lambda lines: _edit(lines, "array field-2-1 20 4", "array f2 20 4"),
                   "array f2 is not a 'field-<g>-<n>' slot"),
     # the same 80 values, which a reshape to (20, 4) would accept

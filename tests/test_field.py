@@ -1,16 +1,16 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from advfield.attack import AttackConfig
 from advfield.cloudio import PointCloud
-from advfield.field import (COINCIDENT_EPS, build_lattice, clamp_field, deform,
+from advfield.field import (COINCIDENT_EPS, FieldBank, build_lattice, clamp_field, deform,
                             init_random, lattice_counts, make_bank,
                             plan_deformation, ShiftJacobian, VectorField, anchor,
                             anchored_vectors)
 from advfield.geometry import OrientedBox, box_contains_many, rot_z
+from advfield.victim import Adam
 
 CAR_DIMS = (1.8, 1.6, 4.6)
 SENSOR = np.array([0.0, 0.0, 1.7])
@@ -80,6 +80,14 @@ class TestLattice:
 
     def test_counts_per_axis(self):
         assert lattice_counts(CAR_DIMS, 0.2) == (23, 9, 8)
+
+    @pytest.mark.parametrize("dims, step", [((math.inf, 1.6, 4.6), 0.2),
+                                            ((1.8, math.nan, 4.6), 0.2),
+                                            ((1e308, 1.6, 4.6), 0.2),
+                                            ((1.8, 1.6, 4.6), math.nan)])
+    def test_a_lattice_needs_a_finite_cell_count(self, dims, step):
+        with pytest.raises(ValueError, match="finite cell count"):
+            lattice_counts(dims, step)
 
     def test_step_larger_than_extent_rejected(self):
         with pytest.raises(ValueError):
@@ -423,14 +431,56 @@ def test_make_bank_shapes_and_slots():
     assert total == 119_232
 
 
-# a group beyond G is a malformed-bank case of tests/test_cloudio.py
-@pytest.mark.parametrize("slot, problem", [((1, 1), "repeated"), ((1, 0), "outside")])
-def test_bank_slots_must_be_exactly_the_grid(slot, problem):
-    bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, groups=2, variants=1, seed=0)
-    bank.fields[1].group, bank.fields[1].variant = slot
-    with pytest.raises(ValueError, match=f"slot \\(group {slot[0]}, variant {slot[1]}\\) "
-                                         f"is {problem} the bank's 2 x 1 grid"):
-        replace(bank)
+def test_make_bank_slots_match_the_per_field_oracle():
+    bank = make_bank(1, "car", CAR_DIMS, 0.2, groups=3, variants=2, seed=11)
+    assert bank.vectors.shape == (3, 2, 1656, 4)
+    for fld in bank.fields:
+        oracle = build_lattice(CAR_DIMS, 0.2, fld.group, fld.variant)
+        init_random(oracle, np.random.SeedSequence([11, 29, fld.group, fld.variant]))
+        assert bank.field(fld.group, fld.variant) is fld
+        assert fld.vectors.tobytes() == oracle.vectors.tobytes()
+        assert fld.vectors.tobytes() == bank.vectors[fld.group - 1, fld.variant - 1].tobytes()
+        assert (fld.dims, fld.step) == (oracle.dims, oracle.step) == (bank.dims, bank.step)
+        assert fld.roots.tobytes() == oracle.roots.tobytes()
+
+
+def test_optimizer_steps_and_clamps_write_into_the_bank():
+    bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, groups=2, variants=3, seed=0)
+    before = bank.vectors.copy()
+    fld = bank.field(2, 3)
+    Adam(0.5).step({"v": fld.vectors}, {"v": np.ones_like(fld.vectors)})
+    assert np.all(bank.vectors[1, 2] < -0.4)
+    clamp_field(fld, 0.3, 0.2)
+    assert np.all(bank.vectors[1, 2, :, :3] == -0.3)
+    assert np.all(bank.vectors[1, 2, :, 3] == -0.2)
+    assert np.array_equal(bank.vectors[:1], before[:1])
+    assert np.array_equal(bank.vectors[1, :2], before[1, :2])
+
+
+def test_every_field_shares_one_read_only_roots_array():
+    bank = make_bank(1, "car", CAR_DIMS, 0.2, groups=4, variants=3, seed=0)
+    other = make_bank(1, "car", list(CAR_DIMS), 0.2, groups=1, variants=1, seed=1)
+    roots = bank.fields[0].roots
+    assert all(f.roots is roots for f in bank.fields + other.fields)
+    assert not roots.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        roots[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("slot", [(0, 1), (1, 0), (3, 1), (1, 3), (-1, 1)])
+def test_a_slot_outside_the_grid_has_no_field(slot):
+    bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, groups=2, variants=2, seed=0)
+    with pytest.raises(KeyError, match=f"no field for group {slot[0]}, variant {slot[1]}"):
+        bank.field(*slot)
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((2, 20, 4), "shape \\(G, N, m, 4\\)"), ((2, 1, 20, 3), "shape \\(G, N, m, 4\\)"),
+    ((0, 1, 20, 4), "G, N >= 1"), ((2, 0, 20, 4), "G, N >= 1"),
+    ((2, 1, 19, 4), "need 20 vectors, one per root")])
+def test_bank_vectors_must_be_a_grid_of_whole_lattices(shape, message):
+    with pytest.raises(ValueError, match=message):
+        FieldBank(1, "car", (1.0, 0.8, 2.0), 0.4, np.zeros(shape), seed=0)
 
 
 # a nan budget passes every `<= 0` test and would fit a bank of nan vectors
