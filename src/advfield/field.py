@@ -92,8 +92,7 @@ class FieldBank:
         self.vectors = np.asarray(self.vectors, dtype=float)
         if self.vectors.ndim != 4 or self.vectors.shape[3] != 4:
             raise ValueError(f"bank vectors need shape (G, N, m, 4), got {self.vectors.shape}")
-        if self.groups < 1 or self.variants < 1:
-            raise ValueError(f"bank needs G, N >= 1, got G={self.groups}, N={self.variants}")
+        _check_bank_size(self.groups, self.variants)
         self.fields = [VectorField(self.dims, self.step, self.vectors[g, n], g + 1, n + 1)
                        for g, n in np.ndindex(self.groups, self.variants)]
 
@@ -176,6 +175,11 @@ def init_random(field: VectorField, seed) -> None:
     field.vectors[:] = rng.uniform(-0.01, 0.01, size=field.vectors.shape)
 
 
+def _check_bank_size(groups: int, variants: int) -> None:
+    if groups < 1 or variants < 1:
+        raise ValueError(f"bank needs G, N >= 1, got G={groups}, N={variants}")
+
+
 def make_bank(class_id: int, class_name: str, dims, step: float, groups: int,
               variants: int, seed: int, eps: float = 0.3, psi: float = 0.3,
               boxes: str = "gt") -> FieldBank:
@@ -184,6 +188,7 @@ def make_bank(class_id: int, class_name: str, dims, step: float, groups: int,
     Slot (g, n) draws its vectors from its own stream of ``seed``, which the
     bank records, so the same call rebuilds the initial vectors of any bank.
     """
+    _check_bank_size(groups, variants)
     vectors = np.empty((groups, variants, math.prod(lattice_counts(dims, step)), 4))
     bank = FieldBank(class_id, class_name, dims, step, vectors, int(seed), eps, psi, boxes)
     for fld in bank.fields:

@@ -19,6 +19,15 @@ Each head's forward pass and input gradient share one aggregation operator,
 which is its own adjoint: the segmenter's voxel mean and the detector's 3x3
 box sum over anchor cells.
 
+A pass allocates only what it returns and computes only what its caller
+reads. The MLP writes bias adds, ``tanh`` and the ``tanh`` slope into arrays
+it has just allocated, so no (rows x hidden) temporary is thrown away; input
+gradients skip the parameter gradients; and the detector backpropagates only
+the anchors whose output gradient is non-zero. Tapes are fresh per call and
+no workspace outlives a call: a caller may keep one pass's outputs and tape
+while it runs the next (the attacks keep the clean cloud's losses), and the
+CLI's ``eval`` runs one model's passes in parallel threads (``--threads``).
+
 The detector builds its fixed anchor grid (centers, bearings, view-frame
 rotations) once, and ``DetHeadMini.proposals`` is the one proposal rule of
 attack and evaluation. ``train_seg`` and ``train_det`` share one loop,
@@ -57,9 +66,10 @@ def _grid_keys(xyz: np.ndarray, cell: float) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    probs = logits - logits.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -72,7 +82,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class _Mlp:
-    """Two tanh hidden layers and a linear output, all float64."""
+    """Two tanh hidden layers and a linear output, all float64.
+
+    Every pass allocates only what it hands on: ``forward`` writes each bias
+    add and ``tanh`` into the product it just allocated, and the backward
+    chain rule writes ``1 - a * a`` into one buffer and multiplies it into
+    the incoming gradient in place. The tape, ``(x, a1, a2)``, is fresh per
+    call and no workspace outlives a call: a caller may keep one pass's
+    outputs and tape while it runs the next, and threads may run passes of
+    one model concurrently. ``backward`` and ``backward_inputs`` share one
+    chain rule, ``_deltas``.
+    """
 
     def __init__(self, n_in: int, hidden: int, n_out: int):
         self.shapes = {
@@ -102,26 +122,46 @@ class _Mlp:
 
     def forward(self, x: np.ndarray):
         p = self.params
-        a1 = np.tanh(x @ p["W1"] + p["b1"])
-        a2 = np.tanh(a1 @ p["W2"] + p["b2"])
-        logits = a2 @ p["W3"] + p["b3"]
+        a1 = x @ p["W1"]
+        a1 += p["b1"]
+        np.tanh(a1, out=a1)
+        a2 = a1 @ p["W2"]
+        a2 += p["b2"]
+        np.tanh(a2, out=a2)
+        logits = a2 @ p["W3"]
+        logits += p["b3"]
         return logits, (x, a1, a2)
+
+    def _deltas(self, tape, dlogits: np.ndarray):
+        """The chain rule from the logits down: yields the gradient of each
+        layer's pre-activation, layer 3 first, then the input gradient."""
+        p = self.params
+        dz = dlogits
+        for layer in (3, 2):
+            yield dz
+            a = tape[layer - 1]
+            dz = dz @ p[f"W{layer}"].T
+            slope = a * a
+            np.subtract(1.0, slope, out=slope)
+            dz *= slope
+        yield dz
+        yield dz @ p["W1"].T
 
     def backward(self, tape, dlogits: np.ndarray):
         """Returns (d_input, param_grads)."""
-        x, a1, a2 = tape
-        p = self.params
-        grads = {"W3": a2.T @ dlogits, "b3": dlogits.sum(axis=0)}
-        da2 = dlogits @ p["W3"].T
-        dz2 = da2 * (1.0 - a2 * a2)
-        grads["W2"] = a1.T @ dz2
-        grads["b2"] = dz2.sum(axis=0)
-        da1 = dz2 @ p["W2"].T
-        dz1 = da1 * (1.0 - a1 * a1)
-        grads["W1"] = x.T @ dz1
-        grads["b1"] = dz1.sum(axis=0)
-        dx = dz1 @ p["W1"].T
-        return dx, grads
+        deltas = self._deltas(tape, dlogits)
+        grads = {}
+        for layer in (3, 2, 1):
+            dz = next(deltas)
+            grads[f"W{layer}"] = tape[layer - 1].T @ dz
+            grads[f"b{layer}"] = dz.sum(axis=0)
+        return next(deltas), grads
+
+    def backward_inputs(self, tape, dlogits: np.ndarray) -> np.ndarray:
+        """The d_input of :meth:`backward`, without the parameter gradients."""
+        for dx in self._deltas(tape, dlogits):
+            pass  # each layer's dz is dropped once the next one is formed
+        return dx
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +263,7 @@ class SegNetMini:
             if np.any(np.diff(tape.rows) <= 0) or split.any():
                 raise ValueError("input gradients need increasing rows that hold "
                                  "whole voxels")
-        dfeat, _ = self.mlp.backward(tape.mlp_tape, dlogits)
+        dfeat = self.mlp.backward_inputs(tape.mlp_tape, dlogits)
         means = _voxel_means(dfeat[:, [0, 1, 2, 6]], inverse, tape.counts)
         dpos = (dfeat[:, 0:3] - means[:, 0:3]) * _REL_SCALE
         dpos[:, 2] += dfeat[:, 3] * _Z_SCALE
@@ -393,12 +433,27 @@ class DetHeadMini:
     def backward_inputs(self, tape: DetTape, d_outputs: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. point positions; the detector ignores intensity.
 
+        The MLP backpropagates only the live anchors, the rows where
+        ``d_outputs`` is non-zero (the attack's loss lives on its proposals),
+        and every other anchor's feature gradient is an exact zero. So an
+        all-zero ``d_outputs`` gives exact zeros. The result is within 1e-12
+        relative of backpropagating every anchor: BLAS may round a product
+        over fewer rows differently.
+        """
+        live = np.flatnonzero(d_outputs.any(axis=1))
+        dfeat = np.zeros((self.n_anchors, self.N_FEATURES))
+        dfeat[live] = self.mlp.backward_inputs(tuple(a[live] for a in tape.mlp_tape),
+                                               d_outputs[live])
+        return self._pool_adjoint(tape, dfeat)
+
+    def _pool_adjoint(self, tape: DetTape, dfeat: np.ndarray) -> np.ndarray:
+        """Point-position gradient of the per-anchor feature gradients ``dfeat``.
+
         Under one anchor, a pooled point's gradient is affine in its (x, y).
         An anchor's neighborhood holds a cell exactly when the cell's
         neighborhood holds the anchor; so the box sum of the per-anchor
         coefficients, read at a point's cell, gives the point's coefficients.
         """
-        dfeat, _ = self.mlp.backward(tape.mlp_tape, d_outputs)
         # undo the per-anchor view rotation of offsets and moments
         cos_p, sin_p, cos2, sin2 = self.cos_p, self.sin_p, self.cos2, self.sin2
         d_off_x = cos_p * dfeat[:, 1] - sin_p * dfeat[:, 2]

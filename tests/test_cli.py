@@ -523,6 +523,16 @@ def test_a_lattice_without_a_finite_cell_count_exits_2(pipeline, dims, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("sizes", [("--G", -1, "--N", 1), ("--G", 6, "--N", -1)])
+def test_a_negative_bank_size_exits_2_and_writes_no_bank(pipeline, sizes, tmp_path, capsys):
+    out = tmp_path / "bank" / "car.vfb"
+    assert run("attack", "--mode", "untargeted", "--victim", pipeline / "victim" / "seg.ckpt",
+               "--data", pipeline / "data" / "train", *sizes, "--iters", 1,
+               "--out", out) == cli.EXIT_CONFIG
+    assert "bank needs G, N >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_fields_of_a_bank_with_infinite_dims_exits_2(pipeline, tmp_path, capsys):
     lines = (pipeline / "bank" / "car.vfb").read_text(encoding="utf-8").splitlines()
     at = next(i for i, line in enumerate(lines) if line.startswith("dims = "))

@@ -483,6 +483,12 @@ def test_bank_vectors_must_be_a_grid_of_whole_lattices(shape, message):
         FieldBank(1, "car", (1.0, 0.8, 2.0), 0.4, np.zeros(shape), seed=0)
 
 
+@pytest.mark.parametrize("groups, variants", [(-1, 1), (1, -1), (0, 2), (2, 0), (-3, -3)])
+def test_make_bank_refuses_an_empty_or_negative_grid_before_allocating(groups, variants):
+    with pytest.raises(ValueError, match=f"bank needs G, N >= 1, got G={groups}, N={variants}"):
+        make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, groups=groups, variants=variants, seed=0)
+
+
 # a nan budget passes every `<= 0` test and would fit a bank of nan vectors
 @pytest.mark.parametrize("eps, psi", [(math.nan, 0.3), (0.3, math.nan), (math.inf, 0.3),
                                       (0.3, math.inf), (-1.0, 0.3), (0.3, 0.0)])

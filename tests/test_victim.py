@@ -1,6 +1,7 @@
 """The standard global augmentation, the shared trainer loop, the detector's
-fixed anchor grid (box decoding and the proposal rule), and each head's one
-aggregation operator against a scatter oracle."""
+fixed anchor grid (box decoding and the proposal rule), each head's one
+aggregation operator against a scatter oracle, and the in-place MLP passes
+and input gradients against their expression-form oracles."""
 
 import math
 from collections import Counter
@@ -13,7 +14,8 @@ from advfield.cloudio import PointCloud
 from advfield.geometry import OrientedBox, box_contains_many
 from advfield.simulator import CANONICAL_CAR_DIMS
 from advfield.victim import (_COUNT_SCALE, _REL_SCALE, _Z_SCALE, SEG_POINTS_PER_SCENE,
-                             DetHeadMini, SegNetMini, standard_augment, train_det, train_seg)
+                             DetHeadMini, SegNetMini, _Mlp, standard_augment, train_det,
+                             train_seg)
 
 
 def test_boxes_move_with_their_points():
@@ -344,3 +346,156 @@ def test_segmenter_input_gradients_of_an_empty_cloud_are_empty():
     assert probs.shape == (0, 5)
     dpos, dtau = model.backward_inputs(tape, np.zeros((0, 5)))
     assert dpos.shape == (0, 3) and dtau.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the in-place MLP passes against their expression form
+# ---------------------------------------------------------------------------
+
+def oracle_forward(mlp, x):
+    """``_Mlp.forward`` in expression form: every operation into a new array."""
+    p = mlp.params
+    a1 = np.tanh(x @ p["W1"] + p["b1"])
+    a2 = np.tanh(a1 @ p["W2"] + p["b2"])
+    logits = a2 @ p["W3"] + p["b3"]
+    return logits, (x, a1, a2)
+
+
+def oracle_backward(mlp, tape, dlogits):
+    """``_Mlp.backward`` in expression form."""
+    x, a1, a2 = tape
+    p = mlp.params
+    grads = {"W3": a2.T @ dlogits, "b3": dlogits.sum(axis=0)}
+    da2 = dlogits @ p["W3"].T
+    dz2 = da2 * (1.0 - a2 * a2)
+    grads["W2"] = a1.T @ dz2
+    grads["b2"] = dz2.sum(axis=0)
+    da1 = dz2 @ p["W2"].T
+    dz1 = da1 * (1.0 - a1 * a1)
+    grads["W1"] = x.T @ dz1
+    grads["b1"] = dz1.sum(axis=0)
+    return dz1 @ p["W1"].T, grads
+
+
+def random_mlp(seed):
+    mlp = _Mlp(SegNetMini.N_FEATURES, 64, 8)
+    mlp.init_random(seed)
+    rng = np.random.default_rng(seed)
+    for name in ("b1", "b2", "b3"):
+        mlp.params[name] = rng.normal(size=mlp.shapes[name])
+    return mlp
+
+
+# 7,000 rows: each (rows x 64) activation is larger than glibc's default
+# mmap threshold
+@pytest.mark.parametrize("rows", [7000, 0])
+def test_the_mlp_passes_are_bit_equal_to_the_expression_oracle(rows):
+    mlp = random_mlp(1)
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(rows, SegNetMini.N_FEATURES))
+    dlogits = rng.normal(size=(rows, 8))
+    x_before, dlogits_before = x.copy(), dlogits.copy()
+
+    logits, tape = mlp.forward(x)
+    want_logits, want_tape = oracle_forward(mlp, x)
+    assert x.tobytes() == x_before.tobytes()
+    assert logits.tobytes() == want_logits.tobytes()
+    assert tape[0] is x
+    for got, want in zip(tape, want_tape):
+        assert got.tobytes() == want.tobytes()
+
+    tape_before = [a.copy() for a in tape]
+    dx, grads = mlp.backward(tape, dlogits)
+    want_dx, want_grads = oracle_backward(mlp, want_tape, dlogits)
+    assert dx.shape == (rows, SegNetMini.N_FEATURES)
+    assert dx.tobytes() == want_dx.tobytes()
+    assert grads.keys() == want_grads.keys() == mlp.shapes.keys()
+    for name, grad in grads.items():
+        assert grad.tobytes() == want_grads[name].tobytes(), name
+    assert mlp.backward_inputs(tape, dlogits).tobytes() == want_dx.tobytes()
+    assert dlogits.tobytes() == dlogits_before.tobytes()
+    for got, before in zip(tape, tape_before):
+        assert got.tobytes() == before.tobytes()
+
+
+def test_each_pass_returns_arrays_of_its_own():
+    mlp = random_mlp(3)
+    x = np.random.default_rng(4).normal(size=(500, SegNetMini.N_FEATURES))
+    first_logits, first = mlp.forward(x)
+    second_logits, second = mlp.forward(x)
+    ours = [first_logits, *first[1:]]
+    for a in ours:
+        for b in (second_logits, *second[1:]):
+            assert not np.shares_memory(a, b)
+    dlogits = np.ones_like(first_logits)
+    first_dx, first_grads = mlp.backward(first, dlogits)
+    second_dx, second_grads = mlp.backward(second, dlogits)
+    second_inputs = mlp.backward_inputs(second, dlogits)
+    for a in (first_dx, *first_grads.values()):
+        for b in (second_dx, second_inputs, *second_grads.values()):
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("kind", ["seg", "det"])
+def test_trained_parameters_are_bit_equal_to_the_expression_oracle(kind, monkeypatch):
+    clouds, boxes = tiny_scenes()
+    model = train(kind, clouds, boxes, None)
+    monkeypatch.setattr(_Mlp, "forward", oracle_forward)
+    monkeypatch.setattr(_Mlp, "backward", oracle_backward)
+    oracle = train(kind, clouds, boxes, None)
+    for name, value in model.mlp.params.items():
+        assert value.tobytes() == oracle.mlp.params[name].tobytes(), name
+
+
+def test_the_segmenter_input_gradient_is_the_dx_of_the_full_backward(desk_clouds):
+    model = SegNetMini(len(simulator.CLASS_NAMES))
+    model.init_random(6)
+    for seed, cloud in enumerate(desk_clouds):
+        rng = np.random.default_rng(seed)
+        moved = rng.choice(cloud.n, size=20, replace=False)
+        after = cloud.copy()
+        after.xyz[moved] += rng.uniform(-0.3, 0.3, size=(20, 3))
+        for rows in (None, model.touched_rows(cloud, after, moved)):
+            probs, tape = model.forward(after, rows=rows)
+            dlogits = rng.normal(size=probs.shape)
+            want, _ = model.mlp.backward(tape.mlp_tape, dlogits)
+            got = model.mlp.backward_inputs(tape.mlp_tape, dlogits)
+            assert got.tobytes() == want.tobytes()
+
+
+def all_anchor_gradient(model, tape, d_outputs):
+    """The detector's input gradient with the MLP backward over every anchor."""
+    dfeat, _ = model.mlp.backward(tape.mlp_tape, d_outputs)
+    return model._pool_adjoint(tape, dfeat)
+
+
+def test_the_detector_backpropagates_its_live_rows_to_1e12(desk_clouds):
+    model = DetHeadMini()
+    model.init_random(2)
+    model.mlp.params["b3"][0] = 0.0  # scores near 1/2: every occupied anchor proposes
+    for seed, cloud in enumerate(desk_clouds):
+        rng = np.random.default_rng(seed)
+        scores, _, tape = model.forward(cloud)
+        proposals = model.proposals(scores, tape)
+        assert 20 < len(proposals) < model.n_anchors // 10
+        # the attack's shape: a confidence gradient on the proposal rows alone
+        attack = np.zeros((model.n_anchors, DetHeadMini.N_OUTPUTS))
+        attack[proposals, 0] = rng.normal(size=len(proposals))
+        dense = rng.normal(size=attack.shape)
+        for d_outputs in (attack, dense):
+            got = model.backward_inputs(tape, d_outputs)
+            want = all_anchor_gradient(model, tape, d_outputs)
+            scale = np.abs(want).max()
+            assert scale > 0
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def test_a_zero_detector_output_gradient_gives_exact_zeros(desk_clouds):
+    model = DetHeadMini()
+    model.init_random(2)
+    _, _, tape = model.forward(desk_clouds[0])
+    rng = np.random.default_rng(0)
+    assert np.any(model.backward_inputs(tape, rng.normal(size=(model.n_anchors, 9))) != 0)
+    dpos = model.backward_inputs(tape, np.zeros((model.n_anchors, DetHeadMini.N_OUTPUTS)))
+    assert dpos.shape == (desk_clouds[0].n, 3)
+    assert np.all(dpos == 0.0)
