@@ -79,6 +79,14 @@ def finite_float(text: str) -> float:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """The argparse type of every iteration or epoch count: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return value
+
+
 def _sensor_from_args(args) -> simulator.SensorSpec:
     return simulator.SensorSpec(
         origin_height=args.origin_height,
@@ -321,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-victim", help="train a segmentation or detection victim")
     p.add_argument("--task", choices=["seg", "det"], default="seg")
     p.add_argument("--data", required=True)
-    p.add_argument("--epochs", type=int, default=8)
+    p.add_argument("--epochs", type=non_negative_int, default=8)
     p.add_argument("--lr", type=finite_float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--augment-bank", default=None)
@@ -339,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=6)
     p.add_argument("--eps", type=finite_float, default=0.3)
     p.add_argument("--psi", type=finite_float, default=0.3)
-    p.add_argument("--iters", type=int, default=50)
+    p.add_argument("--iters", type=non_negative_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lr", type=finite_float, default=None,
                    help="default 0.05 for detection, 0.01 for segmentation")
@@ -359,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--eps", type=finite_float, default=0.3)
     p.add_argument("--psi", type=finite_float, default=0.3)
-    p.add_argument("--iters", type=int, default=10)
+    p.add_argument("--iters", type=non_negative_int, default=10)
     p.add_argument("--lam", type=finite_float, default=0.1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_baseline_attack)

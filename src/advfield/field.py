@@ -385,14 +385,18 @@ class ShiftJacobian:
         grad = np.zeros((field_size, 4))
         if plan.n_affected == 0:
             return grad
+        roots = plan.neighbor_idx.ravel()
         along = np.einsum("ac,ac->a", np.asarray(d_positions, dtype=float), plan.rays)
         # world-frame gradient per (point, neighbor): w_ij * (u . dL/dp') * u
         contrib = plan.weights[:, :, None] * (along[:, None, None] * plan.rays[:, None, :])
-        np.add.at(grad[:, :3], plan.neighbor_idx, contrib)
+        for axis in range(3):
+            grad[:, axis] = np.bincount(roots, weights=contrib[:, :, axis].ravel(),
+                                        minlength=field_size)
         grad[:, :3] = grad[:, :3] @ self._rot  # back to the field-local frame
 
         d_tau = np.asarray(d_intensity, dtype=float).copy()
         if clip_active is not None:
             d_tau = np.where(np.asarray(clip_active, dtype=bool), 0.0, d_tau)
-        np.add.at(grad[:, 3], plan.neighbor_idx, plan.weights * d_tau[:, None])
+        grad[:, 3] = np.bincount(roots, weights=(plan.weights * d_tau[:, None]).ravel(),
+                                 minlength=field_size)
         return grad

@@ -21,12 +21,21 @@ box sum over anchor cells.
 
 A pass allocates only what it returns and computes only what its caller
 reads. The MLP writes bias adds, ``tanh`` and the ``tanh`` slope into arrays
-it has just allocated, so no (rows x hidden) temporary is thrown away; input
-gradients skip the parameter gradients; and the detector backpropagates only
-the anchors whose output gradient is non-zero. Tapes are fresh per call and
+it has just allocated, so no (rows x hidden) temporary is thrown away, and
+input gradients skip the parameter gradients. Tapes are fresh per call and
 no workspace outlives a call: a caller may keep one pass's outputs and tape
 while it runs the next (the attacks keep the clean cloud's losses), and the
 CLI's ``eval`` runs one model's passes in parallel threads (``--threads``).
+
+The detector runs its MLP once per distinct anchor row. Every empty anchor
+pools all-zero features, so the empty anchors share one zero row, and each
+occupied anchor has its own (a desk scene occupies about 100 of the 4,096
+anchors). An anchor-to-row map on the tape spreads the rows' outputs to
+every anchor, and one fold sums the anchors' output gradients back onto the
+rows for both training and the input gradient. In exact arithmetic this is
+the all-anchor pass; in floating point, outputs and input gradients are
+within 1e-12 relative of it, and trained parameters within 1e-10, because
+BLAS may round a product over fewer rows differently.
 
 The detector builds its fixed anchor grid (centers, bearings, view-frame
 rotations) once, and ``DetHeadMini.proposals`` is the one proposal rule of
@@ -292,11 +301,17 @@ class SegNetMini:
 
 @dataclass
 class DetTape:
+    """One detector pass. The MLP ran once per distinct anchor row, and
+    ``anchor_row`` maps each anchor to its row of ``mlp_tape``: row 0 is
+    the shared all-zero row of the empty anchors, rows 1.. the occupied
+    anchors in anchor order."""
+
     cloud: PointCloud
     point_cell: np.ndarray     # (n,) flat cell index per point, -1 off-grid
     neighbor_counts: np.ndarray  # (A,) 3x3-neighborhood point count per anchor
     means: np.ndarray          # (A, 3) neighborhood mean positions
     mlp_tape: tuple
+    anchor_row: np.ndarray     # (A,) row of mlp_tape per anchor
 
 
 class DetHeadMini:
@@ -311,6 +326,11 @@ class DetHeadMini:
 
     The box sum is symmetric, so it is its own adjoint, and the input
     gradient is one box sum of per-anchor coefficient grids.
+
+    The MLP runs on the distinct anchor rows alone: row 0, the all-zero
+    features of every empty anchor, then one row per occupied anchor.
+    ``DetTape.anchor_row`` spreads them to the anchors, and
+    ``_row_gradients`` folds per-anchor output gradients back onto them.
 
     The grid is built once: ``centers``, their ``bearings`` phi from the
     sensor, and cos/sin of phi and 2 phi (``cos_p``, ``sin_p``, ``cos2``,
@@ -370,40 +390,52 @@ class DetHeadMini:
         sums = self._box_sum(moments)
 
         count = sums[0]
-        safe = np.maximum(count, 1.0)
-        means = sums[1:4].T / safe[:, None]
+        means = sums[1:4].T / np.maximum(count, 1.0)[:, None]
+        # row 0 is the all-zero row of every empty anchor; occupied anchors
+        # take rows 1.. in anchor order
+        occupied = np.flatnonzero(count > 0)
+        anchor_row = np.zeros(k * k, dtype=np.int64)
+        anchor_row[occupied] = np.arange(1, len(occupied) + 1)
+
         # moments are expressed in each anchor's view frame (x radial from
         # the sensor, y tangential): the offset between a car's visible side
         # and its true center, and its yaw, only make sense relative to the
         # viewing direction
-        cos_p, sin_p, cos2, sin2 = self.cos_p, self.sin_p, self.cos2, self.sin2
-        off_x = means[:, 0] - self.centers[:, 0]
-        off_y = means[:, 1] - self.centers[:, 1]
-        var_x = sums[4] / safe - means[:, 0] ** 2
-        var_y = sums[5] / safe - means[:, 1] ** 2
-        cov2 = 2.0 * (sums[6] / safe - means[:, 0] * means[:, 1])
+        cos_p, sin_p = self.cos_p[occupied], self.sin_p[occupied]
+        cos2, sin2 = self.cos2[occupied], self.sin2[occupied]
+        n, (mean_x, mean_y, mean_z) = count[occupied], means[occupied].T
+        off_x = mean_x - self.centers[occupied, 0]
+        off_y = mean_y - self.centers[occupied, 1]
+        var_x = sums[4, occupied] / n - mean_x ** 2
+        var_y = sums[5, occupied] / n - mean_y ** 2
+        cov2 = 2.0 * (sums[6, occupied] / n - mean_x * mean_y)
         dvar = var_x - var_y
 
-        feats = np.zeros((k * k, self.N_FEATURES))
-        feats[:, 0] = np.log1p(count) * _COUNT_SCALE
-        feats[:, 1] = cos_p * off_x + sin_p * off_y       # radial offset
-        feats[:, 2] = -sin_p * off_x + cos_p * off_y      # tangential offset
-        feats[:, 3] = means[:, 2] * _Z_SCALE
-        feats[:, 4] = var_x + var_y                        # rotation invariant
-        feats[:, 5] = cos2 * dvar + sin2 * cov2            # doubled-angle pair,
-        feats[:, 6] = -sin2 * dvar + cos2 * cov2           # view frame
-        feats[:, 7] = np.log1p(moments[0]) * _COUNT_SCALE  # own-cell occupancy
-        empty = count == 0
-        feats[empty] = 0.0
-        return feats, point_cell, count, means
+        feats = np.zeros((len(occupied) + 1, self.N_FEATURES))
+        rows = feats[1:]
+        rows[:, 0] = np.log1p(n) * _COUNT_SCALE
+        rows[:, 1] = cos_p * off_x + sin_p * off_y       # radial offset
+        rows[:, 2] = -sin_p * off_x + cos_p * off_y      # tangential offset
+        rows[:, 3] = mean_z * _Z_SCALE
+        rows[:, 4] = var_x + var_y                        # rotation invariant
+        rows[:, 5] = cos2 * dvar + sin2 * cov2            # doubled-angle pair,
+        rows[:, 6] = -sin2 * dvar + cos2 * cov2           # view frame
+        rows[:, 7] = np.log1p(moments[0, occupied]) * _COUNT_SCALE  # own-cell occupancy
+        return feats, anchor_row, point_cell, count, means
 
     def forward(self, cloud: PointCloud):
-        """Scores and raw outputs for every anchor -> (scores, outputs, tape)."""
-        feats, point_cell, counts, means = self._pool(cloud)
-        outputs, mlp_tape = self.mlp.forward(feats)
-        scores = _sigmoid(outputs[:, 0])
-        tape = DetTape(cloud, point_cell, counts, means, mlp_tape)
-        return scores, outputs, tape
+        """Scores and raw outputs for every anchor -> (scores, outputs, tape).
+
+        The MLP runs on the distinct rows only, and the tape's
+        ``anchor_row`` spreads them to the anchors. Every output is within
+        1e-12 relative of running the MLP on all anchors: BLAS may round a
+        product over fewer rows differently.
+        """
+        feats, anchor_row, point_cell, counts, means = self._pool(cloud)
+        row_outputs, mlp_tape = self.mlp.forward(feats)
+        scores = _sigmoid(row_outputs[:, 0])[anchor_row]
+        tape = DetTape(cloud, point_cell, counts, means, mlp_tape, anchor_row)
+        return scores, row_outputs[anchor_row], tape
 
     def proposals(self, scores: np.ndarray, tape: DetTape) -> np.ndarray:
         """Anchors scoring above ``PROPOSAL_SCORE`` that pooled any point; an
@@ -430,21 +462,32 @@ class DetHeadMini:
             for i in range(len(anchors))
         ]
 
+    def _row_gradients(self, tape: DetTape, d_outputs: np.ndarray) -> np.ndarray:
+        """Fold per-anchor output gradients onto the tape's distinct rows.
+
+        Each occupied anchor's gradient is its own row; the empty anchors'
+        gradients sum into the shared zero row. Every layer's backward is
+        linear in the output gradient and the empty anchors share their
+        activations, so backpropagating the folded rows is, in exact
+        arithmetic, backpropagating every anchor. Training and the input
+        gradient both go through this fold.
+        """
+        empty = tape.anchor_row == 0
+        drows = np.empty((len(tape.mlp_tape[0]), d_outputs.shape[1]))
+        drows[0] = empty @ d_outputs
+        drows[1:] = d_outputs[~empty]  # rows 1.. hold the occupied anchors in order
+        return drows
+
     def backward_inputs(self, tape: DetTape, d_outputs: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. point positions; the detector ignores intensity.
 
-        The MLP backpropagates only the live anchors, the rows where
-        ``d_outputs`` is non-zero (the attack's loss lives on its proposals),
-        and every other anchor's feature gradient is an exact zero. So an
-        all-zero ``d_outputs`` gives exact zeros. The result is within 1e-12
-        relative of backpropagating every anchor: BLAS may round a product
-        over fewer rows differently.
+        The MLP backpropagates the folded rows of :meth:`_row_gradients`, so
+        an all-zero ``d_outputs`` gives exact zeros. The result is within
+        1e-12 relative of backpropagating every anchor: BLAS may round a
+        product over fewer rows differently.
         """
-        live = np.flatnonzero(d_outputs.any(axis=1))
-        dfeat = np.zeros((self.n_anchors, self.N_FEATURES))
-        dfeat[live] = self.mlp.backward_inputs(tuple(a[live] for a in tape.mlp_tape),
-                                               d_outputs[live])
-        return self._pool_adjoint(tape, dfeat)
+        drows = self.mlp.backward_inputs(tape.mlp_tape, self._row_gradients(tape, d_outputs))
+        return self._pool_adjoint(tape, drows[tape.anchor_row])
 
     def _pool_adjoint(self, tape: DetTape, dfeat: np.ndarray) -> np.ndarray:
         """Point-position gradient of the per-anchor feature gradients ``dfeat``.
@@ -562,8 +605,9 @@ def _train(model, streams, scenes, boxes_per_scene, epochs: int, lr: float, seed
 
     ``streams`` picks the SeedSequence streams of ``seed`` that initialize
     the model and draw everything else. ``step(cloud, boxes, rng)`` returns
-    ``(loss, tape, d_outputs)``, or None to skip the scene. Raises
-    RuntimeError on a non-finite loss.
+    ``(loss, mlp_tape, dlogits)``, with one ``dlogits`` row per row of the
+    MLP tape, or None to skip the scene. Raises RuntimeError on a non-finite
+    loss.
     """
     model.init_random(np.random.SeedSequence([_seed_int(seed), streams[0]]))
     rng = np.random.default_rng(np.random.SeedSequence([_seed_int(seed), streams[1]]))
@@ -581,12 +625,12 @@ def _train(model, streams, scenes, boxes_per_scene, epochs: int, lr: float, seed
             scored = step(cloud, boxes, rng)
             if scored is None:
                 continue
-            loss, tape, d_outputs = scored
+            loss, mlp_tape, dlogits = scored
             if not math.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite training loss at epoch {epoch}, scene {scene_idx}"
                 )
-            _, grads = model.mlp.backward(tape.mlp_tape, d_outputs)
+            _, grads = model.mlp.backward(mlp_tape, dlogits)
             optim.step(model.mlp.params, grads)
     return model
 
@@ -631,7 +675,7 @@ def train_seg(scenes, n_classes: int, epochs: int, lr: float, seed,
         dlogits = probs.copy()
         dlogits[np.arange(len(rows)), labels] -= 1.0
         dlogits *= (w / denom)[:, None]
-        return loss, tape, dlogits
+        return loss, tape.mlp_tape, dlogits
 
     return _train(model, (1, 2), scenes, [()] * len(scenes), epochs, lr, seed, hook, step)
 
@@ -700,7 +744,7 @@ def train_det(scenes, boxes_per_scene, epochs: int, lr: float, seed,
             diff = full[idx, 1:] - tgt
             loss += float(0.5 * (diff * diff).sum() / len(idx))
             d_full[idx, 1:] += diff / len(idx)
-        return loss, tape, d_full
+        return loss, tape.mlp_tape, model._row_gradients(tape, d_full)
 
     return _train(model, (3, 4), scenes, boxes_per_scene, epochs, lr, seed, hook, step)
 

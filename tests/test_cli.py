@@ -513,6 +513,23 @@ def test_a_manifest_with_a_nan_budget_exits_2_and_writes_no_bank(pipeline, tmp_p
         assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    (("train-victim", "--task", "det"), "--epochs", -2),
+    (("attack", "--mode", "untargeted", "--G", 6, "--N", 1), "--iters", -3),
+    (("baseline-attack", "--kind", "l2"), "--iters", -1),
+])
+def test_a_negative_count_exits_2_and_writes_nothing(pipeline, command, flag, value,
+                                                     tmp_path, capsys):
+    victim_flag = () if command[0] == "train-victim" else ("--victim",
+                                                          pipeline / "victim" / "seg.ckpt")
+    with pytest.raises(SystemExit) as exit_info:
+        run(*command, *victim_flag, "--data", pipeline / "data" / "train", flag, value,
+            "--out", tmp_path / "out" / "result")
+    assert exit_info.value.code == cli.EXIT_CONFIG
+    assert f"argument {flag}: '{value}' is not an integer >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("dims", ["inf,1.6,4.6", "1e308,1.6,4.6", "1.8,nan,4.6"])
 def test_a_lattice_without_a_finite_cell_count_exits_2(pipeline, dims, tmp_path, capsys):
     out = tmp_path / "bank" / "car.vfb"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from advfield import simulator
 from advfield.attack import AttackConfig
 from advfield.cloudio import PointCloud
 from advfield.field import (COINCIDENT_EPS, FieldBank, build_lattice, clamp_field, deform,
@@ -420,6 +421,43 @@ class TestShiftJacobian:
             for root in np.unique(plan.neighbor_idx[row]):
                 world[root] += displacement_block(plan, row, root).T @ dpos[row]
         assert np.allclose(grad[:, :3], world @ rot_z(plan.yaw), rtol=1e-12, atol=1e-14)
+
+
+    def test_is_bit_equal_to_the_scatter_oracle_on_planned_desk_cars(self):
+        sensor = simulator.SensorSpec(channels=20, elevation_min=math.radians(-15.0),
+                                      elevation_max=math.radians(4.0),
+                                      azimuth_resolution=math.radians(0.7))
+        car = simulator.CLASS_NAMES.index("car")
+        fld = build_lattice(CAR_DIMS, 0.2)
+        rng = np.random.default_rng(23)
+        planned = 0
+        for seed, domain in ((0, "normal"), (1, "rare"), (2, "damaged")):
+            scene = simulator.generate_scene(seed, domain, None, sensor)
+            for scene_box in scene.boxes:
+                if scene_box.class_id != car:
+                    continue
+                plan = plan_deformation(scene.cloud, scene_box.box, fld,
+                                        sensor.origin, k=2)
+                if plan.n_affected == 0:
+                    continue
+                planned += 1
+                jac = ShiftJacobian(plan)
+                dpos = rng.normal(size=(plan.n_affected, 3))
+                dtau = rng.normal(size=plan.n_affected)
+                clip = rng.random(plan.n_affected) < 0.2
+                grad = jac.vector_gradient(dpos, dtau, fld.size, clip_active=clip)
+
+                # the np.add.at scatter that vector_gradient replaced
+                want = np.zeros((fld.size, 4))
+                along = np.einsum("ac,ac->a", dpos, plan.rays)
+                contrib = plan.weights[:, :, None] * (along[:, None, None]
+                                                      * plan.rays[:, None, :])
+                np.add.at(want[:, :3], plan.neighbor_idx, contrib)
+                want[:, :3] = want[:, :3] @ rot_z(plan.yaw)
+                np.add.at(want[:, 3], plan.neighbor_idx,
+                          plan.weights * np.where(clip, 0.0, dtau)[:, None])
+                assert grad.tobytes() == want.tobytes()
+        assert planned >= 3
 
 
 def test_make_bank_shapes_and_slots():

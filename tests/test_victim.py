@@ -1,7 +1,8 @@
 """The standard global augmentation, the shared trainer loop, the detector's
 fixed anchor grid (box decoding and the proposal rule), each head's one
-aggregation operator against a scatter oracle, and the in-place MLP passes
-and input gradients against their expression-form oracles."""
+aggregation operator against a scatter oracle, the in-place MLP passes and
+input gradients against their expression-form oracles, and the detector's
+distinct-row passes and training against the MLP run on every anchor."""
 
 import math
 from collections import Counter
@@ -14,8 +15,8 @@ from advfield.cloudio import PointCloud
 from advfield.geometry import OrientedBox, box_contains_many
 from advfield.simulator import CANONICAL_CAR_DIMS
 from advfield.victim import (_COUNT_SCALE, _REL_SCALE, _Z_SCALE, SEG_POINTS_PER_SCENE,
-                             DetHeadMini, SegNetMini, _Mlp, standard_augment, train_det,
-                             train_seg)
+                             DetHeadMini, DetTape, SegNetMini, _Mlp, standard_augment,
+                             train_det, train_seg)
 
 
 def test_boxes_move_with_their_points():
@@ -230,8 +231,19 @@ def scatter_pool(model, cloud):
     return feats, point_cell, count, means
 
 
+def all_row_forward(model, cloud):
+    """The detector's forward with the MLP on every anchor's row of the
+    scatter features -> (scores, outputs, tape); its ``anchor_row`` is the
+    identity."""
+    feats, point_cell, count, means = scatter_pool(model, cloud)
+    outputs, mlp_tape = model.mlp.forward(feats)
+    tape = DetTape(cloud, point_cell, count, means, mlp_tape, np.arange(model.n_anchors))
+    return 1.0 / (1.0 + np.exp(-outputs[:, 0])), outputs, tape
+
+
 def neighborhood_loop_gradient(model, tape, d_outputs):
-    """The detector's input gradient, one 3x3 neighbor offset at a time."""
+    """The detector's input gradient, one 3x3 neighbor offset at a time,
+    from the all-row tape of :func:`all_row_forward`."""
     dpos = np.zeros((tape.cloud.n, 3))
     dfeat, _ = model.mlp.backward(tape.mlp_tape, d_outputs)
     k = model.cells_per_axis
@@ -261,7 +273,14 @@ def neighborhood_loop_gradient(model, tape, d_outputs):
 def test_the_detector_pools_what_the_scatter_oracle_pools(desk_clouds):
     model = DetHeadMini()
     for cloud in desk_clouds + [PointCloud.unlabeled(np.zeros((0, 3)), np.zeros(0))]:
-        for got, want in zip(model._pool(cloud), scatter_pool(model, cloud)):
+        feats, anchor_row, *rest = model._pool(cloud)
+        want_feats, *want_rest = scatter_pool(model, cloud)
+        # row 0 is the empty anchors' zero row, then one row per occupied anchor
+        occupied = np.flatnonzero(want_rest[1] > 0)
+        assert np.array_equal(anchor_row[occupied], np.arange(1, len(occupied) + 1))
+        assert len(feats) == len(occupied) + 1 and np.all(feats[0] == 0.0)
+        assert feats[anchor_row].tobytes() == want_feats.tobytes()
+        for got, want in zip(rest, want_rest):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -274,7 +293,7 @@ def test_the_detector_input_gradient_matches_the_neighborhood_loop(desk_clouds):
         d_outputs = np.random.default_rng(seed).normal(size=(model.n_anchors,
                                                              DetHeadMini.N_OUTPUTS))
         got = model.backward_inputs(tape, d_outputs)
-        want = neighborhood_loop_gradient(model, tape, d_outputs)
+        want = neighborhood_loop_gradient(model, all_row_forward(model, cloud)[2], d_outputs)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
         assert np.all(got[tape.point_cell < 0] == 0.0)
 
@@ -463,39 +482,91 @@ def test_the_segmenter_input_gradient_is_the_dx_of_the_full_backward(desk_clouds
             assert got.tobytes() == want.tobytes()
 
 
+# ---------------------------------------------------------------------------
+# the detector's distinct-row passes against the all-row oracle
+# ---------------------------------------------------------------------------
+
 def all_anchor_gradient(model, tape, d_outputs):
-    """The detector's input gradient with the MLP backward over every anchor."""
+    """The detector's input gradient with the MLP backward over every anchor,
+    from the all-row tape of :func:`all_row_forward`."""
     dfeat, _ = model.mlp.backward(tape.mlp_tape, d_outputs)
     return model._pool_adjoint(tape, dfeat)
 
 
-def test_the_detector_backpropagates_its_live_rows_to_1e12(desk_clouds):
+def assert_within(got, want, relative):
+    """Every entry of ``got`` within ``relative`` times the largest of ``want``."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= relative * np.abs(want).max(initial=0.0)
+
+
+def cloud_without_empty_anchors(model):
+    """One point above ground in every anchor cell."""
+    centers = model.centers.copy()
+    centers[:, 2] = 1.0
+    return PointCloud.unlabeled(centers, np.full(model.n_anchors, 0.5))
+
+
+def detector_clouds(desk_clouds, model):
+    """The desk clouds, a cloud with no occupied anchor and one with no empty one."""
+    return desk_clouds + [PointCloud.unlabeled(np.zeros((0, 3)), np.zeros(0)),
+                          cloud_without_empty_anchors(model)]
+
+
+def test_the_detector_forward_is_within_1e12_of_the_all_row_oracle(desk_clouds):
+    model = DetHeadMini()
+    model.init_random(2)
+    # with b1 = 0 the zero row's hidden activations would be exact zeros
+    model.mlp.params["b1"][:] = np.random.default_rng(1).normal(size=model.hidden)
+    occupied_counts = []
+    for cloud in detector_clouds(desk_clouds, model):
+        scores, outputs, tape = model.forward(cloud)
+        want_scores, want_outputs, _ = all_row_forward(model, cloud)
+        occupied = int((tape.neighbor_counts > 0).sum())
+        occupied_counts.append(occupied)
+        assert len(tape.mlp_tape[0]) == occupied + 1
+        assert_within(scores, want_scores, 1e-12)
+        assert_within(outputs, want_outputs, 1e-12)
+    assert occupied_counts[-2:] == [0, model.n_anchors]
+
+
+def test_the_detector_input_gradient_is_within_1e12_of_the_all_anchor_backward(desk_clouds):
     model = DetHeadMini()
     model.init_random(2)
     model.mlp.params["b3"][0] = 0.0  # scores near 1/2: every occupied anchor proposes
-    for seed, cloud in enumerate(desk_clouds):
+    for seed, cloud in enumerate(detector_clouds(desk_clouds, model)):
         rng = np.random.default_rng(seed)
         scores, _, tape = model.forward(cloud)
+        oracle = all_row_forward(model, cloud)[2]
         proposals = model.proposals(scores, tape)
-        assert 20 < len(proposals) < model.n_anchors // 10
         # the attack's shape: a confidence gradient on the proposal rows alone
         attack = np.zeros((model.n_anchors, DetHeadMini.N_OUTPUTS))
         attack[proposals, 0] = rng.normal(size=len(proposals))
         dense = rng.normal(size=attack.shape)
         for d_outputs in (attack, dense):
             got = model.backward_inputs(tape, d_outputs)
-            want = all_anchor_gradient(model, tape, d_outputs)
-            scale = np.abs(want).max()
-            assert scale > 0
-            assert np.abs(got - want).max() <= 1e-12 * scale
+            want = all_anchor_gradient(model, oracle, d_outputs)
+            assert_within(got, want, 1e-12)
+            assert (np.abs(want).max(initial=0.0) > 0) == (len(proposals) > 0)
+
+
+def test_train_det_is_within_1e10_of_the_all_row_training_oracle(monkeypatch):
+    clouds, boxes = tiny_scenes()
+    model = train("det", clouds, boxes, None)
+    monkeypatch.setattr(DetHeadMini, "forward", all_row_forward)
+    oracle = train("det", clouds, boxes, None)
+    for name, value in model.mlp.params.items():
+        assert_within(value, oracle.mlp.params[name], 1e-10)
 
 
 def test_a_zero_detector_output_gradient_gives_exact_zeros(desk_clouds):
     model = DetHeadMini()
     model.init_random(2)
+    for cloud in detector_clouds(desk_clouds, model):
+        _, _, tape = model.forward(cloud)
+        dpos = model.backward_inputs(tape, np.zeros((model.n_anchors,
+                                                     DetHeadMini.N_OUTPUTS)))
+        assert dpos.shape == (cloud.n, 3)
+        assert np.all(dpos == 0.0)
     _, _, tape = model.forward(desk_clouds[0])
     rng = np.random.default_rng(0)
     assert np.any(model.backward_inputs(tape, rng.normal(size=(model.n_anchors, 9))) != 0)
-    dpos = model.backward_inputs(tape, np.zeros((model.n_anchors, DetHeadMini.N_OUTPUTS)))
-    assert dpos.shape == (desk_clouds[0].n, 3)
-    assert np.all(dpos == 0.0)
