@@ -80,7 +80,7 @@ def finite_float(text: str) -> float:
 
 
 def non_negative_int(text: str) -> int:
-    """The argparse type of every iteration or epoch count: an integer >= 0."""
+    """The argparse type of every scene, iteration or epoch count: an integer >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
@@ -105,8 +105,8 @@ def cmd_simulate(args) -> int:
     sensor = _sensor_from_args(args)
     if args.domain == "splits":
         sizes = tuple(int(s) for s in args.sizes.split(","))
-        if len(sizes) != 4:
-            raise ValueError("--sizes needs train,val,ood-rare,ood-damaged")
+        if len(sizes) != 4 or min(sizes) < 0:
+            raise ValueError("--sizes needs four counts >= 0: train,val,ood-rare,ood-damaged")
         splits = simulator.make_splits(args.seed, sizes=sizes, sensor=sensor,
                                        n_objects=args.objects)
         for name, scenes in splits.items():
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--domain", default="splits",
                    choices=["normal", "rare", "damaged", "splits"])
-    p.add_argument("--scenes", type=int, default=50)
+    p.add_argument("--scenes", type=non_negative_int, default=50)
     p.add_argument("--sizes", default="200,50,50,50")
     p.add_argument("--objects", type=int, default=None)
     p.add_argument("--out", required=True)

@@ -39,12 +39,15 @@ BLAS may round a product over fewer rows differently.
 
 The detector builds its fixed anchor grid (centers, bearings, view-frame
 rotations) once, and ``DetHeadMini.proposals`` is the one proposal rule of
-attack and evaluation. ``train_seg`` and ``train_det`` share one loop,
-``_train``, and supply only their seed streams and a per-scene step.
+attack and evaluation. ``DetHeadMini.box_targets`` builds the training
+targets of a box list, testing each box only against the anchors it can
+reach. ``train_seg`` and ``train_det`` share one loop, ``_train``, and
+supply only their seed streams and a per-scene step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -368,19 +371,29 @@ class DetHeadMini:
     def _box_sum(self, grids: np.ndarray) -> np.ndarray:
         """3x3 neighborhood sums of a (C, K * K) stack of per-cell grids."""
         k = self.cells_per_axis
-        padded = np.pad(grids.reshape(-1, k, k), ((0, 0), (1, 1), (1, 1)))
-        integral = np.pad(padded.cumsum(axis=1).cumsum(axis=2), ((0, 0), (1, 0), (1, 0)))
+        # integral[:, 1 + i, 1 + j] sums rows 0..i and cols 0..j of the grids
+        # padded by one zero cell on each side; row 0 and col 0 stay zero
+        integral = np.zeros((len(grids), k + 3, k + 3))
+        np.cumsum(grids.reshape(-1, k, k), axis=1, out=integral[:, 2:k + 2, 2:k + 2])
+        # starting from the zero column, this sum also turns any -0.0 into 0.0
+        rows = integral[:, 2:k + 2, 1:k + 2]
+        np.cumsum(rows, axis=2, out=rows)
+        # the padding's last row and column add zeros: copy the sums before them
+        integral[:, k + 2] = integral[:, k + 1]
+        integral[:, :, k + 2] = integral[:, :, k + 1]
         # neighborhood of cell (i, j) spans padded rows i..i+2, cols j..j+2
-        sums = (integral[:, 3:3 + k, 3:3 + k] - integral[:, :k, 3:3 + k]
-                - integral[:, 3:3 + k, :k] + integral[:, :k, :k])
+        sums = integral[:, 3:, 3:] - integral[:, :k, 3:]
+        sums -= integral[:, 3:, :k]
+        sums += integral[:, :k, :k]
         return sums.reshape(len(grids), k * k)
 
     def _pool(self, cloud: PointCloud):
         k = self.cells_per_axis
         ij = np.floor((cloud.xyz[:, :2] + self.area) / self.stride).astype(np.int64)
-        valid = np.all((ij >= 0) & (ij < k), axis=1)
+        i, j = ij[:, 0], ij[:, 1]
+        valid = (i >= 0) & (i < k) & (j >= 0) & (j < k)
         valid &= cloud.xyz[:, 2] > self.GROUND_CLIP  # ground returns carry no box cue
-        point_cell = np.where(valid, ij[:, 0] * k + ij[:, 1], -1)
+        point_cell = np.where(valid, i * k + j, -1)
 
         x, y, z = cloud.xyz[valid].T
         cells = point_cell[valid]
@@ -461,6 +474,83 @@ class DetHeadMini:
             OrientedBox(center[i], sizes[i, 0], sizes[i, 1], sizes[i, 2], float(yaw[i]))
             for i in range(len(anchors))
         ]
+
+    @functools.cached_property
+    def _target_bearings(self):
+        """Per anchor, ``math.atan2`` of its center and that bearing's
+        ``math.cos`` and ``math.sin``. They differ from the stored numpy
+        ``bearings`` in the last bit on some anchors, and every trained
+        detector depends on them bit for bit."""
+        phi = [math.atan2(y, x) for x, y in self.centers[:, :2].tolist()]
+        return (np.array(phi), np.array([math.cos(p) for p in phi]),
+                np.array([math.sin(p) for p in phi]))
+
+    def _cells_within(self, center: float, reach: float) -> np.ndarray:
+        """Grid indices along one axis of the cells that meet
+        [center - reach, center + reach], clamped to the grid; never empty,
+        and always holding the cell nearest to ``center``."""
+        last = self.cells_per_axis - 1
+        lo, hi = ((center + side + self.area) / self.stride for side in (-reach, reach))
+        return np.arange(min(max(math.floor(lo), 0), last),
+                         min(max(math.floor(hi), 0), last) + 1)
+
+    def box_targets(self, boxes):
+        """Training targets of ``boxes`` -> (confidence, anchors, rows).
+
+        ``confidence`` is 1 on each positive anchor and 0 elsewhere. An
+        anchor is positive for a box when its center falls inside the box
+        footprint or lies less than 2 m from the box center, and the anchor
+        nearest to the box center always is (the first in anchor order on
+        a tie). ``rows[i]`` holds the regression target of positive anchor
+        ``anchors[i]``, in increasing anchor order, for the output columns
+        1..8; where boxes share a positive anchor, the later box's row wins.
+
+        A positive anchor lies within max(half-diagonal, 2 m) of its box
+        center, so each box is tested only against the anchors of the cells
+        within that reach. Their tests, and the rows, are the all-anchor
+        tests and per-anchor rows bit for bit.
+        """
+        confidence = np.zeros(self.n_anchors)
+        if not boxes:
+            return confidence, np.zeros(0, dtype=np.int64), np.zeros((0, self.N_OUTPUTS - 1))
+        k, centers = self.cells_per_axis, self.centers
+        positives = []
+        for box in boxes:
+            reach = max(math.hypot(box.length, box.width) / 2.0, 2.0)
+            window = (self._cells_within(box.center[0], reach)[:, None] * k
+                      + self._cells_within(box.center[1], reach)).ravel()  # anchor order
+            offsets = centers[window, :2] - box.center[:2]
+            local = offsets @ rot_z(box.yaw)[:2, :2]
+            near = np.all(np.abs(local) <= np.array([box.length / 2, box.width / 2]), axis=1)
+            dist = np.linalg.norm(offsets, axis=1)
+            near |= dist < 2.0
+            near[np.argmin(dist)] = True
+            positives.append(window[near])
+        anchors = np.concatenate(positives)
+        owner = np.repeat(np.arange(len(boxes)), [len(p) for p in positives])
+        box_centers = np.array([box.center for box in boxes])[owner]
+        yaw = np.array([box.yaw for box in boxes])[owner]
+        w0, h0, l0 = CANONICAL_CAR_DIMS
+        log_sizes = np.array([[math.log(box.width / w0), math.log(box.height / h0),
+                               math.log(box.length / l0)] for box in boxes])[owner]
+
+        phi, cos_p, sin_p = (values[anchors] for values in self._target_bearings)
+        dx = box_centers[:, 0] - centers[anchors, 0]
+        dy = box_centers[:, 1] - centers[anchors, 1]
+        angle = (2 * (yaw - phi)).tolist()
+        rows = np.empty((len(anchors), self.N_OUTPUTS - 1))
+        rows[:, 0] = (cos_p * dx + sin_p * dy) / self.stride
+        rows[:, 1] = (-sin_p * dx + cos_p * dy) / self.stride
+        rows[:, 2] = box_centers[:, 2] - centers[anchors, 2]
+        rows[:, 3:6] = log_sizes
+        # math, not numpy: np.sin and np.cos may round differently
+        rows[:, 6] = [math.sin(a) for a in angle]
+        rows[:, 7] = [math.cos(a) for a in angle]
+
+        confidence[anchors] = 1.0
+        # the last occurrence of each anchor is its latest box's row
+        last = len(anchors) - 1 - np.unique(anchors[::-1], return_index=True)[1]
+        return confidence, anchors[last], rows[last]
 
     def _row_gradients(self, tape: DetTape, d_outputs: np.ndarray) -> np.ndarray:
         """Fold per-anchor output gradients onto the tape's distinct rows.
@@ -583,13 +673,14 @@ def standard_augment(cloud: PointCloud, boxes, rng: np.random.Generator):
     """
     angle = rng.uniform(-math.pi, math.pi)
     flip = rng.random() < 0.5
+    rotation = rot_z(angle)
     out = cloud.copy()
-    out.xyz = out.xyz @ rot_z(angle).T
+    out.xyz = out.xyz @ rotation.T
     if flip:
         out.xyz[:, 1] *= -1.0
     moved = []
     for box in boxes:
-        center = rot_z(angle) @ box.center
+        center = rotation @ box.center
         yaw = box.yaw + angle
         if flip:
             center = center * np.array([1.0, -1.0, 1.0])
@@ -685,44 +776,19 @@ def train_det(scenes, boxes_per_scene, epochs: int, lr: float, seed,
     """Train the detector on (cloud, car boxes) pairs.
 
     ``boxes_per_scene[i]`` lists the ground-truth OrientedBox targets of
-    scene i. Positive anchors are the cells whose center falls inside a box
-    footprint or lies less than 2 m from the box center, plus the cell
-    nearest to the box center. ``hook`` works as in :func:`train_seg`; it
-    moves points, never boxes.
+    scene i; :meth:`DetHeadMini.box_targets` turns them into confidence and
+    regression targets. Positive anchors are the cells whose center falls
+    inside a box footprint or lies less than 2 m from the box center, plus
+    the cell nearest to the box center. A box therefore reaches no anchor
+    farther than max(half-diagonal, 2 m) from its center, and only those
+    anchors are tested; the targets are bit-equal to testing all anchors.
+    ``hook`` works as in :func:`train_seg`; it moves points, never boxes.
     """
     model = DetHeadMini()
-    centers = model.centers
-    w0, h0, l0 = CANONICAL_CAR_DIMS
 
     def step(cloud, gt, _):
         scores, full, tape = model.forward(cloud)
-        targets = np.zeros(model.n_anchors)
-        reg_targets = {}
-        for box in gt:
-            local = (centers[:, :2] - box.center[:2]) @ rot_z(box.yaw)[:2, :2]
-            inside = np.all(
-                np.abs(local) <= np.array([box.length / 2, box.width / 2]), axis=1
-            )
-            dist = np.linalg.norm(centers[:, :2] - box.center[:2], axis=1)
-            pos = np.flatnonzero(inside | (dist < 2.0))
-            pos = np.union1d(pos, [int(np.argmin(dist))])
-            targets[pos] = 1.0
-            for a in pos:
-                ac = centers[a]
-                # math.atan2, not the stored bearings: they differ in the last
-                # bit on some anchors, which would change every trained detector
-                phi = math.atan2(ac[1], ac[0])
-                dx, dy = box.center[0] - ac[0], box.center[1] - ac[1]
-                reg_targets[int(a)] = np.array([
-                    (math.cos(phi) * dx + math.sin(phi) * dy) / model.stride,
-                    (-math.sin(phi) * dx + math.cos(phi) * dy) / model.stride,
-                    box.center[2] - ac[2],
-                    math.log(box.width / w0),
-                    math.log(box.height / h0),
-                    math.log(box.length / l0),
-                    math.sin(2 * (box.yaw - phi)),
-                    math.cos(2 * (box.yaw - phi)),
-                ])
+        targets, anchors, rows = model.box_targets(gt)
 
         # confidence BCE balanced three ways: positives, occupied
         # negatives (the hard ones), and empty anchors
@@ -738,12 +804,10 @@ def train_det(scenes, boxes_per_scene, epochs: int, lr: float, seed,
         d_full[:, 0] = w_anchor * (scores - targets)
         loss = float(-(w_anchor * (targets * np.log(np.maximum(scores, 1e-12))
                      + (1 - targets) * np.log(np.maximum(1 - scores, 1e-12)))).sum())
-        if reg_targets:
-            idx = np.fromiter(reg_targets.keys(), dtype=np.int64)
-            tgt = np.stack([reg_targets[int(a)] for a in idx])
-            diff = full[idx, 1:] - tgt
-            loss += float(0.5 * (diff * diff).sum() / len(idx))
-            d_full[idx, 1:] += diff / len(idx)
+        if len(anchors):
+            diff = full[anchors, 1:] - rows
+            loss += float(0.5 * (diff * diff).sum() / len(anchors))
+            d_full[anchors, 1:] += diff / len(anchors)
         return loss, tape.mlp_tape, model._row_gradients(tape, d_full)
 
     return _train(model, (3, 4), scenes, boxes_per_scene, epochs, lr, seed, hook, step)

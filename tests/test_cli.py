@@ -530,6 +530,22 @@ def test_a_negative_count_exits_2_and_writes_nothing(pipeline, command, flag, va
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_refuses_a_negative_scene_count_and_writes_nothing(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run("simulate", "--domain", "normal", "--scenes", -1, *TINY[2:],
+            "--out", tmp_path / "data")
+    assert exit_info.value.code == cli.EXIT_CONFIG
+    assert "argument --scenes: '-1' is not an integer >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_refuses_a_negative_split_size_and_writes_nothing(tmp_path, capsys):
+    assert run("simulate", "--sizes=-1,2,2,2", *TINY[2:],
+               "--out", tmp_path / "data") == cli.EXIT_CONFIG
+    assert "--sizes needs four counts >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("dims", ["inf,1.6,4.6", "1e308,1.6,4.6", "1.8,nan,4.6"])
 def test_a_lattice_without_a_finite_cell_count_exits_2(pipeline, dims, tmp_path, capsys):
     out = tmp_path / "bank" / "car.vfb"

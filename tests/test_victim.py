@@ -1,8 +1,9 @@
 """The standard global augmentation, the shared trainer loop, the detector's
 fixed anchor grid (box decoding and the proposal rule), each head's one
 aggregation operator against a scatter oracle, the in-place MLP passes and
-input gradients against their expression-form oracles, and the detector's
-distinct-row passes and training against the MLP run on every anchor."""
+input gradients against their expression-form oracles, the detector's
+distinct-row passes and training against the MLP run on every anchor, and
+its windowed training targets against the per-anchor loop over every anchor."""
 
 import math
 from collections import Counter
@@ -12,7 +13,7 @@ import pytest
 
 from advfield import simulator
 from advfield.cloudio import PointCloud
-from advfield.geometry import OrientedBox, box_contains_many
+from advfield.geometry import OrientedBox, box_contains_many, rot_z
 from advfield.simulator import CANONICAL_CAR_DIMS
 from advfield.victim import (_COUNT_SCALE, _REL_SCALE, _Z_SCALE, SEG_POINTS_PER_SCENE,
                              DetHeadMini, DetTape, SegNetMini, _Mlp, standard_augment,
@@ -298,6 +299,20 @@ def test_the_detector_input_gradient_matches_the_neighborhood_loop(desk_clouds):
         assert np.all(got[tape.point_cell < 0] == 0.0)
 
 
+def test_the_box_sum_is_bit_equal_to_the_scatter_oracle_on_sparse_grids():
+    model = DetHeadMini()
+    k = model.cells_per_axis
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        grids = rng.normal(size=(7, k, k)) * (rng.random((7, k, k)) < 0.05)
+        # the border cells, which the padding neighbours, are never empty
+        for edge in (np.s_[:, 0], np.s_[:, -1], np.s_[:, :, 0], np.s_[:, :, -1]):
+            grids[edge] = rng.normal(size=(7, k))
+        got = model._box_sum(grids.reshape(7, k * k))
+        want = np.stack([scatter_box_sum(grid, k).ravel() for grid in grids])
+        assert got.tobytes() == want.tobytes()
+
+
 def test_the_box_sum_is_its_own_adjoint():
     model = DetHeadMini(area=8.0)
     rng = np.random.default_rng(3)
@@ -570,3 +585,113 @@ def test_a_zero_detector_output_gradient_gives_exact_zeros(desk_clouds):
     _, _, tape = model.forward(desk_clouds[0])
     rng = np.random.default_rng(0)
     assert np.any(model.backward_inputs(tape, rng.normal(size=(model.n_anchors, 9))) != 0)
+
+
+# ---------------------------------------------------------------------------
+# the detector's training targets against the per-anchor loop
+# ---------------------------------------------------------------------------
+
+def loop_box_targets(model, boxes):
+    """The training targets, each box tested against every anchor and each
+    regression row built anchor by anchor -> (confidence, anchors, rows),
+    anchors in the order they were first positive."""
+    centers = model.centers
+    w0, h0, l0 = CANONICAL_CAR_DIMS
+    targets = np.zeros(model.n_anchors)
+    reg_targets = {}
+    for box in boxes:
+        local = (centers[:, :2] - box.center[:2]) @ rot_z(box.yaw)[:2, :2]
+        inside = np.all(np.abs(local) <= np.array([box.length / 2, box.width / 2]), axis=1)
+        dist = np.linalg.norm(centers[:, :2] - box.center[:2], axis=1)
+        pos = np.union1d(np.flatnonzero(inside | (dist < 2.0)), [int(np.argmin(dist))])
+        targets[pos] = 1.0
+        for a in pos:
+            ac = centers[a]
+            phi = math.atan2(ac[1], ac[0])
+            dx, dy = box.center[0] - ac[0], box.center[1] - ac[1]
+            reg_targets[int(a)] = np.array([
+                (math.cos(phi) * dx + math.sin(phi) * dy) / model.stride,
+                (-math.sin(phi) * dx + math.cos(phi) * dy) / model.stride,
+                box.center[2] - ac[2],
+                math.log(box.width / w0),
+                math.log(box.height / h0),
+                math.log(box.length / l0),
+                math.sin(2 * (box.yaw - phi)),
+                math.cos(2 * (box.yaw - phi)),
+            ])
+    anchors = np.fromiter(reg_targets, dtype=np.int64)
+    rows = np.stack(list(reg_targets.values())) if reg_targets else np.zeros((0, 8))
+    return targets, anchors, rows
+
+
+def assert_targets_match_the_loop(model, boxes):
+    got_targets, got_anchors, got_rows = model.box_targets(boxes)
+    want_targets, want_anchors, want_rows = loop_box_targets(model, boxes)
+    order = np.argsort(want_anchors)
+    assert got_targets.tobytes() == want_targets.tobytes()
+    assert got_anchors.dtype == np.int64
+    assert got_anchors.tobytes() == want_anchors[order].tobytes()
+    assert got_rows.shape == (len(got_anchors), 8)
+    assert got_rows.tobytes() == want_rows[order].tobytes()
+    return got_anchors, got_rows
+
+
+def test_box_targets_are_bit_equal_to_the_loop_on_desk_boxes():
+    model = DetHeadMini()
+    rng = np.random.default_rng(12)
+    positives = 0
+    for seed in range(4):
+        scene = simulator.generate_scene(seed, "normal", None, DESK_SENSOR)
+        boxes = [sb.box for sb in scene.boxes]
+        # as in training: boxes turned and flipped with their clouds
+        _, moved = standard_augment(PointCloud.unlabeled(np.zeros((0, 3)), np.zeros(0)),
+                                    boxes, rng)
+        for case in (boxes, moved, moved[:1]):
+            positives += len(assert_targets_match_the_loop(model, case)[0])
+    assert positives > 50
+    assert_targets_match_the_loop(model, [])
+
+
+def test_box_targets_clamp_the_window_at_the_grid_edge():
+    model = DetHeadMini()
+    edge = model.area
+    boxes = [
+        OrientedBox(np.array([edge - 0.7, -edge + 0.4, 0.8]), 1.8, 1.6, 4.6, 0.6),
+        OrientedBox(np.array([-edge + 1.0, 3.0, 0.8]), 2.0, 1.5, 5.5, -2.0),
+        # outside the grid: only the nearest anchor, an equal-distance tie
+        # between two anchors that goes to the first in anchor order
+        OrientedBox(np.array([edge + 6.0, 0.0, 0.8]), 1.8, 1.6, 4.6, 0.0),
+        OrientedBox(np.array([-edge - 20.0, -edge - 20.0, 0.8]), 1.8, 1.6, 4.6, 1.0),
+    ]
+    for box in boxes[:2]:
+        assert_targets_match_the_loop(model, [box])
+    # y = 0 lies halfway between the anchor rows k/2 - 1 and k/2
+    k = model.cells_per_axis
+    assert assert_targets_match_the_loop(model, boxes[2:3])[0].tolist() == [k * k - k // 2 - 1]
+    assert assert_targets_match_the_loop(model, boxes[3:])[0].tolist() == [0]
+    assert_targets_match_the_loop(model, boxes)
+
+
+def test_where_boxes_share_an_anchor_the_later_box_row_wins():
+    model = DetHeadMini()
+    first = OrientedBox(np.array([10.3, 4.1, 0.8]), 1.8, 1.6, 4.6, 0.3)
+    second = OrientedBox(np.array([11.2, 4.6, 0.9]), 1.9, 1.5, 4.2, 2.1)
+    anchors, rows = assert_targets_match_the_loop(model, [first, second])
+    _, first_anchors, first_rows = model.box_targets([first])
+    _, second_anchors, second_rows = model.box_targets([second])
+    shared = np.intersect1d(first_anchors, second_anchors)
+    assert len(shared) > 0
+    for anchor in shared:
+        row = rows[anchors == anchor]
+        assert np.array_equal(row, second_rows[second_anchors == anchor])
+        assert not np.array_equal(row, first_rows[first_anchors == anchor])
+    assert_targets_match_the_loop(model, [second, first])
+
+
+def test_train_det_is_bit_equal_to_a_training_on_the_loop_targets(monkeypatch):
+    clouds, boxes = tiny_scenes()
+    model = train("det", clouds, boxes, None)
+    monkeypatch.setattr(DetHeadMini, "box_targets", loop_box_targets)
+    oracle = train("det", clouds, boxes, None)
+    for name, value in model.mlp.params.items():
+        assert value.tobytes() == oracle.mlp.params[name].tobytes(), name
