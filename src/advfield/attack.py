@@ -9,8 +9,8 @@ chosen target class. The two segmentation objectives take the victim's
 per-point probabilities and labels and return one loss per row, so that
 :func:`touched_loss_and_grads` can keep the clean loss of every row the
 deformation leaves alone. Gradients flow victim -> point shifts -> vector
-components; after every Adam step the fields are clamped back into their
-feasible set.
+components. One Adam, keyed by slot, steps the whole bank, and after every
+step the bank is clamped back into its own budget.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import (FieldBank, ShiftJacobian, check_budget, clamp_field, deform_targets,
-                    plan_targets)
+from .field import FieldBank, ShiftJacobian, check_budget, deform_targets, plan_targets
 from .geometry import iou_3d
 from .victim import Adam, DetHeadMini, SegNetMini
 
@@ -145,10 +144,12 @@ class _SceneWork:
     variant: int
     plans: list  # (group, DeformationPlan)
     moved: np.ndarray  # increasing union of the plans' points
+    gt: list  # OrientedBoxes of the attack's class
+    clean_losses: np.ndarray | None = None  # per-row clean losses, segmentation only
 
 
 def _prepare(scenes, bank: FieldBank, cfg: AttackConfig):
-    """Per-scene plans, and the sorted (group, variant) slots that none uses."""
+    """Per-scene plans and boxes, and the sorted (group, variant) slots that none uses."""
     work = []
     usage = np.zeros((bank.groups, bank.variants), dtype=np.int64)
     for idx, scene in enumerate(scenes):
@@ -159,20 +160,20 @@ def _prepare(scenes, bank: FieldBank, cfg: AttackConfig):
             usage[group - 1, variant - 1] += 1
         moved = np.unique(np.concatenate([np.zeros(0, np.int64)]
                                          + [plan.point_idx for _, plan in plans]))
-        work.append(_SceneWork(scene, variant, plans, moved))
+        gt = [sb.box for sb in scene.boxes if sb.class_id == cfg.adversarial_class]
+        work.append(_SceneWork(scene, variant, plans, moved, gt))
     return work, [(g + 1, n + 1) for g, n in np.argwhere(usage == 0).tolist()]
 
 
-def _detection_loss_and_input_grads(cloud, work: _SceneWork, victim, cfg: AttackConfig):
+def _detection_loss_and_input_grads(cloud, work: _SceneWork, victim):
     """Scene loss and the input gradients of ``work.moved`` in detection mode."""
     scores, full, tape = victim.forward(cloud)
     relevant = victim.proposals(scores, tape)
-    gt = [sb.box for sb in work.scene.boxes if sb.class_id == cfg.adversarial_class]
     no_tau = np.zeros(len(work.moved))
-    if len(relevant) == 0 or not gt:
+    if len(relevant) == 0 or not work.gt:
         return 0.0, np.zeros((len(work.moved), 3)), no_tau
     proposals = victim.decode_boxes(relevant, full)
-    ious = np.array([max(iou_3d(p, g) for g in gt) for p in proposals])
+    ious = np.array([max(iou_3d(p, g) for g in work.gt) for p in proposals])
     d_full = np.zeros_like(full)
     loss, d_full[relevant, 0] = detection_objective(scores[relevant], ious)
     dpos = victim.backward_inputs(tape, d_full)
@@ -204,8 +205,8 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
     (``field.plan_targets``) are computed once from the clean clouds and
     frozen.
     Scene index mod N picks the variant each scene trains, keeping variants
-    independent. Gradients accumulate over small scene batches before each
-    per-field Adam step; fields are clamped after every step.
+    independent. Gradients accumulate over small scene batches; one Adam, keyed
+    by slot, then steps the slots the batch trained, and the bank is clamped.
 
     In the segmentation modes the victim runs, once per scene, on the clean
     cloud; each iteration then runs it only on the voxels that the planned
@@ -225,30 +226,33 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
                          f"not the bank's ({bank.eps}, {bank.psi})")
 
     work, unused_slots = _prepare(scenes, bank, cfg)
-    optimizers = {(f.group, f.variant): Adam(cfg.lr) for f in bank.fields}
-    trace = AttackTrace(unused_slots=unused_slots)
-    seg = cfg.mode != "detection"
-    objective = (untargeted_objective if cfg.mode == "seg-untargeted" else
-                 functools.partial(targeted_objective, adversarial_class=cfg.adversarial_class,
-                                   target_class=cfg.target_class))
-    clean = [objective(victim.forward(item.scene.cloud)[0], item.scene.cloud.semantic)[0]
-             if seg and item.plans else None for item in work]
+    if cfg.mode == "detection":
+        scene_loss = functools.partial(_detection_loss_and_input_grads, victim=victim)
+    else:
+        objective = (untargeted_objective if cfg.mode == "seg-untargeted" else
+                     functools.partial(targeted_objective,
+                                       adversarial_class=cfg.adversarial_class,
+                                       target_class=cfg.target_class))
+        for item in work:
+            if item.plans:
+                cloud = item.scene.cloud
+                item.clean_losses = objective(victim.forward(cloud)[0], cloud.semantic)[0]
 
+        def scene_loss(cloud, item):
+            return touched_loss_and_grads(victim, item.scene.cloud, item.clean_losses, cloud,
+                                          item.moved, objective)
+
+    adam = Adam(cfg.lr)
+    trace = AttackTrace(unused_slots=unused_slots)
     for _ in range(cfg.iterations):
         total_loss = 0.0
         for start in range(0, len(work), BATCH_SCENES):
             grads = {}
-            for item, clean_losses in zip(work[start:start + BATCH_SCENES],
-                                          clean[start:start + BATCH_SCENES]):
+            for item in work[start:start + BATCH_SCENES]:
                 if not item.plans:
                     continue
                 cloud = deform_targets(item.scene.cloud, item.plans, bank, item.variant)
-                if seg:
-                    loss, dpos, dtau = touched_loss_and_grads(
-                        victim, item.scene.cloud, clean_losses, cloud, item.moved, objective)
-                else:
-                    loss, dpos, dtau = _detection_loss_and_input_grads(cloud, item, victim,
-                                                                       cfg)
+                loss, dpos, dtau = scene_loss(cloud, item)
                 if not math.isfinite(loss):
                     raise RuntimeError("victim produced a non-finite attack loss")
                 total_loss += loss
@@ -262,9 +266,7 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
                     grads[slot] += jac.vector_gradient(
                         dpos[at], dtau[at], fld.size, clip_active=clip,
                     )
-            for slot, grad in sorted(grads.items()):
-                fld = bank.field(*slot)
-                optimizers[slot].step({"v": fld.vectors}, {"v": grad})
-                clamp_field(fld, cfg.eps, cfg.psi)
+            adam.step({(g, n): bank.vectors[g - 1, n - 1] for g, n in grads}, grads)
+            bank.clamp()
         trace.losses.append(total_loss)
     return bank, trace

@@ -14,7 +14,9 @@ Formats:
                 from; slot (g, n) of its (G, N, m, 4) vectors is the (m, 4) array
                 ``field-<g>-<n>``, one ``dx dy dz dtau`` row per lattice root
                 (roots follow from dims and step), and the array names must be
-                the G x N slots; a checkpoint stores one array per MLP parameter
+                the G x N slots. Every spatial component must lie in [-eps, eps]
+                and every intensity shift in [-psi, psi], the bank's recorded
+                budget; a checkpoint stores one array per MLP parameter
   * config      flat ``key = value`` text, ``#`` comments: the header rule
 """
 
@@ -231,12 +233,14 @@ def save_bank(bank, path) -> None:
 
 def load_bank(path):
     """Read a .vfb back into a FieldBank; every float round-trips exactly."""
-    from .field import FieldBank, lattice_counts  # local import, avoids a cycle
+    from .field import FieldBank, check_budget, lattice_counts  # local import, avoids a cycle
 
     header, arrays = read_arrays(path, BANK_MAGIC, BANK_VERSION)
     try:
         dims = tuple(map(float.fromhex, header["dims"].split()))
         step = float.fromhex(header["step"])
+        eps, psi = float.fromhex(header["eps"]), float.fromhex(header["psi"])
+        check_budget(eps, psi)
         groups, variants = int(header["G"]), int(header["N"])
         if len(arrays) != groups * variants:
             raise ValueError(f"bank needs G*N = {groups * variants} fields, got {len(arrays)}")
@@ -249,11 +253,14 @@ def load_bank(path):
             if array.shape != vectors.shape[2:]:
                 raise ValueError(f"array {name} has shape {array.shape}, expected "
                                  f"{vectors.shape[2:]}: one vector row per lattice root")
+            # not `> bound`: a nan component is outside the budget too
+            if not np.all(np.abs(array) <= [eps, eps, eps, psi]):
+                raise ValueError(f"array {name} has a vector outside the bank's budget "
+                                 f"eps = {eps}, psi = {psi}")
             vectors[slots[name]] = array
         return FieldBank(class_id=int(header["class_id"]), class_name=header["class_name"],
                          dims=dims, step=step, vectors=vectors, seed=int(header["seed"]),
-                         eps=float.fromhex(header["eps"]), psi=float.fromhex(header["psi"]),
-                         boxes=header["boxes"])
+                         eps=eps, psi=psi, boxes=header["boxes"])
     except KeyError as err:
         raise FormatError(f"{path}: missing header key {err}") from err
     except ValueError as err:

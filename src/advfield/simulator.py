@@ -94,6 +94,14 @@ class SensorSpec:
             raise ValueError("need at least 2 elevation channels")
         if self.azimuth_resolution <= 0:
             raise ValueError("azimuth resolution must be positive")
+        # azimuths() rounds this to the column count: 0 at or below 0.5
+        if not 0.5 < 2.0 * math.pi / self.azimuth_resolution < math.inf:
+            raise ValueError(f"azimuth resolution {self.azimuth_resolution} rad leaves no "
+                             "ray column in a turn, or no finite count of them")
+        if self.max_range <= 0:
+            raise ValueError("max range must be positive")
+        if self.origin_height <= 0:
+            raise ValueError("origin height must be positive")
 
     @property
     def origin(self) -> np.ndarray:

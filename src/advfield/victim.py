@@ -629,28 +629,26 @@ class DetHeadMini:
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Plain Adam over a dict of arrays."""
+    """Plain Adam over a dict of arrays; each key counts its own steps."""
 
-    def __init__(self, lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
+    BETAS, EPS = (0.9, 0.999), 1e-8
+
+    def __init__(self, lr: float):
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
-        self.m = {}
-        self.v = {}
-        self.t = 0
+        self.m, self.v, self.t = {}, {}, {}
 
     def step(self, params: dict, grads: dict) -> None:
-        self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETAS
         for key, grad in grads.items():
             if key not in self.m:
                 self.m[key] = np.zeros_like(params[key])
                 self.v[key] = np.zeros_like(params[key])
+            t = self.t[key] = self.t.get(key, 0) + 1
             self.m[key] = b1 * self.m[key] + (1 - b1) * grad
             self.v[key] = b2 * self.v[key] + (1 - b2) * grad * grad
-            m_hat = self.m[key] / (1 - b1 ** self.t)
-            v_hat = self.v[key] / (1 - b2 ** self.t)
-            params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m_hat = self.m[key] / (1 - b1 ** t)
+            v_hat = self.v[key] / (1 - b2 ** t)
+            params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 def class_weights(scenes, n_classes: int) -> np.ndarray:

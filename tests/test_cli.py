@@ -325,6 +325,17 @@ def test_analyze_fields_finds_no_active_vector_in_an_unfitted_bank(pipeline, tmp
     assert [row.split(",")[2] for row in rows] == ["0"] * 6
 
 
+def test_a_bank_outside_its_recorded_budget_exits_2(pipeline, tmp_path, capsys):
+    bank = cloudio.load_bank(pipeline / "bank" / "car.vfb")
+    bank.vectors[2, 0, 5, 3] = 0.5  # an intensity shift above psi = 0.3
+    path = tmp_path / "over.vfb"
+    cloudio.save_bank(bank, path)
+    out = tmp_path / "fields.csv"
+    assert run("analyze-fields", "--bank", path, "--out", out) == cli.EXIT_CONFIG
+    assert "array field-3-1 has a vector outside the bank's budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_fields_has_no_seed_flag(pipeline, tmp_path, capsys):
     bank = ("--bank", pipeline / "bank" / "car.vfb")
     with pytest.raises(SystemExit) as exit_info:
@@ -543,6 +554,20 @@ def test_simulate_refuses_a_negative_split_size_and_writes_nothing(tmp_path, cap
     assert run("simulate", "--sizes=-1,2,2,2", *TINY[2:],
                "--out", tmp_path / "data") == cli.EXIT_CONFIG
     assert "--sizes needs four counts >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-range", -1, "max range must be positive"),
+    ("--origin-height", 0, "origin height must be positive"),
+    # 1000 degrees is about 0.36 of a ray column per turn, which rounds to none
+    ("--azimuth-res-deg", 1000, "leaves no ray column in a turn"),
+    # 2 pi over about 1.7e-320 rad overflows to an infinite column count
+    ("--azimuth-res-deg", "1e-318", "no finite count of them")])
+def test_simulate_refuses_a_sensor_without_rays_or_range_and_writes_nothing(
+        flag, value, message, tmp_path, capsys):
+    assert run("simulate", *TINY, flag, value, "--out", tmp_path / "data") == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -75,8 +75,8 @@ class TestBankFormat:
     def _random_bank(self, seed=0, groups=2, variants=3):
         bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, groups, variants, seed)
         rng = np.random.default_rng(seed + 1)
-        for f in bank.fields:
-            f.vectors[:] = rng.normal(scale=0.1, size=f.vectors.shape)
+        for f in bank.fields:  # inside the bank's budget eps = psi = 0.3
+            f.vectors[:] = rng.uniform(-0.3, 0.3, size=f.vectors.shape)
         return bank
 
     def test_roundtrip_exact(self, tmp_path):
@@ -197,6 +197,12 @@ MALFORMED_BANKS = {
     "empty-bank": (lambda lines: _edit(_edit(lines[:11], "G = 2", "G = 0"), "N = 1", "N = 0"),
                    "G, N >= 1"),
     "box-mode": (lambda lines: _edit(lines, "boxes = gt", "boxes = round"), "box mode"),
+    # a dx of 0.5 in the last row, outside eps = 0.3
+    "over-budget": (lambda lines: lines[:-1] + ["0x1.0p-1 " + lines[-1].split(" ", 1)[1]],
+                    "array field-2-1 has a vector outside the bank's budget eps = 0.3, "
+                    "psi = 0.3"),
+    "nan-vector": (lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0] + " nan"],
+                   "array field-2-1 has a vector outside the bank's budget"),
     "eps-nan": (lambda lines: _edit(lines, "eps = 0x1.3333333333333p-2", "eps = nan"),
                 "eps and psi must be finite and positive, got nan and 0.3"),
     "trailing-line": (lambda lines: lines + ["0x1.0p+0"], "expected 'array <name>"),

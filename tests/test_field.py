@@ -6,7 +6,7 @@ import pytest
 from advfield import simulator
 from advfield.attack import AttackConfig
 from advfield.cloudio import PointCloud
-from advfield.field import (COINCIDENT_EPS, FieldBank, build_lattice, clamp_field, deform,
+from advfield.field import (COINCIDENT_EPS, FieldBank, build_lattice, deform,
                             init_random, lattice_counts, make_bank,
                             plan_deformation, ShiftJacobian, VectorField, anchor,
                             anchored_vectors)
@@ -15,6 +15,12 @@ from advfield.victim import Adam
 
 CAR_DIMS = (1.8, 1.6, 4.6)
 SENSOR = np.array([0.0, 0.0, 1.7])
+
+
+def one_slot_bank(dims, step, vectors, eps=0.3, psi=0.3):
+    """A 1 x 1 bank of budget (eps, psi) holding ``vectors``, one row per root."""
+    vectors = np.asarray(vectors, dtype=float).reshape(1, 1, -1, 4)
+    return FieldBank(1, "car", dims, step, vectors, seed=0, eps=eps, psi=psi)
 
 
 def box_cloud(rng, box, n=200, margin=0.95):
@@ -242,7 +248,6 @@ class TestDeform:
         cloud = box_cloud(rng, box)
         fld = build_lattice(CAR_DIMS, 0.2)
         init_random(fld, seed)
-        clamp_field(fld, 0.3, 0.3)
         plan = plan_deformation(cloud, box, fld, SENSOR, k=2)
         return cloud, box, fld, plan
 
@@ -277,9 +282,11 @@ class TestDeform:
             box = OrientedBox([12, -3, 0.8], *CAR_DIMS, rng.uniform(-3, 3))
             cloud = box_cloud(rng, box, n=150)
             fld = build_lattice(CAR_DIMS, 0.2)
-            fld.vectors[:] = rng.normal(scale=1.0, size=fld.vectors.shape)
+            vectors = rng.normal(scale=1.0, size=fld.vectors.shape)
             eps = rng.uniform(0.05, 0.4)
-            clamp_field(fld, eps, 0.3)
+            bank = one_slot_bank(CAR_DIMS, 0.2, vectors, eps=eps)
+            bank.clamp()
+            fld = bank.fields[0]
             plan = plan_deformation(cloud, box, fld, SENSOR, k=2)
             out = deform(cloud, plan, fld)
             shift = np.linalg.norm(out.xyz - cloud.xyz, axis=1)
@@ -290,7 +297,9 @@ class TestDeform:
         cloud, _, fld, plan = self._setup(seed=16)
         fld.vectors[:, 3] = rng.normal(scale=2.0, size=fld.size)
         psi = 0.25
-        clamp_field(fld, 0.3, psi)
+        bank = one_slot_bank(fld.dims, fld.step, fld.vectors, psi=psi)
+        bank.clamp()
+        fld = bank.fields[0]
         out = deform(cloud, plan, fld)
         assert out.intensity.min() >= 0.0 and out.intensity.max() <= 1.0
         # pre-clip shift is a convex combination of clamped components
@@ -314,31 +323,33 @@ class TestDeform:
 
 class TestClamp:
     def test_component_clip(self):
-        fld = build_lattice((1, 1, 1), 0.5)
-        fld.vectors[0] = [0.5, -0.6, 0.1, 0.9]
-        clamp_field(fld, 0.3, 0.3)
-        assert fld.vectors[0].tolist() == [0.3, -0.3, 0.1, 0.3]
+        for eps, psi, want in [(0.3, 0.3, [0.3, -0.3, 0.1, 0.3]),
+                               (0.2, 0.4, [0.2, -0.2, 0.1, 0.4]),
+                               (0.4, 0.2, [0.4, -0.4, 0.1, 0.2])]:
+            bank = one_slot_bank((1, 1, 1), 0.5, np.zeros((8, 4)), eps=eps, psi=psi)
+            bank.vectors[0, 0, :2] = [[0.5, -0.6, 0.1, 0.9], [0.05, 0.0, -0.05, -0.1]]
+            bank.clamp()
+            assert bank.vectors[0, 0, 0].tolist() == want
+            assert bank.vectors[0, 0, 1].tolist() == [0.05, 0.0, -0.05, -0.1]
 
     def test_feasible_field_unchanged(self):
-        fld = build_lattice((1, 1, 1), 0.5)
-        init_random(fld, 0)
-        before = fld.vectors.copy()
-        clamp_field(fld, 0.3, 0.3)
-        assert np.array_equal(fld.vectors, before)
+        bank = make_bank(1, "car", (1, 1, 1), 0.5, groups=2, variants=2, seed=0)
+        before = bank.vectors.copy()
+        bank.clamp()
+        assert bank.vectors.tobytes() == before.tobytes()
 
     def test_idempotent(self):
         rng = np.random.default_rng(17)
-        fld = build_lattice((1, 1, 1), 0.5)
-        fld.vectors[:] = rng.normal(scale=1.0, size=fld.vectors.shape)
-        clamp_field(fld, 0.2, 0.1)
-        once = fld.vectors.copy()
-        clamp_field(fld, 0.2, 0.1)
-        assert np.array_equal(fld.vectors, once)
+        bank = one_slot_bank((1, 1, 1), 0.5, rng.normal(scale=1.0, size=(8, 4)),
+                             eps=0.2, psi=0.1)
+        bank.clamp()
+        once = bank.vectors.copy()
+        bank.clamp()
+        assert np.array_equal(bank.vectors, once)
 
     def test_rejects_nonpositive_bounds(self):
-        fld = build_lattice((1, 1, 1), 0.5)
-        with pytest.raises(ValueError):
-            clamp_field(fld, 0.0, 0.1)
+        with pytest.raises(ValueError, match="eps and psi must be finite and positive"):
+            one_slot_bank((1, 1, 1), 0.5, np.zeros((8, 4)), eps=0.0, psi=0.1)
 
 
 class TestShiftJacobian:
@@ -482,13 +493,30 @@ def test_make_bank_slots_match_the_per_field_oracle():
         assert fld.roots.tobytes() == oracle.roots.tobytes()
 
 
+def test_make_bank_clamps_its_draw_to_its_own_budget():
+    wide = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, groups=2, variants=3, seed=5)
+    small = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, groups=2, variants=3, seed=5,
+                      eps=0.005, psi=0.002)
+    # at eps = psi = 0.3 the bank holds the U(-0.01, 0.01) draw itself
+    for fld in wide.fields:
+        oracle = build_lattice((1.0, 0.8, 2.0), 0.4)
+        init_random(oracle, np.random.SeedSequence([5, 29, fld.group, fld.variant]))
+        assert fld.vectors.tobytes() == oracle.vectors.tobytes()
+    assert np.abs(wide.vectors[..., :3]).max() > 0.005
+    assert np.abs(wide.vectors[..., 3]).max() > 0.002
+    assert np.abs(small.vectors[..., :3]).max() == 0.005
+    assert np.abs(small.vectors[..., 3]).max() == 0.002
+    want = np.concatenate([np.clip(wide.vectors[..., :3], -0.005, 0.005),
+                           np.clip(wide.vectors[..., 3:], -0.002, 0.002)], axis=3)
+    assert small.vectors.tobytes() == want.tobytes()
+
+
 def test_optimizer_steps_and_clamps_write_into_the_bank():
-    bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, groups=2, variants=3, seed=0)
+    bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, groups=2, variants=3, seed=0, psi=0.2)
     before = bank.vectors.copy()
-    fld = bank.field(2, 3)
-    Adam(0.5).step({"v": fld.vectors}, {"v": np.ones_like(fld.vectors)})
-    assert np.all(bank.vectors[1, 2] < -0.4)
-    clamp_field(fld, 0.3, 0.2)
+    Adam(0.5).step({(2, 3): bank.vectors[1, 2]}, {(2, 3): np.ones_like(bank.vectors[1, 2])})
+    assert np.all(bank.field(2, 3).vectors < -0.4)
+    bank.clamp()
     assert np.all(bank.vectors[1, 2, :, :3] == -0.3)
     assert np.all(bank.vectors[1, 2, :, 3] == -0.2)
     assert np.array_equal(bank.vectors[:1], before[:1])
@@ -537,5 +565,3 @@ def test_budgets_must_be_finite_and_positive(eps, psi):
                   eps=eps, psi=psi)
     with pytest.raises(ValueError, match=message):
         AttackConfig(mode="seg-untargeted", adversarial_class=1, eps=eps, psi=psi)
-    with pytest.raises(ValueError, match=message):
-        clamp_field(build_lattice((1, 1, 1), 0.5), eps, psi)

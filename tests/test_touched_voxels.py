@@ -185,12 +185,13 @@ def full_cloud(cfg):
 
 
 def recorded_fit(monkeypatch, mode, oracle):
-    """fit_bank's losses and every gradient its Adam steps receive, in order."""
+    """fit_bank's losses and every slot gradient its Adam steps receive, in
+    step order and, within a step, in slot order."""
     steps = []
 
     class RecordingAdam(attack.Adam):
         def step(self, params, grads):
-            steps.append(grads["v"].copy())
+            steps.extend(grads[slot].copy() for slot in sorted(grads))
             super().step(params, grads)
 
     cfg = attack.AttackConfig(mode=mode, adversarial_class=CAR,
