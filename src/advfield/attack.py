@@ -256,10 +256,12 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
                 if not math.isfinite(loss):
                     raise RuntimeError("victim produced a non-finite attack loss")
                 total_loss += loss
+                # a zero intensity gradient (the detector ignores intensity) needs no clip mask
+                tau_grad = bool(dtau.any())
                 for group, plan in item.plans:
                     fld = bank.field(group, item.variant)
                     jac = ShiftJacobian(plan)
-                    clip = jac.tau_clip_active(item.scene.cloud, fld)
+                    clip = jac.tau_clip_active(item.scene.cloud, fld) if tau_grad else None
                     slot = (group, item.variant)
                     at = np.searchsorted(item.moved, plan.point_idx)
                     grads.setdefault(slot, np.zeros_like(fld.vectors))

@@ -77,6 +77,11 @@ _BASE_REFLECTIVITY = {
 }
 
 
+# the most rays (channels x azimuth columns) a sensor may cast, about 139 times
+# the default sensor's 32 x 900; ray_directions holds 3 floats per ray
+MAX_RAYS = 4_000_000
+
+
 @dataclass(frozen=True)
 class SensorSpec:
     """Spinning-LiDAR description; angles in radians."""
@@ -98,6 +103,10 @@ class SensorSpec:
         if not 0.5 < 2.0 * math.pi / self.azimuth_resolution < math.inf:
             raise ValueError(f"azimuth resolution {self.azimuth_resolution} rad leaves no "
                              "ray column in a turn, or no finite count of them")
+        rays = self.channels * round(2.0 * math.pi / self.azimuth_resolution)
+        if rays > MAX_RAYS:
+            raise ValueError(f"the sensor casts {rays} rays a turn ({self.channels} channels), "
+                             f"more than the {MAX_RAYS} allowed")
         if self.max_range <= 0:
             raise ValueError("max range must be positive")
         if self.origin_height <= 0:

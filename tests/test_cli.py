@@ -336,6 +336,15 @@ def test_a_bank_outside_its_recorded_budget_exits_2(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_bank_that_is_not_utf8_exits_2_and_names_the_file(tmp_path, capsys):
+    path = tmp_path / "binary.vfb"
+    path.write_bytes(b"\xff" + bytes(range(256)))
+    out = tmp_path / "fields.csv"
+    assert run("analyze-fields", "--bank", path, "--out", out) == cli.EXIT_CONFIG
+    assert f"{path}:1: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_fields_has_no_seed_flag(pipeline, tmp_path, capsys):
     bank = ("--bank", pipeline / "bank" / "car.vfb")
     with pytest.raises(SystemExit) as exit_info:
@@ -571,6 +580,15 @@ def test_simulate_refuses_a_sensor_without_rays_or_range_and_writes_nothing(
     assert list(tmp_path.iterdir()) == []
 
 
+# refused before any ray is allocated: 8 x 3.6e9 rays, and 30,000 x 180
+@pytest.mark.parametrize("flags", [("--azimuth-res-deg", "1e-7"), ("--channels", 30000)])
+def test_simulate_refuses_a_sensor_with_too_many_rays_and_writes_nothing(
+        flags, tmp_path, capsys):
+    assert run("simulate", *TINY, *flags, "--out", tmp_path / "data") == cli.EXIT_CONFIG
+    assert f"more than the {simulator.MAX_RAYS} allowed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("dims", ["inf,1.6,4.6", "1e308,1.6,4.6", "1.8,nan,4.6"])
 def test_a_lattice_without_a_finite_cell_count_exits_2(pipeline, dims, tmp_path, capsys):
     out = tmp_path / "bank" / "car.vfb"
@@ -656,4 +674,16 @@ def test_a_split_of_other_classes_exits_2(pipeline, command, tmp_path, capsys):
     assert run(command, "--data", split, *argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert str(split / "sensor.cfg") in err and "ground,car,person,building" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(SPLIT_READERS))
+def test_a_split_whose_sensor_casts_too_many_rays_exits_2(pipeline, command, tmp_path, capsys):
+    split = copy_split(pipeline / "data" / "val", tmp_path / "split")
+    config = cloudio.read_config(split / "sensor.cfg")
+    cloudio.write_config({**config, "azimuth_resolution": "1e-09"}, split / "sensor.cfg")
+    out = tmp_path / "out"
+    argv = SPLIT_READERS[command](pipeline, out)
+    assert run(command, "--data", split, *argv) == cli.EXIT_CONFIG
+    assert f"more than the {simulator.MAX_RAYS} allowed" in capsys.readouterr().err
     assert not out.exists()

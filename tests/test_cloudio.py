@@ -1,4 +1,7 @@
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,6 +301,249 @@ def test_eval_of_an_unreadable_victim_exits_2(tmp_path):
         assert cli.main(["eval", "--victim", str(ckpt), "--data", str(tmp_path / "data"),
                          "--out", str(tmp_path / "e")]) == cli.EXIT_CONFIG
     assert not (tmp_path / "e").exists()
+
+
+# ---------------------------------------------------------------------------
+# the hexfloat codec against the string codec it replaced: the same bytes out,
+# the same values, and the same FormatError messages in
+# ---------------------------------------------------------------------------
+
+def oracle_write_arrays(path, magic, version, header, arrays):
+    lines = [f"{magic} {version}"]
+    lines += [f"{key} = {value}" for key, value in header.items()]
+    for name, array in arrays.items():
+        array = np.asarray(array, dtype=float)
+        lines.append(" ".join(["array", name, *map(str, array.shape)]))
+        rows = array.reshape(array.shape[0], math.prod(array.shape[1:]))
+        lines.extend(" ".join(map(float.hex, row)) for row in rows.tolist())
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def oracle_read_arrays(path, magic, version):
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    first = lines[0].split() if lines else []
+    if len(first) != 2 or first[0] != magic:
+        raise FormatError(f"{path}: not an {magic} file, line 1 must read '{magic} {version}'")
+    if first[1] != str(version):
+        raise FormatError(f"{path}: unsupported version {first[1]}, expected {version}")
+    at = next((i for i, line in enumerate(lines) if line.startswith("array ")), len(lines))
+    header = cloudio._parse_header(lines[1:at], path, 2)
+    arrays = {}
+    while at < len(lines):
+        words = lines[at].split()
+        if len(words) < 3 or words[0] != "array" or not all(d.isdecimal() for d in words[2:]):
+            raise FormatError(f"{path}:{at + 1}: expected 'array <name> <d0> <d1> ...', "
+                              f"got {lines[at]!r}")
+        name, shape = words[1], tuple(map(int, words[2:]))
+        if name in arrays:
+            raise FormatError(f"{path}:{at + 1}: duplicate array {name}")
+        rows, cols = shape[0], math.prod(shape[1:])
+        chunk = lines[at + 1:at + 1 + rows]
+        try:
+            if len(chunk) != rows or any(line.count(" ") != cols - 1 for line in chunk):
+                raise ValueError
+            values = list(map(float.fromhex, " ".join(chunk).split(" ")))
+        except ValueError:
+            raise FormatError(f"{path}:{at + 1}: array {name} needs {rows} rows of {cols} "
+                              "hexfloats separated by single spaces") from None
+        arrays[name] = np.array(values).reshape(shape)
+        at += 1 + rows
+    return header, arrays
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+               1.0, -1.5, 0.1, 2.0 ** -1022 * 1.5]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def finite_bits(rng, shape):
+    """Floats whose bits are uniform over every sign, exponent and mantissa but nan and inf."""
+    bits = rng.integers(0, 2 ** 64, size=shape, dtype=np.uint64)
+    exponent = (bits >> np.uint64(52)) & np.uint64(0x7FF)
+    bits[exponent == 0x7FF] ^= np.uint64(1 << 62)  # exponent 2047 -> 1023
+    return bits.view(np.float64)
+
+
+def codec_arrays():
+    rng = np.random.default_rng(11)
+    return {
+        "edges": np.array(EDGE_VALUES).reshape(1, -1),
+        "edges-column": np.array(EDGE_VALUES).reshape(-1, 1),
+        "flat": finite_bits(rng, 37),
+        "wide": finite_bits(rng, (1, 300)),
+        "tall": finite_bits(rng, (300, 1)),
+        "cube": finite_bits(rng, (4, 3, 5)),
+        "non-finite": np.array(EDGE_VALUES + NON_FINITE).reshape(2, 8),
+        "unit": rng.uniform(-0.3, 0.3, size=(50, 4)),
+    }
+
+
+class TestHexfloatCodec:
+    def write_both(self, tmp_path, arrays, header=None):
+        header = {"kind": "test", "note": "caf\u00e9"} if header is None else header
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        cloudio.write_arrays(new, "magic", 3, header, arrays)
+        oracle_write_arrays(old, "magic", 3, header, arrays)
+        return new, old
+
+    def test_bytes_equal_the_float_hex_text(self, tmp_path):
+        arrays = codec_arrays()
+        new, old = self.write_both(tmp_path, arrays)
+        assert new.read_bytes() == old.read_bytes()
+        header, back = cloudio.read_arrays(new, "magic", 3)
+        assert header == {"kind": "test", "note": "caf\u00e9"}
+        assert list(back) == list(arrays)
+        for name, array in arrays.items():
+            assert back[name].shape == np.shape(array)
+            assert back[name].tobytes() == np.asarray(array, dtype=float).tobytes()
+
+    def test_every_exponent_and_both_signs(self, tmp_path):
+        exponents = np.arange(-1074, 1024, dtype=float)
+        values = np.ldexp(1.0 + np.arange(len(exponents)) % 7 / 8, exponents.astype(int))
+        arrays = {"all": np.concatenate([values, -values]).reshape(-1, 4)}
+        new, old = self.write_both(tmp_path, arrays)
+        assert new.read_bytes() == old.read_bytes()
+        assert cloudio.read_arrays(new, "magic", 3)[1]["all"].tobytes() == \
+            arrays["all"].tobytes()
+
+    def test_blocks_of_rows_write_and_read_the_same_bytes(self, tmp_path, monkeypatch):
+        arrays = codec_arrays()
+        whole = self.write_both(tmp_path, arrays)[0].read_bytes()
+        monkeypatch.setattr(cloudio, "_BLOCK_VALUES", 7)
+        monkeypatch.setattr(cloudio, "_READ_CHUNK", 5)
+        path = tmp_path / "blocks.txt"
+        cloudio.write_arrays(path, "magic", 3, {"kind": "test", "note": "caf\u00e9"}, arrays)
+        assert path.read_bytes() == whole
+        back = cloudio.read_arrays(path, "magic", 3)[1]
+        assert all(back[k].tobytes() == np.asarray(v, float).tobytes() for k, v in arrays.items())
+
+    @pytest.mark.parametrize("kind", ["seg", "det"])
+    def test_checkpoints_equal_the_float_hex_text(self, tmp_path, kind):
+        model = _victim(kind)
+        rng = np.random.default_rng(5)
+        for value in model.mlp.params.values():  # trained-looking, with some exact zeros
+            value[:] = rng.normal(scale=0.2, size=value.shape) * (rng.random(value.shape) > 0.1)
+        meta, params = model.state()
+        victim.save_checkpoint(model, tmp_path / "new.ckpt")
+        oracle_write_arrays(tmp_path / "old.ckpt", victim.CKPT_MAGIC, victim.CKPT_VERSION,
+                            meta, params)
+        assert (tmp_path / "new.ckpt").read_bytes() == (tmp_path / "old.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("token", ["0x1.0p-1", "0X1P-3", "+0x1.8p+1", "0x1.8000000000000P+1",
+                                       "0x1.ABCDEF0000000p+4", "0x1.abcdefp+4", "0x0.8p-1022",
+                                       "0x1.0000000000000p+01", "0x1.0000000000000p-0",
+                                       "0x2.0p+3", "-0x0.0p+0", "0x0.0p-0", "0x.8p1", "1",
+                                       "0x1p+0\t", "\t-0x1.8p+1", "nan", "-inf", "inf",
+                                       "0x0.0000000000001p-1022", "0x1.fffffffffffffp+1023",
+                                       "0x1.00000000000001p+0", "0x0.8000000000000p-1",
+                                       "0x1.0000000000000p+000000001"])
+    def test_any_other_token_reads_as_float_fromhex_reads_it(self, tmp_path, token):
+        path = tmp_path / "one.txt"
+        path.write_bytes(f"magic 3\narray x 1 3\n0x1.8p+1 {token} -0x1p-1\n".encode())
+        got = cloudio.read_arrays(path, "magic", 3)[1]["x"]
+        want = np.array([[3.0, float.fromhex(token), -0.5]])
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == oracle_read_arrays(path, "magic", 3)[1]["x"].tobytes()
+
+    # float.fromhex raises OverflowError for the first three, which the string codec let out
+    @pytest.mark.parametrize("token", ["0x1p+99999", "-0x1.8p+1024", "0x1.fffffffffffff8p+1023",
+                                       "0x1.0p", "0x1.0000000000000q+0", "0x1.000000000000gp+0",
+                                       "", "--0x1p+0", "0x1.0p+0x", "0x0.0p+0x"])
+    def test_a_token_float_fromhex_refuses_is_a_format_error(self, tmp_path, token):
+        path = tmp_path / "one.txt"
+        path.write_bytes(f"magic 3\narray x 1 2\n0x1.8p+1 {token}\n".encode())
+        with pytest.raises(FormatError, match="array x needs 1 rows of 2 hexfloats"):
+            cloudio.read_arrays(path, "magic", 3)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\v", "\x1c", "\u2028"])
+    def test_any_line_break_that_splitlines_knows_reads_the_same(self, tmp_path, newline):
+        arrays = codec_arrays()
+        new, _ = self.write_both(tmp_path, arrays)
+        new.write_bytes(new.read_bytes().decode().replace("\n", newline).encode())
+        header, back = cloudio.read_arrays(new, "magic", 3)
+        assert header == oracle_read_arrays(new, "magic", 3)[0]
+        assert all(back[k].tobytes() == np.asarray(v, float).tobytes() for k, v in arrays.items())
+
+    def test_edited_files_read_as_the_string_codec_read_them(self, tmp_path):
+        # random byte edits of a small file: every outcome, values or message, is the
+        # string reader's, except that a file it could not decode is now a FormatError
+        # and a hexfloat too large for a float is one too
+        rng = np.random.default_rng(2)
+        arrays = {"a": np.array([[0.0, -0.5, 5e-324], [1e300, -3.25, 0.1]]),
+                  "b": np.array([2.0 ** -1030, -0.0, 7.0])}
+        path = tmp_path / "edit.txt"
+        oracle_write_arrays(path, "magic", 3, {"k": "v"}, arrays)
+        saved = path.read_bytes()
+        alphabet = list(b" \n\r\v\t0123456789abcdefABCDEFpPxX+-.n\xff") + [b"\xc2\x85"]
+        outcomes = set()
+        for _ in range(400):
+            text = bytearray(saved)
+            for _ in range(int(rng.integers(1, 3))):
+                pos = int(rng.integers(0, len(text)))
+                char = alphabet[int(rng.integers(0, len(alphabet)))]
+                char = char if isinstance(char, bytes) else bytes([char])
+                text[pos:pos + int(rng.integers(0, 2))] = char
+            path.write_bytes(bytes(text))
+            try:
+                header, want = oracle_read_arrays(path, "magic", 3)
+            except (UnicodeDecodeError, OverflowError):
+                with pytest.raises(FormatError):
+                    cloudio.read_arrays(path, "magic", 3)
+                outcomes.add("refused now")
+                continue
+            except FormatError as err:
+                with pytest.raises(FormatError) as got:
+                    cloudio.read_arrays(path, "magic", 3)
+                assert str(got.value) == str(err)
+                outcomes.add("same message")
+                continue
+            got_header, got = cloudio.read_arrays(path, "magic", 3)
+            assert got_header == header and list(got) == list(want)
+            assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+            outcomes.add("same values")
+        assert outcomes == {"refused now", "same message", "same values"}
+
+
+@pytest.mark.parametrize("load, suffix", [(cloudio.load_bank, ".vfb"),
+                                          (victim.load_checkpoint, ".ckpt")])
+def test_a_file_that_is_not_utf8_is_a_format_error_that_names_it(tmp_path, load, suffix):
+    path = tmp_path / f"binary{suffix}"
+    path.write_bytes(b"\xff\xfe" + b"\x00" * 30)
+    with pytest.raises(FormatError, match=f"{path}:1: not UTF-8 text"):
+        load(path)
+    # the bad byte later on: the message names its line
+    bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 2, 1, seed=4)
+    cloudio.save_bank(bank, path)
+    lines = path.read_bytes().split(b"\n")
+    lines[13] = lines[13].replace(b"0x", b"0\xe9", 1)
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(FormatError, match=f"{path}:14: not UTF-8 text"):
+        cloudio.load_bank(path)
+
+
+def test_a_bank_round_trip_keeps_its_memory_near_the_vectors():
+    # a 12 x 2 bank at step 0.2: 24 slots of 1,656 vectors, 1.27 MB of float64
+    bank = make_bank(1, "car", (1.8, 1.6, 4.6), 0.2, 12, 2, seed=3)
+    bank.vectors[:] = np.random.default_rng(0).uniform(-0.3, 0.3, size=bank.vectors.shape)
+    size = bank.vectors.nbytes
+    assert size == 24 * 1656 * 4 * 8
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "car.vfb"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cloudio.save_bank(bank, path)
+            save_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            back = cloudio.load_bank(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert back.vectors.tobytes() == bank.vectors.tobytes()
+    assert save_peak < 2 * size, save_peak
+    assert load_peak < 4 * size, load_peak
 
 
 class TestConfig:

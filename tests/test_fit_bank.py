@@ -201,3 +201,21 @@ def test_one_adam_stepping_every_key_is_the_one_step_count_adam():
         adam.step(params, grads)
         loop.step(joint, grads)
     assert all(params[key].tobytes() == joint[key].tobytes() for key in params)
+
+
+@pytest.mark.parametrize("mode", attack.MODES)
+def test_only_a_scene_loss_with_an_intensity_gradient_asks_for_the_clip_mask(mode, monkeypatch):
+    calls = []
+    clip_mask = attack.ShiftJacobian.tau_clip_active
+
+    def counted(jac, cloud, fld):
+        calls.append(mode)
+        return clip_mask(jac, cloud, fld)
+
+    monkeypatch.setattr(attack.ShiftJacobian, "tau_clip_active", counted)
+    cfg = attack.AttackConfig(mode=mode, adversarial_class=CAR,
+                              target_class=PERSON if mode == "seg-targeted" else None,
+                              lr=0.05, iterations=2)
+    attack.fit_bank(strong_bank(), SCENES, victim_for(mode), cfg)
+    # the detector ignores intensity: its scene loss has a zero intensity gradient
+    assert (len(calls) == 0) == (mode == "detection")

@@ -32,6 +32,18 @@ def test_written_scene_reads_back_exactly(tmp_path):
     assert np.array_equal(back.cloud.instance, c.instance)
 
 
+def test_the_ray_cap_is_checked_before_any_ray_exists():
+    default = simulator.SensorSpec()
+    assert simulator.MAX_RAYS >= 100 * len(default.ray_directions()) == 100 * 28_800
+    # 32 channels of 125,000 columns is the cap itself; one column more is refused
+    at_cap = simulator.SensorSpec(azimuth_resolution=2 * math.pi / 125_000)
+    assert at_cap.channels * len(at_cap.azimuths()) == simulator.MAX_RAYS
+    with pytest.raises(ValueError, match="casts 4000032 rays a turn"):
+        simulator.SensorSpec(azimuth_resolution=2 * math.pi / 125_001)
+    with pytest.raises(ValueError, match="more than the 4000000 allowed"):
+        simulator.SensorSpec(channels=10**12)
+
+
 def test_sensor_config_creates_its_directory(tmp_path):
     sensor = simulator.SensorSpec(channels=8, azimuth_resolution=math.radians(2.0))
     directory = tmp_path / "new" / "split"
