@@ -4,37 +4,39 @@ Formats:
   * ``.bin``    little-endian float32, 4 per point (x, y, z, intensity)
   * ``.label``  little-endian uint32 per point; low 16 bits semantic id,
                 high 16 bits instance id (0 = no instance)
-  * ``.vfb``    field banks (version 4) and ``.ckpt`` victim checkpoints
-                (version 2), in one grammar: a ``MAGIC VERSION`` line,
+  * ``.vfb``    field banks (version 5) and ``.ckpt`` victim checkpoints
+                (version 3), in one grammar: a ``MAGIC VERSION`` line,
                 ``key = value`` header lines, then per named array an
-                ``array <name> <d0> <d1> ...`` line and one row per leading
-                index. Array values are hexfloats, written as ``float.hex``
-                writes them, so load(save(x)) keeps every bit; a reader takes
-                any token ``float.fromhex`` takes. The codec streams: it
-                writes and reads one array at a time, a block of rows at a
-                time, never the whole file in memory. Other versions,
-                malformed lines and text that is not UTF-8 raise FormatError. A
-                bank's header holds the ``seed`` its initial vectors were drawn
-                from; slot (g, n) of its (G, N, m, 4) vectors is the (m, 4) array
-                ``field-<g>-<n>``, one ``dx dy dz dtau`` row per lattice root
-                (roots follow from dims and step), and the array names must be
-                the G x N slots. Every spatial component must lie in [-eps, eps]
-                and every intensity shift in [-psi, psi], the bank's recorded
-                budget; a checkpoint stores one array per MLP parameter
+                ``array <name> <d0> <d1> ...`` line followed by exactly
+                d0 x d1 x ... x 8 bytes, the array's little-endian float64
+                values in C order, so load(save(x)) keeps every bit. Text
+                lines are UTF-8 and end in a newline; the line numbers in
+                messages count text lines only. A reader checks an array's
+                size against the bytes left in the file before it allocates
+                the array, and refuses bytes after the last array. Other
+                versions raise FormatError naming the version. A bank's header
+                holds its class, lattice ``dims`` and ``step``, its budget
+                ``eps`` and ``psi``, its box mode and the ``seed`` its initial
+                vectors were drawn from, as ``float.hex`` text where a float;
+                its one array, ``vectors``, has shape (G, N, m, 4), one
+                ``dx dy dz dtau`` row per lattice root of each slot (g, n),
+                with m following from dims and step. Every spatial component
+                must lie in [-eps, eps] and every intensity shift in
+                [-psi, psi]. A checkpoint stores one array per MLP parameter
   * config      flat ``key = value`` text, ``#`` comments: the header rule
 """
 
 from __future__ import annotations
 
-import binascii
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 BANK_MAGIC = "advfield-vfb"
-BANK_VERSION = 4
+BANK_VERSION = 5
 
 
 class FormatError(ValueError):
@@ -139,7 +141,7 @@ def read_labeled_cloud(bin_path, label_path) -> PointCloud:
 
 
 # ---------------------------------------------------------------------------
-# versioned hexfloat artifacts and run configs
+# versioned artifacts and run configs
 # ---------------------------------------------------------------------------
 
 def _parse_header(lines, path, first_lineno: int) -> dict:
@@ -156,238 +158,30 @@ def _parse_header(lines, path, first_lineno: int) -> dict:
     return header
 
 
-# Values go through the codec a block of rows at a time, about this many values
-# per block, so its memory stays bounded whatever the size of an array.
-_BLOCK_VALUES = 1 << 16
-_READ_CHUNK = 1 << 16
-
-# float.hex of a finite float64 is [-]0x1.<13 hex digits>p<exponent> (normal),
-# [-]0x0.<13 hex digits>p-1022 (subnormal) or [-]0x0.0p+0 (zero): with its
-# separator, at most _WIDTH bytes. Both directions handle a token as
-# little-endian 8-byte words.
-_WIDTH = 25
-_U64 = np.uint64
-# "p<exponent>" for exponents -1022 to 1023 at row exponent + 1022, then two
-# rows that match no token
-_EXPONENTS = [f"p{e:+d}".encode() for e in range(-1022, 1024)]
-_ZERO_ROW = 1022  # "p+0"
-_EXP_TEXT = np.frombuffer(b"".join(t.ljust(8, b"\0") for t in _EXPONENTS) + b"\xff" * 16, "<u8")
-_EXP_SIZE = np.array([len(t) for t in _EXPONENTS])
-
-# The writer lays a token out in 4 words: "-0x", the lead digit, ".", 13 hex
-# digits from byte 5, "p<exponent>" from byte 18, the separator at byte 24.
-# It keeps the bytes _KEEP[sign + 2 * zero + 4 * (exponent size - 3)].
-_LEAD = np.frombuffer(b"-0x0.\0\0\0", "<u8")[0]
-_KEEP = np.array([[(col > 0 or sign) and (col < 6 or col >= 18 or not zero)
-                   and (col < 18 + size or col == 24) and col <= 24 for col in range(32)]
-                  for size in range(3, 7) for zero in (0, 1) for sign in (0, 1)], bool)
-
-# The reader takes a token without its sign as 3 words, bytes 0-23: "0x", "0"
-# or "1", "." (all of "0x0.0p+0" for a zero), 13 hex digits from byte 4,
-# "p<exponent>" from byte 17. Per size of "p<exponent>" & 7, _EXP_MASKS covers
-# its bytes in the third word: sizes 3 to 6; any other size covers the digit
-# before it too, so that no exponent row matches. A block is padded so that
-# the words of its last token lie inside it.
-_PAD = b" " * _WIDTH
-_HEAD_MASK, _HEAD = np.frombuffer(b"\xff\xff\xfe\xff\0\0\0\0" b"0x0.\0\0\0\0", "<u8")
-_ZERO_HEAD = np.frombuffer(b"0x0.0p+0", "<u8")[0]
-_EXP_MASKS = np.array([(1 << 8 * n) - 1 << 8 if 3 <= n <= 6 else (1 << 64) - 1
-                       for n in range(8)], np.uint64)
+def _decode(data: bytes, path, lineno: int) -> str:
+    """``data``, which starts on line ``lineno`` of ``path``, as UTF-8 text."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        lineno += data.count(b"\n", 0, err.start)
+        raise FormatError(f"{path}:{lineno}: not UTF-8 text ({err.reason})") from None
 
 
-def _hex_tokens(values: np.ndarray, cols: int) -> np.ndarray:
-    """``float.hex`` of each finite float64 in ``values``, as bytes in a uint8 array.
-
-    Each token is followed by a space, or by a newline after every
-    ``cols``-th value.
-    """
-    bits = values.view(np.uint64)
-    sign = (bits >> _U64(63)).astype(np.intp)
-    biased = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.intp)
-    mantissa = bits & _U64((1 << 52) - 1)
-    tiny = biased == 0  # zero or subnormal: lead digit 0, exponent -1022
-    zero = tiny & (mantissa == 0)
-    row = np.where(tiny, np.where(zero, _ZERO_ROW, 0), biased - 1)
-    # 16 hex digits per value, the first 3 the zero bits above the mantissa
-    hexed = np.frombuffer(binascii.hexlify(mantissa.astype(">u8")), "<u8")
-    high, low = hexed[0::2], hexed[1::2]
-    words = np.empty((len(values), 4), "<u8")
-    lead = _LEAD + (~tiny).astype(np.uint64) * _U64(1 << 24)  # "0" -> "1" past a zero exponent
-    words[:, 0] = lead | (high >> _U64(24) << _U64(40))
-    words[:, 1] = (high >> _U64(48)) | (low << _U64(16))
-    words[:, 2] = (low >> _U64(48)) | (_EXP_TEXT[row] << _U64(16))
-    words[:, 3] = ord(" ")
-    words[cols - 1::cols, 3] = ord("\n")
-    return words.view(np.uint8)[_KEEP[sign + 2 * zero + 4 * (_EXP_SIZE[row] - 3)]]
+def read_lines(path) -> list:
+    """The lines of a UTF-8 text file; FormatError naming the line of a byte that is not."""
+    return _decode(Path(path).read_bytes(), path, 1).splitlines()
 
 
 def write_arrays(path, magic: str, version: int, header: dict, arrays: dict) -> None:
-    """Write ``header`` values and named float64 arrays as versioned hexfloat text.
-
-    Every value is written as ``float.hex`` writes it, one array at a time,
-    a block of rows at a time.
-    """
+    """Write ``header`` values and named arrays: text lines, then each array's float64 bytes."""
     head = "".join([f"{magic} {version}\n"]
                    + [f"{key} = {value}\n" for key, value in header.items()]).encode("utf-8")
-    tables = []  # every shape first, so that an array without one leaves no file
-    for name, array in arrays.items():
-        array = np.asarray(array, dtype=float)
-        tables.append((" ".join(["array", name, *map(str, array.shape)]),
-                       array.reshape(array.shape[0], math.prod(array.shape[1:]))))
     with open(path, "wb") as file:
         file.write(head)
-        for line, rows in tables:
-            file.write(line.encode("utf-8") + b"\n")
-            cols = rows.shape[1]
-            step = max(1, _BLOCK_VALUES // max(cols, 1))
-            for lo in range(0, len(rows), step):
-                block = np.ascontiguousarray(rows[lo:lo + step])
-                if cols and np.isfinite(block).all():
-                    file.write(_hex_tokens(block.reshape(-1), cols))
-                else:  # nan and inf, and rows without values
-                    file.write("".join(" ".join(map(float.hex, row)) + "\n"
-                                       for row in block.tolist()).encode("ascii"))
-
-
-class _Lines:
-    """A binary file read as the lines ``str.splitlines`` cuts its UTF-8 text into.
-
-    Lines are taken in blocks; a block is bytes in which every line ends in
-    a newline and no other line break is left.
-    """
-
-    def __init__(self, file, path):
-        self.file, self.path = file, path
-        self.rest = b""   # read from the file, not yet taken
-        self.lineno = 0   # lines taken so far
-
-    def take(self, count: int, size_hint: int = 0) -> tuple:
-        """The next ``count`` lines, fewer at the end of the file -> (block, lines).
-
-        ``size_hint`` is about the bytes the lines take.
-        """
-        parts, found, size, piece = [], 0, 0, self.rest
-        while piece or (piece := self.file.read(min(max(size_hint - size, _READ_CHUNK),
-                                                    _BLOCK_VALUES * _WIDTH))):
-            if count - found == 1:
-                newlines, cut = 0, piece.find(b"\n") + 1
-            else:
-                at = np.flatnonzero(np.frombuffer(piece, np.uint8) == 10)
-                newlines = len(at)
-                cut = int(at[count - found - 1]) + 1 if newlines >= count - found else 0
-            if cut:
-                parts.append(piece[:cut])
-                self.rest, found = piece[cut:], count
-                break
-            parts.append(piece)
-            found, size, piece = found + newlines, size + len(piece), b""
-        else:  # the end of the file
-            self.rest = b""
-        block = b"".join(parts)
-        if block.isascii() and np.count_nonzero(np.frombuffer(block, np.uint8) < 32) == found:
-            taken = found  # newlines are its only line breaks
-            if not block.endswith(b"\n") and block:  # a last line without one
-                block, taken = block + b"\n", taken + 1
-        else:  # cut at every line break, and keep the lines after the count
-            lines = self._decode(block).splitlines()
-            block = "".join(line + "\n" for line in lines[:count]).encode("utf-8")
-            self.rest = "".join(line + "\n" for line in lines[count:]).encode("utf-8") + self.rest
-            taken = min(len(lines), count)
-        self.lineno += taken
-        return block, taken
-
-    def _decode(self, block: bytes) -> str:
-        try:
-            return block.decode("utf-8")
-        except UnicodeDecodeError as err:
-            # the line that holds the undecodable byte, counted as splitlines counts
-            before = block[:err.start].decode("utf-8") + "?"
-            line = self.lineno + len(before.splitlines())
-            raise FormatError(f"{self.path}:{line}: not UTF-8 text ({err.reason})") from None
-
-    def text(self):
-        """The next line as a string, None at the end of the file."""
-        block, taken = self.take(1)
-        return block[:-1].decode("utf-8") if taken else None
-
-
-def _hex_value(chars: np.ndarray) -> np.ndarray:
-    """The number that the 8 hex digits in each uint64 of ``chars`` write.
-
-    A byte is one digit, the first byte the most significant. A byte that is
-    not a hex digit gives some wrong number.
-    """
-    letters = (chars >> _U64(6)) & _U64(0x0101010101010101)  # 1 in the bytes of a-f
-    v = (chars & _U64(0x0F0F0F0F0F0F0F0F)) + _U64(9) * letters
-    v = ((v << _U64(4)) | (v >> _U64(8))) & _U64(0x00FF00FF00FF00FF)  # 2 digits per 16 bits
-    v = ((v << _U64(8)) | (v >> _U64(16))) & _U64(0x0000FFFF0000FFFF)  # 4 per 32 bits
-    return ((v << _U64(16)) | (v >> _U64(32))) & _U64(0xFFFFFFFF)
-
-
-def _parse_hexfloats(block: bytes, rows: int, cols: int):
-    """The values of ``rows`` lines of ``cols`` hexfloats split by single spaces.
-
-    Returns a flat float64 array, or None if ``block`` is not such lines.
-    A token is decoded from its bytes when they are exactly what
-    :func:`_hex_tokens` writes for the value they decode to; any other token
-    goes through ``float.fromhex``.
-    """
-    size, padded = len(block), block + _PAD
-    data = np.frombuffer(padded, np.uint8)
-    ends = np.flatnonzero(data[:size] <= 32)
-    ends = ends[(data[ends] == 32) | (data[ends] == 10)]  # a tab is part of a token
-    if len(ends) != rows * cols or not np.all(data[ends[cols - 1::cols]] == 10):
-        return None
-    starts = np.empty_like(ends)
-    starts[0], starts[1:] = 0, ends[:-1] + 1
-    sign = data[starts] == ord("-")
-    at = starts + sign
-    width = ends - at  # without the sign
-    head, mid, tail = np.ndarray((size, 3), "<u8", padded, 0, (1, 8))[at].T
-    # hex digits 1-5 behind "000", and digits 6-13: what hexlify writes
-    high = (((head >> _U64(8)) | (mid << _U64(56))) & ~_U64(0xFFFFFF)) | _U64(0x303030)
-    low = (mid >> _U64(8)) | (tail << _U64(56))
-    mantissa = (_hex_value(high) << _U64(32)) | _hex_value(low)
-    hexed = np.frombuffer(binascii.hexlify(mantissa.astype(">u8")), "<u8")
-    # the 1-4 exponent digits from byte 19, right-aligned behind "0"s in 4 bytes
-    shift = (((width - 20) & 3) + 1).astype(np.uint64) * _U64(8)
-    text = (tail >> _U64(24) << (_U64(32) - shift)) | (_U64(0x30303030) >> shift)
-    digits = text - _U64(0x30303030)
-    pairs = (digits & _U64(0x00FF00FF)) * _U64(10) + ((digits >> _U64(8)) & _U64(0x00FF00FF))
-    magnitude = ((pairs & _U64(0xFFFF)) * _U64(100) + ((pairs >> _U64(16)) & _U64(0xFFFF)))
-    # the exponent row, exponent + 1022, of a normal is its biased exponent - 1;
-    # a subnormal's is 0 (p-1022) and its biased exponent 0
-    magnitude = magnitude.astype(np.int64)
-    row = np.where((tail >> _U64(16)) & _U64(0xFF) == ord("-"), 1022 - magnitude, 1022 + magnitude)
-    normal = (head >> _U64(16)) & _U64(0xFF) == ord("1")
-    biased = np.where(normal, row + 1, 0).astype(np.uint64)
-    canonical = (((head & _HEAD_MASK) == _HEAD) & (normal | (row == 0)) & (width <= 23)
-                 & ((tail & _EXP_MASKS[(width - 17) & 7]) == _EXP_TEXT[row & 2047] << _U64(8))
-                 & (hexed[0::2] == high) & (hexed[1::2] == low))
-    zero = (width == 8) & (head == _ZERO_HEAD)
-    bits = np.where(zero, _U64(0), (biased << _U64(52)) | mantissa)
-    values = (bits | (sign.astype(np.uint64) << _U64(63))).view(np.float64)
-    for i in np.flatnonzero(~(canonical | zero)).tolist():
-        try:
-            values[i] = float.fromhex(block[starts[i]:ends[i]].decode("utf-8"))
-        except (ValueError, OverflowError):
-            return None
-    return values
-
-
-def _read_array(lines: _Lines, shape: tuple):
-    """The array of ``shape`` whose rows are the next lines; None if they are not."""
-    rows, cols = shape[0], math.prod(shape[1:])
-    step = max(1, _BLOCK_VALUES // max(cols, 1))
-    parts = []
-    for lo in range(0, rows, step):
-        count = min(step, rows - lo)
-        block, taken = lines.take(count, count * cols * 22)  # about 22 bytes a token
-        values = _parse_hexfloats(block, count, cols) if taken == count and cols else None
-        if values is None:
-            return None
-        parts.append(values)
-    return np.concatenate(parts).reshape(shape) if parts else None
+        for name, array in arrays.items():
+            array = np.ascontiguousarray(array, dtype="<f8")  # a scalar becomes shape (1,)
+            file.write(" ".join(["array", name, *map(str, array.shape)]).encode("utf-8") + b"\n")
+            file.write(array.reshape(-1).view(np.uint8))
 
 
 def read_arrays(path, magic: str, version: int):
@@ -395,43 +189,58 @@ def read_arrays(path, magic: str, version: int):
 
     The first line must read exactly ``magic version``. Raises FormatError on
     any other first line, text that is not UTF-8, a malformed header or array
-    line, a duplicate array name, and an array with missing, extra or
-    unparsable values.
+    line, a duplicate array name, an array that needs more bytes than the
+    file has left, and bytes after the last array that are not an array.
     """
     with open(path, "rb") as file:
-        lines = _Lines(file, path)
-        first = lines.text()
+        size = os.fstat(file.fileno()).st_size
+        lineno = 0
+
+        def text():
+            nonlocal lineno
+            raw = file.readline()
+            lineno += 1
+            return _decode(raw.removesuffix(b"\n"), path, lineno) if raw else None
+
+        first = text()
         words = first.split() if first is not None else []
         if len(words) != 2 or words[0] != magic:
             raise FormatError(f"{path}: not an {magic} file, line 1 must read '{magic} {version}'")
         if words[1] != str(version):
             raise FormatError(f"{path}: unsupported version {words[1]}, expected {version}")
         header_lines = []
-        line = lines.text()
+        line = text()
         while line is not None and not line.startswith("array "):
             header_lines.append(line)
-            line = lines.text()
+            line = text()
         header = _parse_header(header_lines, path, 2)
         arrays = {}
         while line is not None:
-            at, words = lines.lineno, line.split()
+            words = line.split()
             if len(words) < 3 or words[0] != "array" or not all(d.isdecimal() for d in words[2:]):
-                raise FormatError(f"{path}:{at}: expected 'array <name> <d0> <d1> ...', "
-                                  f"got {line!r}")
+                raise FormatError(f"{path}:{lineno}: expected 'array <name> <d0> <d1> ...', "
+                                  f"got {line[:80]!r}")
             name, shape = words[1], tuple(map(int, words[2:]))
             if name in arrays:
-                raise FormatError(f"{path}:{at}: duplicate array {name}")
-            arrays[name] = _read_array(lines, shape)
-            if arrays[name] is None:
-                raise FormatError(f"{path}:{at}: array {name} needs {shape[0]} rows of "
-                                  f"{math.prod(shape[1:])} hexfloats separated by single spaces")
-            line = lines.text()
+                raise FormatError(f"{path}:{lineno}: duplicate array {name}")
+            need, left = 8 * math.prod(shape), size - file.tell()
+            if need > left:
+                raise FormatError(f"{path}:{lineno}: array {name} needs {need} bytes of "
+                                  f"float64, the file has {left} left")
+            try:
+                array = np.empty(shape, "<f8")
+            except ValueError as err:  # a dimension beyond the index range, beside a 0
+                raise FormatError(f"{path}:{lineno}: array {name}: {err}") from None
+            if file.readinto(array.reshape(-1).view(np.uint8)) != need:
+                raise FormatError(f"{path}:{lineno}: array {name} ends early")
+            arrays[name] = array
+            line = text()
     return header, arrays
 
 
 def read_config(path) -> dict:
     """Read a flat key = value file into an ordered string dict."""
-    return _parse_header(Path(path).read_text(encoding="utf-8").splitlines(), path, 1)
+    return _parse_header(read_lines(path), path, 1)
 
 
 def write_config(config: dict, path) -> None:
@@ -448,14 +257,12 @@ def _hex(x: float) -> str:
 
 
 def save_bank(bank, path) -> None:
-    """Write a FieldBank as a .vfb: its header, then one vector array per slot."""
+    """Write a FieldBank as a .vfb: its header, then its (G, N, m, 4) ``vectors``."""
     header = {"class_name": bank.class_name, "class_id": bank.class_id,
-              "G": bank.groups, "N": bank.variants,
               "dims": " ".join(map(_hex, bank.dims)), "step": _hex(bank.step),
               "eps": _hex(bank.eps), "psi": _hex(bank.psi), "boxes": bank.boxes,
               "seed": bank.seed}
-    arrays = {f"field-{f.group}-{f.variant}": f.vectors for f in bank.fields}
-    write_arrays(path, BANK_MAGIC, BANK_VERSION, header, arrays)
+    write_arrays(path, BANK_MAGIC, BANK_VERSION, header, {"vectors": bank.vectors})
 
 
 def load_bank(path):
@@ -468,27 +275,22 @@ def load_bank(path):
         step = float.fromhex(header["step"])
         eps, psi = float.fromhex(header["eps"]), float.fromhex(header["psi"])
         check_budget(eps, psi)
-        groups, variants = int(header["G"]), int(header["N"])
-        if len(arrays) != groups * variants:
-            raise ValueError(f"bank needs G*N = {groups * variants} fields, got {len(arrays)}")
-        slots = {f"field-{g + 1}-{n + 1}": (g, n) for g, n in np.ndindex(groups, variants)}
-        vectors = np.empty((groups, variants, math.prod(lattice_counts(dims, step)), 4))
-        for name, array in arrays.items():
-            if name not in slots:
-                raise ValueError(f"array {name} is not a 'field-<g>-<n>' slot of the bank's "
-                                 f"{groups} x {variants} grid")
-            if array.shape != vectors.shape[2:]:
-                raise ValueError(f"array {name} has shape {array.shape}, expected "
-                                 f"{vectors.shape[2:]}: one vector row per lattice root")
+        if list(arrays) != ["vectors"]:
+            raise ValueError(f"a bank holds one array, vectors, got {sorted(arrays)}")
+        vectors = arrays["vectors"]
+        roots = math.prod(lattice_counts(dims, step))
+        if vectors.shape[2:] != (roots, 4):  # so 4 dimensions
+            raise ValueError(f"array vectors has shape {vectors.shape}, expected (G, N, "
+                             f"{roots}, 4): one vector row per lattice root")
+        for g, n in np.ndindex(vectors.shape[:2]):
             # not `> bound`: a nan component is outside the budget too
-            if not np.all(np.abs(array) <= [eps, eps, eps, psi]):
-                raise ValueError(f"array {name} has a vector outside the bank's budget "
-                                 f"eps = {eps}, psi = {psi}")
-            vectors[slots[name]] = array
+            if not np.all(np.abs(vectors[g, n]) <= [eps, eps, eps, psi]):
+                raise ValueError(f"array vectors, slot ({g + 1}, {n + 1}), has a vector "
+                                 f"outside the bank's budget eps = {eps}, psi = {psi}")
         return FieldBank(class_id=int(header["class_id"]), class_name=header["class_name"],
                          dims=dims, step=step, vectors=vectors, seed=int(header["seed"]),
                          eps=eps, psi=psi, boxes=header["boxes"])
     except KeyError as err:
         raise FormatError(f"{path}: missing header key {err}") from err
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:  # float.fromhex overflows past the float range
         raise FormatError(f"{path}: {err}") from err

@@ -652,18 +652,23 @@ def write_sensor_config(sensor: SensorSpec, directory) -> None:
 def read_sensor_config(directory) -> SensorSpec:
     path = Path(directory) / "sensor.cfg"
     config = cloudio.read_config(path)
-    if config["classes"] != ",".join(CLASS_NAMES):
-        raise cloudio.FormatError(f"{path}: classes {config['classes']} are not this "
-                                  f"build's {','.join(CLASS_NAMES)}")
-    return SensorSpec(
-        origin_height=float(config["origin_height"]),
-        channels=int(config["channels"]),
-        elevation_min=float(config["elevation_min"]),
-        elevation_max=float(config["elevation_max"]),
-        azimuth_resolution=float(config["azimuth_resolution"]),
-        max_range=float(config["max_range"]),
-        range_noise=float(config["range_noise"]),
-    )
+    try:
+        if config["classes"] != ",".join(CLASS_NAMES):
+            raise ValueError(f"classes {config['classes']} are not this build's "
+                             f"{','.join(CLASS_NAMES)}")
+        return SensorSpec(
+            origin_height=float(config["origin_height"]),
+            channels=int(config["channels"]),
+            elevation_min=float(config["elevation_min"]),
+            elevation_max=float(config["elevation_max"]),
+            azimuth_resolution=float(config["azimuth_resolution"]),
+            max_range=float(config["max_range"]),
+            range_noise=float(config["range_noise"]),
+        )
+    except KeyError as err:
+        raise cloudio.FormatError(f"{path}: missing key {err}") from None
+    except ValueError as err:
+        raise cloudio.FormatError(f"{path}: {err}") from None
 
 
 def load_scene(directory, index: int, sensor: SensorSpec) -> Scene:
@@ -674,16 +679,23 @@ def load_scene(directory, index: int, sensor: SensorSpec) -> Scene:
                                   f"{cloud.semantic.max()} is not a class of this build "
                                   f"(0 to {len(CLASS_NAMES) - 1})")
     boxes = []
-    text = stem.with_suffix(".boxes").read_text(encoding="utf-8")
-    for line in text.splitlines():
-        if not line.strip():
+    path = stem.with_suffix(".boxes")
+    for lineno, line in enumerate(cloudio.read_lines(path), 1):
+        words = line.split()
+        if not words:
             continue
-        name, cx, cy, cz, w, h, l, yaw = line.split()
-        boxes.append(SceneBox(
-            CLASS_NAMES.index(name),
-            OrientedBox(np.array([float(cx), float(cy), float(cz)]),
-                        float(w), float(h), float(l), float(yaw)),
-        ))
+        if len(words) != 8:
+            raise cloudio.FormatError(f"{path}:{lineno}: expected 8 fields 'class cx cy cz w h "
+                                      f"l yaw', got {len(words)}")
+        if words[0] not in CLASS_NAMES:
+            raise cloudio.FormatError(f"{path}:{lineno}: class {words[0]!r} is not one of "
+                                      f"this build's {','.join(CLASS_NAMES)}")
+        try:
+            cx, cy, cz, w, h, l, yaw = map(float, words[1:])
+            box = OrientedBox(np.array([cx, cy, cz]), w, h, l, yaw)
+        except ValueError as err:
+            raise cloudio.FormatError(f"{path}:{lineno}: {err}") from None
+        boxes.append(SceneBox(CLASS_NAMES.index(words[0]), box))
     return Scene(sensor=sensor, cloud=cloud, boxes=boxes)
 
 

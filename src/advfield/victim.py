@@ -58,7 +58,11 @@ from .geometry import OrientedBox, rot_z, wrap_pi
 from .simulator import CANONICAL_CAR_DIMS
 
 CKPT_MAGIC = "advfield-ckpt"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
+
+# the most anchors a detector grid may hold, 64 times the default 64 x 64 grid;
+# the grid and every pass hold several floats per anchor
+MAX_ANCHORS = 512 * 512
 
 # fixed feature normalization; changing these changes the architecture
 _REL_SCALE = 2.0     # relative offsets, +-0.5 m -> +-1
@@ -212,6 +216,8 @@ class SegNetMini:
         self.n_classes = int(n_classes)
         self.hidden = int(hidden)
         self.radius = float(radius)
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"segmenter radius must be finite and positive, got {self.radius}")
         self.mlp = _Mlp(self.N_FEATURES, self.hidden, self.n_classes)
 
     def init_random(self, seed) -> None:
@@ -349,7 +355,14 @@ class DetHeadMini:
         self.area = float(area)     # grid covers [-area, area) in x and y
         self.stride = float(stride)
         self.hidden = int(hidden)
-        self.cells_per_axis = int(round(2 * self.area / self.stride))
+        if not (0.0 < self.area < math.inf and 0.0 < self.stride < math.inf):
+            raise ValueError(f"detector area and stride must be finite and positive, "
+                             f"got {self.area} and {self.stride}")
+        cells = 2 * self.area / self.stride  # rounded to the cells per axis: 0 at or below 0.5
+        if not 0.5 < cells < math.inf or round(cells) ** 2 > MAX_ANCHORS:
+            raise ValueError(f"an anchor grid of area {self.area} and stride {self.stride} has "
+                             f"{cells:g} cells per axis; it needs 1 to {MAX_ANCHORS} anchors")
+        self.cells_per_axis = round(cells)
         self.mlp = _Mlp(self.N_FEATURES, self.hidden, self.N_OUTPUTS)
         ix, iy = np.divmod(np.arange(self.n_anchors), self.cells_per_axis)
         half_height = np.full(self.n_anchors, CANONICAL_CAR_DIMS[1] / 2.0)

@@ -8,6 +8,7 @@ import pytest
 
 from advfield import cli, cloudio, simulator, victim
 from advfield.geometry import OrientedBox, box_contains_many
+from artifact_edit import rewrite_line
 
 TINY = ("--sizes", "4,2,2,2", "--objects", "4", "--channels", "8",
         "--azimuth-res-deg", "2")
@@ -332,7 +333,8 @@ def test_a_bank_outside_its_recorded_budget_exits_2(pipeline, tmp_path, capsys):
     cloudio.save_bank(bank, path)
     out = tmp_path / "fields.csv"
     assert run("analyze-fields", "--bank", path, "--out", out) == cli.EXIT_CONFIG
-    assert "array field-3-1 has a vector outside the bank's budget" in capsys.readouterr().err
+    assert ("array vectors, slot (3, 1), has a vector outside the bank's budget"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -610,11 +612,11 @@ def test_a_negative_bank_size_exits_2_and_writes_no_bank(pipeline, sizes, tmp_pa
 
 
 def test_analyze_fields_of_a_bank_with_infinite_dims_exits_2(pipeline, tmp_path, capsys):
-    lines = (pipeline / "bank" / "car.vfb").read_text(encoding="utf-8").splitlines()
-    at = next(i for i, line in enumerate(lines) if line.startswith("dims = "))
-    lines[at] = "dims = inf " + lines[at].split(" ", 3)[3]
+    source = pipeline / "bank" / "car.vfb"
+    dims = cloudio.load_bank(source).dims
     bank = tmp_path / "inf.vfb"
-    bank.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bank.write_bytes(rewrite_line(source.read_bytes(), "dims = ",
+                                  " ".join(["dims = inf", *map(float.hex, dims[1:])])))
     out = tmp_path / "fields.csv"
     assert run("analyze-fields", "--bank", bank, "--out", out) == cli.EXIT_CONFIG
     assert "finite cell count" in capsys.readouterr().err
@@ -687,3 +689,88 @@ def test_a_split_whose_sensor_casts_too_many_rays_exits_2(pipeline, command, tmp
     assert run(command, "--data", split, *argv) == cli.EXIT_CONFIG
     assert f"more than the {simulator.MAX_RAYS} allowed" in capsys.readouterr().err
     assert not out.exists()
+
+
+# a header edit of a checkpoint and the message that names what it breaks
+CHECKPOINT_GEOMETRY = {
+    "stride-zero": ("det", "stride = ", "stride = 0.0", "finite and positive"),
+    "area-inf": ("det", "area = ", "area = inf", "finite and positive"),
+    "stride-negative": ("det", "stride = ", "stride = -2.0", "finite and positive"),
+    "radius-negative": ("seg", "radius = ", "radius = -1.0", "radius must be finite and positive"),
+    # 128,000 cells per axis, 1.6e10 anchors: refused before any grid array exists
+    "grid-too-large": ("det", "stride = ", "stride = 0.001", "it needs 1 to 262144 anchors"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_GEOMETRY))
+def test_a_checkpoint_with_a_bad_head_geometry_exits_2(pipeline, case, tmp_path, capsys):
+    kind, prefix, line, message = CHECKPOINT_GEOMETRY[case]
+    model = victim.SegNetMini(len(simulator.CLASS_NAMES)) if kind == "seg" else victim.DetHeadMini()
+    model.init_random(0)
+    path = tmp_path / f"{kind}.ckpt"
+    victim.save_checkpoint(model, path)
+    path.write_bytes(rewrite_line(path.read_bytes(), prefix, line))
+    out = tmp_path / "eval"
+    metrics = "miou" if kind == "seg" else "ap"
+    assert run("eval", "--victim", path, "--data", pipeline / "data" / "val",
+               "--metrics", metrics, "--out", out) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and message in err
+    assert not out.exists()
+
+
+def _edit_boxes(split: Path, edit) -> Path:
+    path = split / "000001.boxes"
+    first, *rest = path.read_bytes().split(b"\n")
+    path.write_bytes(b"\n".join([edit(first), *rest]))
+    return path
+
+
+# an edit of one text input of a split -> (the file it breaks, the message)
+TEXT_INPUTS = {
+    "sensor-not-utf8": (lambda split: _rewrite(split / "sensor.cfg", "channels = ",
+                                               b"channels = \xff8"),
+                        ":2: not UTF-8 text"),
+    "sensor-not-a-float": (lambda split: _rewrite(split / "sensor.cfg", "max_range = ",
+                                                  "max_range = far"),
+                           ": could not convert string to float: 'far'"),
+    "boxes-not-utf8": (lambda split: _edit_boxes(split, lambda row: b"\xff" + row),
+                       ":1: not UTF-8 text"),
+    "boxes-four-fields": (lambda split: _edit_boxes(split, lambda row: b" ".join(row.split()[:4])),
+                          ":1: expected 8 fields 'class cx cy cz w h l yaw', got 4"),
+    "boxes-unknown-class": (lambda split: _edit_boxes(split,
+                                                      lambda row: b"truck" + row[row.index(b" "):]),
+                            ":1: class 'truck' is not one of this build's ground,car"),
+    "boxes-not-a-float": (lambda split: _edit_boxes(split, lambda row: row.rsplit(b" ", 1)[0]
+                                                    + b" 0.5rad"),
+                          ":1: could not convert string to float: '0.5rad'"),
+}
+
+
+def _rewrite(path: Path, prefix: str, line) -> Path:
+    path.write_bytes(rewrite_line(path.read_bytes(), prefix, line))
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_INPUTS))
+def test_a_broken_text_input_exits_2_and_names_its_file_and_line(pipeline, case, tmp_path,
+                                                                 capsys):
+    edit, message = TEXT_INPUTS[case]
+    split = copy_split(pipeline / "data" / "val", tmp_path / "split")
+    path = edit(split)
+    out = tmp_path / "out"
+    assert run("train-victim", "--data", split, "--epochs", 1,
+               "--out", out / "victim.ckpt") == cli.EXIT_CONFIG
+    assert f"{path}{message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_manifest_that_is_not_utf8_exits_2_and_names_its_line(pipeline, tmp_path, capsys):
+    path = tmp_path / "manifest.cfg"
+    source = manifest(pipeline / "bank" / "car.vfb")
+    path.write_bytes(rewrite_line(source.read_bytes(), "iters = ", b"iters = \xe9"))
+    lines = source.read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, x in enumerate(lines, 1) if x.startswith("iters = "))
+    assert run("--config", path, "--out", tmp_path / "car.vfb") == cli.EXIT_CONFIG
+    assert f"{path}:{lineno}: not UTF-8 text" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
