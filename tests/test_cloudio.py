@@ -452,6 +452,27 @@ class TestHexfloatCodec:
         assert cloudio.read_arrays(path, "magic", 3)[1]["all"].tobytes() == \
             arrays["all"].tobytes()
 
+    @pytest.mark.parametrize("kind", ["seg", "det"])
+    def test_checkpoints_equal_the_float_hex_text(self, tmp_path, kind):
+        model = _victim(kind)
+        rng = np.random.default_rng(5)
+        for value in model.mlp.params.values():  # trained-looking, with some exact zeros
+            value[:] = rng.normal(scale=0.2, size=value.shape) * (rng.random(value.shape) > 0.1)
+        meta, params = model.state()
+        path = tmp_path / "new.ckpt"
+        victim.save_checkpoint(model, path)
+        want = "".join([f"{victim.CKPT_MAGIC} {victim.CKPT_VERSION}\n"]
+                       + [f"{key} = {value}\n" for key, value in meta.items()]).encode()
+        for name, value in params.items():
+            want += f"array {name} {' '.join(map(str, value.shape))}\n".encode()
+            want += value.astype("<f8").tobytes()
+        assert path.read_bytes() == want
+        # every value reads back with the float.hex text it was written with, signed zeros too
+        back = victim.load_checkpoint(path).mlp.params
+        for name, value in params.items():
+            assert [x.hex() for x in back[name].ravel().tolist()] == \
+                [x.hex() for x in value.ravel().tolist()]
+
     @staticmethod
     def bank_with_eps(tmp_path, token):
         bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 2, 1, seed=4)
