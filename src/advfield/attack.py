@@ -167,16 +167,17 @@ def _prepare(scenes, bank: FieldBank, cfg: AttackConfig):
 
 def _detection_loss_and_input_grads(cloud, work: _SceneWork, victim):
     """Scene loss and the input gradients of ``work.moved`` in detection mode."""
-    scores, full, tape = victim.forward(cloud)
+    scores, outputs, tape = victim.forward(cloud)
     relevant = victim.proposals(scores, tape)
     no_tau = np.zeros(len(work.moved))
     if len(relevant) == 0 or not work.gt:
         return 0.0, np.zeros((len(work.moved), 3)), no_tau
-    proposals = victim.decode_boxes(relevant, full)
+    proposals = victim.decode_boxes(relevant, outputs, tape)
     ious = np.array([max(iou_3d(p, g) for g in work.gt) for p in proposals])
-    d_full = np.zeros_like(full)
-    loss, d_full[relevant, 0] = detection_objective(scores[relevant], ious)
-    dpos = victim.backward_inputs(tape, d_full)
+    rows = tape.anchor_row[relevant]  # each proposal has a row of its own
+    d_outputs = np.zeros_like(outputs)
+    loss, d_outputs[rows, 0] = detection_objective(scores[rows], ious)
+    dpos = victim.backward_inputs(tape, d_outputs)
     return loss, dpos[work.moved], no_tau
 
 

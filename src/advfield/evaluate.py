@@ -19,7 +19,7 @@ from .field import (FieldBank, anchor, anchored_vectors, deform, deform_targets,
 from .geometry import OrientedBox, iou_3d
 from .rotation import GroupScheme, target_boxes
 from .simulator import Scene, SensorSpec
-from .victim import train_det, train_seg
+from .victim import _seed_int, train_det, train_seg
 
 
 # ---------------------------------------------------------------------------
@@ -58,15 +58,13 @@ def deform_all_objects(scene: Scene, bank: FieldBank, k: int = 2) -> PointCloud:
     return deform_targets(scene.cloud, plan_targets(scene, bank, k), bank, 1)
 
 
-def _augment_hook(scenes, bank: FieldBank | None, k: int = 2):
+def _augment_hook(scenes, bank: FieldBank | None, seed, k: int = 2):
+    """The trainers' hook: it deforms scene ``index``, whose cloud the trainer
+    hands it, with boxes and variants drawn from a stream of ``seed`` of its own."""
     if bank is None:
         return None
-
-    def hook(index: int, cloud: PointCloud, rng: np.random.Generator) -> PointCloud:
-        # the trainers hand the hook their input cloud, scenes[index].cloud
-        return augment_scene(scenes[index], bank, rng, k=k)
-
-    return hook
+    rng = np.random.default_rng(np.random.SeedSequence([_seed_int(seed), 37]))
+    return lambda index, cloud: augment_scene(scenes[index], bank, rng, k=k)
 
 
 def train_augmented(scenes, bank: FieldBank | None, n_classes: int, epochs: int,
@@ -75,11 +73,11 @@ def train_augmented(scenes, bank: FieldBank | None, n_classes: int, epochs: int,
 
     Identical to the plain trainer apart from the deformation hook, which is
     applied before the standard global augmentation; a None bank reproduces
-    baseline training bit for bit.
+    baseline training bit for bit, and so does an all-zero bank.
     """
     clouds = [s.cloud for s in scenes]
     return train_seg(clouds, n_classes, epochs, lr, seed,
-                     hook=_augment_hook(scenes, bank, k=k))
+                     hook=_augment_hook(scenes, bank, seed, k=k))
 
 
 def train_augmented_det(scenes, bank: FieldBank | None, class_id: int, epochs: int,
@@ -88,7 +86,7 @@ def train_augmented_det(scenes, bank: FieldBank | None, class_id: int, epochs: i
     clouds = [s.cloud for s in scenes]
     boxes = [[sb.box for sb in s.boxes if sb.class_id == class_id] for s in scenes]
     return train_det(clouds, boxes, epochs, lr, seed,
-                     hook=_augment_hook(scenes, bank, k=k))
+                     hook=_augment_hook(scenes, bank, seed, k=k))
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +258,18 @@ def collect_detections(victim, scenes, class_id: int | None = None, transform=No
     detections, gts = [], []
     for index, scene in enumerate(scenes):
         cloud = scene.cloud if transform is None else transform(index, scene)
-        scores, full, tape = victim.forward(cloud)
+        scores, outputs, tape = victim.forward(cloud)
         keep = victim.proposals(scores, tape)
-        boxes = victim.decode_boxes(keep, full)
-        order = np.argsort(-scores[keep], kind="stable")
+        boxes = victim.decode_boxes(keep, outputs, tape)
+        keep_scores = scores[tape.anchor_row[keep]]
+        order = np.argsort(-keep_scores, kind="stable")
         chosen = []
         for rank in order:
             box = boxes[rank]
             if all(np.linalg.norm(box.center[:2] - kept.center[:2]) > NMS_RADIUS
                    for kept in chosen):
                 chosen.append(box)
-                detections.append(Detection(index, float(scores[keep[rank]]), box))
+                detections.append(Detection(index, float(keep_scores[rank]), box))
         for sb in scene.boxes:
             if class_id is None or sb.class_id == class_id:
                 gts.append(GroundTruth(index, sb.box))

@@ -38,6 +38,7 @@ from .rotation import BOX_MODES, GroupScheme, target_boxes
 # avoiding the 1/d blow-up.
 COINCIDENT_EPS = 1e-9
 INIT_BOUND = 0.01  # bound of the initial vector components, see init_random
+MAX_BANK_VALUES = 1 << 25  # values (G x N x m x 4) of a bank: 70 default car banks
 
 
 @dataclass
@@ -197,7 +198,10 @@ def make_bank(class_id: int, class_name: str, dims, step: float, groups: int,
     A budget below INIT_BOUND clamps the draw.
     """
     _check_bank_size(groups, variants)
-    vectors = np.empty((groups, variants, math.prod(lattice_counts(dims, step)), 4))
+    shape = (groups, variants, math.prod(lattice_counts(dims, step)), 4)
+    if math.prod(shape) > MAX_BANK_VALUES:
+        raise ValueError(f"a bank of shape {shape} holds more than {MAX_BANK_VALUES} values")
+    vectors = np.empty(shape)
     bank = FieldBank(class_id, class_name, dims, step, vectors, int(seed), eps, psi, boxes)
     for fld in bank.fields:
         init_random(fld, np.random.SeedSequence([bank.seed, 29, fld.group, fld.variant]))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advfield import cli, cloudio, simulator, victim
+from advfield import cli, cloudio, field, simulator, victim
 from advfield.geometry import OrientedBox, box_contains_many
 from artifact_edit import rewrite_line
 
@@ -611,6 +611,19 @@ def test_a_negative_bank_size_exits_2_and_writes_no_bank(pipeline, sizes, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
+# 10^9 x 1 fields of 1,656 roots, and 6 x 1 fields of about 1.3e10 roots
+@pytest.mark.parametrize("sizes", [("--G", 10 ** 9, "--N", 1),
+                                   ("--G", 6, "--N", 1, "--step", 0.001)])
+def test_a_bank_above_the_value_cap_exits_2_and_writes_nothing(pipeline, sizes, tmp_path,
+                                                               capsys):
+    out = tmp_path / "bank" / "car.vfb"
+    assert run("attack", "--mode", "untargeted", "--victim", pipeline / "victim" / "seg.ckpt",
+               "--data", pipeline / "data" / "train", *sizes, "--iters", 1,
+               "--out", out) == cli.EXIT_CONFIG
+    assert f"more than {field.MAX_BANK_VALUES} values" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_fields_of_a_bank_with_infinite_dims_exits_2(pipeline, tmp_path, capsys):
     source = pipeline / "bank" / "car.vfb"
     dims = cloudio.load_bank(source).dims
@@ -699,6 +712,11 @@ CHECKPOINT_GEOMETRY = {
     "radius-negative": ("seg", "radius = ", "radius = -1.0", "radius must be finite and positive"),
     # 128,000 cells per axis, 1.6e10 anchors: refused before any grid array exists
     "grid-too-large": ("det", "stride = ", "stride = 0.001", "it needs 1 to 262144 anchors"),
+    # sizes that disagree with the stored arrays: refused before any parameter exists
+    "hidden-too-large": ("det", "hidden = ", "hidden = 1000000",
+                         "parameter W1 has shape (8, 32), expected (8, 1000000)"),
+    "classes-too-many": ("seg", "n_classes = ", "n_classes = 1000000",
+                         "parameter W3 has shape (64, 5), expected (64, 1000000)"),
 }
 
 

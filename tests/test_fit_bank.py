@@ -16,6 +16,7 @@ from advfield.cloudio import PointCloud
 from advfield.field import deform_targets, make_bank
 from advfield.geometry import OrientedBox, iou_3d
 from advfield.victim import Adam, DetHeadMini, SegNetMini
+from anchor_fold import fold_onto_rows
 
 CAR = simulator.CAR
 PERSON = simulator.CLASS_NAMES.index("person")
@@ -51,17 +52,19 @@ def clamp_slot(vectors, eps, psi):
 
 
 def loop_detection_loss(cloud, item, victim, class_id):
-    scores, full, tape = victim.forward(cloud)
+    """The detection scene loss with a gradient per anchor, folded onto the rows."""
+    scores, outputs, tape = victim.forward(cloud)
+    full_scores, full = scores[tape.anchor_row], outputs[tape.anchor_row]
     relevant = victim.proposals(scores, tape)
     gt = [sb.box for sb in item.scene.boxes if sb.class_id == class_id]
     no_tau = np.zeros(len(item.moved))
     if len(relevant) == 0 or not gt:
         return 0.0, np.zeros((len(item.moved), 3)), no_tau
-    proposals = victim.decode_boxes(relevant, full)
+    proposals = victim.decode_boxes(relevant, outputs, tape)
     ious = np.array([max(iou_3d(p, g) for g in gt) for p in proposals])
     d_full = np.zeros_like(full)
-    loss, d_full[relevant, 0] = attack.detection_objective(scores[relevant], ious)
-    return loss, victim.backward_inputs(tape, d_full)[item.moved], no_tau
+    loss, d_full[relevant, 0] = attack.detection_objective(full_scores[relevant], ious)
+    return loss, victim.backward_inputs(tape, fold_onto_rows(tape, d_full))[item.moved], no_tau
 
 
 def loop_fit_bank(bank, scenes, victim, cfg):

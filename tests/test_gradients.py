@@ -10,7 +10,9 @@ import numpy as np
 from advfield.attack import (PROB_FLOOR, detection_objective, targeted_objective,
                              untargeted_objective)
 from advfield.cloudio import PointCloud
+from advfield.geometry import OrientedBox
 from advfield.victim import DetHeadMini, SegNetMini
+from anchor_fold import fold_onto_rows
 
 H = 1e-6
 
@@ -85,17 +87,41 @@ class TestDetHeadBackwardInputs:
         weights = rng.normal(size=(model.n_anchors, DetHeadMini.N_OUTPUTS))
 
         def objective(xyz):
-            _, outputs, _ = model.forward(
+            _, outputs, tape = model.forward(
                 PointCloud(xyz, cloud.intensity, cloud.semantic, cloud.instance))
-            return float((weights * outputs).sum())
+            return float((weights * outputs[tape.anchor_row]).sum())
 
         _, _, tape = model.forward(cloud)
         assert np.all(tape.point_cell >= 0)
-        dpos = model.backward_inputs(tape, weights)
+        dpos = model.backward_inputs(tape, fold_onto_rows(tape, weights))
         numeric = central_difference(objective, cloud.xyz.copy())
         scale = np.abs(dpos).max()
         assert scale > 1e-3
         np.testing.assert_allclose(dpos, numeric, rtol=0, atol=1e-7 * scale)
+
+
+class TestDetHeadLoss:
+    def test_matches_finite_differences_with_empty_positive_anchors(self):
+        rng = np.random.default_rng(36)
+        model = DetHeadMini(area=8.0, stride=2.0, hidden=16)
+        model.init_random(5)
+        model.mlp.params["b3"][:] = rng.normal(size=DetHeadMini.N_OUTPUTS)
+        cloud = cell_cloud(rng, [(0, 0), (1, 0), (2, -3)], 2.0, 5, 0.5, 1.5)
+        _, outputs, tape = model.forward(cloud)
+        boxes = [OrientedBox(np.array([1.7, 0.9, 0.8]), 1.8, 1.6, 4.6, 0.4),
+                 # far from every point: its positive anchors share the zero row
+                 OrientedBox(np.array([-5.0, 5.5, 0.7]), 1.9, 1.5, 4.2, -1.1)]
+        anchors, _ = model.box_targets(boxes)
+        rows = tape.anchor_row[anchors]
+        assert np.count_nonzero(rows == 0) >= 2 and np.count_nonzero(rows) >= 2
+
+        loss, d_outputs = model.loss(outputs, tape, boxes)
+        numeric = central_difference(lambda o: model.loss(o, tape, boxes)[0], outputs.copy())
+        # the zero row carries the empty anchors' BCE and their regression
+        assert d_outputs[0, 0] != 0.0 and np.all(d_outputs[0, 1:] != 0.0)
+        assert np.isfinite(loss)
+        np.testing.assert_allclose(d_outputs, numeric, rtol=0,
+                                   atol=1e-7 * np.abs(d_outputs).max())
 
 
 class TestAttackLossGradients:

@@ -3,7 +3,9 @@
 Fitting (``attack._prepare``), augmented training (``augment_scene``) and
 evaluation (``deform_all_objects``) must deform the same boxes with the same
 group's field, as the bank's recorded box mode dictates. Fitting and
-evaluation plan their targets through ``field.plan_targets``.
+evaluation plan their targets through ``field.plan_targets``. Augmented
+training draws its targets from a stream of its own, so that training
+without a bank is its matched control.
 """
 
 import math
@@ -214,3 +216,25 @@ def test_fit_bank_rejects_a_budget_the_bank_does_not_record():
                                   eps=eps, psi=psi, iterations=1)
         with pytest.raises(ValueError, match="budget"):
             attack.fit_bank(bank, [scene], victim, cfg)
+
+
+@pytest.mark.parametrize("task", ["seg", "det"])
+def test_a_zero_bank_trains_the_parameters_of_no_bank_and_a_moving_bank_does_not(task):
+    boxes = [car_box(10.0, 5.0, 0.3), car_box(-8.0, 6.0, 1.0), car_box(4.0, -12.0, -2.0)]
+    scenes = [scene_of([(box, CAR, 1, 60)], [(CAR, box)]) for box in boxes]
+
+    def trained(bank):
+        if task == "seg":
+            return evaluate.train_augmented(scenes, bank, len(simulator.CLASS_NAMES),
+                                            epochs=2, lr=0.01, seed=3)
+        return evaluate.train_augmented_det(scenes, bank, CAR, epochs=2, lr=0.01, seed=3)
+
+    zero = make_bank(CAR, "car", DIMS, STEP, 6, 2, seed=0)
+    zero.vectors[:] = 0.0
+    moving = make_bank(CAR, "car", DIMS, STEP, 6, 2, seed=0)
+    moving.vectors[:] = np.random.default_rng(1).uniform(-0.3, 0.3, size=moving.vectors.shape)
+    plain = trained(None).mlp.params
+    assert all(value.tobytes() == plain[name].tobytes()
+               for name, value in trained(zero).mlp.params.items())
+    assert any(value.tobytes() != plain[name].tobytes()
+               for name, value in trained(moving).mlp.params.items())

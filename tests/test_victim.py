@@ -17,7 +17,8 @@ from advfield.geometry import OrientedBox, box_contains_many, rot_z
 from advfield.simulator import CANONICAL_CAR_DIMS
 from advfield.victim import (_COUNT_SCALE, _REL_SCALE, _Z_SCALE, MAX_ANCHORS,
                              SEG_POINTS_PER_SCENE, DetHeadMini, DetTape, SegNetMini, _Mlp,
-                             standard_augment, train_det, train_seg)
+                             _train, standard_augment, train_det, train_seg)
+from anchor_fold import fold_onto_rows
 
 
 def test_boxes_move_with_their_points():
@@ -75,7 +76,7 @@ def test_trainers_are_deterministic_and_hook_each_scene_once_per_epoch(kind):
     clouds, boxes = tiny_scenes()
     calls = []
 
-    def hook(index, cloud, rng):
+    def hook(index, cloud):
         assert cloud is clouds[index]  # the hook sees the scene's own cloud
         calls.append(index)
         return cloud
@@ -135,10 +136,13 @@ def test_trainers_refuse_a_non_finite_loss(kind):
 
 def test_decoding_a_subset_matches_the_full_grid():
     model = DetHeadMini()
-    full = np.random.default_rng(8).normal(size=(model.n_anchors, DetHeadMini.N_OUTPUTS))
-    every = model.decode_boxes(np.arange(model.n_anchors), full)
+    model.init_random(0)
+    _, _, tape = model.forward(cloud_without_empty_anchors(model))
+    outputs = np.random.default_rng(8).normal(size=(model.n_anchors + 1,
+                                                    DetHeadMini.N_OUTPUTS))
+    every = model.decode_boxes(np.arange(model.n_anchors), outputs, tape)
     subset = np.array([4095, 7, 2080, 7, 0, 1234])
-    for anchor, box in zip(subset, model.decode_boxes(subset, full)):
+    for anchor, box in zip(subset, model.decode_boxes(subset, outputs, tape)):
         ref = every[anchor]
         assert np.array_equal(box.center, ref.center)
         assert (box.width, box.height, box.length, box.yaw) == (
@@ -147,8 +151,10 @@ def test_decoding_a_subset_matches_the_full_grid():
 
 def test_zero_residuals_decode_to_the_canonical_car_facing_along_the_bearing():
     model = DetHeadMini()
+    model.init_random(0)
+    _, outputs, tape = model.forward(cloud_without_empty_anchors(model))
     anchors = np.array([0, 63, 2080, 4032, 4095])
-    boxes = model.decode_boxes(anchors, np.zeros((model.n_anchors, DetHeadMini.N_OUTPUTS)))
+    boxes = model.decode_boxes(anchors, np.zeros_like(outputs), tape)
     for anchor, box in zip(anchors, boxes):
         ix, iy = divmod(int(anchor), model.cells_per_axis)
         center = [(ix + 0.5) * model.stride - model.area,
@@ -275,13 +281,14 @@ def test_the_detector_pools_what_the_scatter_oracle_pools(desk_clouds):
     model = DetHeadMini()
     for cloud in desk_clouds + [PointCloud.unlabeled(np.zeros((0, 3)), np.zeros(0))]:
         feats, anchor_row, *rest = model._pool(cloud)
-        want_feats, *want_rest = scatter_pool(model, cloud)
+        want_feats, want_cells, want_counts, want_means = scatter_pool(model, cloud)
         # row 0 is the empty anchors' zero row, then one row per occupied anchor
-        occupied = np.flatnonzero(want_rest[1] > 0)
+        occupied = np.flatnonzero(want_counts > 0)
         assert np.array_equal(anchor_row[occupied], np.arange(1, len(occupied) + 1))
         assert len(feats) == len(occupied) + 1 and np.all(feats[0] == 0.0)
         assert feats[anchor_row].tobytes() == want_feats.tobytes()
-        for got, want in zip(rest, want_rest):
+        # the tape keeps the neighborhood statistics of the occupied rows
+        for got, want in zip(rest, (want_cells, want_counts[occupied], want_means[occupied])):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -293,7 +300,7 @@ def test_the_detector_input_gradient_matches_the_neighborhood_loop(desk_clouds):
         assert (tape.point_cell >= 0).sum() > 100
         d_outputs = np.random.default_rng(seed).normal(size=(model.n_anchors,
                                                              DetHeadMini.N_OUTPUTS))
-        got = model.backward_inputs(tape, d_outputs)
+        got = model.backward_inputs(tape, fold_onto_rows(tape, d_outputs))
         want = neighborhood_loop_gradient(model, all_row_forward(model, cloud)[2], d_outputs)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
         assert np.all(got[tape.point_cell < 0] == 0.0)
@@ -503,9 +510,16 @@ def test_the_segmenter_input_gradient_is_the_dx_of_the_full_backward(desk_clouds
 
 def all_anchor_gradient(model, tape, d_outputs):
     """The detector's input gradient with the MLP backward over every anchor,
-    from the all-row tape of :func:`all_row_forward`."""
+    from the all-row tape of :func:`all_row_forward`; the pooling adjoint
+    takes the occupied anchors' feature gradients, as an empty anchor
+    reaches no point."""
     dfeat, _ = model.mlp.backward(tape.mlp_tape, d_outputs)
-    return model._pool_adjoint(tape, dfeat)
+    occupied = np.flatnonzero(tape.neighbor_counts > 0)
+    anchor_row = np.zeros(model.n_anchors, dtype=np.int64)
+    anchor_row[occupied] = np.arange(1, len(occupied) + 1)
+    rows = DetTape(tape.cloud, tape.point_cell, tape.neighbor_counts[occupied],
+                   tape.means[occupied], None, anchor_row)
+    return model._pool_adjoint(rows, dfeat[occupied])
 
 
 def assert_within(got, want, relative):
@@ -536,11 +550,11 @@ def test_the_detector_forward_is_within_1e12_of_the_all_row_oracle(desk_clouds):
     for cloud in detector_clouds(desk_clouds, model):
         scores, outputs, tape = model.forward(cloud)
         want_scores, want_outputs, _ = all_row_forward(model, cloud)
-        occupied = int((tape.neighbor_counts > 0).sum())
+        occupied = np.count_nonzero(tape.anchor_row)
         occupied_counts.append(occupied)
-        assert len(tape.mlp_tape[0]) == occupied + 1
-        assert_within(scores, want_scores, 1e-12)
-        assert_within(outputs, want_outputs, 1e-12)
+        assert len(tape.mlp_tape[0]) == len(scores) == len(outputs) == occupied + 1
+        assert_within(scores[tape.anchor_row], want_scores, 1e-12)
+        assert_within(outputs[tape.anchor_row], want_outputs, 1e-12)
     assert occupied_counts[-2:] == [0, model.n_anchors]
 
 
@@ -558,17 +572,49 @@ def test_the_detector_input_gradient_is_within_1e12_of_the_all_anchor_backward(d
         attack[proposals, 0] = rng.normal(size=len(proposals))
         dense = rng.normal(size=attack.shape)
         for d_outputs in (attack, dense):
-            got = model.backward_inputs(tape, d_outputs)
+            got = model.backward_inputs(tape, fold_onto_rows(tape, d_outputs))
             want = all_anchor_gradient(model, oracle, d_outputs)
             assert_within(got, want, 1e-12)
             assert (np.abs(want).max(initial=0.0) > 0) == (len(proposals) > 0)
 
 
-def test_train_det_is_within_1e10_of_the_all_row_training_oracle(monkeypatch):
+def all_anchor_train_det(clouds, boxes):
+    """``train("det", ...)`` with the MLP on every anchor's row and the
+    training step taken anchor by anchor over the loop targets."""
+    model = DetHeadMini()
+
+    def step(cloud, gt, _):
+        scores, full, tape = all_row_forward(model, cloud)
+        targets, anchors, rows = loop_box_targets(model, gt)
+
+        # confidence BCE balanced three ways: positives, occupied
+        # negatives (the hard ones), and empty anchors
+        occupied = tape.neighbor_counts > 0
+        pos_mask = targets > 0
+        hard_neg = occupied & ~pos_mask
+        n_pos = max(pos_mask.sum(), 1)
+        n_hard = max(hard_neg.sum(), 1)
+        n_empty = max((~occupied & ~pos_mask).sum(), 1)
+        w_anchor = np.where(pos_mask, 0.5 / n_pos,
+                            np.where(hard_neg, 0.35 / n_hard, 0.15 / n_empty))
+        d_full = np.zeros_like(full)
+        d_full[:, 0] = w_anchor * (scores - targets)
+        loss = float(-(w_anchor * (targets * np.log(np.maximum(scores, 1e-12))
+                     + (1 - targets) * np.log(np.maximum(1 - scores, 1e-12)))).sum())
+        if len(anchors):
+            diff = full[anchors, 1:] - rows
+            loss += float(0.5 * (diff * diff).sum() / len(anchors))
+            d_full[anchors, 1:] += diff / len(anchors)
+        # the all-row tape has one row per anchor: no fold
+        return loss, tape.mlp_tape, d_full
+
+    return _train(model, (3, 4), clouds, boxes, 2, 0.01, 7, None, step)
+
+
+def test_train_det_is_within_1e10_of_the_all_row_training_oracle():
     clouds, boxes = tiny_scenes()
     model = train("det", clouds, boxes, None)
-    monkeypatch.setattr(DetHeadMini, "forward", all_row_forward)
-    oracle = train("det", clouds, boxes, None)
+    oracle = all_anchor_train_det(clouds, boxes)
     for name, value in model.mlp.params.items():
         assert_within(value, oracle.mlp.params[name], 1e-10)
 
@@ -577,14 +623,13 @@ def test_a_zero_detector_output_gradient_gives_exact_zeros(desk_clouds):
     model = DetHeadMini()
     model.init_random(2)
     for cloud in detector_clouds(desk_clouds, model):
-        _, _, tape = model.forward(cloud)
-        dpos = model.backward_inputs(tape, np.zeros((model.n_anchors,
-                                                     DetHeadMini.N_OUTPUTS)))
+        _, outputs, tape = model.forward(cloud)
+        dpos = model.backward_inputs(tape, np.zeros_like(outputs))
         assert dpos.shape == (cloud.n, 3)
         assert np.all(dpos == 0.0)
-    _, _, tape = model.forward(desk_clouds[0])
+    _, outputs, tape = model.forward(desk_clouds[0])
     rng = np.random.default_rng(0)
-    assert np.any(model.backward_inputs(tape, rng.normal(size=(model.n_anchors, 9))) != 0)
+    assert np.any(model.backward_inputs(tape, rng.normal(size=outputs.shape)) != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +670,11 @@ def loop_box_targets(model, boxes):
 
 
 def assert_targets_match_the_loop(model, boxes):
-    got_targets, got_anchors, got_rows = model.box_targets(boxes)
+    got_anchors, got_rows = model.box_targets(boxes)
     want_targets, want_anchors, want_rows = loop_box_targets(model, boxes)
     order = np.argsort(want_anchors)
-    assert got_targets.tobytes() == want_targets.tobytes()
+    assert np.flatnonzero(want_targets).tobytes() == got_anchors.tobytes()
+    assert np.all(want_targets[got_anchors] == 1.0)
     assert got_anchors.dtype == np.int64
     assert got_anchors.tobytes() == want_anchors[order].tobytes()
     assert got_rows.shape == (len(got_anchors), 8)
@@ -677,8 +723,8 @@ def test_where_boxes_share_an_anchor_the_later_box_row_wins():
     first = OrientedBox(np.array([10.3, 4.1, 0.8]), 1.8, 1.6, 4.6, 0.3)
     second = OrientedBox(np.array([11.2, 4.6, 0.9]), 1.9, 1.5, 4.2, 2.1)
     anchors, rows = assert_targets_match_the_loop(model, [first, second])
-    _, first_anchors, first_rows = model.box_targets([first])
-    _, second_anchors, second_rows = model.box_targets([second])
+    first_anchors, first_rows = model.box_targets([first])
+    second_anchors, second_rows = model.box_targets([second])
     shared = np.intersect1d(first_anchors, second_anchors)
     assert len(shared) > 0
     for anchor in shared:
@@ -691,7 +737,8 @@ def test_where_boxes_share_an_anchor_the_later_box_row_wins():
 def test_train_det_is_bit_equal_to_a_training_on_the_loop_targets(monkeypatch):
     clouds, boxes = tiny_scenes()
     model = train("det", clouds, boxes, None)
-    monkeypatch.setattr(DetHeadMini, "box_targets", loop_box_targets)
+    monkeypatch.setattr(DetHeadMini, "box_targets",
+                        lambda model, gt: loop_box_targets(model, gt)[1:])
     oracle = train("det", clouds, boxes, None)
     for name, value in model.mlp.params.items():
         assert value.tobytes() == oracle.mlp.params[name].tobytes(), name
