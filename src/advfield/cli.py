@@ -216,6 +216,9 @@ def cmd_eval(args) -> int:
                          f"{'seg' if is_seg else 'det'} victim ({','.join(known)})")
     if is_seg and (args.bank is not None or args.iou_thr is not None):
         raise ValueError("--bank and --iou-thr are options of a det victim only")
+    if args.iou_thr is not None and not 0.0 <= args.iou_thr < 1.0:
+        # matching takes an IoU above the threshold, and disjoint boxes have IoU 0
+        raise ValueError(f"--iou-thr {args.iou_thr!r} is outside [0, 1)")
     if not is_seg and (args.bank is not None) != ("asr" in wanted):
         raise ValueError("--metrics asr needs --bank for the attacked pass, "
                          "and --bank serves asr only")
@@ -308,9 +311,9 @@ def _add_sensor_flags(sub):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="advfield")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("ADVFIELD_THREADS",
-                                                   os.cpu_count() or 1)))
+    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                        help="threads for the scenes of a single-domain simulate "
+                        "and the predictions of a segmentation eval")
     parser.add_argument("--config", help="a manifest to replay; flags given here win")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = sub.choices  # name -> subparser, for --config

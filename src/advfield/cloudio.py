@@ -5,7 +5,7 @@ Formats:
   * ``.label``  little-endian uint32 per point; low 16 bits semantic id,
                 high 16 bits instance id (0 = no instance)
   * ``.vfb``    field banks (version 5) and ``.ckpt`` victim checkpoints
-                (version 3), in one grammar: a ``MAGIC VERSION`` line,
+                (version 4), in one grammar: a ``MAGIC VERSION`` line,
                 ``key = value`` header lines, then per named array an
                 ``array <name> <d0> <d1> ...`` line followed by exactly
                 d0 x d1 x ... x 8 bytes, the array's little-endian float64
@@ -22,7 +22,10 @@ Formats:
                 ``dx dy dz dtau`` row per lattice root of each slot (g, n),
                 with m following from dims and step. Every spatial component
                 must lie in [-eps, eps] and every intensity shift in
-                [-psi, psi]. A checkpoint stores one array per MLP parameter
+                [-psi, psi]. A checkpoint's header holds its head ``kind``,
+                ``seg`` or ``det``, and for a segmenter ``n_classes``; every
+                other size of a head is fixed in ``victim``. It stores one
+                array per MLP parameter, ``W1 b1 W2 b2 W3 b3``.
   * config      flat ``key = value`` text, ``#`` comments: the header rule
 """
 

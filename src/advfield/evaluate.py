@@ -202,7 +202,7 @@ def _match_matrix(detections, ground_truths, iou_thr: float):
     return order, is_tp
 
 
-def average_precision(detections, ground_truths, iou_thr: float = 0.7) -> float:
+def average_precision(detections, ground_truths, iou_thr: float) -> float:
     """Area under the precision envelope over recall (no point sampling)."""
     if not ground_truths:
         return 0.0
@@ -233,7 +233,7 @@ def detected_mask(detections, ground_truths, iou_thr: float) -> np.ndarray:
 
 
 def attack_success_rate(clean_detections, attacked_detections, ground_truths,
-                        iou_thr: float = 0.7) -> float:
+                        iou_thr: float) -> float:
     """Percentage of clean-detected objects lost after the attack."""
     clean = detected_mask(clean_detections, ground_truths, iou_thr)
     if not clean.any():
@@ -247,8 +247,8 @@ def attack_success_rate(clean_detections, attacked_detections, ground_truths,
 NMS_RADIUS = 2.5
 
 
-def collect_detections(victim, scenes, class_id: int | None = None, transform=None):
-    """Run the detector over scenes -> (detections, ground truths).
+def collect_detections(victim, scenes, class_id: int, transform=None):
+    """Run the detector over scenes -> (detections, the ``class_id`` ground truths).
 
     The proposals are the anchors that ``DetHeadMini.proposals`` keeps,
     reduced by center-distance NMS: within each scene, any proposal whose
@@ -270,9 +270,7 @@ def collect_detections(victim, scenes, class_id: int | None = None, transform=No
                    for kept in chosen):
                 chosen.append(box)
                 detections.append(Detection(index, float(keep_scores[rank]), box))
-        for sb in scene.boxes:
-            if class_id is None or sb.class_id == class_id:
-                gts.append(GroundTruth(index, sb.box))
+        gts += [GroundTruth(index, sb.box) for sb in scene.boxes if sb.class_id == class_id]
     return detections, gts
 
 
@@ -405,9 +403,7 @@ def analyze_fields(bank: FieldBank) -> list:
 
 
 def write_field_stats_csv(stats: list, path) -> None:
-    if not stats:
-        Path(path).write_text("", encoding="utf-8")
-        return
+    """One CSV row per entry of ``stats``, which holds at least one."""
     keys = list(stats[0].keys())
     lines = [",".join(keys)]
     lines += [",".join(str(entry[k]) for k in keys) for entry in stats]

@@ -38,6 +38,11 @@ is the all-anchor pass; in floating point, outputs and input gradients are
 within 1e-12 relative of it, and trained parameters within 1e-10, because
 BLAS may round a product over fewer rows differently.
 
+Each head has one fixed architecture, the victim that fields are fitted
+against and that augmented training rebuilds: 0.5 m voxels and a 64-wide MLP
+for the segmenter, 64 x 64 anchors of 2 m and a 32-wide MLP for the detector.
+A checkpoint header holds only the kind and a segmenter's ``n_classes``.
+
 The detector builds its fixed anchor grid (centers, bearings, view-frame
 rotations) once, and ``DetHeadMini.proposals`` is the one proposal rule of
 attack and evaluation. ``DetHeadMini.box_targets`` builds the training
@@ -59,11 +64,7 @@ from .geometry import OrientedBox, rot_z, wrap_pi
 from .simulator import CANONICAL_CAR_DIMS
 
 CKPT_MAGIC = "advfield-ckpt"
-CKPT_VERSION = 3
-
-# the most anchors a detector grid may hold, 64 times the default 64 x 64 grid;
-# the grid and every pass hold several floats per anchor
-MAX_ANCHORS = 512 * 512
+CKPT_VERSION = 4
 
 # fixed feature normalization; changing these changes the architecture
 _REL_SCALE = 2.0     # relative offsets, +-0.5 m -> +-1
@@ -212,13 +213,11 @@ class SegNetMini:
     """
 
     N_FEATURES = 7
+    radius = 0.5  # voxel edge, m
+    hidden = 64
 
-    def __init__(self, n_classes: int, hidden: int = 64, radius: float = 0.5):
+    def __init__(self, n_classes: int):
         self.n_classes = int(n_classes)
-        self.hidden = int(hidden)
-        self.radius = float(radius)
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError(f"segmenter radius must be finite and positive, got {self.radius}")
         self.mlp = _Mlp(self.N_FEATURES, self.hidden, self.n_classes)
 
     def init_random(self, seed) -> None:
@@ -293,14 +292,12 @@ class SegNetMini:
         probs, _ = self.forward(cloud)
         return probs.argmax(axis=1).astype(np.int32)
 
-    def state(self) -> dict:
-        meta = {"kind": "seg", "n_classes": self.n_classes, "hidden": self.hidden,
-                "radius": self.radius}
-        return meta, self.mlp.params
+    def state(self) -> tuple:
+        return {"kind": "seg", "n_classes": self.n_classes}, self.mlp.params
 
     @classmethod
     def from_state(cls, meta: dict, params: dict) -> "SegNetMini":
-        model = cls(int(meta["n_classes"]), int(meta["hidden"]), float(meta["radius"]))
+        model = cls(int(meta["n_classes"]))
         model.mlp.load(params)
         return model
 
@@ -327,7 +324,8 @@ class DetTape:
 class DetHeadMini:
     """Single-class detector over a ground-plane anchor grid.
 
-    One axis-aligned anchor per 2 m cell at the canonical car size. Each
+    One axis-aligned anchor per 2 m cell of [-64 m, 64 m) squared at the
+    canonical car size. Each
     anchor pools first and second point moments over its 3x3 cell
     neighborhood (integral-image box sums, so the receptive field spans a
     whole car); an MLP maps them to a confidence logit and box residuals
@@ -351,19 +349,13 @@ class DetHeadMini:
     N_OUTPUTS = 9  # score, dx, dy, dz, dlog w, dlog h, dlog l, sin 2a, cos 2a
     GROUND_CLIP = 0.25  # points at or below this height are not pooled
     PROPOSAL_SCORE = 0.1  # confidences at or below this are no proposal
+    area = 64.0  # the grid covers [-area, area) in x and y, m
+    stride = 2.0  # anchor cell edge, m
+    cells_per_axis = round(2 * area / stride)
+    n_anchors = cells_per_axis ** 2
+    hidden = 32
 
-    def __init__(self, area: float = 64.0, stride: float = 2.0, hidden: int = 32):
-        self.area = float(area)     # grid covers [-area, area) in x and y
-        self.stride = float(stride)
-        self.hidden = int(hidden)
-        if not (0.0 < self.area < math.inf and 0.0 < self.stride < math.inf):
-            raise ValueError(f"detector area and stride must be finite and positive, "
-                             f"got {self.area} and {self.stride}")
-        cells = 2 * self.area / self.stride  # rounded to the cells per axis: 0 at or below 0.5
-        if not 0.5 < cells < math.inf or round(cells) ** 2 > MAX_ANCHORS:
-            raise ValueError(f"an anchor grid of area {self.area} and stride {self.stride} has "
-                             f"{cells:g} cells per axis; it needs 1 to {MAX_ANCHORS} anchors")
-        self.cells_per_axis = round(cells)
+    def __init__(self):
         self.mlp = _Mlp(self.N_FEATURES, self.hidden, self.N_OUTPUTS)
         ix, iy = np.divmod(np.arange(self.n_anchors), self.cells_per_axis)
         half_height = np.full(self.n_anchors, CANONICAL_CAR_DIMS[1] / 2.0)
@@ -372,10 +364,6 @@ class DetHeadMini:
         self.bearings = np.arctan2(self.centers[:, 1], self.centers[:, 0])
         self.cos_p, self.sin_p = np.cos(self.bearings), np.sin(self.bearings)
         self.cos2, self.sin2 = np.cos(2 * self.bearings), np.sin(2 * self.bearings)
-
-    @property
-    def n_anchors(self) -> int:
-        return self.cells_per_axis ** 2
 
     def init_random(self, seed) -> None:
         self.mlp.init_random(seed)
@@ -640,14 +628,12 @@ class DetHeadMini:
         dpos[pooled] = np.column_stack([gx + gxx * x + gxy * y, gy + gyy * y + gxy * x, gz])
         return dpos
 
-    def state(self) -> dict:
-        meta = {"kind": "det", "area": self.area, "stride": self.stride,
-                "hidden": self.hidden}
-        return meta, self.mlp.params
+    def state(self) -> tuple:
+        return {"kind": "det"}, self.mlp.params
 
     @classmethod
     def from_state(cls, meta: dict, params: dict) -> "DetHeadMini":
-        model = cls(float(meta["area"]), float(meta["stride"]), int(meta["hidden"]))
+        model = cls()
         model.mlp.load(params)
         return model
 
@@ -824,7 +810,8 @@ def _seed_int(seed) -> int:
 
 # ---------------------------------------------------------------------------
 # checkpoints: the versioned array format of cloudio, with the head's state()
-# meta as header and one array per MLP parameter
+# meta (``kind``, and a segmenter's ``n_classes``) as header and one array per
+# MLP parameter
 # ---------------------------------------------------------------------------
 
 _HEADS = {"seg": SegNetMini, "det": DetHeadMini}
@@ -837,12 +824,11 @@ def save_checkpoint(model, path) -> None:
 
 def load_checkpoint(path):
     meta, params = read_arrays(path, CKPT_MAGIC, CKPT_VERSION)
-    head = _HEADS.get(meta.get("kind"))
-    if head is None:
-        raise FormatError(f"{path}: unknown checkpoint kind {meta.get('kind')!r}, "
-                          f"expected one of {sorted(_HEADS)}")
     try:
-        return head.from_state(meta, params)
+        if meta["kind"] not in _HEADS:
+            raise ValueError(f"unknown checkpoint kind {meta['kind']!r}, "
+                             f"expected one of {sorted(_HEADS)}")
+        return _HEADS[meta["kind"]].from_state(meta, params)
     except KeyError as err:
         raise FormatError(f"{path}: missing header key {err}") from err
     except ValueError as err:

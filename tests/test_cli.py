@@ -706,15 +706,8 @@ def test_a_split_whose_sensor_casts_too_many_rays_exits_2(pipeline, command, tmp
 
 # a header edit of a checkpoint and the message that names what it breaks
 CHECKPOINT_GEOMETRY = {
-    "stride-zero": ("det", "stride = ", "stride = 0.0", "finite and positive"),
-    "area-inf": ("det", "area = ", "area = inf", "finite and positive"),
-    "stride-negative": ("det", "stride = ", "stride = -2.0", "finite and positive"),
-    "radius-negative": ("seg", "radius = ", "radius = -1.0", "radius must be finite and positive"),
-    # 128,000 cells per axis, 1.6e10 anchors: refused before any grid array exists
-    "grid-too-large": ("det", "stride = ", "stride = 0.001", "it needs 1 to 262144 anchors"),
-    # sizes that disagree with the stored arrays: refused before any parameter exists
-    "hidden-too-large": ("det", "hidden = ", "hidden = 1000000",
-                         "parameter W1 has shape (8, 32), expected (8, 1000000)"),
+    # a class count that disagrees with the stored arrays: refused before any
+    # parameter exists
     "classes-too-many": ("seg", "n_classes = ", "n_classes = 1000000",
                          "parameter W3 has shape (64, 5), expected (64, 1000000)"),
 }
@@ -735,6 +728,24 @@ def test_a_checkpoint_with_a_bad_head_geometry_exits_2(pipeline, case, tmp_path,
     err = capsys.readouterr().err
     assert f"{path}: " in err and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("thr", [-0.5, 1.0])
+def test_an_iou_threshold_outside_0_1_exits_2_and_writes_nothing(detection, thr, tmp_path,
+                                                                   capsys):
+    out = tmp_path / "eval"
+    assert run("eval", "--victim", detection / "victim" / "det.ckpt", "--data",
+               detection / "data" / "val", "--metrics", "ap", "--iou-thr", thr,
+               "--out", out) == cli.EXIT_CONFIG
+    assert f"--iou-thr {thr!r} is outside [0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_thread_count_ignores_the_environment(pipeline, tmp_path, monkeypatch):
+    monkeypatch.setenv("ADVFIELD_THREADS", "abc")
+    out = tmp_path / "stats.csv"
+    assert run("analyze-fields", "--bank", pipeline / "bank" / "car.vfb", "--out", out) == 0
+    assert out.is_file()
 
 
 def _edit_boxes(split: Path, edit) -> Path:

@@ -344,9 +344,9 @@ MALFORMED_CHECKPOINTS = {
     "wrong-magic": (_line("advfield-ckpt ", "advfield-ckptX 3"), "not an advfield-ckpt file"),
     "version-1": (_line("advfield-ckpt ", "advfield-ckpt 1"), "unsupported version 1"),
     "version-2": (_line("advfield-ckpt ", "advfield-ckpt 2"),
-                  "unsupported version 2, expected 3"),
+                  "unsupported version 2, expected 4"),
     "unknown-kind": (_line("kind = ", "kind = pointnet"), "unknown checkpoint kind 'pointnet'"),
-    "missing-meta": (_line("hidden = "), "missing header key 'hidden'"),
+    "missing-meta": (_line("n_classes = "), "missing header key 'n_classes'"),
 }
 
 
@@ -360,16 +360,45 @@ def test_malformed_checkpoint_raises_format_error(tmp_path, case):
         victim.load_checkpoint(path)
 
 
-def test_eval_of_an_unreadable_victim_exits_2(tmp_path):
+# per artifact: its writer, its reader and the keys of the header lines it writes
+ARTIFACT_HEADERS = {
+    "bank": (lambda path: cloudio.save_bank(make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 2, 1,
+                                                      seed=4), path),
+             cloudio.load_bank,
+             ["class_name", "class_id", "dims", "step", "eps", "psi", "boxes", "seed"]),
+    "seg": (lambda path: victim.save_checkpoint(_victim("seg"), path), victim.load_checkpoint,
+            ["kind", "n_classes"]),
+    "det": (lambda path: victim.save_checkpoint(_victim("det"), path), victim.load_checkpoint,
+            ["kind"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ARTIFACT_HEADERS))
+def test_every_header_line_is_read(tmp_path, kind):
+    save, load, keys = ARTIFACT_HEADERS[kind]
+    path = tmp_path / "artifact"
+    save(path)
+    saved = path.read_bytes()
+    lines = saved[:saved.index(b"\narray ")].decode("utf-8").splitlines()[1:]
+    assert [line.partition(" = ")[0] for line in lines] == keys
+    for key in keys:
+        path.write_bytes(rewrite_line(saved, f"{key} = "))
+        with pytest.raises(FormatError, match=f"missing header key '{key}'"):
+            load(path)
+
+
+def test_eval_of_an_unreadable_victim_exits_2(tmp_path, capsys):
     sensor = simulator.SensorSpec(channels=8, azimuth_resolution=math.radians(4.0))
     simulator.write_sensor_config(sensor, tmp_path / "data")
     simulator.write_scene(simulator.generate_scene(0, "normal", 2, sensor), tmp_path / "data", 0)
-    path = tmp_path / "truncated.ckpt"
+    path, old = tmp_path / "truncated.ckpt", tmp_path / "v3.ckpt"
     victim.save_checkpoint(_victim("seg"), path)
+    old.write_bytes(rewrite_line(path.read_bytes(), "advfield-ckpt ", "advfield-ckpt 3"))
     path.write_bytes(_truncated(path.read_bytes()))
-    for ckpt in (path, tmp_path / "data"):  # a truncated file, a directory
+    for ckpt in (path, tmp_path / "data", old):  # a truncated file, a directory, version 3
         assert cli.main(["eval", "--victim", str(ckpt), "--data", str(tmp_path / "data"),
                          "--out", str(tmp_path / "e")]) == cli.EXIT_CONFIG
+    assert f"{old}: unsupported version 3, expected 4" in capsys.readouterr().err
     assert not (tmp_path / "e").exists()
 
 

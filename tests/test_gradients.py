@@ -2,7 +2,8 @@
 
 Clouds are built so that no point crosses a voxel, anchor-cell or ground-clip
 boundary within the finite-difference step: there the features are smooth,
-and the analytic input gradients must match to rounding.
+and the analytic input gradients must match to rounding. The MLP's parameter
+gradients are checked the same way.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ from advfield.attack import (PROB_FLOOR, detection_objective, targeted_objective
                              untargeted_objective)
 from advfield.cloudio import PointCloud
 from advfield.geometry import OrientedBox
-from advfield.victim import DetHeadMini, SegNetMini
+from advfield.victim import DetHeadMini, SegNetMini, _Mlp
 from anchor_fold import fold_onto_rows
 
 H = 1e-6
@@ -53,7 +54,7 @@ def sigmoid(x):
 class TestSegNetBackwardInputs:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(31)
-        model = SegNetMini(5, hidden=16)
+        model = SegNetMini(5)
         model.init_random(3)
         # z stays inside one 0.5 m voxel layer: [0.125, 0.375]
         cloud = cell_cloud(rng, [(0, 0), (0, 1), (3, -2)], 0.5, 4, 0.125, 0.375)
@@ -80,7 +81,7 @@ class TestSegNetBackwardInputs:
 class TestDetHeadBackwardInputs:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(32)
-        model = DetHeadMini(area=8.0, stride=2.0, hidden=16)
+        model = DetHeadMini()
         model.init_random(4)
         # well above GROUND_CLIP = 0.25, in cells that share anchor neighborhoods
         cloud = cell_cloud(rng, [(0, 0), (1, 0), (-2, 1), (2, -3)], 2.0, 5, 0.5, 1.5)
@@ -103,7 +104,7 @@ class TestDetHeadBackwardInputs:
 class TestDetHeadLoss:
     def test_matches_finite_differences_with_empty_positive_anchors(self):
         rng = np.random.default_rng(36)
-        model = DetHeadMini(area=8.0, stride=2.0, hidden=16)
+        model = DetHeadMini()
         model.init_random(5)
         model.mlp.params["b3"][:] = rng.normal(size=DetHeadMini.N_OUTPUTS)
         cloud = cell_cloud(rng, [(0, 0), (1, 0), (2, -3)], 2.0, 5, 0.5, 1.5)
@@ -122,6 +123,28 @@ class TestDetHeadLoss:
         assert np.isfinite(loss)
         np.testing.assert_allclose(d_outputs, numeric, rtol=0,
                                    atol=1e-7 * np.abs(d_outputs).max())
+
+
+class TestMlpParameterGradients:
+    def test_match_finite_differences(self):
+        rng = np.random.default_rng(37)
+        mlp = _Mlp(4, 6, 3)
+        mlp.init_random(6)
+        for name in ("b1", "b2", "b3"):  # nonzero biases, so every tanh slope differs
+            mlp.params[name][:] = rng.normal(scale=0.5, size=mlp.params[name].shape)
+        x = rng.normal(size=(5, 4))
+        weights = rng.normal(size=(5, 3))
+
+        _, tape = mlp.forward(x)
+        _, grads = mlp.backward(tape, weights)
+        assert list(grads) == ["W3", "b3", "W2", "b2", "W1", "b1"]
+        for name, param in mlp.params.items():
+            numeric = central_difference(lambda _: float((weights * mlp.forward(x)[0]).sum()),
+                                         param)
+            scale = np.abs(grads[name]).max()
+            assert scale > 1e-3, name
+            np.testing.assert_allclose(grads[name], numeric, rtol=0, atol=1e-7 * scale,
+                                       err_msg=name)
 
 
 class TestAttackLossGradients:

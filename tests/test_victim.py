@@ -15,9 +15,9 @@ from advfield import simulator
 from advfield.cloudio import PointCloud
 from advfield.geometry import OrientedBox, box_contains_many, rot_z
 from advfield.simulator import CANONICAL_CAR_DIMS
-from advfield.victim import (_COUNT_SCALE, _REL_SCALE, _Z_SCALE, MAX_ANCHORS,
-                             SEG_POINTS_PER_SCENE, DetHeadMini, DetTape, SegNetMini, _Mlp,
-                             _train, standard_augment, train_det, train_seg)
+from advfield.victim import (_COUNT_SCALE, _REL_SCALE, _Z_SCALE, SEG_POINTS_PER_SCENE,
+                             DetHeadMini, DetTape, SegNetMini, _Mlp, _train, standard_augment,
+                             train_det, train_seg)
 from anchor_fold import fold_onto_rows
 
 
@@ -321,7 +321,7 @@ def test_the_box_sum_is_bit_equal_to_the_scatter_oracle_on_sparse_grids():
 
 
 def test_the_box_sum_is_its_own_adjoint():
-    model = DetHeadMini(area=8.0)
+    model = DetHeadMini()
     rng = np.random.default_rng(3)
     a, b = rng.normal(size=(2, 5, model.n_anchors))
     left = np.sum(model._box_sum(a) * b, axis=1)
@@ -743,14 +743,3 @@ def test_train_det_is_bit_equal_to_a_training_on_the_loop_targets(monkeypatch):
     for name, value in model.mlp.params.items():
         assert value.tobytes() == oracle.mlp.params[name].tobytes(), name
 
-
-def test_head_geometry_must_be_finite_positive_and_within_the_anchor_cap():
-    assert DetHeadMini(64.0, 0.25).n_anchors == MAX_ANCHORS == 512 * 512
-    # 513 cells per axis; a ratio of 0.5 or less rounds to no cell; 2 * area overflows
-    for area, stride in [(64.0, 128 / 513), (1.0, 4.0), (1e308, 1e-308), (64.0, 0.0),
-                         (math.inf, 2.0), (math.nan, 2.0), (64.0, -2.0)]:
-        with pytest.raises(ValueError, match="anchor grid|finite and positive"):
-            DetHeadMini(area, stride)
-    for radius in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="radius must be finite and positive"):
-            SegNetMini(5, radius=radius)
