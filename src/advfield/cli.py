@@ -67,7 +67,6 @@ def write_manifest(args: argparse.Namespace, path: Path, started: float) -> None
         config[key.replace("_", "-")] = str(value)
     config["git-describe"] = _git_describe()
     config["wall-time-s"] = f"{time.time() - started:.3f}"
-    path.parent.mkdir(parents=True, exist_ok=True)
     cloudio.write_config(config, path)
 
 
@@ -110,20 +109,13 @@ def cmd_simulate(args) -> int:
         splits = simulator.make_splits(args.seed, sizes=sizes, sensor=sensor,
                                        n_objects=args.objects)
         for name, scenes in splits.items():
-            directory = out / name
-            directory.mkdir(parents=True, exist_ok=True)
-            simulator.write_sensor_config(sensor, directory)
-            for index, scene in enumerate(scenes):
-                simulator.write_scene(scene, directory, index)
+            simulator.write_split(scenes, out / name, sensor)
     else:
-        out.mkdir(parents=True, exist_ok=True)
-        simulator.write_sensor_config(sensor, out)
         def build(index):
             return simulator.generate_scene(args.seed + index, args.domain,
                                             args.objects, sensor)
         scenes = parallel_map(build, range(args.scenes), args.threads)
-        for index, scene in enumerate(scenes):
-            simulator.write_scene(scene, out, index)
+        simulator.write_split(scenes, out, sensor)
     return 0
 
 
@@ -138,9 +130,7 @@ def cmd_train_victim(args) -> int:
         car = simulator.CAR
         model = evaluate.train_augmented_det(scenes, bank, car, args.epochs,
                                              args.lr, args.seed)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    victim_mod.save_checkpoint(model, out)
+    victim_mod.save_checkpoint(model, args.out)
     return 0
 
 
@@ -169,12 +159,9 @@ def cmd_attack(args) -> int:
               f"no target objects and keep their initial vectors; (group, variant): "
               + " ".join(f"({g},{v})" for g, v in trace.unused_slots), file=sys.stderr)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     cloudio.save_bank(bank, out)
-    trace_lines = ["iteration,loss"]
-    trace_lines += [f"{i},{loss!r}" for i, loss in enumerate(trace.losses)]
-    out.with_suffix(".trace.csv").write_text("\n".join(trace_lines) + "\n",
-                                             encoding="utf-8")
+    cloudio.write_lines(out.with_suffix(".trace.csv"), ["iteration,loss"]
+                        + [f"{i},{loss!r}" for i, loss in enumerate(trace.losses)])
     return 0
 
 
@@ -183,7 +170,6 @@ def cmd_baseline_attack(args) -> int:
     model = victim_mod.load_checkpoint(args.victim)
     class_id = simulator.CLASS_NAMES.index(args.cls)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     fn = {
         "l2": baselines.iterative_gradient_l2,
         "chamfer": baselines.chamfer_attack,
@@ -223,7 +209,6 @@ def cmd_eval(args) -> int:
         raise ValueError("--metrics asr needs --bank for the attacked pass, "
                          "and --bank serves asr only")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     summary = []
 
     if is_seg:
@@ -236,7 +221,7 @@ def cmd_eval(args) -> int:
             lines += [f"{name},{result.iou[i]!r},{int(result.valid[i])}"
                       for i, name in enumerate(simulator.CLASS_NAMES)]
             lines.append(f"mean,{result.mean!r},1")
-            (out / "miou.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            cloudio.write_lines(out / "miou.csv", lines)
             summary.append(f"miou {result.mean:.4f}")
         if "distance-bins" in wanted:
             rows = ["bin_low_m,class,iou,valid"]
@@ -249,8 +234,7 @@ def cmd_eval(args) -> int:
                 for c, name in enumerate(simulator.CLASS_NAMES):
                     rows.append(f"{b * evaluate.DISTANCE_BIN_M},{name},{ious[b, c]!r},"
                                 f"{int(valid[b, c])}")
-            (out / "distance_bins.csv").write_text("\n".join(rows) + "\n",
-                                                   encoding="utf-8")
+            cloudio.write_lines(out / "distance_bins.csv", rows)
             summary.append("distance-bins written")
         if "intensity-suite" in wanted:
             table = evaluate.intensity_suite(model, scenes, n_classes, result, seed=args.seed)
@@ -258,8 +242,7 @@ def cmd_eval(args) -> int:
             for name, row in table.items():
                 per = ",".join(repr(v) for v in row.iou)
                 rows.append(f"{name},{row.mean!r},{per}")
-            (out / "intensity_suite.csv").write_text("\n".join(rows) + "\n",
-                                                     encoding="utf-8")
+            cloudio.write_lines(out / "intensity_suite.csv", rows)
             summary.append("intensity-suite written")
     else:
         # resolved into args, so that the manifest records it
@@ -268,8 +251,7 @@ def cmd_eval(args) -> int:
                                                       class_id=simulator.CAR)
         if "ap" in wanted:
             ap = evaluate.average_precision(detections, gts, iou_thr=iou_thr)
-            (out / "ap.csv").write_text(f"iou_thr,ap\n{iou_thr!r},{ap!r}\n",
-                                        encoding="utf-8")
+            cloudio.write_lines(out / "ap.csv", ["iou_thr,ap", f"{iou_thr!r},{ap!r}"])
             summary.append(f"ap@{iou_thr} {ap:.4f}")
         if "asr" in wanted:
             bank = cloudio.load_bank(args.bank)
@@ -281,20 +263,19 @@ def cmd_eval(args) -> int:
                 model, scenes, class_id=simulator.CAR, transform=deform_all)
             asr = evaluate.attack_success_rate(detections, attacked, gts,
                                                iou_thr=iou_thr)
-            (out / "asr.csv").write_text(f"iou_thr,asr_percent\n"
-                                         f"{iou_thr!r},{asr!r}\n", encoding="utf-8")
+            cloudio.write_lines(out / "asr.csv", ["iou_thr,asr_percent", f"{iou_thr!r},{asr!r}"])
             summary.append(f"asr {asr:.1f}%")
 
-    (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    cloudio.write_lines(out / "summary.txt", summary)
     return 0
 
 
 def cmd_analyze_fields(args) -> int:
     bank = cloudio.load_bank(args.bank)
-    stats = evaluate.analyze_fields(bank)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    evaluate.write_field_stats_csv(stats, out)
+    stats = evaluate.analyze_fields(bank)  # a bank has G, N >= 1: at least one row
+    keys = list(stats[0])
+    cloudio.write_lines(args.out, [",".join(keys)]
+                        + [",".join(str(entry[k]) for k in keys) for entry in stats])
     return 0
 
 
@@ -449,6 +430,11 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        # before any output: a value the manifest cannot hold would not replay
+        for action in parser._actions + parser.subcommands[args.command]._actions:
+            value = getattr(args, action.dest, None)
+            if action.option_strings and value is not None:
+                cloudio.check_config_value(action.option_strings[0], value)
     except (OSError, ValueError, KeyError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

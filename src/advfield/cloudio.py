@@ -26,7 +26,11 @@ Formats:
                 ``seg`` or ``det``, and for a segmenter ``n_classes``; every
                 other size of a head is fixed in ``victim``. It stores one
                 array per MLP parameter, ``W1 b1 W2 b2 W3 b3``.
-  * config      flat ``key = value`` text, ``#`` comments: the header rule
+  * text        UTF-8 lines, each followed by one ``\n`` and holding no line
+                break (nothing ``str.splitlines`` splits on): reports,
+                ``.boxes`` rows and configs
+  * config      flat ``key = value`` text, ``#`` comments: the header rule;
+                no value has leading or trailing whitespace
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ def write_cloud(cloud: PointCloud, path) -> None:
     data = np.empty((cloud.n, 4), dtype="<f4")
     data[:, :3] = cloud.xyz
     data[:, 3] = cloud.intensity
-    Path(path).write_bytes(data.tobytes())
+    _create(path).write_bytes(data.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +138,7 @@ def write_labels(path, semantic, instance) -> None:
     if instance.size and (instance.min() < 0 or instance.max() > 0xFFFF):
         raise ValueError("instance ids must fit in 16 bits")
     packed = (semantic | (instance << 16)).astype("<u4")
-    Path(path).write_bytes(packed.tobytes())
+    _create(path).write_bytes(packed.tobytes())
 
 
 def read_labeled_cloud(bin_path, label_path) -> PointCloud:
@@ -170,16 +174,35 @@ def _decode(data: bytes, path, lineno: int) -> str:
         raise FormatError(f"{path}:{lineno}: not UTF-8 text ({err.reason})") from None
 
 
+def _create(path) -> Path:
+    """``path`` as a Path, once the directory that holds it exists."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return Path(path)
+
+
 def read_lines(path) -> list:
     """The lines of a UTF-8 text file; FormatError naming the line of a byte that is not."""
     return _decode(Path(path).read_bytes(), path, 1).splitlines()
+
+
+def write_lines(path, lines) -> None:
+    """Write each of ``lines`` as UTF-8 followed by ``\n``; no lines write 0 bytes.
+
+    ValueError, before anything is created, for a line that :func:`read_lines`
+    would not read back as itself: one holding a line break.
+    """
+    lines = list(lines)
+    for lineno, line in enumerate(lines, 1):
+        if (line + "\n").splitlines() != [line]:
+            raise ValueError(f"{path}: line {lineno} holds a line break: {line!r}")
+    _create(path).write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
 
 
 def write_arrays(path, magic: str, version: int, header: dict, arrays: dict) -> None:
     """Write ``header`` values and named arrays: text lines, then each array's float64 bytes."""
     head = "".join([f"{magic} {version}\n"]
                    + [f"{key} = {value}\n" for key, value in header.items()]).encode("utf-8")
-    with open(path, "wb") as file:
+    with open(_create(path), "wb") as file:
         file.write(head)
         for name, array in arrays.items():
             array = np.ascontiguousarray(array, dtype="<f8")  # a scalar becomes shape (1,)
@@ -246,9 +269,19 @@ def read_config(path) -> dict:
     return _parse_header(read_lines(path), path, 1)
 
 
+def check_config_value(name: str, value) -> None:
+    """ValueError naming ``name`` unless :func:`read_config` reads ``value`` back as itself."""
+    text = str(value)
+    if text != text.strip() or len(text.splitlines()) > 1:
+        raise ValueError(f"{name} {text!r}: a config value holds no line break and no "
+                         "leading or trailing whitespace")
+
+
 def write_config(config: dict, path) -> None:
-    lines = [f"{key} = {value}" for key, value in config.items()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write ``key = value`` lines; ValueError, before writing, for a value it cannot hold."""
+    for key, value in config.items():
+        check_config_value(key, value)
+    write_lines(path, [f"{key} = {value}" for key, value in config.items()])
 
 
 # ---------------------------------------------------------------------------

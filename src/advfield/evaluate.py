@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -401,10 +400,3 @@ def analyze_fields(bank: FieldBank) -> list:
         stats.append(entry)
     return stats
 
-
-def write_field_stats_csv(stats: list, path) -> None:
-    """One CSV row per entry of ``stats``, which holds at least one."""
-    keys = list(stats[0].keys())
-    lines = [",".join(keys)]
-    lines += [",".join(str(entry[k]) for k in keys) for entry in stats]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 
 import numpy as np
@@ -615,9 +615,7 @@ def make_splits(base_seed: int, sizes=(200, 50, 50, 50),
 # ---------------------------------------------------------------------------
 
 def write_scene(scene: Scene, directory, index: int) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    stem = directory / f"{index:06d}"
+    stem = Path(directory) / f"{index:06d}"
     cloudio.write_cloud(scene.cloud, stem.with_suffix(".bin"))
     cloudio.write_labels(stem.with_suffix(".label"), scene.cloud.semantic,
                          scene.cloud.instance)
@@ -628,25 +626,18 @@ def write_scene(scene: Scene, directory, index: int) -> None:
         # np.float64(...), which float() cannot parse back
         values = (*b.center, b.width, b.height, b.length, b.yaw)
         rows.append(" ".join([CLASS_NAMES[sb.class_id], *(repr(float(x)) for x in values)]))
-    stem.with_suffix(".boxes").write_text("\n".join(rows) + ("\n" if rows else ""),
-                                          encoding="utf-8")
+    cloudio.write_lines(stem.with_suffix(".boxes"), rows)
+
+
+# sensor.cfg's keys and value types: SensorSpec's fields, each default of its
+# field's type. Angles stay in radians: a degree round trip can drift by an ulp.
+_SENSOR_KEYS = {f.name: type(f.default) for f in fields(SensorSpec)}
 
 
 def write_sensor_config(sensor: SensorSpec, directory) -> None:
-    # angles stay in radians: a degree round trip can drift by an ulp
-    config = {
-        "origin_height": repr(sensor.origin_height),
-        "channels": str(sensor.channels),
-        "elevation_min": repr(float(sensor.elevation_min)),
-        "elevation_max": repr(float(sensor.elevation_max)),
-        "azimuth_resolution": repr(float(sensor.azimuth_resolution)),
-        "max_range": repr(sensor.max_range),
-        "range_noise": repr(sensor.range_noise),
-        "classes": ",".join(CLASS_NAMES),
-    }
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    cloudio.write_config(config, directory / "sensor.cfg")
+    config = {key: repr(kind(getattr(sensor, key))) for key, kind in _SENSOR_KEYS.items()}
+    config["classes"] = ",".join(CLASS_NAMES)
+    cloudio.write_config(config, Path(directory) / "sensor.cfg")
 
 
 def read_sensor_config(directory) -> SensorSpec:
@@ -656,15 +647,7 @@ def read_sensor_config(directory) -> SensorSpec:
         if config["classes"] != ",".join(CLASS_NAMES):
             raise ValueError(f"classes {config['classes']} are not this build's "
                              f"{','.join(CLASS_NAMES)}")
-        return SensorSpec(
-            origin_height=float(config["origin_height"]),
-            channels=int(config["channels"]),
-            elevation_min=float(config["elevation_min"]),
-            elevation_max=float(config["elevation_max"]),
-            azimuth_resolution=float(config["azimuth_resolution"]),
-            max_range=float(config["max_range"]),
-            range_noise=float(config["range_noise"]),
-        )
+        return SensorSpec(**{key: kind(config[key]) for key, kind in _SENSOR_KEYS.items()})
     except KeyError as err:
         raise cloudio.FormatError(f"{path}: missing key {err}") from None
     except ValueError as err:
@@ -697,6 +680,15 @@ def load_scene(directory, index: int, sensor: SensorSpec) -> Scene:
             raise cloudio.FormatError(f"{path}:{lineno}: {err}") from None
         boxes.append(SceneBox(CLASS_NAMES.index(words[0]), box))
     return Scene(sensor=sensor, cloud=cloud, boxes=boxes)
+
+
+def write_split(scenes, directory, sensor: SensorSpec) -> None:
+    """Write ``scenes``, all cast by ``sensor``, as the split directory that
+    :func:`load_split` reads: ``sensor.cfg``, then scene ``i`` as
+    ``<i>.bin``, ``<i>.label`` and ``<i>.boxes`` with ``i`` in six digits."""
+    write_sensor_config(sensor, directory)
+    for index, scene in enumerate(scenes):
+        write_scene(scene, directory, index)
 
 
 def load_split(directory) -> list:

@@ -762,18 +762,13 @@ def train_seg(scenes, n_classes: int, epochs: int, lr: float, seed,
         if n > SEG_POINTS_PER_SCENE:
             # class-balanced subsample: rare classes keep their gradient share
             p = weights[cloud.semantic]
-            total = p.sum()
-            if total <= 0:
-                return None
-            rows = rng.choice(n, size=SEG_POINTS_PER_SCENE, replace=False, p=p / total)
+            rows = rng.choice(n, size=SEG_POINTS_PER_SCENE, replace=False, p=p / p.sum())
         else:
             rows = np.arange(n)
         probs, tape = model.forward(cloud, rows=rows)
         labels = cloud.semantic[rows]
         w = np.sqrt(weights[labels])
         denom = w.sum()
-        if denom <= 0:
-            return None
         picked = probs[np.arange(len(rows)), labels]
         loss = float(-(w * np.log(np.maximum(picked, 1e-12))).sum() / denom)
         dlogits = probs.copy()

@@ -741,6 +741,25 @@ def test_an_iou_threshold_outside_0_1_exits_2_and_writes_nothing(detection, thr,
     assert not out.exists()
 
 
+def test_an_out_value_with_a_line_break_exits_2_and_writes_nothing(tmp_path, capsys):
+    # the manifest would hold the line "objects = 2", which a replay then obeys
+    out = f"{tmp_path / 'data'}\nobjects = 2"
+    assert run("simulate", "--sizes", "1,0,0,0", "--channels", 8, "--azimuth-res-deg", 2,
+               "--out", out) == cli.EXIT_CONFIG
+    assert f"--out {out!r}: a config value holds no line break" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_out_value_with_surrounding_whitespace_exits_2_and_writes_nothing(
+        pipeline, tmp_path, monkeypatch, capsys):
+    # the manifest would hold "out =  sp", which a replay reads as "sp"
+    monkeypatch.chdir(tmp_path)
+    assert run("analyze-fields", "--bank", pipeline / "bank" / "car.vfb",
+               "--out", " sp") == cli.EXIT_CONFIG
+    assert "--out ' sp': a config value holds no line break" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_the_thread_count_ignores_the_environment(pipeline, tmp_path, monkeypatch):
     monkeypatch.setenv("ADVFIELD_THREADS", "abc")
     out = tmp_path / "stats.csv"

@@ -601,6 +601,51 @@ class TestConfig:
         with pytest.raises(FormatError):
             cloudio.read_config(path)
 
+    @pytest.mark.parametrize("value", ["a\nb = 2", " sp", "sp ", "\x85sp", "a\u2028b"])
+    def test_a_value_the_reader_would_not_read_back_is_refused(self, tmp_path, value):
+        path = tmp_path / "new" / "run.cfg"
+        with pytest.raises(ValueError, match="out '.*': a config value holds no line break"):
+            cloudio.write_config({"seed": "3", "out": value}, path)
+        assert not any(tmp_path.iterdir())
+
+
+# every character str.splitlines splits a line on, "\r\n" aside
+LINE_BREAKS = ["\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestTextLines:
+    def test_lines_read_back_bit_equal(self, tmp_path):
+        lines = ["iteration,loss", "", "0,0.1", "  indented\ttab ", "ünïcode ☃ \U0001f600", "# x"]
+        path = tmp_path / "new" / "dir" / "lines.txt"
+        cloudio.write_lines(path, lines)
+        assert path.read_bytes() == "".join(f"{line}\n" for line in lines).encode("utf-8")
+        assert cloudio.read_lines(path) == lines
+
+    def test_no_lines_write_0_bytes(self, tmp_path):
+        cloudio.write_lines(tmp_path / "empty.txt", [])
+        assert (tmp_path / "empty.txt").read_bytes() == b""
+        assert cloudio.read_lines(tmp_path / "empty.txt") == []
+
+    def test_the_boxes_of_a_scene_without_boxes_are_0_bytes(self, tmp_path):
+        sensor = simulator.SensorSpec(channels=8, azimuth_resolution=math.radians(4.0))
+        scene = simulator.generate_scene(0, "normal", 2, sensor)
+        scene.boxes = []
+        simulator.write_scene(scene, tmp_path, 0)
+        assert (tmp_path / "000000.boxes").read_bytes() == b""
+
+    def test_the_breaks_are_those_of_splitlines(self):
+        found = [c for c in map(chr, range(0x10000)) if len(f"a{c}b".splitlines()) > 1]
+        assert found == LINE_BREAKS
+        assert "a\r\nb".splitlines() == ["a", "b"]
+
+    @pytest.mark.parametrize("where", ["a{}b", "{}b", "a{}"])
+    @pytest.mark.parametrize("brk", LINE_BREAKS + ["\r\n"], ids=ascii)
+    def test_a_line_holding_a_break_is_refused_and_writes_nothing(self, tmp_path, brk, where):
+        line = where.format(brk)
+        with pytest.raises(ValueError, match="line 2 holds a line break"):
+            cloudio.write_lines(tmp_path / "new" / "lines.txt", ["ok", line])
+        assert not any(tmp_path.iterdir())
+
 
 class TestPointCloudInvariants:
     def test_rejects_mismatched_lengths(self):

@@ -18,6 +18,7 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 WORKLOADS = TRACING.with_name("workloads.py")
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(advfield.__path__, "advfield."))
+SOURCES = sorted(Path(advfield.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -27,8 +28,7 @@ def test_every_export_resolves(name):
     assert not missing, f"{name}.__all__ names undefined {missing}"
 
 
-@pytest.mark.parametrize("path", sorted(Path(advfield.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_the_runtime_imports_numpy_and_the_standard_library_alone(path):
     allowed = sys.stdlib_module_names | {"__future__", "numpy"}
     foreign = []
@@ -41,6 +41,23 @@ def test_the_runtime_imports_numpy_and_the_standard_library_alone(path):
             continue
         foreign += [name for name in names if name.split(".")[0] not in allowed]
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes", "mkdir"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_cloudio_opens_or_creates_files(path):
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in FILE_CALLS:
+                calls.append(f"{path.name}:{node.lineno}: {name}")
+    if path.name == "cloudio.py":
+        assert calls  # the check sees the file calls of the one module that makes them
+    else:
+        assert not calls, calls
 
 
 def _wrapped_names() -> list:

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from advfield import simulator
+from advfield import cloudio, simulator
 from advfield.geometry import OrientedBox
 from advfield.simulator import CAR
 
@@ -49,6 +49,66 @@ def test_sensor_config_creates_its_directory(tmp_path):
     directory = tmp_path / "new" / "split"
     simulator.write_sensor_config(sensor, directory)
     assert simulator.read_sensor_config(directory) == sensor
+
+
+def test_write_split_is_what_load_split_reads(tmp_path):
+    sensor = simulator.SensorSpec(channels=8, azimuth_resolution=math.radians(2.0))
+    scenes = [simulator.generate_scene(seed, "rare", 3, sensor) for seed in (4, 9)]
+    directory = tmp_path / "new" / "split"
+    simulator.write_split(scenes, directory, sensor)
+    assert sorted(p.name for p in directory.iterdir()) == [
+        "000000.bin", "000000.boxes", "000000.label",
+        "000001.bin", "000001.boxes", "000001.label", "sensor.cfg"]
+    back = simulator.load_split(directory)
+    assert [scene.sensor for scene in back] == [sensor, sensor]
+    for written, read in zip(scenes, back):
+        assert np.array_equal(written.cloud.semantic, read.cloud.semantic)
+        assert len(written.boxes) == len(read.boxes)
+    simulator.write_split([], tmp_path / "none", sensor)
+    assert [p.name for p in (tmp_path / "none").iterdir()] == ["sensor.cfg"]
+
+
+DESK_SENSOR = simulator.SensorSpec(channels=20, elevation_min=math.radians(-15.0),
+                                   elevation_max=math.radians(4.0),
+                                   azimuth_resolution=math.radians(0.7))
+
+# sensor.cfg as the per-key writer wrote it, for the default and the desk sensor
+SENSOR_CFG = {
+    "default": (simulator.SensorSpec(),
+                b"origin_height = 1.7\nchannels = 32\nelevation_min = -0.4363323129985824\n"
+                b"elevation_max = 0.05235987755982989\n"
+                b"azimuth_resolution = 0.006981317007977318\nmax_range = 80.0\n"
+                b"range_noise = 0.01\nclasses = ground,car,person,building,vegetation\n"),
+    "desk": (DESK_SENSOR,
+             b"origin_height = 1.7\nchannels = 20\nelevation_min = -0.2617993877991494\n"
+             b"elevation_max = 0.06981317007977318\n"
+             b"azimuth_resolution = 0.012217304763960306\nmax_range = 80.0\n"
+             b"range_noise = 0.01\nclasses = ground,car,person,building,vegetation\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SENSOR_CFG))
+def test_sensor_config_bytes_are_fixed(name, tmp_path):
+    sensor, expected = SENSOR_CFG[name]
+    simulator.write_sensor_config(sensor, tmp_path)
+    assert (tmp_path / "sensor.cfg").read_bytes() == expected
+    assert simulator.read_sensor_config(tmp_path) == sensor
+
+
+SENSOR_KEYS = ["origin_height", "channels", "elevation_min", "elevation_max",
+               "azimuth_resolution", "max_range", "range_noise", "classes"]
+
+
+def test_every_sensor_config_line_is_read(tmp_path):
+    simulator.write_sensor_config(DESK_SENSOR, tmp_path)
+    path = tmp_path / "sensor.cfg"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [line.partition(" = ")[0] for line in lines] == SENSOR_KEYS
+    for at, key in enumerate(SENSOR_KEYS):
+        path.write_text("".join(f"{line}\n" for line in lines[:at] + lines[at + 1:]),
+                        encoding="utf-8")
+        with pytest.raises(cloudio.FormatError, match=f"sensor.cfg: missing key '{key}'"):
+            simulator.read_sensor_config(tmp_path)
 
 
 def test_paired_domains_share_their_non_car_points():

@@ -115,6 +115,15 @@ def test_train_seg_draws_a_class_balanced_subsample_of_a_large_cloud(monkeypatch
         assert value.tobytes() == second.mlp.params[name].tobytes(), name
 
 
+@pytest.mark.parametrize("scenes", [0, 3])
+def test_train_seg_skips_an_empty_cloud(scenes):
+    # without the skip, the empty cloud's loss would be 0 / 0
+    clouds = tiny_scenes(scenes)[0] + [PointCloud.unlabeled(np.zeros((0, 3)), np.zeros(0))]
+    model = train_seg(clouds, 5, epochs=2, lr=0.01, seed=7)
+    for name, value in model.mlp.params.items():
+        assert np.all(np.isfinite(value)), name
+
+
 def test_predict_on_an_empty_cloud_is_an_empty_int32_array():
     model = SegNetMini(5)
     model.init_random(0)
