@@ -8,10 +8,11 @@ touches a point outside the target object's box.
 
 Both attacks run one PGD loop on the untargeted loss of the whole scene
 (:func:`attack.untargeted_objective`). Each step moves every attacked point
-by ``lr`` along its normalized spatial gradient, plus an optional penalty
-gradient; moves each intensity offset by ``lr`` against the sign of its
-gradient, which is zero where the raw intensity already sits at a clip bound
-of [0, 1]; and then projects the offsets back into the attack's budget.
+by the fixed step size ``STEP`` (0.05) along its normalized spatial
+gradient, plus an optional penalty gradient; moves each intensity offset by
+``STEP`` against the sign of its gradient, which is zero where the raw
+intensity already sits at a clip bound of [0, 1]; and then projects the
+offsets back into the attack's budget. No caller sets another step size.
 
 Each call runs the victim once on the cloud it is given. Every step after
 that runs it only on the voxels that the attacked points occupy before or
@@ -30,6 +31,9 @@ from .attack import touched_loss_and_grads, untargeted_objective
 from .cloudio import PointCloud
 from .field import check_budget
 from .geometry import OrientedBox, box_contains_many
+
+# the step of every PGD iteration, in meters and in intensity units
+STEP = 0.05
 
 
 def chamfer_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -61,8 +65,7 @@ def _normalized_rows(g: np.ndarray) -> np.ndarray:
     return g / np.maximum(norms, 1e-12)
 
 
-def _pgd(cloud: PointCloud, idx, victim, iters: int, lr: float, project,
-         penalty=None) -> tuple:
+def _pgd(cloud: PointCloud, idx, victim, iters: int, project, penalty=None) -> tuple:
     """The spatial and intensity offsets of the points ``idx`` after PGD.
 
     ``penalty(offsets)``, if given, is added to the spatial gradient of the
@@ -83,16 +86,16 @@ def _pgd(cloud: PointCloud, idx, victim, iters: int, lr: float, project,
             raise RuntimeError("victim produced a non-finite baseline loss")
         if penalty is not None:
             dpos = dpos + penalty(offsets)
-        offsets -= lr * _normalized_rows(dpos)
+        offsets -= STEP * _normalized_rows(dpos)
         raw_tau = cloud.intensity[idx] + tau_shift
         g_tau = np.where((raw_tau <= 0.0) | (raw_tau >= 1.0), 0.0, dtau)
-        tau_shift -= lr * np.sign(g_tau)
+        tau_shift -= STEP * np.sign(g_tau)
         project(offsets, tau_shift)
     return offsets, tau_shift
 
 
 def _l2_attack(cloud: PointCloud, box: OrientedBox, victim, eps: float, psi: float,
-               iters: int, lr: float, active=None) -> _L2Result:
+               iters: int, active=None) -> _L2Result:
     """Per-point PGD with each spatial offset in the eps ball and each
     intensity offset in [-psi, psi].
 
@@ -108,20 +111,18 @@ def _l2_attack(cloud: PointCloud, box: OrientedBox, victim, eps: float, psi: flo
         offsets *= np.minimum(1.0, eps / np.maximum(norms, 1e-12))
         np.clip(tau_shift, -psi, psi, out=tau_shift)
 
-    offsets, tau_shift = _pgd(cloud, idx, victim, iters, lr, project)
+    offsets, tau_shift = _pgd(cloud, idx, victim, iters, project)
     return _L2Result(_apply_offsets(cloud, idx, offsets, tau_shift), idx, offsets)
 
 
 def iterative_gradient_l2(cloud: PointCloud, box: OrientedBox, victim,
-                          eps: float = 0.3, psi: float = 0.3, iters: int = 10,
-                          lr: float = 0.05) -> PointCloud:
+                          eps: float = 0.3, psi: float = 0.3, iters: int = 10) -> PointCloud:
     """Free per-point attack with an L2 ball per point (no ray constraint)."""
-    return _l2_attack(cloud, box, victim, eps, psi, iters, lr).cloud
+    return _l2_attack(cloud, box, victim, eps, psi, iters).cloud
 
 
 def chamfer_attack(cloud: PointCloud, box: OrientedBox, victim, lam: float = 0.1,
-                   eps: float = 0.3, psi: float = 0.3, iters: int = 10,
-                   lr: float = 0.05) -> PointCloud:
+                   eps: float = 0.3, psi: float = 0.3, iters: int = 10) -> PointCloud:
     """Per-point attack regularized by the Chamfer distance to the object.
 
     Minimizes loss + lam * C(deformed, original) over the object points; the
@@ -154,14 +155,14 @@ def chamfer_attack(cloud: PointCloud, box: OrientedBox, victim, lam: float = 0.1
         if mean_tau > psi:
             tau_shift *= psi / mean_tau
 
-    offsets, tau_shift = _pgd(cloud, idx, victim, iters, lr, project, penalty)
+    offsets, tau_shift = _pgd(cloud, idx, victim, iters, project, penalty)
     return _apply_offsets(cloud, idx, offsets, tau_shift)
 
 
 def critical_points(cloud: PointCloud, box: OrientedBox, victim, eps: float = 0.3,
-                    psi: float = 0.3, iters: int = 10, lr: float = 0.05) -> np.ndarray:
+                    psi: float = 0.3, iters: int = 10) -> np.ndarray:
     """Cloud indices of the ceil(10%) object points the L2 attack moves furthest."""
-    result = _l2_attack(cloud, box, victim, eps, psi, iters, lr)
+    result = _l2_attack(cloud, box, victim, eps, psi, iters)
     n_obj = len(result.object_idx)
     if n_obj == 0:
         return np.zeros(0, dtype=np.int64)
@@ -172,24 +173,22 @@ def critical_points(cloud: PointCloud, box: OrientedBox, victim, eps: float = 0.
 
 
 def adversarial_removal(cloud: PointCloud, box: OrientedBox, victim,
-                        eps: float = 0.3, psi: float = 0.3, iters: int = 10,
-                        lr: float = 0.05) -> PointCloud:
+                        eps: float = 0.3, psi: float = 0.3, iters: int = 10) -> PointCloud:
     """Delete the critical points (positions, intensities, and labels)."""
-    drop = critical_points(cloud, box, victim, eps, psi, iters, lr)
+    drop = critical_points(cloud, box, victim, eps, psi, iters)
     keep = np.setdiff1d(np.arange(cloud.n), drop)
     return PointCloud(cloud.xyz[keep], cloud.intensity[keep],
                       cloud.semantic[keep], cloud.instance[keep])
 
 
 def adversarial_generation(cloud: PointCloud, box: OrientedBox, victim,
-                           eps: float = 0.3, psi: float = 0.3, iters: int = 10,
-                           lr: float = 0.05) -> PointCloud:
+                           eps: float = 0.3, psi: float = 0.3, iters: int = 10) -> PointCloud:
     """Append copies of the critical points and attack only the copies.
 
     The original points are left bit-identical; the appended points start at
     the critical locations and then move under the L2 attack.
     """
-    source = critical_points(cloud, box, victim, eps, psi, iters, lr)
+    source = critical_points(cloud, box, victim, eps, psi, iters)
     if source.size == 0:
         return cloud.copy()
     grown = PointCloud(
@@ -199,4 +198,4 @@ def adversarial_generation(cloud: PointCloud, box: OrientedBox, victim,
         np.concatenate([cloud.instance, cloud.instance[source]]),
     )
     added = np.arange(cloud.n, grown.n)
-    return _l2_attack(grown, box, victim, eps, psi, iters, lr, active=added).cloud
+    return _l2_attack(grown, box, victim, eps, psi, iters, active=added).cloud

@@ -99,7 +99,7 @@ def _sensor_from_args(args) -> simulator.SensorSpec:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     out = Path(args.out)
     sensor = _sensor_from_args(args)
     if args.domain == "splits":
@@ -108,18 +108,25 @@ def cmd_simulate(args) -> int:
             raise ValueError("--sizes needs four counts >= 0: train,val,ood-rare,ood-damaged")
         splits = simulator.make_splits(args.seed, sizes=sizes, sensor=sensor,
                                        n_objects=args.objects)
-        for name, scenes in splits.items():
-            simulator.write_split(scenes, out / name, sensor)
     else:
         def build(index):
             return simulator.generate_scene(args.seed + index, args.domain,
                                             args.objects, sensor)
-        scenes = parallel_map(build, range(args.scenes), args.threads)
-        simulator.write_split(scenes, out, sensor)
-    return 0
+        # one split, written to --out itself
+        splits = {"": parallel_map(build, range(args.scenes), args.threads)}
+    crowded = []
+    for name, scenes in splits.items():
+        simulator.write_split(scenes, out / name, sensor)
+        crowded += [f"{Path(name, f'{index:06d}')} ({len(scene.boxes)})"
+                    for index, scene in enumerate(scenes)
+                    if args.objects is not None and len(scene.boxes) < args.objects]
+    if crowded:
+        total = sum(len(scenes) for scenes in splits.values())
+        print(f"simulate: {len(crowded)} of {total} scenes had no room for all {args.objects} "
+              "objects and hold fewer; scene (objects): " + " ".join(crowded), file=sys.stderr)
 
 
-def cmd_train_victim(args) -> int:
+def cmd_train_victim(args) -> None:
     scenes = simulator.load_split(args.data)
     bank = cloudio.load_bank(args.augment_bank) if args.augment_bank else None
     n_classes = len(simulator.CLASS_NAMES)
@@ -131,10 +138,9 @@ def cmd_train_victim(args) -> int:
         model = evaluate.train_augmented_det(scenes, bank, car, args.epochs,
                                              args.lr, args.seed)
     victim_mod.save_checkpoint(model, args.out)
-    return 0
 
 
-def cmd_attack(args) -> int:
+def cmd_attack(args) -> None:
     scenes = simulator.load_split(args.data)
     model = victim_mod.load_checkpoint(args.victim)
     class_id = simulator.CLASS_NAMES.index(args.cls)
@@ -162,10 +168,9 @@ def cmd_attack(args) -> int:
     cloudio.save_bank(bank, out)
     cloudio.write_lines(out.with_suffix(".trace.csv"), ["iteration,loss"]
                         + [f"{i},{loss!r}" for i, loss in enumerate(trace.losses)])
-    return 0
 
 
-def cmd_baseline_attack(args) -> int:
+def cmd_baseline_attack(args) -> None:
     scenes = simulator.load_split(args.data)
     model = victim_mod.load_checkpoint(args.victim)
     class_id = simulator.CLASS_NAMES.index(args.cls)
@@ -186,10 +191,9 @@ def cmd_baseline_attack(args) -> int:
             cloud = fn(cloud, box, model, **kwargs)
         cloudio.write_cloud(cloud, out / f"{index:06d}.bin")
         cloudio.write_labels(out / f"{index:06d}.label", cloud.semantic, cloud.instance)
-    return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     scenes = simulator.load_split(args.data)
     model = victim_mod.load_checkpoint(args.victim)
     n_classes = len(simulator.CLASS_NAMES)
@@ -218,8 +222,8 @@ def cmd_eval(args) -> int:
             for p, s in zip(pred, scenes)))
         if "miou" in wanted:
             lines = ["class,iou,valid"]
-            lines += [f"{name},{result.iou[i]!r},{int(result.valid[i])}"
-                      for i, name in enumerate(simulator.CLASS_NAMES)]
+            lines += [f"{name},{iou!r},{int(valid)}" for name, iou, valid
+                      in zip(simulator.CLASS_NAMES, result.iou.tolist(), result.valid)]
             lines.append(f"mean,{result.mean!r},1")
             cloudio.write_lines(out / "miou.csv", lines)
             summary.append(f"miou {result.mean:.4f}")
@@ -230,17 +234,16 @@ def cmd_eval(args) -> int:
             all_xyz = np.concatenate([s.cloud.xyz for s in scenes])
             ious, valid = evaluate.distance_binned_iou(
                 all_pred, all_lab, all_xyz, scenes[0].sensor.origin, n_classes)
-            for b in range(ious.shape[0]):
-                for c, name in enumerate(simulator.CLASS_NAMES):
-                    rows.append(f"{b * evaluate.DISTANCE_BIN_M},{name},{ious[b, c]!r},"
-                                f"{int(valid[b, c])}")
+            for b, (bin_ious, bin_valid) in enumerate(zip(ious.tolist(), valid)):
+                for name, iou, ok in zip(simulator.CLASS_NAMES, bin_ious, bin_valid):
+                    rows.append(f"{b * evaluate.DISTANCE_BIN_M},{name},{iou!r},{int(ok)}")
             cloudio.write_lines(out / "distance_bins.csv", rows)
             summary.append("distance-bins written")
         if "intensity-suite" in wanted:
             table = evaluate.intensity_suite(model, scenes, n_classes, result, seed=args.seed)
             rows = ["transform,miou," + ",".join(simulator.CLASS_NAMES)]
             for name, row in table.items():
-                per = ",".join(repr(v) for v in row.iou)
+                per = ",".join(map(repr, row.iou.tolist()))
                 rows.append(f"{name},{row.mean!r},{per}")
             cloudio.write_lines(out / "intensity_suite.csv", rows)
             summary.append("intensity-suite written")
@@ -267,16 +270,14 @@ def cmd_eval(args) -> int:
             summary.append(f"asr {asr:.1f}%")
 
     cloudio.write_lines(out / "summary.txt", summary)
-    return 0
 
 
-def cmd_analyze_fields(args) -> int:
+def cmd_analyze_fields(args) -> None:
     bank = cloudio.load_bank(args.bank)
     stats = evaluate.analyze_fields(bank)  # a bank has G, N >= 1: at least one row
     keys = list(stats[0])
     cloudio.write_lines(args.out, [",".join(keys)]
                         + [",".join(str(entry[k]) for k in keys) for entry in stats])
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -435,23 +436,18 @@ def main(argv=None) -> int:
             value = getattr(args, action.dest, None)
             if action.option_strings and value is not None:
                 cloudio.check_config_value(action.option_strings[0], value)
-    except (OSError, ValueError, KeyError) as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        code = args.func(args)
-    except (OSError, cloudio.FormatError, ValueError, KeyError) as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as err:
-        print(f"numeric failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    if code == 0:
+        args.func(args)
         out = Path(args.out)
         manifest = (out / "manifest.cfg" if out.is_dir()
                     else out.with_name(f"{out.name}.manifest.cfg"))
         write_manifest(args, manifest, started)
-    return code
+    except (OSError, ValueError, KeyError) as err:
+        print(f"configuration error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (RuntimeError, FloatingPointError) as err:
+        print(f"numeric failure: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
+    return 0
 
 
 if __name__ == "__main__":

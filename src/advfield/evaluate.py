@@ -205,8 +205,6 @@ def average_precision(detections, ground_truths, iou_thr: float) -> float:
     """Area under the precision envelope over recall (no point sampling)."""
     if not ground_truths:
         return 0.0
-    if not detections:
-        return 0.0
     order, is_tp = _match_matrix(detections, ground_truths, iou_thr)
     tp = np.cumsum(is_tp[order])
     fp = np.cumsum(~is_tp[order])
@@ -368,7 +366,7 @@ def analyze_fields(bank: FieldBank) -> list:
     scheme = GroupScheme(bank.groups)
     w0, h0, l0 = bank.dims
     start = make_bank(bank.class_id, bank.class_name, bank.dims, bank.step, bank.groups,
-                      bank.variants, bank.seed)
+                      bank.variants, bank.seed, bank.eps, bank.psi)
     face = _face_of(bank.fields[0].roots)
     stats = []
     for fld, initial in zip(bank.fields, start.fields):

@@ -248,7 +248,7 @@ def _window_candidates(points: np.ndarray, box: OrientedBox, field: VectorField,
     ix, iy, iz = (starts[:, axis, None] + np.arange(widths[axis]) for axis in range(3))
     ny, nz = counts[1], counts[2]
     cand = (ix[:, :, None, None] * ny + iy[:, None, :, None]) * nz + iz[:, None, None, :]
-    return cand.reshape(len(points), -1)
+    return cand.reshape(len(points), math.prod(widths))
 
 
 def plan_deformation(cloud: PointCloud, box: OrientedBox, field: VectorField,
@@ -281,10 +281,6 @@ def plan_deformation(cloud: PointCloud, box: OrientedBox, field: VectorField,
     if np.any(norms < 1e-12):
         raise ValueError("point coincides with the sensor; ray undefined")
     rays = deltas / norms[:, None]
-
-    if len(inside) == 0:
-        return DeformationPlan(inside, np.zeros((0, k_eff), dtype=np.int64),
-                               np.zeros((0, k_eff)), rays, box.yaw)
 
     roots = anchor(field, box)
     cand = _window_candidates(points, box, field, k_eff)
@@ -323,8 +319,6 @@ def deform(cloud: PointCloud, plan: DeformationPlan, field: VectorField) -> Poin
     and is clipped back to [0, 1]. Labels never change.
     """
     out = cloud.copy()
-    if plan.n_affected == 0:
-        return out
     vsum, tau_sum = _weighted_world_vectors(plan, field)
     along = np.einsum("ac,ac->a", vsum, plan.rays)
     out.xyz[plan.point_idx] += along[:, None] * plan.rays
@@ -390,8 +384,6 @@ class ShiftJacobian:
         """
         plan = self.plan
         grad = np.zeros((field_size, 4))
-        if plan.n_affected == 0:
-            return grad
         roots = plan.neighbor_idx.ravel()
         along = np.einsum("ac,ac->a", np.asarray(d_positions, dtype=float), plan.rays)
         # world-frame gradient per (point, neighbor): w_ij * (u . dL/dp') * u

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 
@@ -95,6 +94,10 @@ class SensorSpec:
     range_noise: float = 0.01
 
     def __post_init__(self):
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{spec.name} {value!r} is not a finite number")
         if self.channels < 2:
             raise ValueError("need at least 2 elevation channels")
         if self.azimuth_resolution <= 0:
@@ -403,7 +406,8 @@ def generate_scene(seed: int, domain: str = "normal", n_objects: int | None = No
 
     Layout (poses, non-car shapes, reflectivities, object count) depends only
     on the seed; the domain influences nothing but car shapes, so scenes from
-    one seed pair across domains.
+    one seed pair across domains. An object that finds no room is left out,
+    so ``scene.boxes`` may hold fewer than ``n_objects`` boxes.
     """
     seed = int(seed)
     layout_rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
@@ -462,8 +466,7 @@ def generate_scene(seed: int, domain: str = "normal", n_objects: int | None = No
             crown_lift = float(layout_rng.uniform(2.0, 3.0))
             spot = try_place(_horizontal_clearance(class_id, w, l))
             dents, roughness = [], float(layout_rng.uniform(0.05, 0.2))
-        if spot is None:
-            warnings.warn(f"scene {seed}: no room for object {index}, placing fewer")
+        if spot is None:  # no room: the scene holds fewer objects
             continue
         x, y = spot
         center_z = h / 2.0 + (crown_lift if kind == "vegetation" else 0.0)
@@ -587,8 +590,7 @@ def raycast(objects: list, sensor: SensorSpec, seed: int) -> PointCloud:
     )
 
 
-def make_splits(base_seed: int, sizes=(200, 50, 50, 50),
-                sensor: SensorSpec = SensorSpec(), n_objects: int | None = None) -> dict:
+def make_splits(base_seed: int, sizes, sensor: SensorSpec, n_objects: int | None) -> dict:
     """Generate the four desk splits as {name: [Scene, ...]}.
 
     Integer seed ranges of train and val are disjoint; the two OOD splits

@@ -44,8 +44,10 @@ for the segmenter, 64 x 64 anchors of 2 m and a 32-wide MLP for the detector.
 A checkpoint header holds only the kind and a segmenter's ``n_classes``.
 
 The detector builds its fixed anchor grid (centers, bearings, view-frame
-rotations) once, and ``DetHeadMini.proposals`` is the one proposal rule of
-attack and evaluation. ``DetHeadMini.box_targets`` builds the training
+rotations) once. That one bearing table serves pooling, training targets,
+box decoding and the input gradient's adjoint, so targets are encoded in
+the frame they are decoded in. ``DetHeadMini.proposals`` is the one proposal
+rule of attack and evaluation. ``DetHeadMini.box_targets`` builds the training
 targets of a box list, testing each box only against the anchors it can
 reach. ``train_seg`` and ``train_det`` share one loop, ``_train``, and
 supply only their seed streams and a per-scene step.
@@ -53,7 +55,6 @@ supply only their seed streams and a per-scene step.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -342,7 +343,8 @@ class DetHeadMini:
 
     The grid is built once: ``centers``, their ``bearings`` phi from the
     sensor, and cos/sin of phi and 2 phi (``cos_p``, ``sin_p``, ``cos2``,
-    ``sin2``), which rotate into each anchor's view frame.
+    ``sin2``), which rotate into each anchor's view frame. Pooling, targets,
+    decoding and the adjoint all read this one table.
     """
 
     N_FEATURES = 8
@@ -361,8 +363,12 @@ class DetHeadMini:
         half_height = np.full(self.n_anchors, CANONICAL_CAR_DIMS[1] / 2.0)
         self.centers = np.column_stack([(ix + 0.5) * self.stride - self.area,
                                         (iy + 0.5) * self.stride - self.area, half_height])
-        self.bearings = np.arctan2(self.centers[:, 1], self.centers[:, 0])
-        self.cos_p, self.sin_p = np.cos(self.bearings), np.sin(self.bearings)
+        # math, not numpy: np.arctan2, np.cos and np.sin may round differently,
+        # and every trained detector depends on this table bit for bit
+        bearings = [math.atan2(y, x) for x, y in self.centers[:, :2].tolist()]
+        self.bearings = np.array(bearings)
+        self.cos_p = np.array([math.cos(phi) for phi in bearings])
+        self.sin_p = np.array([math.sin(phi) for phi in bearings])
         self.cos2, self.sin2 = np.cos(2 * self.bearings), np.sin(2 * self.bearings)
 
     def init_random(self, seed) -> None:
@@ -475,16 +481,6 @@ class DetHeadMini:
             for i in range(len(anchors))
         ]
 
-    @functools.cached_property
-    def _target_bearings(self):
-        """Per anchor, ``math.atan2`` of its center and that bearing's
-        ``math.cos`` and ``math.sin``. They differ from the stored numpy
-        ``bearings`` in the last bit on some anchors, and every trained
-        detector depends on them bit for bit."""
-        phi = [math.atan2(y, x) for x, y in self.centers[:, :2].tolist()]
-        return (np.array(phi), np.array([math.cos(p) for p in phi]),
-                np.array([math.sin(p) for p in phi]))
-
     def _cells_within(self, center: float, reach: float) -> np.ndarray:
         """Grid indices along one axis of the cells that meet
         [center - reach, center + reach], clamped to the grid; never empty,
@@ -533,7 +529,7 @@ class DetHeadMini:
         log_sizes = np.array([[math.log(box.width / w0), math.log(box.height / h0),
                                math.log(box.length / l0)] for box in boxes])[owner]
 
-        phi, cos_p, sin_p = (values[anchors] for values in self._target_bearings)
+        phi, cos_p, sin_p = self.bearings[anchors], self.cos_p[anchors], self.sin_p[anchors]
         dx = box_centers[:, 0] - centers[anchors, 0]
         dy = box_centers[:, 1] - centers[anchors, 1]
         angle = (2 * (yaw - phi)).tolist()

@@ -1,6 +1,7 @@
 """The CLI in-process on a tiny split: run, replay from manifests, exit codes."""
 
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,40 @@ def test_single_domain_simulate_writes_generate_scene_in_order(tmp_path):
         assert len(data_files(out)) == 3 * 3
 
 
+def test_crowded_scenes_are_named_on_stderr(tmp_path, capsys):
+    # 120 objects find no room in one scene; the library does not warn
+    sensor = TINY[4:]
+    one = tmp_path / "one"
+    assert run("--threads", 1, "simulate", "--domain", "normal", "--scenes", 1,
+               "--objects", 120, "--out", one, *sensor) == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    (scene,) = simulator.load_split(one)
+    assert 0 < len(scene.boxes) < 120
+    assert line.startswith("simulate: 1 of 1 scenes had no room for all 120 objects")
+    assert line.endswith(f"scene (objects): 000000 ({len(scene.boxes)})")
+    splits = tmp_path / "splits"
+    assert run("simulate", "--sizes", "1,1,0,0", "--objects", 120, "--out", splits,
+               *sensor) == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    counts = [len(simulator.load_split(splits / name)[0].boxes) for name in ("train", "val")]
+    assert line.startswith("simulate: 2 of 2 scenes had no room")
+    assert line.endswith(f"train/000000 ({counts[0]}) val/000000 ({counts[1]})")
+    assert run("simulate", "--sizes", "1,1,0,0", "--out", tmp_path / "roomy", *TINY[2:]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_non_finite_sensor_config_exits_2(pipeline, tmp_path, capsys):
+    data = Path(shutil.copytree(pipeline / "data" / "val", tmp_path / "val"))
+    config = data / "sensor.cfg"
+    config.write_bytes(rewrite_line(config.read_bytes(), "origin_height = ",
+                                    "origin_height = nan"))
+    out = tmp_path / "eval"
+    assert run("eval", "--victim", pipeline / "victim" / "seg.ckpt", "--data", data,
+               "--metrics", "miou,distance-bins", "--out", out) == cli.EXIT_CONFIG
+    assert "sensor.cfg: origin_height nan is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_victim_exits_3(pipeline, tmp_path):
     model = victim.load_checkpoint(pipeline / "victim" / "seg.ckpt")
     model.mlp.params["W1"][:] = np.nan
@@ -270,6 +305,11 @@ def test_segmentation_eval_writes_its_reports_and_replays(pipeline):
     assert len(bins) == 1 + 8 * len(simulator.CLASS_NAMES)
     assert bins[-1].startswith("70,")
     assert len((out / "intensity_suite.csv").read_text(encoding="utf-8").splitlines()) == 8
+    # every cell after the label columns is a plain number, e.g. never np.float64(...)
+    for name, labels in (("miou.csv", 1), ("distance_bins.csv", 2), ("intensity_suite.csv", 1)):
+        for row in (out / name).read_text(encoding="utf-8").splitlines()[1:]:
+            for cell in row.split(",")[labels:]:
+                float(cell)
     replay = pipeline / "seg-eval-replay"
     assert run("eval", "--config", out / "manifest.cfg", "--out", replay) == 0
     for name in SEG_REPORTS:

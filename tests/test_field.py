@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from advfield import simulator
+from advfield import evaluate, simulator
 from advfield.attack import AttackConfig
 from advfield.cloudio import PointCloud
 from advfield.field import (COINCIDENT_EPS, FieldBank, build_lattice, deform,
@@ -471,6 +471,34 @@ class TestShiftJacobian:
         assert planned >= 3
 
 
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_a_box_that_holds_no_point_plans_moves_and_differentiates_nothing(k):
+    rng = np.random.default_rng(4)
+    cloud = box_cloud(rng, OrientedBox([14.0, 5.0, 0.8], *CAR_DIMS, 0.4))
+    far = OrientedBox([500.0, -500.0, 0.8], *CAR_DIMS, 0.4)
+    fld = build_lattice(CAR_DIMS, 0.2)
+    init_random(fld, 4)
+    plan = plan_deformation(cloud, far, fld, SENSOR, k)
+    assert plan.n_affected == 0 and plan.yaw == far.yaw
+    for got, shape, dtype in ((plan.point_idx, (0,), np.int64),
+                              (plan.neighbor_idx, (0, k), np.int64),
+                              (plan.weights, (0, k), np.float64),
+                              (plan.rays, (0, 3), np.float64)):
+        assert got.shape == shape and got.dtype == dtype
+
+    out = deform(cloud, plan, fld)
+    for name in ("xyz", "intensity", "semantic", "instance"):
+        got, want = getattr(out, name), getattr(cloud, name)
+        assert got is not want and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    jac = ShiftJacobian(plan)
+    clip = jac.tau_clip_active(cloud, fld)
+    assert clip.shape == (0,)
+    grad = jac.vector_gradient(np.zeros((0, 3)), np.zeros(0), fld.size, clip)
+    assert grad.shape == (fld.size, 4)
+    assert grad.tobytes() == np.zeros((fld.size, 4)).tobytes()  # no -0.0 either
+
+
 def test_make_bank_shapes_and_slots():
     bank = make_bank(1, "car", CAR_DIMS, 0.2, groups=12, variants=6, seed=0)
     assert len(bank.fields) == 72
@@ -509,6 +537,17 @@ def test_make_bank_clamps_its_draw_to_its_own_budget():
     want = np.concatenate([np.clip(wide.vectors[..., :3], -0.005, 0.005),
                            np.clip(wide.vectors[..., 3:], -0.002, 0.002)], axis=3)
     assert small.vectors.tobytes() == want.tobytes()
+
+
+def test_analyze_fields_compares_a_small_budget_bank_with_its_clamped_start():
+    bank = make_bank(1, "car", CAR_DIMS, 0.2, groups=2, variants=1, seed=3,
+                     eps=0.005, psi=0.005)
+    start = bank.vectors[..., :3].copy()
+    # slot (1, 1) pushes every spatial component out to the budget; (2, 1) stays
+    bank.vectors[0, 0, :, :3] = np.copysign(0.005, start[0, 0])
+    grew = np.linalg.norm(bank.vectors[..., :3], axis=-1) > np.linalg.norm(start, axis=-1)
+    assert grew.sum(axis=-1).tolist() == [[1475], [0]]
+    assert [row["active"] for row in evaluate.analyze_fields(bank)] == [1475, 0]
 
 
 def test_optimizer_steps_and_clamps_write_into_the_bank():

@@ -70,6 +70,16 @@ class TestIou3d:
         b = OrientedBox([10, 0, 0], 1, 1, 1, 0.4)
         assert iou_3d(a, b) == 0.0
 
+    @pytest.mark.parametrize("offset, yaw", [((1.2, 0.0), 0.0), ((0.0, 1.0), 0.0),
+                                             ((0.0, -1.2), math.pi), ((1.1, 0.2), 0.7)])
+    def test_disjoint_boxes_of_equal_yaw_inside_each_others_reach(self, offset, yaw):
+        # the centers lie closer than the circumscribing circles' reach (sqrt 2),
+        # so only the per-axis overlap, zero or negative, rejects the pair
+        a = OrientedBox(np.zeros(3), 1, 1, 1, yaw)
+        center = rot_z(yaw) @ np.array([*offset, 0.0])
+        assert np.hypot(*offset) < math.sqrt(2.0)
+        assert iou_3d(a, OrientedBox(center, 1, 1, 1, yaw)) == 0.0
+
     def test_unit_cubes_half_offset(self):
         a = OrientedBox(np.zeros(3), 1, 1, 1, 0.0)
         b = OrientedBox([0.5, 0, 0], 1, 1, 1, 0.0)

@@ -67,6 +67,10 @@ class TestAveragePrecision:
     def test_no_ground_truth_or_no_detection(self):
         assert average_precision([Detection(0, 0.9, car(0.0))], [], 0.7) == 0.0
         assert average_precision([], GTS, 0.7) == 0.0
+        # with no detection, the matching and the envelope run on empty arrays
+        for thr in (0.0, 0.5):
+            ap = average_precision([], GTS + [GroundTruth(3, car(0.0))], thr)
+            assert type(ap) is float and ap == 0.0 and math.copysign(1.0, ap) == 1.0
 
 
 class TestAttackSuccessRate:

@@ -7,6 +7,7 @@ import pytest
 from advfield import cloudio, simulator
 from advfield.geometry import OrientedBox
 from advfield.simulator import CAR
+from artifact_edit import rewrite_line
 
 
 def test_written_scene_reads_back_exactly(tmp_path):
@@ -109,6 +110,16 @@ def test_every_sensor_config_line_is_read(tmp_path):
                         encoding="utf-8")
         with pytest.raises(cloudio.FormatError, match=f"sensor.cfg: missing key '{key}'"):
             simulator.read_sensor_config(tmp_path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", [k for k in SENSOR_KEYS if k not in ("channels", "classes")])
+def test_a_non_finite_sensor_config_value_is_refused(tmp_path, key, value):
+    simulator.write_sensor_config(DESK_SENSOR, tmp_path)
+    path = tmp_path / "sensor.cfg"
+    path.write_bytes(rewrite_line(path.read_bytes(), f"{key} = ", f"{key} = {value}"))
+    with pytest.raises(cloudio.FormatError, match=f"sensor.cfg: {key} {value} is not a finite"):
+        simulator.read_sensor_config(tmp_path)
 
 
 def test_paired_domains_share_their_non_car_points():

@@ -17,7 +17,7 @@ from advfield import attack, evaluate, simulator
 from advfield.cloudio import PointCloud
 from advfield.field import deform, make_bank, plan_deformation
 from advfield.geometry import OrientedBox, box_contains_many
-from advfield.victim import SegNetMini
+from advfield.victim import DetHeadMini, SegNetMini
 from advfield.rotation import (GroupScheme, axis_aligned_box_of_instance, group_of,
                                group_of_axis_aligned, target_boxes)
 
@@ -204,6 +204,30 @@ def test_fit_bank_rejects_a_bank_of_another_class():
                               iterations=1)
     with pytest.raises(ValueError, match="bank's class"):
         attack.fit_bank(bank, [scene], SegNetMini(len(simulator.CLASS_NAMES)), cfg)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"mode": "seg"}, "mode must be one of"),
+    ({"mode": "seg-targeted"}, "targeted mode needs a target class"),
+    ({"mode": "seg-targeted", "target_class": CAR}, "must differ from the adversarial class"),
+    ({"box_drop": 1.0}, r"box drop fraction must be in \[0, 1\)"),
+    ({"box_drop": -0.1}, r"box drop fraction must be in \[0, 1\)"),
+])
+def test_attack_config_refuses_an_inconsistent_setting(settings, message):
+    with pytest.raises(ValueError, match=message):
+        attack.AttackConfig(**{"mode": "seg-untargeted", "adversarial_class": CAR, **settings})
+
+
+@pytest.mark.parametrize("mode, victim, message", [
+    ("detection", SegNetMini(len(simulator.CLASS_NAMES)), "needs a detection head"),
+    ("seg-untargeted", DetHeadMini(), "need a segmentation victim"),
+])
+def test_fit_bank_rejects_a_victim_of_the_wrong_kind(mode, victim, message):
+    scene = fleet_scene(FLEET[:1])
+    bank = make_bank(CAR, "car", DIMS, STEP, 1, 1, seed=0)
+    cfg = attack.AttackConfig(mode=mode, adversarial_class=CAR, iterations=1)
+    with pytest.raises(ValueError, match=message):
+        attack.fit_bank(bank, [scene], victim, cfg)
 
 
 def test_fit_bank_rejects_a_budget_the_bank_does_not_record():

@@ -252,7 +252,8 @@ def recorded_baseline(monkeypatch, fn, oracle):
     with monkeypatch.context() as patch:
         patch.setattr(baselines, "touched_loss_and_grads", recording)
         # steps of 0.12 m stay inside the 0.3 m ball, so no offsets tie in norm
-        out = fn(scene.cloud, scene.boxes[0].box, victim(), iters=2, lr=0.12)
+        patch.setattr(baselines, "STEP", 0.12)
+        out = fn(scene.cloud, scene.boxes[0].box, victim(), iters=2)
     return out, losses
 
 
