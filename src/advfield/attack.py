@@ -120,11 +120,9 @@ def targeted_objective(probs, labels, adversarial_class: int, target_class: int)
 def drop_boxes(boxes, fraction: float, seed) -> list:
     """Deterministic box subsample emulating imperfect box sources.
 
-    round(fraction * count) boxes are dropped uniformly at random; order is
-    preserved.
+    round(fraction * count) boxes, for a fraction in [0, 1) as AttackConfig
+    checks, are dropped uniformly at random; order is preserved.
     """
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError("fraction must be in [0, 1)")
     kept = list(boxes)
     n_drop = int(round(fraction * len(kept)))
     if n_drop == 0:

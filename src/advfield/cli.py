@@ -5,8 +5,9 @@ seeds, a git describe string, and wall time) next to its outputs: a
 directory output ``<dir>`` holds ``<dir>/manifest.cfg``, and a file output
 ``<name>`` gets ``<name>.manifest.cfg`` beside it, so that outputs sharing a
 directory keep their own manifests. Rerunning with ``--config <manifest>``
-reproduces the data outputs bit for bit. Exit codes: 0 success, 2
-configuration error, 3 numeric failure.
+reproduces the data outputs bit for bit: each recorded option goes in as its
+flag, ahead of the flags given, which win. ``main`` returns 0 on success, 2 on
+any configuration error and 3 on a numeric failure; only ``--help`` exits.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def parallel_map(fn, items, threads: int):
 
 def write_manifest(args: argparse.Namespace, path: Path, started: float) -> None:
     config = {"subcommand": args.command}
-    skip = {"command", "func", "config"}
+    skip = {"command", "func"}
     for key, value in sorted(vars(args).items()):
         if key in skip or value is None:
             continue
@@ -79,7 +80,7 @@ def finite_float(text: str) -> float:
 
 
 def non_negative_int(text: str) -> int:
-    """The argparse type of every scene, iteration or epoch count: an integer >= 0."""
+    """The argparse type of each seed and each scene, iteration or epoch count: an integer >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
@@ -291,17 +292,23 @@ def _add_sensor_flags(sub):
     sub.add_argument("--max-range", type=finite_float, default=80.0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise ValueError, for main to return EXIT_CONFIG."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="advfield")
+    parser = _Parser(prog="advfield", epilog="--config <manifest>: replay it; flags given win")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="threads for the scenes of a single-domain simulate "
                         "and the predictions of a segmentation eval")
-    parser.add_argument("--config", help="a manifest to replay; flags given here win")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = sub.choices  # name -> subparser, for --config
 
     p = sub.add_parser("simulate", help="generate labeled synthetic datasets")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--domain", default="splits",
                    choices=["normal", "rare", "damaged", "splits"])
     p.add_argument("--scenes", type=non_negative_int, default=50)
@@ -316,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--epochs", type=non_negative_int, default=8)
     p.add_argument("--lr", type=finite_float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--augment-bank", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_victim)
@@ -333,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=finite_float, default=0.3)
     p.add_argument("--psi", type=finite_float, default=0.3)
     p.add_argument("--iters", type=non_negative_int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--lr", type=finite_float, default=None,
                    help="default 0.05 for detection, 0.01 for segmentation")
     p.add_argument("--boxes", choices=BOX_MODES, default="gt")
@@ -366,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bank", default=None, help="det only: the bank asr attacks with")
     p.add_argument("--iou-thr", type=finite_float, default=None,
                    help=f"det only; default {DET_IOU_THR}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -378,13 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
-    """Apply ``--config <manifest>`` as parser defaults keyed by ``dest``.
+    """Splice ``--config <manifest>`` into argv, one ``--flag=value`` per recorded option.
 
-    Flags given on the command line win. The manifest's subcommand is used
-    when none is given and must match one that is, every other key must be
-    an option of that subcommand or of the top-level parser, and a value must
-    be one of its option's choices. Returns argv without the ``--config``
-    pair.
+    The manifest's subcommand is used when none is given and must match one
+    that is, and every other key must be an option of that subcommand or of
+    the top-level parser. Each recorded option goes ahead of the flags given
+    at its level, top-level ones before the subcommand, so that those flags
+    win and argparse checks a recorded value exactly as it checks the flag.
+    ``--config`` is not a parser option, so argparse refuses any other spelling of it.
     """
     if "--config" not in argv:
         return argv
@@ -403,25 +411,17 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
         argv = argv[:lead] + [command] + argv[lead:]
     elif given != command:
         raise ValueError(f"--config: the manifest is for {command!r}, not {given!r}")
-    sub = parser.subcommands[command]
-    sub_dests = {action.dest for action in sub._actions}
+    top, sub = ({action.dest: action.option_strings[0] for action in p._actions
+                 if action.option_strings} for p in (parser, parser.subcommands[command]))
     values = {key.replace("-", "_"): value for key, value in config.items()
               if key not in ("git-describe", "wall-time-s")}
-    top_dests = {action.dest for action in parser._actions}
-    unknown = sorted(k for k in values if k not in sub_dests | top_dests)
+    unknown = sorted(values.keys() - top.keys() - sub.keys())
     if unknown:
         raise ValueError(f"--config: {command!r} has no option "
                          + ", ".join(k.replace("_", "-") for k in unknown))
-    parser.set_defaults(**{k: v for k, v in values.items() if k not in sub_dests})
-    sub.set_defaults(**{k: v for k, v in values.items() if k in sub_dests})
-    for action in sub._actions:
-        action.required = action.required and action.dest not in values
-        # argparse checks choices only on the command line, never on defaults
-        value = values.get(action.dest)
-        if action.choices is not None and value is not None and value not in action.choices:
-            raise ValueError(f"--config: {action.option_strings[0]} {value!r} is not one of "
-                             + ", ".join(action.choices))
-    return argv
+    at = argv.index(command) + 1
+    return ([f"{top[k]}={v}" for k, v in values.items() if k in top] + argv[:at]
+            + [f"{sub[k]}={v}" for k, v in values.items() if k in sub] + argv[at:])
 
 
 def main(argv=None) -> int:
@@ -429,8 +429,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     started = time.time()
     try:
-        argv = _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config(parser, argv))
         # before any output: a value the manifest cannot hold would not replay
         for action in parser._actions + parser.subcommands[args.command]._actions:
             value = getattr(args, action.dest, None)

@@ -30,7 +30,7 @@ Formats:
                 break (nothing ``str.splitlines`` splits on): reports,
                 ``.boxes`` rows and configs
   * config      flat ``key = value`` text, ``#`` comments: the header rule;
-                no value has leading or trailing whitespace
+                no value, here or in a header, has leading or trailing whitespace
 """
 
 from __future__ import annotations
@@ -199,7 +199,12 @@ def write_lines(path, lines) -> None:
 
 
 def write_arrays(path, magic: str, version: int, header: dict, arrays: dict) -> None:
-    """Write ``header`` values and named arrays: text lines, then each array's float64 bytes."""
+    """Write ``header`` values and named arrays: text lines, then each array's float64 bytes.
+
+    ValueError, before anything is created, for a header value that a config cannot hold.
+    """
+    for key, value in header.items():
+        check_config_value(key, value)
     head = "".join([f"{magic} {version}\n"]
                    + [f"{key} = {value}\n" for key, value in header.items()]).encode("utf-8")
     with open(_create(path), "wb") as file:

@@ -18,7 +18,7 @@ from .field import (FieldBank, anchor, anchored_vectors, deform, deform_targets,
 from .geometry import OrientedBox, iou_3d
 from .rotation import GroupScheme, target_boxes
 from .simulator import Scene, SensorSpec
-from .victim import _seed_int, train_det, train_seg
+from .victim import train_det, train_seg
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,7 @@ def _augment_hook(scenes, bank: FieldBank | None, seed, k: int = 2):
     hands it, with boxes and variants drawn from a stream of ``seed`` of its own."""
     if bank is None:
         return None
-    rng = np.random.default_rng(np.random.SeedSequence([_seed_int(seed), 37]))
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 37]))
     return lambda index, cloud: augment_scene(scenes[index], bank, rng, k=k)
 
 

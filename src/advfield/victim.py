@@ -708,8 +708,8 @@ def _train(model, streams, scenes, boxes_per_scene, epochs: int, lr: float, seed
     MLP tape, or None to skip the scene. Raises RuntimeError on a non-finite
     loss.
     """
-    model.init_random(np.random.SeedSequence([_seed_int(seed), streams[0]]))
-    rng = np.random.default_rng(np.random.SeedSequence([_seed_int(seed), streams[1]]))
+    model.init_random(np.random.SeedSequence([int(seed), streams[0]]))
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), streams[1]]))
     optim = Adam(lr)
     order = np.arange(len(scenes))
     for epoch in range(epochs):
@@ -793,10 +793,6 @@ def train_det(scenes, boxes_per_scene, epochs: int, lr: float, seed,
         return loss, tape.mlp_tape, d_outputs
 
     return _train(model, (3, 4), scenes, boxes_per_scene, epochs, lr, seed, hook, step)
-
-
-def _seed_int(seed) -> int:
-    return int(seed) & 0xFFFFFFFF
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,17 @@ def test_attack_names_the_field_slots_without_targets(pipeline, tmp_path, capsys
     assert line.endswith(" ".join(f"({g},{v})" for g, v in unused))
 
 
+def test_a_config_flag_in_another_form_exits_2_and_writes_nothing(pipeline, tmp_path):
+    # as an argparse option, either form would be parsed and the manifest dropped
+    config = manifest(pipeline / "bank" / "car.vfb")
+    attack = ("attack", "--mode", "untargeted", "--victim", pipeline / "victim" / "seg.ckpt",
+              "--data", pipeline / "data" / "train", "--G", 6, "--N", 1, "--iters", 1,
+              "--out", tmp_path / "car.vfb")
+    for given in ([f"--config={config}"], ["--conf", config]):
+        assert run(*given, *attack) == cli.EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bare_config_exits_2():
     assert run("simulate", "--config") == cli.EXIT_CONFIG
 
@@ -275,10 +286,9 @@ def test_unknown_or_wrong_kind_metric_exits_2(pipeline, detection, tmp_path, cap
 
 
 def test_attack_has_no_k_flag(pipeline, tmp_path):
-    with pytest.raises(SystemExit) as exit_info:
-        run("attack", "--mode", "untargeted", "--victim", pipeline / "victim" / "seg.ckpt",
-            "--data", pipeline / "data" / "train", "--k", 3, "--out", tmp_path / "car.vfb")
-    assert exit_info.value.code == cli.EXIT_CONFIG
+    assert run("attack", "--mode", "untargeted", "--victim", pipeline / "victim" / "seg.ckpt",
+               "--data", pipeline / "data" / "train", "--k", 3,
+               "--out", tmp_path / "car.vfb") == cli.EXIT_CONFIG
 
 
 @pytest.mark.parametrize("task,bank", [("seg", "bank"), ("det", "det-bank")])
@@ -389,9 +399,8 @@ def test_a_bank_that_is_not_utf8_exits_2_and_names_the_file(tmp_path, capsys):
 
 def test_analyze_fields_has_no_seed_flag(pipeline, tmp_path, capsys):
     bank = ("--bank", pipeline / "bank" / "car.vfb")
-    with pytest.raises(SystemExit) as exit_info:
-        run("analyze-fields", *bank, "--seed", 0, "--out", tmp_path / "fields.csv")
-    assert exit_info.value.code == cli.EXIT_CONFIG
+    assert run("analyze-fields", *bank, "--seed", 0,
+               "--out", tmp_path / "fields.csv") == cli.EXIT_CONFIG
     # a manifest written while the flag existed
     assert run("analyze-fields", *bank, "--out", tmp_path / "fields.csv") == 0
     config = cloudio.read_config(manifest(tmp_path / "fields.csv"))
@@ -423,10 +432,9 @@ def test_segmentation_eval_refuses_detection_flags(pipeline, tmp_path, capsys):
 
 
 def test_baseline_attack_has_no_seed_flag(pipeline, tmp_path):
-    with pytest.raises(SystemExit) as exit_info:
-        run("baseline-attack", "--kind", "l2", "--victim", pipeline / "victim" / "seg.ckpt",
-            "--data", pipeline / "data" / "val", "--seed", 0, "--out", tmp_path)
-    assert exit_info.value.code == cli.EXIT_CONFIG
+    assert run("baseline-attack", "--kind", "l2", "--victim", pipeline / "victim" / "seg.ckpt",
+               "--data", pipeline / "data" / "val", "--seed", 0,
+               "--out", tmp_path) == cli.EXIT_CONFIG
 
 
 def test_detection_eval_refuses_a_bank_without_asr(detection, tmp_path, capsys):
@@ -507,10 +515,8 @@ def test_a_split_without_scenes_exits_2(pipeline, empty_split, command, tmp_path
                                           ("baseline-attack", "--class")])
 def test_an_unknown_class_name_exits_2(pipeline, command, flag, tmp_path, capsys):
     kind = ("--mode", "targeted") if command == "attack" else ("--kind", "l2")
-    with pytest.raises(SystemExit) as exit_info:
-        run(command, *kind, flag, "nosuch", "--victim", pipeline / "victim" / "seg.ckpt",
-            "--data", pipeline / "data" / "train", "--out", tmp_path / "out")
-    assert exit_info.value.code == cli.EXIT_CONFIG
+    assert run(command, *kind, flag, "nosuch", "--victim", pipeline / "victim" / "seg.ckpt",
+               "--data", pipeline / "data" / "train", "--out", tmp_path / "out") == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"argument {flag}" in err and "invalid choice: 'nosuch'" in err
 
@@ -520,7 +526,7 @@ def test_a_manifest_with_an_unknown_class_name_exits_2(pipeline, tmp_path, capsy
     cloudio.write_config({**config, "cls": "nosuch"}, tmp_path / "nosuch.cfg")
     out = tmp_path / "out" / "car.vfb"
     assert run("attack", "--config", tmp_path / "nosuch.cfg", "--out", out) == cli.EXIT_CONFIG
-    assert "--class 'nosuch' is not one of ground, car," in capsys.readouterr().err
+    assert "argument --class: invalid choice: 'nosuch'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -556,9 +562,7 @@ def test_a_non_finite_float_option_exits_2(command, flag, value, tmp_path, capsy
         if action.required:
             given = action.choices[0] if action.choices else tmp_path / "out"
             argv += [action.option_strings[0], given]
-    with pytest.raises(SystemExit) as exit_info:
-        run(*argv, f"{flag}={value}")
-    assert exit_info.value.code == cli.EXIT_CONFIG
+    assert run(*argv, f"{flag}={value}") == cli.EXIT_CONFIG
     assert f"argument {flag}: '{value}' is not a finite number" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
@@ -568,9 +572,7 @@ def test_a_manifest_with_a_nan_budget_exits_2_and_writes_no_bank(pipeline, tmp_p
     for key in ("eps", "psi"):
         cloudio.write_config({**config, key: "nan"}, tmp_path / f"{key}.cfg")
         out = tmp_path / key / "car.vfb"
-        with pytest.raises(SystemExit) as exit_info:
-            run("attack", "--config", tmp_path / f"{key}.cfg", "--out", out)
-        assert exit_info.value.code == cli.EXIT_CONFIG
+        assert run("attack", "--config", tmp_path / f"{key}.cfg", "--out", out) == cli.EXIT_CONFIG
         assert f"argument --{key}: 'nan' is not a finite number" in capsys.readouterr().err
         assert not out.parent.exists()
 
@@ -584,21 +586,102 @@ def test_a_negative_count_exits_2_and_writes_nothing(pipeline, command, flag, va
                                                      tmp_path, capsys):
     victim_flag = () if command[0] == "train-victim" else ("--victim",
                                                           pipeline / "victim" / "seg.ckpt")
-    with pytest.raises(SystemExit) as exit_info:
-        run(*command, *victim_flag, "--data", pipeline / "data" / "train", flag, value,
-            "--out", tmp_path / "out" / "result")
-    assert exit_info.value.code == cli.EXIT_CONFIG
+    assert run(*command, *victim_flag, "--data", pipeline / "data" / "train", flag, value,
+               "--out", tmp_path / "out" / "result") == cli.EXIT_CONFIG
     assert f"argument {flag}: '{value}' is not an integer >= 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_refuses_a_negative_scene_count_and_writes_nothing(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        run("simulate", "--domain", "normal", "--scenes", -1, *TINY[2:],
-            "--out", tmp_path / "data")
-    assert exit_info.value.code == cli.EXIT_CONFIG
+    assert run("simulate", "--domain", "normal", "--scenes", -1, *TINY[2:],
+               "--out", tmp_path / "data") == cli.EXIT_CONFIG
     assert "argument --scenes: '-1' is not an integer >= 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_negative_eval_seed_exits_2_and_writes_nothing(pipeline, tmp_path, capsys):
+    # the intensity suite reads the seed after miou.csv is written
+    out = tmp_path / "eval"
+    assert run("eval", "--victim", pipeline / "victim" / "seg.ckpt", "--data",
+               pipeline / "data" / "val", "--metrics", "miou,intensity-suite", "--seed", -1,
+               "--out", out) == cli.EXIT_CONFIG
+    assert "argument --seed: '-1' is not an integer >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def int_options() -> list:
+    """(subcommand, flag) of every option of build_parser() that takes an integer."""
+    parser = cli.build_parser()
+    return [(command, action.option_strings[0]) for command, sub in parser.subcommands.items()
+            for action in parser._actions + sub._actions
+            if action.type in (int, cli.non_negative_int)]
+
+
+INT_OPTIONS = int_options()
+TOP_LEVEL = {flag for action in cli.build_parser()._actions for flag in action.option_strings}
+
+# 2**40 goes to the options that a cap refuses before anything is allocated
+# (--G, --N, --channels) or that cost nothing at any size (the seeds); these
+# are left out of it
+NO_HUGE_VALUE = {"--threads": "it would start that many threads",
+                 "--epochs": "it costs only time", "--iters": "it costs only time",
+                 "--scenes": "it costs only time", "--objects": "it costs only time"}
+
+
+def test_the_int_options_are_found_by_their_type():
+    named = {("simulate", "--seed"), ("simulate", "--scenes"), ("simulate", "--objects"),
+             ("simulate", "--channels"), ("train-victim", "--epochs"),
+             ("train-victim", "--seed"), ("attack", "--G"), ("attack", "--N"),
+             ("attack", "--iters"), ("attack", "--seed"), ("baseline-attack", "--iters"),
+             ("eval", "--seed")}
+    named |= {(command, "--threads") for command in cli.build_parser().subcommands}
+    assert set(INT_OPTIONS) == named
+    huge = {flag for _, flag in INT_OPTIONS} - NO_HUGE_VALUE.keys()
+    assert huge == {"--G", "--N", "--channels", "--seed"}
+
+
+# the flags each subcommand runs with at the tiny sizes; eval runs every seg
+# metric, so that the intensity suite reads its seed
+INT_SWEEP = {
+    "simulate": lambda root: ("--domain", "normal", "--scenes", 1, *TINY[2:]),
+    "train-victim": lambda root: ("--data", root / "data" / "val", "--epochs", 1),
+    "attack": lambda root: ("--mode", "untargeted", "--victim", root / "victim" / "seg.ckpt",
+                            "--data", root / "data" / "val", "--G", 6, "--N", 1, "--iters", 1),
+    "baseline-attack": lambda root: ("--kind", "l2", "--victim", root / "victim" / "seg.ckpt",
+                                     "--data", root / "data" / "val", "--iters", 1),
+    "eval": lambda root: ("--victim", root / "victim" / "seg.ckpt", "--data",
+                          root / "data" / "val", "--metrics", ",".join(cli.SEG_METRICS)),
+    "analyze-fields": lambda root: ("--bank", root / "bank" / "car.vfb"),
+}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    (command, flag, value) for command, flag in INT_OPTIONS
+    for value in (0, -1) + (() if flag in NO_HUGE_VALUE else (2 ** 40,))])
+def test_an_int_option_at_0_below_0_or_huge_exits_0_2_or_3(pipeline, command, flag, value,
+                                                           tmp_path):
+    swept = [f"{flag}={value}"]
+    top, sub = (swept, []) if flag in TOP_LEVEL else ([], swept)
+    code = run(*top, command, *INT_SWEEP[command](pipeline), *sub, "--out", tmp_path / "out")
+    assert code in (0, cli.EXIT_CONFIG, cli.EXIT_NUMERIC)
+    if code == cli.EXIT_CONFIG:
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [(), ("nosuch",), ("simulate",),
+                                  ("--threads", "x", "simulate", "--out", "data")])
+def test_a_command_line_argparse_refuses_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_is_the_one_exit_that_raises(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run("--help")
+    assert exit_info.value.code == 0
+    assert "usage: advfield" in capsys.readouterr().out
 
 
 def test_simulate_refuses_a_negative_split_size_and_writes_nothing(tmp_path, capsys):

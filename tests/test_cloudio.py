@@ -288,6 +288,15 @@ def test_edited_banks_load_or_raise_a_format_error(tmp_path):
     assert outcomes == {"loaded", "refused"}
 
 
+# load_bank would read " car" back as "car", and the last as two header lines
+@pytest.mark.parametrize("name", [" car", "car ", "car\nseed = 7"], ids=ascii)
+def test_a_header_value_a_config_cannot_hold_is_refused_and_writes_nothing(tmp_path, name):
+    bank = make_bank(1, name, (1.0, 0.8, 2.0), 0.4, 2, 1, seed=4)
+    with pytest.raises(ValueError, match="class_name '.*': a config value holds no line break"):
+        cloudio.save_bank(bank, tmp_path / "new" / "car.vfb")
+    assert not any(tmp_path.iterdir())
+
+
 def _victim(kind):
     model = victim.SegNetMini(5) if kind == "seg" else victim.DetHeadMini()
     model.init_random(7)

@@ -60,6 +60,16 @@ def test_only_cloudio_opens_or_creates_files(path):
         assert not calls, calls
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_imports_a_private_name_of_another(path):
+    private = [f"{path.name}:{node.lineno}: {alias.name}"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "advfield")
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, private
+
+
 def _wrapped_names() -> list:
     """``(module, attribute)`` of every entry of the benchmark's ``WRAPPED`` list."""
     for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:

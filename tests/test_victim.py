@@ -115,6 +115,13 @@ def test_train_seg_draws_a_class_balanced_subsample_of_a_large_cloud(monkeypatch
         assert value.tobytes() == second.mlp.params[name].tobytes(), name
 
 
+def test_seeds_equal_in_their_low_32_bits_train_different_parameters():
+    clouds = tiny_scenes(1)[0]
+    first, second = (train_seg(clouds, 5, epochs=1, lr=0.01, seed=seed) for seed in (0, 2 ** 32))
+    for name, value in first.mlp.params.items():
+        assert not np.array_equal(value, second.mlp.params[name]), name
+
+
 @pytest.mark.parametrize("scenes", [0, 3])
 def test_train_seg_skips_an_empty_cloud(scenes):
     # without the skip, the empty cloud's loss would be 0 / 0
