@@ -87,6 +87,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    """The argparse type of ``--threads``: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return value
+
+
 def _sensor_from_args(args) -> simulator.SensorSpec:
     return simulator.SensorSpec(
         origin_height=args.origin_height,
@@ -301,7 +309,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="advfield", epilog="--config <manifest>: replay it; flags given win")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    parser.add_argument("--threads", type=positive_int, default=os.cpu_count() or 1,
                         help="threads for the scenes of a single-domain simulate "
                         "and the predictions of a segmentation eval")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -387,11 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
     """Splice ``--config <manifest>`` into argv, one ``--flag=value`` per recorded option.
 
-    The manifest's subcommand is used when none is given and must match one
-    that is, and every other key must be an option of that subcommand or of
-    the top-level parser. Each recorded option goes ahead of the flags given
-    at its level, top-level ones before the subcommand, so that those flags
-    win and argparse checks a recorded value exactly as it checks the flag.
+    The subcommand is the first token after the top-level options and their
+    values. The manifest's subcommand goes there when none is given and must
+    match one that is, and every other key must be an option of that
+    subcommand or of the top-level parser. Each recorded option goes ahead of
+    the flags given at its level, top-level ones before the subcommand, so
+    that those flags win and argparse checks a recorded value exactly as it
+    checks the flag.
     ``--config`` is not a parser option, so argparse refuses any other spelling of it.
     """
     if "--config" not in argv:
@@ -404,10 +414,15 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
     command = config.pop("subcommand", None)
     if command not in parser.subcommands:
         raise ValueError(f"--config: the manifest names no subcommand ({command!r})")
-    given = next((token for token in argv if token in parser.subcommands), None)
+    # a top-level option takes its value as the next token, unless given as --flag=value
+    takes_value = {flag: action.nargs != 0 for action in parser._actions
+                   for flag in action.option_strings}
+    lead = 0
+    while lead < len(argv) and argv[lead].partition("=")[0] in takes_value:
+        flag, joined, _ = argv[lead].partition("=")
+        lead += 2 if takes_value[flag] and not joined else 1
+    given = argv[lead] if lead < len(argv) and argv[lead] in parser.subcommands else None
     if given is None:
-        # after the only top-level flag, --threads, and its value
-        lead = 2 if argv[:1] == ["--threads"] else 0
         argv = argv[:lead] + [command] + argv[lead:]
     elif given != command:
         raise ValueError(f"--config: the manifest is for {command!r}, not {given!r}")
@@ -419,7 +434,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
     if unknown:
         raise ValueError(f"--config: {command!r} has no option "
                          + ", ".join(k.replace("_", "-") for k in unknown))
-    at = argv.index(command) + 1
+    at = lead + 1
     return ([f"{top[k]}={v}" for k, v in values.items() if k in top] + argv[:at]
             + [f"{sub[k]}={v}" for k, v in values.items() if k in sub] + argv[at:])
 

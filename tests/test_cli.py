@@ -75,6 +75,27 @@ def test_replay_takes_the_subcommand_from_the_manifest(pipeline):
     assert out.read_bytes() == (pipeline / "bank" / "car.vfb").read_bytes()
 
 
+def test_a_joined_top_level_flag_before_config_wins(pipeline):
+    # --threads=N is one token; the manifest's subcommand goes after it
+    config = manifest(pipeline / "bank" / "car.vfb")
+    threads = "1" if cloudio.read_config(config)["threads"] != "1" else "2"
+    out = pipeline / "bank-threads" / "car.vfb"
+    assert run(f"--threads={threads}", "--config", config, "--out", out) == 0
+    assert out.read_bytes() == (pipeline / "bank" / "car.vfb").read_bytes()
+    assert cloudio.read_config(manifest(out))["threads"] == threads
+
+
+def test_a_flag_value_named_like_a_subcommand_is_no_subcommand(pipeline, tmp_path,
+                                                               monkeypatch):
+    # the value of --out is a file named eval, not the eval subcommand
+    assert run("analyze-fields", "--bank", pipeline / "bank" / "car.vfb",
+               "--out", tmp_path / "fields.csv") == 0
+    monkeypatch.chdir(tmp_path)
+    assert run("--config", manifest(tmp_path / "fields.csv"), "--out", "eval") == 0
+    assert (tmp_path / "eval").read_bytes() == (tmp_path / "fields.csv").read_bytes()
+    assert cloudio.read_config(manifest(tmp_path / "eval"))["subcommand"] == "analyze-fields"
+
+
 def test_flags_on_the_command_line_win(pipeline):
     out = pipeline / "data-seed1"
     assert run("simulate", "--config", pipeline / "data" / "manifest.cfg", "--out", out,
@@ -260,6 +281,19 @@ def test_a_non_finite_sensor_config_exits_2(pipeline, tmp_path, capsys):
     assert run("eval", "--victim", pipeline / "victim" / "seg.ckpt", "--data", data,
                "--metrics", "miou,distance-bins", "--out", out) == cli.EXIT_CONFIG
     assert "sensor.cfg: origin_height nan is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_sensor_config_elevation_past_the_zenith_exits_2(pipeline, tmp_path, capsys):
+    data = Path(shutil.copytree(pipeline / "data" / "val", tmp_path / "val"))
+    config = data / "sensor.cfg"
+    config.write_bytes(rewrite_line(config.read_bytes(), "elevation_max = ",
+                                    "elevation_max = 2.98"))
+    out = tmp_path / "eval"
+    assert run("eval", "--victim", pipeline / "victim" / "seg.ckpt", "--data", data,
+               "--out", out) == cli.EXIT_CONFIG
+    assert "sensor.cfg: elevation_max 2.98 rad is outside [-pi/2, pi/2]" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -592,6 +626,14 @@ def test_a_negative_count_exits_2_and_writes_nothing(pipeline, command, flag, va
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", [0, -1])
+def test_threads_below_1_exits_2_and_writes_nothing(value, tmp_path, capsys):
+    assert run(f"--threads={value}", "simulate", "--domain", "normal", "--scenes", 1,
+               *TINY[2:], "--out", tmp_path / "data") == cli.EXIT_CONFIG
+    assert f"argument --threads: '{value}' is not an integer >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_refuses_a_negative_scene_count_and_writes_nothing(tmp_path, capsys):
     assert run("simulate", "--domain", "normal", "--scenes", -1, *TINY[2:],
                "--out", tmp_path / "data") == cli.EXIT_CONFIG
@@ -614,7 +656,7 @@ def int_options() -> list:
     parser = cli.build_parser()
     return [(command, action.option_strings[0]) for command, sub in parser.subcommands.items()
             for action in parser._actions + sub._actions
-            if action.type in (int, cli.non_negative_int)]
+            if action.type in (int, cli.non_negative_int, cli.positive_int)]
 
 
 INT_OPTIONS = int_options()

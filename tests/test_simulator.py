@@ -112,6 +112,23 @@ def test_every_sensor_config_line_is_read(tmp_path):
             simulator.read_sensor_config(tmp_path)
 
 
+@pytest.mark.parametrize("key", ["elevation_min", "elevation_max"])
+def test_an_elevation_past_the_zenith_or_the_nadir_is_refused(tmp_path, key):
+    # such a channel points back across the sensor, against the azimuth its
+    # rays are culled by: at 171 degrees the caster dropped half of a
+    # building's hits
+    for value in (math.radians(171.0), -math.pi / 2.0 - 1e-9, math.pi / 2.0 + 1e-9):
+        with pytest.raises(ValueError, match=f"{key} {value!r} rad is outside"):
+            simulator.SensorSpec(channels=8, **{key: value})
+    edge = simulator.SensorSpec(elevation_min=-math.pi / 2.0, elevation_max=math.pi / 2.0)
+    assert edge.elevations()[[0, -1]].tolist() == [-math.pi / 2.0, math.pi / 2.0]
+    simulator.write_sensor_config(DESK_SENSOR, tmp_path)
+    path = tmp_path / "sensor.cfg"
+    path.write_bytes(rewrite_line(path.read_bytes(), f"{key} = ", f"{key} = 2.0"))
+    with pytest.raises(cloudio.FormatError, match=f"sensor.cfg: {key} 2.0 rad is outside"):
+        simulator.read_sensor_config(tmp_path)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", [k for k in SENSOR_KEYS if k not in ("channels", "classes")])
 def test_a_non_finite_sensor_config_value_is_refused(tmp_path, key, value):
@@ -161,6 +178,12 @@ def test_ray_directions_are_the_formula_computed_once_and_read_only(sensor):
 # ---------------------------------------------------------------------------
 
 EIGHT = simulator.SensorSpec(channels=8)
+# channels at -10, -5, ..., 25 degrees: five look up
+UPWARD = simulator.SensorSpec(channels=8, elevation_min=math.radians(-10.0),
+                              elevation_max=math.radians(25.0))
+# 30 m up, above every object, with channels down to -60 degrees
+HIGH = simulator.SensorSpec(origin_height=30.0, channels=8,
+                            elevation_min=math.radians(-60.0))
 PERSON = simulator.CLASS_NAMES.index("person")
 BUILDING = simulator.CLASS_NAMES.index("building")
 VEGETATION = simulator.CLASS_NAMES.index("vegetation")
@@ -248,6 +271,79 @@ def test_a_box_corner_on_the_edge_of_its_sector(side):
         cast_both([spec(BUILDING, x, y, w, 4.0, l, yaw=yaw)])
 
 
+def channels_of(obj, sensor):
+    """The channels that ``_sector_rays`` keeps for ``obj``, ascending."""
+    return np.unique(simulator._sector_rays(obj, sensor) // len(sensor.azimuths()))
+
+
+def corner_first(bearing, near, w, l, h, lift=0.0):
+    """A building whose corner (l/2, w/2) points at the sensor from ``near`` m."""
+    r = math.hypot(w, l) / 2.0
+    x, y = (near + r) * math.cos(bearing), (near + r) * math.sin(bearing)
+    yaw = bearing + math.pi - math.atan2(w / 2.0, l / 2.0)
+    return spec(BUILDING, x, y, w, h, l, yaw=yaw, lift=lift)
+
+
+@pytest.mark.parametrize("bearing", UPWARD.azimuths()[::150])
+def test_a_box_top_on_a_channel_at_the_near_distance(bearing):
+    # the ray of channel 4 (10 degrees) at the box's bearing grazes the top
+    # of its near corner, at horizontal distance d - r; rounding decides
+    # whether it hits, and the band's margin must keep the channel
+    near, elevation = 10.0, UPWARD.elevations()[4]
+    top = UPWARD.origin_height + near * math.tan(elevation)
+    obj = corner_first(bearing, near, 3.0, 5.0, top)
+    assert channels_of(obj, UPWARD)[-1] == 4
+    cloud = cast_both([obj], UPWARD)
+    assert np.any(cloud.instance == 1)
+
+
+@pytest.mark.parametrize("bearing", UPWARD.azimuths()[::150])
+def test_a_lifted_box_bottom_on_a_channel_at_the_far_distance(bearing):
+    # the bottom lies above the sensor, so its lowest ray reaches the far
+    # corner, at horizontal distance d + r, where channel 4 grazes it
+    w, l, h = 3.0, 5.0, 4.0
+    far = 10.0 + math.hypot(w, l)
+    bottom = UPWARD.origin_height + far * math.tan(UPWARD.elevations()[4])
+    obj = corner_first(bearing, 10.0, w, l, h, lift=bottom)
+    assert channels_of(obj, UPWARD)[0] == 4
+    cloud = cast_both([obj], UPWARD)
+    assert np.any(cloud.instance == 1)
+
+
+def test_a_car_box_lifted_above_its_maximal_hull():
+    # the band spans the box and the hull on the ground; the hull hides the
+    # building behind it and the lifted box is hit from below
+    hull_h = simulator._MAX_HULL_DIMS[1]
+    lifted = spec(CAR, 8.0, 3.0, *simulator.CANONICAL_CAR_DIMS, yaw=0.4, lift=hull_h + 1.0)
+    wall = spec(BUILDING, 16.0, 6.0, 1.0, 3.0, 8.0, yaw=0.4, instance=2)
+    cloud = cast_both([lifted, wall], UPWARD)
+    car_z = cloud.xyz[cloud.instance == 1, 2]
+    assert car_z.size and car_z.min() > hull_h
+    on_ground = car(8.0, 3.0, yaw=0.4)
+    assert set(channels_of(on_ground, UPWARD)) < set(channels_of(lifted, UPWARD))
+
+
+def test_a_building_taller_than_the_sensor_and_a_sensor_above_every_object():
+    tall = spec(BUILDING, 20.0, -5.0, 6.0, 12.0, 9.0, yaw=0.2)
+    cloud = cast_both([tall])
+    assert cloud.xyz[cloud.instance == 1, 2].max() > EIGHT.origin_height
+    objects = [car(25.0, 5.0, yaw=0.6, instance=1),
+               spec(BUILDING, -30.0, 10.0, 6.0, 8.0, 9.0, yaw=1.0, instance=2),
+               spec(PERSON, 6.0, -22.8, 0.54, 1.7, 0.66, instance=3),
+               spec(VEGETATION, -12.0, -25.0, 3.0, 3.0, 3.0, lift=2.5, instance=4,
+                    roughness=0.1)]
+    cloud = cast_both(objects, HIGH)
+    assert set(cloud.instance.tolist()) == {0, 1, 2, 3, 4}
+
+
+def test_a_car_20_m_out_is_cast_on_at_most_12_of_32_channels():
+    sensor = simulator.SensorSpec()
+    for bearing in np.linspace(-math.pi, math.pi, 9):
+        obj = car(20.0 * math.cos(bearing), 20.0 * math.sin(bearing), yaw=bearing)
+        assert 1 <= len(channels_of(obj, sensor)) <= 12
+        cast_both([obj], sensor)
+
+
 def test_a_sensor_inside_an_objects_bounding_circle():
     # a wall and a car's hull whose circles hold the sensor; both reach more
     # than 90 degrees round from their centre's bearing, so no sector covers
@@ -270,21 +366,29 @@ def test_objects_at_the_edge_of_the_range():
     assert set(cloud.instance.tolist()) == {0, 1}
 
 
-@pytest.mark.parametrize("obj", [
-    car(12.0, 4.0, yaw=0.7),
-    spec(CAR, -9.0, 7.0, *(1.4 * d for d in simulator.CANONICAL_CAR_DIMS), yaw=2.0),
-    spec(PERSON, 4.0, -3.0, 0.54, 1.7, 0.66, yaw=0.4),
-    spec(PERSON, -2.0, 2.0, 0.594, 1.87, 0.726),       # the head at sensor height
-    spec(VEGETATION, 14.0, -6.0, 3.2, 3.2, 3.2, lift=2.0, roughness=0.1),
-    spec(BUILDING, 14.0, 9.0, 10.0, 8.0, 16.0, yaw=-0.5),
-], ids=["car", "largest-rare-car", "person", "near-person", "vegetation", "building"])
-def test_every_hit_lies_in_the_objects_sector(obj):
-    dirs = EIGHT.ray_directions()
-    hits = np.isfinite(simulator._object_surface_raycast(obj, EIGHT.origin, dirs)[0])
+@pytest.mark.parametrize("obj, sensor", [
+    (car(12.0, 4.0, yaw=0.7), EIGHT),
+    (spec(CAR, -9.0, 7.0, *(1.4 * d for d in simulator.CANONICAL_CAR_DIMS), yaw=2.0), EIGHT),
+    (spec(PERSON, 4.0, -3.0, 0.54, 1.7, 0.66, yaw=0.4), EIGHT),
+    (spec(PERSON, -2.0, 2.0, 0.594, 1.87, 0.726), EIGHT),       # the head at sensor height
+    (spec(VEGETATION, 14.0, -6.0, 3.2, 3.2, 3.2, lift=2.0, roughness=0.1), EIGHT),
+    (spec(BUILDING, 14.0, 9.0, 10.0, 8.0, 16.0, yaw=-0.5), EIGHT),
+    (spec(CAR, 9.0, -4.0, *simulator.CANONICAL_CAR_DIMS, yaw=0.3, lift=3.5), UPWARD),
+    (spec(BUILDING, -10.0, 12.0, 5.0, 14.0, 7.0, yaw=0.8), UPWARD),
+    (spec(VEGETATION, 16.0, 4.0, 3.0, 3.0, 3.0, lift=6.0, roughness=0.1), UPWARD),
+    (car(-24.0, -8.0, yaw=1.1), HIGH),
+    (spec(BUILDING, 35.0, -12.0, 6.0, 8.0, 10.0, yaw=0.1), HIGH),
+], ids=["car", "largest-rare-car", "person", "near-person", "vegetation", "building",
+        "lifted-car", "tall-building", "high-crown", "car-below-sensor",
+        "building-below-sensor"])
+def test_every_hit_lies_in_the_objects_sector(obj, sensor):
+    # the kept rays: the azimuth sector and the elevation band
+    dirs = sensor.ray_directions()
+    hits = np.isfinite(simulator._object_surface_raycast(obj, sensor.origin, dirs)[0])
     if obj.class_id == CAR:
-        hits |= np.isfinite(simulator._max_hull_entry(obj, EIGHT.origin, dirs))
+        hits |= np.isfinite(simulator._max_hull_entry(obj, sensor.origin, dirs))
     inside = np.zeros(len(dirs), dtype=bool)
-    inside[simulator._sector_rays(obj, EIGHT)] = True
+    inside[simulator._sector_rays(obj, sensor)] = True
     assert hits.any() and not np.any(hits & ~inside)
-    cloud = cast_both([obj])
+    cloud = cast_both([obj], sensor)
     assert np.any(cloud.instance == 1)
