@@ -6,8 +6,12 @@ directory output ``<dir>`` holds ``<dir>/manifest.cfg``, and a file output
 ``<name>`` gets ``<name>.manifest.cfg`` beside it, so that outputs sharing a
 directory keep their own manifests. Rerunning with ``--config <manifest>``
 reproduces the data outputs bit for bit: each recorded option goes in as its
-flag, ahead of the flags given, which win. ``main`` returns 0 on success, 2 on
-any configuration error and 3 on a numeric failure; only ``--help`` exits.
+flag, ahead of the flags given, which win. Every option belongs to a
+subcommand; the top level takes only ``-h``. A single-domain ``simulate`` and
+a segmentation ``eval`` spread their scenes over a thread pool sized from the
+machine's CPU count and collect the results in input order, so no output
+depends on the machine. ``main`` returns 0 on success, 2 on any configuration
+error and 3 on a numeric failure; only ``--help`` exits.
 """
 
 from __future__ import annotations
@@ -50,10 +54,14 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def parallel_map(fn, items, threads: int):
-    """Ordered map; results are collected in input order for determinism."""
+def parallel_map(fn, items):
+    """Ordered map on one thread per CPU, at most one per item; serial on one.
+
+    Results are collected in input order, so they do not depend on the pool.
+    """
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    threads = min(os.cpu_count() or 1, len(items))
+    if threads <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
@@ -87,14 +95,6 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def positive_int(text: str) -> int:
-    """The argparse type of ``--threads``: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
-    return value
-
-
 def _sensor_from_args(args) -> simulator.SensorSpec:
     return simulator.SensorSpec(
         origin_height=args.origin_height,
@@ -122,7 +122,7 @@ def cmd_simulate(args) -> None:
             return simulator.generate_scene(args.seed + index, args.domain,
                                             args.objects, sensor)
         # one split, written to --out itself
-        splits = {"": parallel_map(build, range(args.scenes), args.threads)}
+        splits = {"": parallel_map(build, range(args.scenes))}
     crowded = []
     for name, scenes in splits.items():
         simulator.write_split(scenes, out / name, sensor)
@@ -183,7 +183,6 @@ def cmd_baseline_attack(args) -> None:
     scenes = simulator.load_split(args.data)
     model = victim_mod.load_checkpoint(args.victim)
     class_id = simulator.CLASS_NAMES.index(args.cls)
-    out = Path(args.out)
     fn = {
         "l2": baselines.iterative_gradient_l2,
         "chamfer": baselines.chamfer_attack,
@@ -193,13 +192,15 @@ def cmd_baseline_attack(args) -> None:
     kwargs = {"eps": args.eps, "psi": args.psi, "iters": args.iters}
     if args.kind == "chamfer":
         kwargs["lam"] = args.lam
-    for index, scene in enumerate(scenes):
+    attacked = []
+    for scene in scenes:
         cloud = scene.cloud
         # the gt boxes a field bank would deform; baselines need no group
         for box, _ in target_boxes(scene, class_id, "gt", GroupScheme(1), step=0.0):
             cloud = fn(cloud, box, model, **kwargs)
-        cloudio.write_cloud(cloud, out / f"{index:06d}.bin")
-        cloudio.write_labels(out / f"{index:06d}.label", cloud.semantic, cloud.instance)
+        attacked.append(simulator.Scene(scene.sensor, cloud, scene.boxes))
+    # a split that eval and train-victim read like any other
+    simulator.write_split(attacked, args.out, scenes[0].sensor)
 
 
 def cmd_eval(args) -> None:
@@ -225,7 +226,7 @@ def cmd_eval(args) -> None:
     summary = []
 
     if is_seg:
-        pred = parallel_map(lambda scene: model.predict(scene.cloud), scenes, args.threads)
+        pred = parallel_map(lambda scene: model.predict(scene.cloud), scenes)
         result = evaluate.iou_from_confusion(sum(
             evaluate.confusion_matrix(p, s.cloud.semantic, n_classes)
             for p, s in zip(pred, scenes)))
@@ -309,9 +310,6 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="advfield", epilog="--config <manifest>: replay it; flags given win")
-    parser.add_argument("--threads", type=positive_int, default=os.cpu_count() or 1,
-                        help="threads for the scenes of a single-domain simulate "
-                        "and the predictions of a segmentation eval")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = sub.choices  # name -> subparser, for --config
 
@@ -395,13 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
     """Splice ``--config <manifest>`` into argv, one ``--flag=value`` per recorded option.
 
-    The subcommand is the first token after the top-level options and their
-    values. The manifest's subcommand goes there when none is given and must
+    The subcommand is ``argv[0]``, since the top level takes no option but
+    ``-h``. The manifest's subcommand goes there when none is given and must
     match one that is, and every other key must be an option of that
-    subcommand or of the top-level parser. Each recorded option goes ahead of
-    the flags given at its level, top-level ones before the subcommand, so
-    that those flags win and argparse checks a recorded value exactly as it
-    checks the flag.
+    subcommand. The recorded options go straight after the subcommand, ahead
+    of the flags given, so that those flags win and argparse checks a
+    recorded value exactly as it checks the flag.
     ``--config`` is not a parser option, so argparse refuses any other spelling of it.
     """
     if "--config" not in argv:
@@ -414,29 +411,20 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
     command = config.pop("subcommand", None)
     if command not in parser.subcommands:
         raise ValueError(f"--config: the manifest names no subcommand ({command!r})")
-    # a top-level option takes its value as the next token, unless given as --flag=value
-    takes_value = {flag: action.nargs != 0 for action in parser._actions
-                   for flag in action.option_strings}
-    lead = 0
-    while lead < len(argv) and argv[lead].partition("=")[0] in takes_value:
-        flag, joined, _ = argv[lead].partition("=")
-        lead += 2 if takes_value[flag] and not joined else 1
-    given = argv[lead] if lead < len(argv) and argv[lead] in parser.subcommands else None
-    if given is None:
-        argv = argv[:lead] + [command] + argv[lead:]
-    elif given != command:
-        raise ValueError(f"--config: the manifest is for {command!r}, not {given!r}")
-    top, sub = ({action.dest: action.option_strings[0] for action in p._actions
-                 if action.option_strings} for p in (parser, parser.subcommands[command]))
+    if argv and argv[0] in parser.subcommands:
+        if argv[0] != command:
+            raise ValueError(f"--config: the manifest is for {command!r}, not {argv[0]!r}")
+        argv = argv[1:]
+    flags = {action.dest: action.option_strings[0]
+             for action in parser.subcommands[command]._actions if action.option_strings}
+    # older manifests record threads, a removed option that never changed an output
     values = {key.replace("-", "_"): value for key, value in config.items()
-              if key not in ("git-describe", "wall-time-s")}
-    unknown = sorted(values.keys() - top.keys() - sub.keys())
+              if key not in ("git-describe", "wall-time-s", "threads")}
+    unknown = sorted(values.keys() - flags.keys())
     if unknown:
         raise ValueError(f"--config: {command!r} has no option "
                          + ", ".join(k.replace("_", "-") for k in unknown))
-    at = lead + 1
-    return ([f"{top[k]}={v}" for k, v in values.items() if k in top] + argv[:at]
-            + [f"{sub[k]}={v}" for k, v in values.items() if k in sub] + argv[at:])
+    return [command] + [f"{flags[k]}={v}" for k, v in values.items()] + argv
 
 
 def main(argv=None) -> int:
@@ -446,7 +434,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_apply_config(parser, argv))
         # before any output: a value the manifest cannot hold would not replay
-        for action in parser._actions + parser.subcommands[args.command]._actions:
+        for action in parser.subcommands[args.command]._actions:
             value = getattr(args, action.dest, None)
             if action.option_strings and value is not None:
                 cloudio.check_config_value(action.option_strings[0], value)

@@ -18,18 +18,19 @@ and whose elevation lies in the band that the same cylinder, cut to the
 object's vertical extent, subtends. For a car at the default sensor that is
 25 % of the rays at 5 m, 7 % at 10 m and under 2 % from 20 m on. The culling
 is exact: every primitive lies inside the vertical cylinder around its box
-centre and within its box's heights (for a car, inside the maximal hull's
-cylinder and within the heights of its box and its maximal hull, which also
-hold the car). A ray whose azimuth lies outside the sector, or whose
-elevation lies outside the band, cannot meet that cylinder; no channel points
-beyond the zenith or the nadir, so a ray's azimuth is the bearing of every
-point it reaches. A 1e-6 rad margin on both covers the rounding of the ray
-grid. All per-object arithmetic (distances, normals, dents, reflectivity, the
-maximal hull) runs on the kept rays only, and each object updates one
-nearest-hit record per ray where it is strictly nearer. The random draws do
-not depend on the culling: every ``noise_rng`` draw, the roughness jitter
-included, stays one value per ray, so the noise streams, and with them the
-pairing of domains, are those of casting every ray.
+centre whose radius is the larger of the box footprint's half-diagonal and
+the class's own bound (a car's maximal hull, a person's head sphere), and
+within the heights of its box (for a car, of its box and its maximal hull).
+A ray whose azimuth lies outside the sector, or whose elevation lies outside
+the band, cannot meet that cylinder; no channel points beyond the zenith or
+the nadir, so a ray's azimuth is the bearing of every point it reaches. A
+1e-6 rad margin on both covers the rounding of the ray grid. All per-object
+arithmetic (distances, normals, dents, reflectivity, the maximal hull) runs
+on the kept rays only, and each object updates one nearest-hit record per ray
+where it is strictly nearer. The random draws do not depend on the culling:
+every ``noise_rng`` draw, the roughness jitter included, stays one value per
+ray, so the noise streams, and with them the pairing of domains, are those of
+casting every ray.
 
 A :class:`Scene` holds what :func:`write_scene` stores and :func:`load_scene`
 reads back: the sensor, the cloud and the boxes. The generation state (object
@@ -60,6 +61,8 @@ CANONICAL_PERSON_DIMS = (0.54, 1.7, 0.66)
 _MAX_CAR_FACTOR = 1.45                   # covers rare scaling (<= 1.4) with margin
 # (w, h, l) of the domain-maximal car hull, which holds every domain's car
 _MAX_HULL_DIMS = tuple(d * _MAX_CAR_FACTOR for d in CANONICAL_CAR_DIMS)
+# a person's head sphere radius, as a share of the box height
+_HEAD_RADIUS = 0.13
 # widens every object's azimuth sector and elevation band (rad) and, where
 # the sensor may lie inside the object's bounding circle, that circle (m); far
 # above the rounding of a ray's azimuth and elevation
@@ -85,6 +88,10 @@ _BASE_REFLECTIVITY = {
 # the most rays (channels x azimuth columns) a sensor may cast, about 139 times
 # the default sensor's 32 x 900; ray_directions holds 3 floats per ray
 MAX_RAYS = 4_000_000
+
+# the largest origin height and max range (m) a sensor may have; the ray
+# caster squares distances, which overflow beyond about 1e154 m
+MAX_RANGE = 10_000.0
 
 
 @dataclass(frozen=True)
@@ -126,6 +133,10 @@ class SensorSpec:
             raise ValueError("max range must be positive")
         if self.origin_height <= 0:
             raise ValueError("origin height must be positive")
+        for name in ("origin_height", "max_range"):
+            if getattr(self, name) > MAX_RANGE:
+                raise ValueError(f"{name} {getattr(self, name)!r} m is above the "
+                                 f"{MAX_RANGE:g} m allowed")
 
     @property
     def origin(self) -> np.ndarray:
@@ -333,7 +344,7 @@ def _object_surface_raycast(obj: ObjectSpec, origin: np.ndarray, dirs: np.ndarra
         normals = np.where(use_body[:, None], nb, nc)
     elif name == "person":
         r = 0.4 * min(box.width, box.length)
-        head_r = 0.13 * box.height
+        head_r = _HEAD_RADIUS * box.height
         z_top = box.height / 2.0
         t1_in, t1_out, n1 = _cylinder_raycast(
             local_origin, local_dirs, r, -z_top, z_top - 2 * head_r)
@@ -403,15 +414,16 @@ def _sample_dents(shape_rng: np.random.Generator, dims) -> list:
     return dents
 
 
-def _horizontal_clearance(class_id: int, box_w: float, box_l: float) -> float:
+def _horizontal_clearance(class_id: int, box_w: float, box_h: float, box_l: float) -> float:
     """Radius of the vertical cylinder around the box centre that holds the object.
 
-    A car's is its maximal hull's, which holds the car in every domain.
+    It is the box footprint's half-diagonal, raised for a car to its maximal
+    hull's, which every domain casts, and for a person to its head sphere's.
     """
-    if class_id == CAR:
-        w, _, l = _MAX_HULL_DIMS
-        return math.hypot(w, l) / 2.0
-    return math.hypot(box_w, box_l) / 2.0
+    hull_w, _, hull_l = _MAX_HULL_DIMS
+    own = {"car": math.hypot(hull_w, hull_l) / 2.0,
+           "person": _HEAD_RADIUS * box_h}.get(CLASS_NAMES[class_id], 0.0)
+    return max(math.hypot(box_w, box_l) / 2.0, own)
 
 
 def _vertical_extent(obj: ObjectSpec) -> tuple:
@@ -471,7 +483,7 @@ def generate_scene(seed: int, domain: str = "normal", n_objects: int | None = No
         reflectivity = float(layout_rng.uniform(*_BASE_REFLECTIVITY[kind]))
         if kind == "car":
             # layout draws stay domain-independent; dims come from shape_rng
-            spot = try_place(_horizontal_clearance(class_id, 0, 0))
+            spot = try_place(_horizontal_clearance(class_id, 0, 0, 0))
             w, h, l = _sample_car_dims(shape_rng, domain)
             dents = _sample_dents(shape_rng, (w, h, l)) if domain == "damaged" else []
             roughness = 0.0
@@ -479,20 +491,20 @@ def generate_scene(seed: int, domain: str = "normal", n_objects: int | None = No
             w0, h0, l0 = CANONICAL_PERSON_DIMS
             factor = float(layout_rng.uniform(0.9, 1.1))
             w, h, l = w0 * factor, h0 * factor, l0 * factor
-            spot = try_place(_horizontal_clearance(class_id, w, l))
+            spot = try_place(_horizontal_clearance(class_id, w, h, l))
             dents, roughness = [], 0.0
         elif kind == "building":
             w = float(layout_rng.uniform(4.0, 10.0))
             l = float(layout_rng.uniform(6.0, 16.0))
             h = float(layout_rng.uniform(3.0, 8.0))
-            spot = try_place(_horizontal_clearance(class_id, w, l), r_min=12.0)
+            spot = try_place(_horizontal_clearance(class_id, w, h, l), r_min=12.0)
             dents, roughness = [], 0.0
         else:
             # tree crown: sphere lifted clear of car height
             r = float(layout_rng.uniform(0.8, 1.6))
             w = h = l = 2.0 * r
             crown_lift = float(layout_rng.uniform(2.0, 3.0))
-            spot = try_place(_horizontal_clearance(class_id, w, l))
+            spot = try_place(_horizontal_clearance(class_id, w, h, l))
             dents, roughness = [], float(layout_rng.uniform(0.05, 0.2))
         if spot is None:  # no room: the scene holds fewer objects
             continue
@@ -524,7 +536,8 @@ def _sector_rays(obj: ObjectSpec, sensor: SensorSpec) -> np.ndarray:
     """
     azimuth = sensor.azimuths()
     n_az = len(azimuth)
-    radius = _horizontal_clearance(obj.class_id, obj.box.width, obj.box.length)
+    radius = _horizontal_clearance(obj.class_id, obj.box.width, obj.box.height,
+                                   obj.box.length)
     dx, dy = obj.box.center[:2] - sensor.origin[:2]
     distance = math.hypot(dx, dy)
     if distance <= radius + _CULL_MARGIN:

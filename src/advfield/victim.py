@@ -25,7 +25,7 @@ it has just allocated, so no (rows x hidden) temporary is thrown away, and
 input gradients skip the parameter gradients. Tapes are fresh per call and
 no workspace outlives a call: a caller may keep one pass's outputs and tape
 while it runs the next (the attacks keep the clean cloud's losses), and the
-CLI's ``eval`` runs one model's passes in parallel threads (``--threads``).
+CLI's ``eval`` runs one model's passes in a thread pool, one thread per CPU.
 
 The detector runs its MLP once per distinct anchor row, and every pass works
 on those rows alone. Every empty anchor pools all-zero features, so the empty

@@ -1,13 +1,14 @@
 """The CLI in-process on a tiny split: run, replay from manifests, exit codes."""
 
 import math
+import os
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from advfield import cli, cloudio, field, simulator, victim
+from advfield import cli, cloudio, evaluate, field, simulator, victim
 from advfield.geometry import OrientedBox, box_contains_many
 from artifact_edit import rewrite_line
 
@@ -64,25 +65,31 @@ def test_attack_replay_is_byte_identical(pipeline):
     config = manifest(pipeline / "bank" / "car.vfb")
     assert cloudio.read_config(config)["cls"] == "car"
     out = pipeline / "bank-replay" / "car.vfb"
-    # a top-level flag before the subcommand stays where it is
-    assert run("--threads", 2, "attack", "--config", config, "--out", out) == 0
+    assert run("attack", "--config", config, "--out", out) == 0
     assert out.read_bytes() == (pipeline / "bank" / "car.vfb").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "attack"])
+def test_a_manifest_that_records_a_thread_count_replays(pipeline, command, tmp_path):
+    # manifests written while --threads existed record it; it changed no output
+    source = {"simulate": pipeline / "data", "attack": pipeline / "bank" / "car.vfb"}[command]
+    config = source / "manifest.cfg" if source.is_dir() else manifest(source)
+    cloudio.write_config({**cloudio.read_config(config), "threads": "2"}, tmp_path / "old.cfg")
+    out = tmp_path / source.name
+    assert run("--config", tmp_path / "old.cfg", "--out", out) == 0
+    if source.is_dir():
+        assert data_files(out) == data_files(source)
+        written = out / "manifest.cfg"
+    else:
+        assert out.read_bytes() == source.read_bytes()
+        written = manifest(out)
+    assert "threads" not in cloudio.read_config(written)
 
 
 def test_replay_takes_the_subcommand_from_the_manifest(pipeline):
     out = pipeline / "bank-bare" / "car.vfb"
     assert run("--config", manifest(pipeline / "bank" / "car.vfb"), "--out", out) == 0
     assert out.read_bytes() == (pipeline / "bank" / "car.vfb").read_bytes()
-
-
-def test_a_joined_top_level_flag_before_config_wins(pipeline):
-    # --threads=N is one token; the manifest's subcommand goes after it
-    config = manifest(pipeline / "bank" / "car.vfb")
-    threads = "1" if cloudio.read_config(config)["threads"] != "1" else "2"
-    out = pipeline / "bank-threads" / "car.vfb"
-    assert run(f"--threads={threads}", "--config", config, "--out", out) == 0
-    assert out.read_bytes() == (pipeline / "bank" / "car.vfb").read_bytes()
-    assert cloudio.read_config(manifest(out))["threads"] == threads
 
 
 def test_a_flag_value_named_like_a_subcommand_is_no_subcommand(pipeline, tmp_path,
@@ -235,15 +242,36 @@ def test_chamfer_baseline_moves_only_car_points_and_replays(pipeline, tmp_path):
     assert data_files(replay) == data_files(out)
 
 
-def test_single_domain_simulate_writes_generate_scene_in_order(tmp_path):
+def test_a_baseline_writes_a_split_that_eval_scores(pipeline, tmp_path):
+    val = pipeline / "data" / "val"
+    out = tmp_path / "l2"
+    assert run("baseline-attack", "--kind", "l2", "--iters", 1,
+               "--victim", pipeline / "victim" / "seg.ckpt", "--data", val, "--out", out) == 0
+    assert (out / "sensor.cfg").read_bytes() == (val / "sensor.cfg").read_bytes()
+    for path in val.glob("*.boxes"):
+        assert (out / path.name).read_bytes() == path.read_bytes()
+    assert run("eval", "--victim", pipeline / "victim" / "seg.ckpt", "--data", out,
+               "--out", tmp_path / "eval") == 0
+    attacked = [cloudio.read_labeled_cloud(path, path.with_suffix(".label"))
+                for path in sorted(out.glob("*.bin"))]
+    model = victim.load_checkpoint(pipeline / "victim" / "seg.ckpt")
+    want = evaluate.miou_over_scenes(model, attacked, len(simulator.CLASS_NAMES))
+    header, *rows, mean = (tmp_path / "eval" / "miou.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[1] for row in rows] == [repr(x) for x in want.iou.tolist()]
+    assert mean == f"mean,{want.mean!r},1"
+
+
+def test_single_domain_simulate_writes_generate_scene_in_order(tmp_path, monkeypatch):
     sensor = simulator.SensorSpec(channels=8, azimuth_resolution=math.radians(2.0))
     reference = tmp_path / "reference"
     for index in range(3):
         simulator.write_scene(simulator.generate_scene(5 + index, "damaged", 4, sensor),
                               reference, index)
-    for threads in (1, 2):
-        out = tmp_path / f"threads{threads}"
-        assert run("--threads", threads, "simulate", "--domain", "damaged", "--scenes", 3,
+    # the serial path on one CPU, and a pool of two threads on two
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert run("simulate", "--domain", "damaged", "--scenes", 3,
                    "--seed", 5, "--out", out, *TINY[2:]) == 0
         assert (out / "sensor.cfg").is_file()
         assert data_files(out) == data_files(reference)
@@ -254,7 +282,7 @@ def test_crowded_scenes_are_named_on_stderr(tmp_path, capsys):
     # 120 objects find no room in one scene; the library does not warn
     sensor = TINY[4:]
     one = tmp_path / "one"
-    assert run("--threads", 1, "simulate", "--domain", "normal", "--scenes", 1,
+    assert run("simulate", "--domain", "normal", "--scenes", 1,
                "--objects", 120, "--out", one, *sensor) == 0
     (line,) = capsys.readouterr().err.splitlines()
     (scene,) = simulator.load_split(one)
@@ -372,15 +400,17 @@ def test_segmentation_eval_predicts_each_scene_once(pipeline, monkeypatch):
     seg_eval = ("eval", "--victim", pipeline / "victim" / "seg.ckpt",
                 "--data", pipeline / "data" / "val", "--metrics")
     every = pipeline / "seg-eval-every"
-    assert run("--threads", 1, *seg_eval, "miou,distance-bins,intensity-suite",
-               "--out", every) == 0
+    # the serial path on one CPU here, and a pool of two threads on two below
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert run(*seg_eval, "miou,distance-bins,intensity-suite", "--out", every) == 0
     # one clean pass, shared by the three metrics, and one per intensity
     # transform that changes the clouds
     assert len(calls) == 2 * 7
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for metric, name in (("miou", "miou.csv"), ("distance-bins", "distance_bins.csv"),
                          ("intensity-suite", "intensity_suite.csv")):
         alone = pipeline / f"seg-eval-{metric}"
-        assert run("--threads", 2, *seg_eval, metric, "--out", alone) == 0
+        assert run(*seg_eval, metric, "--out", alone) == 0
         assert (alone / name).read_bytes() == (every / name).read_bytes()
     # no transform leaves the clouds as they are: the suite's first row is the mIoU
     row = (every / "intensity_suite.csv").read_text(encoding="utf-8").splitlines()[1]
@@ -566,10 +596,9 @@ def test_a_manifest_with_an_unknown_class_name_exits_2(pipeline, tmp_path, capsy
 
 def float_options() -> list:
     """(subcommand, flag) of every option of build_parser() that takes a float."""
-    parser = cli.build_parser()
     found = []
-    for command, sub in parser.subcommands.items():
-        for action in parser._actions + sub._actions:
+    for command, sub in cli.build_parser().subcommands.items():
+        for action in sub._actions:
             assert action.type is not float, f"{command} {action.option_strings} takes nan"
             if action.type is cli.finite_float:
                 found.append((command, action.option_strings[0]))
@@ -626,14 +655,6 @@ def test_a_negative_count_exits_2_and_writes_nothing(pipeline, command, flag, va
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("value", [0, -1])
-def test_threads_below_1_exits_2_and_writes_nothing(value, tmp_path, capsys):
-    assert run(f"--threads={value}", "simulate", "--domain", "normal", "--scenes", 1,
-               *TINY[2:], "--out", tmp_path / "data") == cli.EXIT_CONFIG
-    assert f"argument --threads: '{value}' is not an integer >= 1" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_simulate_refuses_a_negative_scene_count_and_writes_nothing(tmp_path, capsys):
     assert run("simulate", "--domain", "normal", "--scenes", -1, *TINY[2:],
                "--out", tmp_path / "data") == cli.EXIT_CONFIG
@@ -653,20 +674,17 @@ def test_a_negative_eval_seed_exits_2_and_writes_nothing(pipeline, tmp_path, cap
 
 def int_options() -> list:
     """(subcommand, flag) of every option of build_parser() that takes an integer."""
-    parser = cli.build_parser()
-    return [(command, action.option_strings[0]) for command, sub in parser.subcommands.items()
-            for action in parser._actions + sub._actions
-            if action.type in (int, cli.non_negative_int, cli.positive_int)]
+    return [(command, action.option_strings[0])
+            for command, sub in cli.build_parser().subcommands.items()
+            for action in sub._actions if action.type in (int, cli.non_negative_int)]
 
 
 INT_OPTIONS = int_options()
-TOP_LEVEL = {flag for action in cli.build_parser()._actions for flag in action.option_strings}
 
 # 2**40 goes to the options that a cap refuses before anything is allocated
 # (--G, --N, --channels) or that cost nothing at any size (the seeds); these
 # are left out of it
-NO_HUGE_VALUE = {"--threads": "it would start that many threads",
-                 "--epochs": "it costs only time", "--iters": "it costs only time",
+NO_HUGE_VALUE = {"--epochs": "it costs only time", "--iters": "it costs only time",
                  "--scenes": "it costs only time", "--objects": "it costs only time"}
 
 
@@ -676,7 +694,6 @@ def test_the_int_options_are_found_by_their_type():
              ("train-victim", "--seed"), ("attack", "--G"), ("attack", "--N"),
              ("attack", "--iters"), ("attack", "--seed"), ("baseline-attack", "--iters"),
              ("eval", "--seed")}
-    named |= {(command, "--threads") for command in cli.build_parser().subcommands}
     assert set(INT_OPTIONS) == named
     huge = {flag for _, flag in INT_OPTIONS} - NO_HUGE_VALUE.keys()
     assert huge == {"--G", "--N", "--channels", "--seed"}
@@ -684,7 +701,7 @@ def test_the_int_options_are_found_by_their_type():
 
 # the flags each subcommand runs with at the tiny sizes; eval runs every seg
 # metric, so that the intensity suite reads its seed
-INT_SWEEP = {
+SWEEP_FLAGS = {
     "simulate": lambda root: ("--domain", "normal", "--scenes", 1, *TINY[2:]),
     "train-victim": lambda root: ("--data", root / "data" / "val", "--epochs", 1),
     "attack": lambda root: ("--mode", "untargeted", "--victim", root / "victim" / "seg.ckpt",
@@ -697,21 +714,28 @@ INT_SWEEP = {
 }
 
 
-@pytest.mark.parametrize("command,flag,value", [
-    (command, flag, value) for command, flag in INT_OPTIONS
-    for value in (0, -1) + (() if flag in NO_HUGE_VALUE else (2 ** 40,))])
+# every int option at 0, -1 and (unless named above) 2**40, and every float
+# option at 0, -1, 1e300, nan and inf
+SWEEP = ([(command, flag, value) for command, flag in INT_OPTIONS
+          for value in (0, -1) + (() if flag in NO_HUGE_VALUE else (2 ** 40,))]
+         + [(command, flag, value) for command, flag in FLOAT_OPTIONS
+            for value in (0, -1, 1e300, "nan", "inf")])
+
+
+@pytest.mark.parametrize("command,flag,value", SWEEP)
 def test_an_int_option_at_0_below_0_or_huge_exits_0_2_or_3(pipeline, command, flag, value,
                                                            tmp_path):
-    swept = [f"{flag}={value}"]
-    top, sub = (swept, []) if flag in TOP_LEVEL else ([], swept)
-    code = run(*top, command, *INT_SWEEP[command](pipeline), *sub, "--out", tmp_path / "out")
+    code = run(command, *SWEEP_FLAGS[command](pipeline), f"{flag}={value}",
+               "--out", tmp_path / "out")
     assert code in (0, cli.EXIT_CONFIG, cli.EXIT_NUMERIC)
     if code == cli.EXIT_CONFIG:
         assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [(), ("nosuch",), ("simulate",),
-                                  ("--threads", "x", "simulate", "--out", "data")])
+                                  ("--threads", "x", "simulate", "--out", "data"),
+                                  ("--threads", "2", "simulate", "--domain", "normal",
+                                   "--scenes", "1", "--out", "data")])
 def test_a_command_line_argparse_refuses_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run(*argv) == cli.EXIT_CONFIG

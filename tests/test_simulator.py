@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -126,6 +127,21 @@ def test_an_elevation_past_the_zenith_or_the_nadir_is_refused(tmp_path, key):
     path = tmp_path / "sensor.cfg"
     path.write_bytes(rewrite_line(path.read_bytes(), f"{key} = ", f"{key} = 2.0"))
     with pytest.raises(cloudio.FormatError, match=f"sensor.cfg: {key} 2.0 rad is outside"):
+        simulator.read_sensor_config(tmp_path)
+
+
+@pytest.mark.parametrize("key", ["origin_height", "max_range"])
+def test_a_sensor_height_or_range_above_the_cap_is_refused(tmp_path, key):
+    # at 1e300 m the sphere caster's squared distance overflowed to inf
+    cap = simulator.MAX_RANGE
+    simulator.SensorSpec(**{key: cap})
+    for value in (math.nextafter(cap, math.inf), 1e300):
+        with pytest.raises(ValueError, match=re.escape(f"{key} {value!r} m is above the 10000 m")):
+            simulator.SensorSpec(**{key: value})
+    simulator.write_sensor_config(DESK_SENSOR, tmp_path)
+    path = tmp_path / "sensor.cfg"
+    path.write_bytes(rewrite_line(path.read_bytes(), f"{key} = ", f"{key} = 1e300"))
+    with pytest.raises(cloudio.FormatError, match=re.escape(f"sensor.cfg: {key} 1e+300 m")):
         simulator.read_sensor_config(tmp_path)
 
 
@@ -378,9 +394,13 @@ def test_objects_at_the_edge_of_the_range():
     (spec(VEGETATION, 16.0, 4.0, 3.0, 3.0, 3.0, lift=6.0, roughness=0.1), UPWARD),
     (car(-24.0, -8.0, yaw=1.1), HIGH),
     (spec(BUILDING, 35.0, -12.0, 6.0, 8.0, 10.0, yaw=0.1), HIGH),
+    # a head sphere (radius 0.13 h) wider than the box footprint
+    (spec(PERSON, 10.0, 0.5, 0.1, 1.7, 0.1), EIGHT),
+    # a car box wider than the maximal hull
+    (spec(CAR, 10.0, 0.5, 4.0, 1.6, 10.0, yaw=0.3), EIGHT),
 ], ids=["car", "largest-rare-car", "person", "near-person", "vegetation", "building",
         "lifted-car", "tall-building", "high-crown", "car-below-sensor",
-        "building-below-sensor"])
+        "building-below-sensor", "thin-person", "car-box-past-the-hull"])
 def test_every_hit_lies_in_the_objects_sector(obj, sensor):
     # the kept rays: the azimuth sector and the elevation band
     dirs = sensor.ray_directions()
