@@ -4,7 +4,10 @@ Every subcommand writes a manifest (the fully resolved configuration plus
 seeds, a git describe string, and wall time) next to its outputs: a
 directory output ``<dir>`` holds ``<dir>/manifest.cfg``, and a file output
 ``<name>`` gets ``<name>.manifest.cfg`` beside it, so that outputs sharing a
-directory keep their own manifests. Rerunning with ``--config <manifest>``
+directory keep their own manifests. A manifest holds exactly the options its
+run read: an option that the run's mode ignores is left out, and an option
+whose default the mode decides is recorded at the value read (see
+:func:`read_option`). Rerunning with ``--config <manifest>``
 reproduces the data outputs bit for bit: each recorded option goes in as its
 flag, ahead of the flags given, which win. Every option belongs to a
 subcommand; the top level takes only ``-h``. A single-domain ``simulate`` and
@@ -67,6 +70,17 @@ def parallel_map(fn, items):
         return list(pool.map(fn, items))
 
 
+def read_option(args, name: str, default, read: bool = True):
+    """``args.<name>``, or ``default`` when not given, if the run reads it; None if not.
+
+    The result goes back into ``args``, so that the manifest records exactly
+    the options the run read, each with the value it read.
+    """
+    value = getattr(args, name)
+    setattr(args, name, (default if value is None else value) if read else None)
+    return getattr(args, name)
+
+
 def write_manifest(args: argparse.Namespace, path: Path, started: float) -> None:
     config = {"subcommand": args.command}
     skip = {"command", "func"}
@@ -111,7 +125,10 @@ def _sensor_from_args(args) -> simulator.SensorSpec:
 def cmd_simulate(args) -> None:
     out = Path(args.out)
     sensor = _sensor_from_args(args)
-    if args.domain == "splits":
+    splits_mode = args.domain == "splits"
+    read_option(args, "scenes", 50, read=not splits_mode)
+    read_option(args, "sizes", "200,50,50,50", read=splits_mode)
+    if splits_mode:
         sizes = tuple(int(s) for s in args.sizes.split(","))
         if len(sizes) != 4 or min(sizes) < 0:
             raise ValueError("--sizes needs four counts >= 0: train,val,ood-rare,ood-damaged")
@@ -155,9 +172,10 @@ def cmd_attack(args) -> None:
     class_id = simulator.CLASS_NAMES.index(args.cls)
     mode = {"untargeted": "seg-untargeted", "targeted": "seg-targeted",
             "detection": "detection"}[args.mode]
+    if args.target is not None and args.mode != "targeted":
+        raise ValueError("--target is an option of --mode targeted only")
     target_id = simulator.CLASS_NAMES.index(args.target) if args.target else None
-    # resolved into args, so that the manifest records it
-    lr = args.lr = args.lr if args.lr is not None else (0.05 if mode == "detection" else 0.01)
+    lr = read_option(args, "lr", 0.05 if mode == "detection" else 0.01)
     cfg = attack_mod.AttackConfig(
         mode=mode, adversarial_class=class_id, target_class=target_id,
         eps=args.eps, psi=args.psi, lr=lr, iterations=args.iters,
@@ -182,6 +200,8 @@ def cmd_attack(args) -> None:
 def cmd_baseline_attack(args) -> None:
     scenes = simulator.load_split(args.data)
     model = victim_mod.load_checkpoint(args.victim)
+    if not isinstance(model, victim_mod.SegNetMini):
+        raise ValueError("baseline-attack needs a segmentation victim")
     class_id = simulator.CLASS_NAMES.index(args.cls)
     fn = {
         "l2": baselines.iterative_gradient_l2,
@@ -190,8 +210,9 @@ def cmd_baseline_attack(args) -> None:
         "generate": baselines.adversarial_generation,
     }[args.kind]
     kwargs = {"eps": args.eps, "psi": args.psi, "iters": args.iters}
-    if args.kind == "chamfer":
-        kwargs["lam"] = args.lam
+    lam = read_option(args, "lam", 0.1, read=args.kind == "chamfer")
+    if lam is not None:
+        kwargs["lam"] = lam
     attacked = []
     for scene in scenes:
         cloud = scene.cloud
@@ -222,6 +243,9 @@ def cmd_eval(args) -> None:
     if not is_seg and (args.bank is not None) != ("asr" in wanted):
         raise ValueError("--metrics asr needs --bank for the attacked pass, "
                          "and --bank serves asr only")
+    read_option(args, "seed", 0, read="intensity-suite" in wanted)
+    # read before any report is written, so that a bank it refuses leaves none
+    bank = cloudio.load_bank(args.bank) if args.bank is not None else None
     out = Path(args.out)
     summary = []
 
@@ -258,8 +282,7 @@ def cmd_eval(args) -> None:
             cloudio.write_lines(out / "intensity_suite.csv", rows)
             summary.append("intensity-suite written")
     else:
-        # resolved into args, so that the manifest records it
-        iou_thr = args.iou_thr = DET_IOU_THR if args.iou_thr is None else args.iou_thr
+        iou_thr = read_option(args, "iou_thr", DET_IOU_THR)
         detections, gts = evaluate.collect_detections(model, scenes,
                                                       class_id=simulator.CAR)
         if "ap" in wanted:
@@ -267,8 +290,6 @@ def cmd_eval(args) -> None:
             cloudio.write_lines(out / "ap.csv", ["iou_thr,ap", f"{iou_thr!r},{ap!r}"])
             summary.append(f"ap@{iou_thr} {ap:.4f}")
         if "asr" in wanted:
-            bank = cloudio.load_bank(args.bank)
-
             def deform_all(index, scene):
                 return evaluate.deform_all_objects(scene, bank)
 
@@ -317,8 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--domain", default="splits",
                    choices=["normal", "rare", "damaged", "splits"])
-    p.add_argument("--scenes", type=non_negative_int, default=50)
-    p.add_argument("--sizes", default="200,50,50,50")
+    p.add_argument("--scenes", type=non_negative_int, default=None,
+                   help="one domain only; default 50")
+    p.add_argument("--sizes", default=None,
+                   help="splits only: train,val,ood-rare,ood-damaged; default 200,50,50,50")
     p.add_argument("--objects", type=int, default=None)
     p.add_argument("--out", required=True)
     _add_sensor_flags(p)
@@ -338,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["untargeted", "targeted", "detection"],
                    required=True)
     p.add_argument("--class", dest="cls", default="car", choices=simulator.CLASS_NAMES)
-    p.add_argument("--target", default=None, choices=simulator.CLASS_NAMES)
+    p.add_argument("--target", default=None, choices=simulator.CLASS_NAMES,
+                   help="targeted mode only")
     p.add_argument("--victim", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--G", type=int, default=12)
@@ -366,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=finite_float, default=0.3)
     p.add_argument("--psi", type=finite_float, default=0.3)
     p.add_argument("--iters", type=non_negative_int, default=10)
-    p.add_argument("--lam", type=finite_float, default=0.1)
+    p.add_argument("--lam", type=finite_float, default=None, help="chamfer only; default 0.1")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_baseline_attack)
 
@@ -379,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bank", default=None, help="det only: the bank asr attacks with")
     p.add_argument("--iou-thr", type=finite_float, default=None,
                    help=f"det only; default {DET_IOU_THR}")
-    p.add_argument("--seed", type=non_negative_int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=None,
+                   help="intensity-suite only; default 0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

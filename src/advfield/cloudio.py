@@ -4,8 +4,8 @@ Formats:
   * ``.bin``    little-endian float32, 4 per point (x, y, z, intensity)
   * ``.label``  little-endian uint32 per point; low 16 bits semantic id,
                 high 16 bits instance id (0 = no instance)
-  * ``.vfb``    field banks (version 5) and ``.ckpt`` victim checkpoints
-                (version 4), in one grammar: a ``MAGIC VERSION`` line,
+  * ``.vfb``    field banks (version 6) and ``.ckpt`` victim checkpoints
+                (version 5), in one grammar: a ``MAGIC VERSION`` line,
                 ``key = value`` header lines, then per named array an
                 ``array <name> <d0> <d1> ...`` line followed by exactly
                 d0 x d1 x ... x 8 bytes, the array's little-endian float64
@@ -14,18 +14,21 @@ Formats:
                 messages count text lines only. A reader checks an array's
                 size against the bytes left in the file before it allocates
                 the array, and refuses bytes after the last array. Other
-                versions raise FormatError naming the version. A bank's header
-                holds its class, lattice ``dims`` and ``step``, its budget
-                ``eps`` and ``psi``, its box mode and the ``seed`` its initial
-                vectors were drawn from, as ``float.hex`` text where a float;
-                its one array, ``vectors``, has shape (G, N, m, 4), one
-                ``dx dy dz dtau`` row per lattice root of each slot (g, n),
-                with m following from dims and step. Every spatial component
-                must lie in [-eps, eps] and every intensity shift in
-                [-psi, psi]. A checkpoint's header holds its head ``kind``,
-                ``seg`` or ``det``, and for a segmenter ``n_classes``; every
-                other size of a head is fixed in ``victim``. It stores one
-                array per MLP parameter, ``W1 b1 W2 b2 W3 b3``.
+                versions raise FormatError naming the version. Neither
+                header holds what the build fixes. A bank's header holds
+                its ``class_name``, one of ``simulator.CLASS_NAMES``, whose
+                position there is the bank's class id; its lattice ``dims``
+                and ``step``, its budget ``eps`` and ``psi``, its box mode
+                and the ``seed`` its initial vectors were drawn from, as
+                ``float.hex`` text where a float; its one array,
+                ``vectors``, has shape (G, N, m, 4), one ``dx dy dz dtau``
+                row per lattice root of each slot (g, n), with m following
+                from dims and step. Every spatial component must lie in
+                [-eps, eps] and every intensity shift in [-psi, psi]. A
+                checkpoint's header holds only its head ``kind``, ``seg``
+                or ``det``; every size of a head, a segmenter's class count
+                included, is fixed by the build. It stores one array per
+                MLP parameter, ``W1 b1 W2 b2 W3 b3``.
   * text        UTF-8 lines, each followed by one ``\n`` and holding no line
                 break (nothing ``str.splitlines`` splits on): reports,
                 ``.boxes`` rows and configs
@@ -37,13 +40,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 BANK_MAGIC = "advfield-vfb"
-BANK_VERSION = 5
+BANK_VERSION = 6
 
 
 class FormatError(ValueError):
@@ -89,43 +92,14 @@ class PointCloud:
 
 
 # ---------------------------------------------------------------------------
-# point clouds (.bin)
+# point clouds (.bin) and their labels (.label)
 # ---------------------------------------------------------------------------
-
-def read_cloud(path) -> PointCloud:
-    """Read a float32 x/y/z/intensity cloud; labels are zero-initialized."""
-    raw = Path(path).read_bytes()
-    if len(raw) % 16 != 0:
-        raise FormatError(
-            f"{path}: trailing bytes, file length {len(raw)} is not a multiple of 16"
-        )
-    data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        raise FormatError(f"{path}: non-finite value in point {bad[0]} (byte offset {bad[0] * 16})")
-    return PointCloud.unlabeled(data[:, :3].astype(float), data[:, 3].astype(float))
-
 
 def write_cloud(cloud: PointCloud, path) -> None:
     data = np.empty((cloud.n, 4), dtype="<f4")
     data[:, :3] = cloud.xyz
     data[:, 3] = cloud.intensity
     _create(path).write_bytes(data.tobytes())
-
-
-# ---------------------------------------------------------------------------
-# labels (.label)
-# ---------------------------------------------------------------------------
-
-def read_labels(path, n: int):
-    """Read packed labels for a cloud of ``n`` points -> (semantic, instance)."""
-    raw = Path(path).read_bytes()
-    if len(raw) != 4 * n:
-        raise FormatError(f"{path}: expected {4 * n} bytes for {n} points, got {len(raw)}")
-    packed = np.frombuffer(raw, dtype="<u4")
-    semantic = (packed & 0xFFFF).astype(np.int32)
-    instance = (packed >> 16).astype(np.int32)
-    return semantic, instance
 
 
 def write_labels(path, semantic, instance) -> None:
@@ -142,9 +116,22 @@ def write_labels(path, semantic, instance) -> None:
 
 
 def read_labeled_cloud(bin_path, label_path) -> PointCloud:
-    cloud = read_cloud(bin_path)
-    semantic, instance = read_labels(label_path, cloud.n)
-    return replace(cloud, semantic=semantic, instance=instance)
+    """Read a float32 x/y/z/intensity cloud and its packed labels, one uint32 per point."""
+    raw = Path(bin_path).read_bytes()
+    if len(raw) % 16 != 0:
+        raise FormatError(
+            f"{bin_path}: trailing bytes, file length {len(raw)} is not a multiple of 16"
+        )
+    data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise FormatError(f"{bin_path}: non-finite value in point {bad[0]} "
+                          f"(byte offset {bad[0] * 16})")
+    n, raw = len(data), Path(label_path).read_bytes()
+    if len(raw) != 4 * n:
+        raise FormatError(f"{label_path}: expected {4 * n} bytes for {n} points, got {len(raw)}")
+    packed = np.frombuffer(raw, dtype="<u4")
+    return PointCloud(data[:, :3], data[:, 3], packed & 0xFFFF, packed >> 16)
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +286,22 @@ def _hex(x: float) -> str:
 
 def save_bank(bank, path) -> None:
     """Write a FieldBank as a .vfb: its header, then its (G, N, m, 4) ``vectors``."""
-    header = {"class_name": bank.class_name, "class_id": bank.class_id,
-              "dims": " ".join(map(_hex, bank.dims)), "step": _hex(bank.step),
-              "eps": _hex(bank.eps), "psi": _hex(bank.psi), "boxes": bank.boxes,
-              "seed": bank.seed}
+    header = {"class_name": bank.class_name, "dims": " ".join(map(_hex, bank.dims)),
+              "step": _hex(bank.step), "eps": _hex(bank.eps), "psi": _hex(bank.psi),
+              "boxes": bank.boxes, "seed": bank.seed}
     write_arrays(path, BANK_MAGIC, BANK_VERSION, header, {"vectors": bank.vectors})
 
 
 def load_bank(path):
     """Read a .vfb back into a FieldBank; every float round-trips exactly."""
-    from .field import FieldBank, check_budget, lattice_counts  # local import, avoids a cycle
+    from .field import FieldBank, check_budget, lattice_counts  # local imports, avoid a cycle
+    from .simulator import CLASS_NAMES
 
     header, arrays = read_arrays(path, BANK_MAGIC, BANK_VERSION)
     try:
+        if header["class_name"] not in CLASS_NAMES:
+            raise ValueError(f"class_name {header['class_name']!r} is not one of this "
+                             f"build's {','.join(CLASS_NAMES)}")
         dims = tuple(map(float.fromhex, header["dims"].split()))
         step = float.fromhex(header["step"])
         eps, psi = float.fromhex(header["eps"]), float.fromhex(header["psi"])
@@ -328,7 +318,8 @@ def load_bank(path):
             if not np.all(np.abs(vectors[g, n]) <= [eps, eps, eps, psi]):
                 raise ValueError(f"array vectors, slot ({g + 1}, {n + 1}), has a vector "
                                  f"outside the bank's budget eps = {eps}, psi = {psi}")
-        return FieldBank(class_id=int(header["class_id"]), class_name=header["class_name"],
+        return FieldBank(class_id=CLASS_NAMES.index(header["class_name"]),
+                         class_name=header["class_name"],
                          dims=dims, step=step, vectors=vectors, seed=int(header["seed"]),
                          eps=eps, psi=psi, boxes=header["boxes"])
     except KeyError as err:

@@ -93,8 +93,15 @@ def train_augmented_det(scenes, bank: FieldBank | None, class_id: int, epochs: i
 # ---------------------------------------------------------------------------
 
 def confusion_matrix(pred, labels, n_classes: int) -> np.ndarray:
+    """Counts of (label, prediction) pairs; ValueError naming an id outside [0, n_classes)."""
     pred = np.asarray(pred, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
+    for name, ids in (("label", labels), ("prediction", pred)):
+        # else labels * n_classes + pred would count the pair in another cell
+        low, high = ids.min(initial=0), ids.max(initial=0)
+        if low < 0 or high >= n_classes:
+            raise ValueError(f"{name} id {low if low < 0 else high} is outside "
+                             f"[0, {n_classes})")
     joint = labels * n_classes + pred
     counts = np.bincount(joint, minlength=n_classes * n_classes)
     return counts.reshape(n_classes, n_classes)

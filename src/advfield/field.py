@@ -33,6 +33,7 @@ import numpy as np
 from .cloudio import PointCloud
 from .geometry import OrientedBox, box_contains_many, rot_z
 from .rotation import BOX_MODES, GroupScheme, target_boxes
+from .simulator import CLASS_NAMES
 
 # Points closer than this to a root are hard-assigned to it (weight 1),
 # avoiding the 1/d blow-up.
@@ -86,6 +87,11 @@ class FieldBank:
     fields: list = dc_field(init=False, repr=False)
 
     def __post_init__(self):
+        if (self.class_id, self.class_name) not in enumerate(CLASS_NAMES):
+            raise ValueError(f"class ({self.class_id}, {self.class_name!r}) is not one of "
+                             f"this build's {','.join(CLASS_NAMES)}")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is not an integer >= 0")
         check_budget(self.eps, self.psi)
         if self.boxes not in BOX_MODES:
             raise ValueError(f"box mode must be one of {BOX_MODES}, got {self.boxes!r}")

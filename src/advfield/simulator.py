@@ -133,6 +133,8 @@ class SensorSpec:
             raise ValueError("max range must be positive")
         if self.origin_height <= 0:
             raise ValueError("origin height must be positive")
+        if self.range_noise < 0:
+            raise ValueError(f"range_noise {self.range_noise!r} m is negative")
         for name in ("origin_height", "max_range"):
             if getattr(self, name) > MAX_RANGE:
                 raise ValueError(f"{name} {getattr(self, name)!r} m is above the "

@@ -41,7 +41,9 @@ BLAS may round a product over fewer rows differently.
 Each head has one fixed architecture, the victim that fields are fitted
 against and that augmented training rebuilds: 0.5 m voxels and a 64-wide MLP
 for the segmenter, 64 x 64 anchors of 2 m and a 32-wide MLP for the detector.
-A checkpoint header holds only the kind and a segmenter's ``n_classes``.
+A checkpoint header holds only the kind; a segmenter has one output per
+class of ``simulator.CLASS_NAMES``, and ``save_checkpoint`` refuses one
+that does not.
 
 The detector builds its fixed anchor grid (centers, bearings, view-frame
 rotations) once. That one bearing table serves pooling, training targets,
@@ -62,10 +64,10 @@ import numpy as np
 
 from .cloudio import FormatError, PointCloud, read_arrays, write_arrays
 from .geometry import OrientedBox, rot_z, wrap_pi
-from .simulator import CANONICAL_CAR_DIMS
+from .simulator import CANONICAL_CAR_DIMS, CLASS_NAMES
 
 CKPT_MAGIC = "advfield-ckpt"
-CKPT_VERSION = 4
+CKPT_VERSION = 5
 
 # fixed feature normalization; changing these changes the architecture
 _REL_SCALE = 2.0     # relative offsets, +-0.5 m -> +-1
@@ -294,11 +296,14 @@ class SegNetMini:
         return probs.argmax(axis=1).astype(np.int32)
 
     def state(self) -> tuple:
-        return {"kind": "seg", "n_classes": self.n_classes}, self.mlp.params
+        if self.n_classes != len(CLASS_NAMES):  # else no checkpoint could be read back
+            raise ValueError(f"a checkpoint holds a segmenter of this build's "
+                             f"{len(CLASS_NAMES)} classes, not {self.n_classes}")
+        return {"kind": "seg"}, self.mlp.params
 
     @classmethod
     def from_state(cls, meta: dict, params: dict) -> "SegNetMini":
-        model = cls(int(meta["n_classes"]))
+        model = cls(len(CLASS_NAMES))
         model.mlp.load(params)
         return model
 
@@ -797,8 +802,7 @@ def train_det(scenes, boxes_per_scene, epochs: int, lr: float, seed,
 
 # ---------------------------------------------------------------------------
 # checkpoints: the versioned array format of cloudio, with the head's state()
-# meta (``kind``, and a segmenter's ``n_classes``) as header and one array per
-# MLP parameter
+# meta (``kind``) as header and one array per MLP parameter
 # ---------------------------------------------------------------------------
 
 _HEADS = {"seg": SegNetMini, "det": DetHeadMini}

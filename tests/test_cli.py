@@ -1,5 +1,7 @@
 """The CLI in-process on a tiny split: run, replay from manifests, exit codes."""
 
+import contextlib
+import io
 import math
 import os
 import shutil
@@ -495,6 +497,17 @@ def test_segmentation_eval_refuses_detection_flags(pipeline, tmp_path, capsys):
     assert not (tmp_path / "e").exists()
 
 
+@pytest.mark.parametrize("kind", ["l2", "chamfer", "remove", "generate"])
+def test_a_baseline_against_a_detector_exits_2_and_writes_nothing(detection, kind, tmp_path,
+                                                                  capsys):
+    # every baseline attacks a segmenter; a detector's outputs ended in an IndexError
+    assert run("baseline-attack", "--kind", kind, "--victim", detection / "victim" / "det.ckpt",
+               "--data", detection / "data" / "val", "--iters", 1,
+               "--out", tmp_path / "out") == cli.EXIT_CONFIG
+    assert "baseline-attack needs a segmentation victim" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_baseline_attack_has_no_seed_flag(pipeline, tmp_path):
     assert run("baseline-attack", "--kind", "l2", "--victim", pipeline / "victim" / "seg.ckpt",
                "--data", pipeline / "data" / "val", "--seed", 0,
@@ -893,27 +906,25 @@ def test_a_split_whose_sensor_casts_too_many_rays_exits_2(pipeline, command, tmp
     assert not out.exists()
 
 
-# a header edit of a checkpoint and the message that names what it breaks
+# a version-5 file holding the parameters of a segmenter of another class
+# count, which save_checkpoint refuses to write, and the message that names
+# what it breaks
 CHECKPOINT_GEOMETRY = {
-    # a class count that disagrees with the stored arrays: refused before any
-    # parameter exists
-    "classes-too-many": ("seg", "n_classes = ", "n_classes = 1000000",
-                         "parameter W3 has shape (64, 5), expected (64, 1000000)"),
+    "classes-too-many": (7, "parameter W3 has shape (64, 7), expected (64, 5)"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CHECKPOINT_GEOMETRY))
 def test_a_checkpoint_with_a_bad_head_geometry_exits_2(pipeline, case, tmp_path, capsys):
-    kind, prefix, line, message = CHECKPOINT_GEOMETRY[case]
-    model = victim.SegNetMini(len(simulator.CLASS_NAMES)) if kind == "seg" else victim.DetHeadMini()
+    n_classes, message = CHECKPOINT_GEOMETRY[case]
+    model = victim.SegNetMini(n_classes)
     model.init_random(0)
-    path = tmp_path / f"{kind}.ckpt"
-    victim.save_checkpoint(model, path)
-    path.write_bytes(rewrite_line(path.read_bytes(), prefix, line))
+    path = tmp_path / "seg.ckpt"
+    cloudio.write_arrays(path, victim.CKPT_MAGIC, victim.CKPT_VERSION, {"kind": "seg"},
+                         model.mlp.params)
     out = tmp_path / "eval"
-    metrics = "miou" if kind == "seg" else "ap"
     assert run("eval", "--victim", path, "--data", pipeline / "data" / "val",
-               "--metrics", metrics, "--out", out) == cli.EXIT_CONFIG
+               "--out", out) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"{path}: " in err and message in err
     assert not out.exists()
@@ -1011,3 +1022,124 @@ def test_a_manifest_that_is_not_utf8_exits_2_and_names_its_line(pipeline, tmp_pa
     assert run("--config", path, "--out", tmp_path / "car.vfb") == cli.EXIT_CONFIG
     assert f"{path}:{lineno}: not UTF-8 text" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
+
+
+# ---------------------------------------------------------------------------
+# a manifest records the options its run read, and no other
+# ---------------------------------------------------------------------------
+
+def outputs(root: Path) -> dict:
+    """Every file under ``root`` but its manifest, by relative path."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "manifest.cfg"}
+
+
+# per run whose mode ignores an option: its argv, that option, and a value of it
+IGNORED_OPTIONS = {
+    "simulate-one-domain": (lambda root: ("simulate", "--domain", "normal", "--scenes", 2,
+                                          *TINY[2:]), "sizes", "1,1,1,1"),
+    "simulate-splits": (lambda root: ("simulate", *TINY), "scenes", "7"),
+    "baseline-l2": (lambda root: ("baseline-attack", "--kind", "l2", "--victim",
+                                  root / "victim" / "seg.ckpt", "--data", root / "data" / "val",
+                                  "--iters", 1), "lam", "0.5"),
+    "eval-miou": (lambda root: ("eval", "--victim", root / "victim" / "seg.ckpt",
+                                "--data", root / "data" / "val"), "seed", "3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_OPTIONS))
+def test_a_manifest_leaves_out_an_option_its_mode_ignores(pipeline, case, tmp_path):
+    argv, key, value = IGNORED_OPTIONS[case]
+    out = tmp_path / "out"
+    assert run(*argv(pipeline), f"--{key}={value}", "--out", out) == 0
+    config = cloudio.read_config(out / "manifest.cfg")
+    assert key not in config
+    # older manifests record the option; its value is still read and ignored
+    cloudio.write_config({**config, key: value}, tmp_path / "old.cfg")
+    assert run("--config", tmp_path / "old.cfg", "--out", tmp_path / "replay") == 0
+    assert outputs(tmp_path / "replay") == outputs(out)
+    assert cloudio.read_config(tmp_path / "replay" / "manifest.cfg").keys() == config.keys()
+
+
+@pytest.mark.parametrize("mode", ["untargeted", "detection"])
+def test_a_target_outside_targeted_mode_exits_2_and_writes_nothing(pipeline, mode, tmp_path,
+                                                                   capsys):
+    assert run("attack", "--mode", mode, "--target", "building", "--victim",
+               pipeline / "victim" / "seg.ckpt", "--data", pipeline / "data" / "train",
+               "--out", tmp_path / "out" / "car.vfb") == cli.EXIT_CONFIG
+    assert "--target is an option of --mode targeted only" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# every header value of an outside file: eval exits 0 or 2, never with a traceback
+# ---------------------------------------------------------------------------
+
+HEADER_VALUES = ("0", "-1", "1e300", "12345678901234567890", "nan", "abc")
+
+# (artifact, key) -> values that must exit 2, with a message naming the key;
+# a bank's class is one of this build's, so every edit of it is refused
+MUST_REFUSE = {("bank", "class_name"): HEADER_VALUES, ("bank", "seed"): ("-1",),
+               ("sensor", "range_noise"): ("-1",), ("victim", "kind"): HEADER_VALUES}
+
+
+# the header keys of each outside file that eval reads
+HEADER_KEYS = {"bank": ("class_name", "dims", "step", "eps", "psi", "boxes", "seed"),
+               "victim": ("kind",),
+               "sensor": (*simulator._SENSOR_KEYS, "classes")}
+HEADER_EDITS = [(artifact, key, value) for artifact, keys in HEADER_KEYS.items()
+                for key in keys for value in HEADER_VALUES]
+
+
+@pytest.fixture(scope="module")
+def header_sweep(detection, tmp_path_factory):
+    """Each header edit -> (exit code or the exception eval raised, stderr, whether it wrote)."""
+    root = tmp_path_factory.mktemp("headers")
+    results = {}
+    for index, (artifact, key, value) in enumerate(HEADER_EDITS):
+        work = root / str(index)
+        work.mkdir()
+        split = copy_split(detection / "data" / "val", work / "split")
+        bank, seg = work / "car.vfb", work / "seg.ckpt"
+        bank.write_bytes((detection / "det-bank" / "car.vfb").read_bytes())
+        seg.write_bytes((detection / "victim" / "seg.ckpt").read_bytes())
+        edited = {"bank": bank, "victim": seg, "sensor": split / "sensor.cfg"}[artifact]
+        _rewrite(edited, f"{key} = ", f"{key} = {value}")
+        if artifact == "victim":
+            argv = ("--victim", seg, "--data", split)
+        else:
+            argv = ("--victim", detection / "victim" / "det.ckpt", "--data", split,
+                    "--metrics", "ap,asr", "--bank", bank)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            try:
+                code = run("eval", *argv, "--out", work / "out")
+            except Exception as err:  # what the command line shows as a traceback
+                code = err
+        results[artifact, key, value] = code, stderr.getvalue(), (work / "out").exists()
+    return results
+
+
+def test_the_header_sweep_edits_every_key(detection):
+    files = {"bank": detection / "det-bank" / "car.vfb",
+             "victim": detection / "victim" / "seg.ckpt",
+             "sensor": detection / "data" / "val" / "sensor.cfg"}
+    for artifact, path in files.items():
+        if path.suffix == ".cfg":
+            keys = list(cloudio.read_config(path))
+        else:
+            head = path.read_bytes().split(b"\narray ")[0].decode("utf-8").splitlines()[1:]
+            keys = [line.partition(" = ")[0] for line in head]
+        assert keys == list(HEADER_KEYS[artifact])
+    assert all(key in HEADER_KEYS[artifact] for artifact, key in MUST_REFUSE)
+
+
+@pytest.mark.parametrize("artifact,key,value", HEADER_EDITS)
+def test_a_header_value_exits_0_or_2_and_writes_nothing_on_2(header_sweep, artifact, key,
+                                                              value):
+    code, err, wrote = header_sweep[artifact, key, value]
+    assert code in (0, cli.EXIT_CONFIG), (code, err)
+    if code == cli.EXIT_CONFIG:
+        assert err.startswith("configuration error: ") and not wrote
+    if value in MUST_REFUSE.get((artifact, key), ()):
+        assert code == cli.EXIT_CONFIG and key in err

@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -21,12 +22,24 @@ def random_cloud(rng, n=1000):
     return PointCloud(xyz, tau, sem, inst)
 
 
+def zero_labels(path, n):
+    """A .label file of ``n`` zero labels at ``path``, the partner of an ``n``-point cloud."""
+    cloudio.write_labels(path, np.zeros(n, dtype=int), np.zeros(n, dtype=int))
+    return path
+
+
+def zero_cloud(path, n):
+    """A .bin file of ``n`` points at the origin, the partner of an ``n``-label file."""
+    cloudio.write_cloud(PointCloud.unlabeled(np.zeros((n, 3)), np.zeros(n)), path)
+    return path
+
+
 class TestCloudRoundTrip:
     def test_roundtrip_bit_exact(self, tmp_path):
         cloud = random_cloud(np.random.default_rng(0))
         path = tmp_path / "scan.bin"
         cloudio.write_cloud(cloud, path)
-        back = cloudio.read_cloud(path)
+        back = cloudio.read_labeled_cloud(path, zero_labels(tmp_path / "scan.label", cloud.n))
         assert np.array_equal(back.xyz, cloud.xyz)
         assert np.array_equal(back.intensity, cloud.intensity)
         cloudio.write_cloud(back, tmp_path / "again.bin")
@@ -35,13 +48,13 @@ class TestCloudRoundTrip:
     def test_empty_file_gives_empty_cloud(self, tmp_path):
         path = tmp_path / "empty.bin"
         path.write_bytes(b"")
-        assert cloudio.read_cloud(path).n == 0
+        assert cloudio.read_labeled_cloud(path, zero_labels(tmp_path / "e.label", 0)).n == 0
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00" * 17)
         with pytest.raises(FormatError, match="trailing bytes"):
-            cloudio.read_cloud(path)
+            cloudio.read_labeled_cloud(path, zero_labels(tmp_path / "bad.label", 1))
 
     def test_non_finite_rejected_with_offset(self, tmp_path):
         data = np.zeros((3, 4), dtype="<f4")
@@ -49,15 +62,15 @@ class TestCloudRoundTrip:
         path = tmp_path / "nan.bin"
         path.write_bytes(data.tobytes())
         with pytest.raises(FormatError, match="byte offset 16"):
-            cloudio.read_cloud(path)
+            cloudio.read_labeled_cloud(path, zero_labels(tmp_path / "nan.label", 3))
 
 
 class TestLabels:
     def test_packing_layout(self, tmp_path):
         path = tmp_path / "x.label"
         path.write_bytes(np.array([0x0005_0002], dtype="<u4").tobytes())
-        semantic, instance = cloudio.read_labels(path, 1)
-        assert semantic[0] == 2 and instance[0] == 5
+        cloud = cloudio.read_labeled_cloud(zero_cloud(tmp_path / "x.bin", 1), path)
+        assert cloud.semantic[0] == 2 and cloud.instance[0] == 5
 
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -65,14 +78,15 @@ class TestLabels:
         inst = rng.integers(0, 200, 500)
         path = tmp_path / "r.label"
         cloudio.write_labels(path, sem, inst)
-        s2, i2 = cloudio.read_labels(path, 500)
-        assert np.array_equal(s2, sem) and np.array_equal(i2, inst)
+        cloud = cloudio.read_labeled_cloud(zero_cloud(tmp_path / "r.bin", 500), path)
+        assert np.array_equal(cloud.semantic, sem) and np.array_equal(cloud.instance, inst)
+        assert cloud.semantic.dtype == cloud.instance.dtype == np.int32
 
     def test_length_mismatch(self, tmp_path):
         path = tmp_path / "short.label"
         cloudio.write_labels(path, [1, 2], [0, 0])
-        with pytest.raises(FormatError, match="expected"):
-            cloudio.read_labels(path, 3)
+        with pytest.raises(FormatError, match=f"{path}: expected 12 bytes for 3 points, got 8"):
+            cloudio.read_labeled_cloud(zero_cloud(tmp_path / "short.bin", 3), path)
 
 
 class TestBankFormat:
@@ -114,14 +128,14 @@ class TestBankFormat:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.vfb"
-        for version in (4, 999):  # the format before this one, and a later one
+        for version in (5, 999):  # the format before this one, and a later one
             path.write_text(f"advfield-vfb {version}\n")
-            with pytest.raises(FormatError, match=f"unsupported version {version}, expected 5"):
+            with pytest.raises(FormatError, match=f"unsupported version {version}, expected 6"):
                 cloudio.load_bank(path)
         # a whole bank under the old version line
         cloudio.save_bank(self._random_bank(), path)
-        path.write_bytes(rewrite_line(path.read_bytes(), "advfield-vfb ", "advfield-vfb 4"))
-        with pytest.raises(FormatError, match="unsupported version 4, expected 5"):
+        path.write_bytes(rewrite_line(path.read_bytes(), "advfield-vfb ", "advfield-vfb 5"))
+        with pytest.raises(FormatError, match="unsupported version 5, expected 6"):
             cloudio.load_bank(path)
 
     def test_main_configuration_vector_count_on_disk(self, tmp_path):
@@ -141,7 +155,7 @@ class TestBankFormat:
 
 
 class TestBankFormatV2:
-    """What bank format 2 introduced and format 5 keeps: the box mode, no root rows."""
+    """What bank format 2 introduced and format 6 keeps: the box mode, no root rows."""
 
     def test_roundtrip_keeps_box_mode(self, tmp_path):
         bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 6, 2, seed=4, boxes="axis-aligned")
@@ -159,11 +173,12 @@ class TestBankFormatV2:
         data = path.read_bytes()
         at = data.index(b"array ")
         lines = data[:at].decode("utf-8").splitlines()
-        assert lines[0] == "advfield-vfb 5"
+        assert lines[0] == "advfield-vfb 6"
         at_psi = lines.index(next(x for x in lines if x.startswith("psi")))
         assert lines[at_psi + 1:] == ["boxes = gt", "seed = 4"]
         assert not any(x.startswith(("r ", "roots_per_field", "G ", "N ")) for x in lines)
-        assert len(lines) == 1 + 8
+        assert not any(x.startswith("class_id") for x in lines)
+        assert len(lines) == 1 + 7
         # the only array is the (2, 1, 20, 4) vector array: 20 lattice roots a slot
         line, payload = data[at:].split(b"\n", 1)
         assert line == b"array vectors 2 1 20 4" and len(payload) == 2 * 20 * 4 * 8
@@ -288,12 +303,71 @@ def test_edited_banks_load_or_raise_a_format_error(tmp_path):
     assert outcomes == {"loaded", "refused"}
 
 
+BUILD_CLASSES = "ground,car,person,building,vegetation"
+
+
+class TestClassesTheBuildFixes:
+    """A bank names its class once, and a checkpoint holds no class count."""
+
+    def test_a_bank_takes_its_class_id_from_the_position_of_its_name(self, tmp_path):
+        assert ",".join(simulator.CLASS_NAMES) == BUILD_CLASSES
+        for class_id, name in enumerate(simulator.CLASS_NAMES):
+            cloudio.save_bank(make_bank(class_id, name, (1.0, 0.8, 2.0), 0.4, 1, 1, seed=4),
+                              tmp_path / "b.vfb")
+            back = cloudio.load_bank(tmp_path / "b.vfb")
+            assert (back.class_id, back.class_name) == (class_id, name)
+
+    # before, each of these loaded: 99 and -1 matched no scene box, and 4 with
+    # car deformed vegetation
+    @pytest.mark.parametrize("class_id, name", [(1, "person"), (99, "car"), (-1, "car"),
+                                                (4, "car"), (-4, "car"), (1, "abc")])
+    def test_a_bank_of_no_class_of_this_build_is_refused(self, class_id, name):
+        with pytest.raises(ValueError, match=re.escape(
+                f"class ({class_id}, {name!r}) is not one of this build's {BUILD_CLASSES}")):
+            make_bank(class_id, name, (1.0, 0.8, 2.0), 0.4, 1, 1, seed=4)
+
+    @pytest.mark.parametrize("name", ["abc", "0", "Car"])
+    def test_a_class_name_this_build_lacks_is_a_format_error(self, tmp_path, name):
+        path = tmp_path / "b.vfb"
+        cloudio.save_bank(make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 1, 1, seed=4), path)
+        path.write_bytes(rewrite_line(path.read_bytes(), "class_name = ", f"class_name = {name}"))
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: class_name {name!r} is not one of this build's {BUILD_CLASSES}")):
+            cloudio.load_bank(path)
+
+    def test_a_negative_seed_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="seed -1 is not an integer >= 0"):
+            make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 1, 1, seed=-1)
+        path = tmp_path / "b.vfb"
+        cloudio.save_bank(make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 1, 1, seed=4), path)
+        path.write_bytes(rewrite_line(path.read_bytes(), "seed = ", "seed = -1"))
+        with pytest.raises(FormatError, match=f"{path}: seed -1 is not an integer >= 0"):
+            cloudio.load_bank(path)
+
+    @pytest.mark.parametrize("n_classes", [3, 7])
+    def test_a_segmenter_of_another_class_count_is_neither_written_nor_read(self, tmp_path,
+                                                                           n_classes):
+        model = victim.SegNetMini(n_classes)
+        model.init_random(0)
+        with pytest.raises(ValueError, match=f"this build's 5 classes, not {n_classes}"):
+            victim.save_checkpoint(model, tmp_path / "new" / "seg.ckpt")
+        assert not any(tmp_path.iterdir())
+        path = tmp_path / "seg.ckpt"
+        cloudio.write_arrays(path, victim.CKPT_MAGIC, victim.CKPT_VERSION, {"kind": "seg"},
+                             model.mlp.params)
+        with pytest.raises(FormatError, match=re.escape(
+                f"parameter W3 has shape (64, {n_classes}), expected (64, 5)")):
+            victim.load_checkpoint(path)
+
+
 # load_bank would read " car" back as "car", and the last as two header lines
 @pytest.mark.parametrize("name", [" car", "car ", "car\nseed = 7"], ids=ascii)
 def test_a_header_value_a_config_cannot_hold_is_refused_and_writes_nothing(tmp_path, name):
-    bank = make_bank(1, name, (1.0, 0.8, 2.0), 0.4, 2, 1, seed=4)
+    with pytest.raises(ValueError, match=r"class \(1, '.*'\) is not one of this build's"):
+        make_bank(1, name, (1.0, 0.8, 2.0), 0.4, 2, 1, seed=4)
     with pytest.raises(ValueError, match="class_name '.*': a config value holds no line break"):
-        cloudio.save_bank(bank, tmp_path / "new" / "car.vfb")
+        cloudio.write_arrays(tmp_path / "new" / "car.vfb", cloudio.BANK_MAGIC,
+                             cloudio.BANK_VERSION, {"class_name": name}, {})
     assert not any(tmp_path.iterdir())
 
 
@@ -353,9 +427,8 @@ MALFORMED_CHECKPOINTS = {
     "wrong-magic": (_line("advfield-ckpt ", "advfield-ckptX 3"), "not an advfield-ckpt file"),
     "version-1": (_line("advfield-ckpt ", "advfield-ckpt 1"), "unsupported version 1"),
     "version-2": (_line("advfield-ckpt ", "advfield-ckpt 2"),
-                  "unsupported version 2, expected 4"),
+                  "unsupported version 2, expected 5"),
     "unknown-kind": (_line("kind = ", "kind = pointnet"), "unknown checkpoint kind 'pointnet'"),
-    "missing-meta": (_line("n_classes = "), "missing header key 'n_classes'"),
 }
 
 
@@ -374,9 +447,9 @@ ARTIFACT_HEADERS = {
     "bank": (lambda path: cloudio.save_bank(make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 2, 1,
                                                       seed=4), path),
              cloudio.load_bank,
-             ["class_name", "class_id", "dims", "step", "eps", "psi", "boxes", "seed"]),
+             ["class_name", "dims", "step", "eps", "psi", "boxes", "seed"]),
     "seg": (lambda path: victim.save_checkpoint(_victim("seg"), path), victim.load_checkpoint,
-            ["kind", "n_classes"]),
+            ["kind"]),
     "det": (lambda path: victim.save_checkpoint(_victim("det"), path), victim.load_checkpoint,
             ["kind"]),
 }
@@ -400,14 +473,14 @@ def test_eval_of_an_unreadable_victim_exits_2(tmp_path, capsys):
     sensor = simulator.SensorSpec(channels=8, azimuth_resolution=math.radians(4.0))
     simulator.write_sensor_config(sensor, tmp_path / "data")
     simulator.write_scene(simulator.generate_scene(0, "normal", 2, sensor), tmp_path / "data", 0)
-    path, old = tmp_path / "truncated.ckpt", tmp_path / "v3.ckpt"
+    path, old = tmp_path / "truncated.ckpt", tmp_path / "v4.ckpt"
     victim.save_checkpoint(_victim("seg"), path)
-    old.write_bytes(rewrite_line(path.read_bytes(), "advfield-ckpt ", "advfield-ckpt 3"))
+    old.write_bytes(rewrite_line(path.read_bytes(), "advfield-ckpt ", "advfield-ckpt 4"))
     path.write_bytes(_truncated(path.read_bytes()))
-    for ckpt in (path, tmp_path / "data", old):  # a truncated file, a directory, version 3
+    for ckpt in (path, tmp_path / "data", old):  # a truncated file, a directory, version 4
         assert cli.main(["eval", "--victim", str(ckpt), "--data", str(tmp_path / "data"),
                          "--out", str(tmp_path / "e")]) == cli.EXIT_CONFIG
-    assert f"{old}: unsupported version 3, expected 4" in capsys.readouterr().err
+    assert f"{old}: unsupported version 4, expected 5" in capsys.readouterr().err
     assert not (tmp_path / "e").exists()
 
 
@@ -563,8 +636,8 @@ def test_a_file_that_is_not_utf8_is_a_format_error_that_names_it(tmp_path, load,
     path.write_bytes(rewrite_line(saved, "class_name = ", b"class_name = caf\xe9"))
     with pytest.raises(FormatError, match=f"{path}:2: not UTF-8 text"):
         cloudio.load_bank(path)
-    path.write_bytes(saved + b"array \xff 1\n")  # after 9 header lines and 1 array line
-    with pytest.raises(FormatError, match=f"{path}:11: not UTF-8 text"):
+    path.write_bytes(saved + b"array \xff 1\n")  # after 8 header lines and 1 array line
+    with pytest.raises(FormatError, match=f"{path}:10: not UTF-8 text"):
         cloudio.load_bank(path)
 
 

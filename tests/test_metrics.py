@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from advfield.evaluate import (Detection, GroundTruth, _match_matrix, attack_success_rate,
-                               average_precision, detected_mask)
+                               average_precision, confusion_matrix, detected_mask)
 from advfield.geometry import OrientedBox
 
 
@@ -107,3 +107,14 @@ class TestRotatedOverlap:
         assert is_tp.tolist() == [hit]
         assert average_precision(dets, gts, thr) == (1.0 if hit else 0.0)
         assert detected_mask(dets, gts, thr).tolist() == [hit]
+
+
+def test_a_confusion_matrix_refuses_an_id_outside_its_classes():
+    # labels * n + pred put two ground points predicted as 5 and 6 in the car row
+    with pytest.raises(ValueError, match=r"prediction id 6 is outside \[0, 5\)"):
+        confusion_matrix([5, 6, 1, 2, 3], [0, 0, 1, 2, 3], 5)
+    with pytest.raises(ValueError, match=r"label id -1 is outside \[0, 5\)"):
+        confusion_matrix([0, 1], [-1, 1], 5)
+    assert confusion_matrix([4, 0, 4], [4, 4, 0], 5).tolist() == [
+        [0, 0, 0, 0, 1], [0] * 5, [0] * 5, [0] * 5, [1, 0, 0, 0, 1]]
+    assert confusion_matrix([], [], 5).sum() == 0

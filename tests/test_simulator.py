@@ -412,3 +412,15 @@ def test_every_hit_lies_in_the_objects_sector(obj, sensor):
     assert hits.any() and not np.any(hits & ~inside)
     cloud = cast_both([obj], sensor)
     assert np.any(cloud.instance == 1)
+
+
+def test_a_negative_range_noise_is_refused(tmp_path):
+    # generate_scene failed deep inside numpy's normal draw, with scale < 0
+    simulator.SensorSpec(range_noise=0.0)
+    with pytest.raises(ValueError, match=re.escape("range_noise -1.0 m is negative")):
+        simulator.SensorSpec(range_noise=-1.0)
+    simulator.write_sensor_config(DESK_SENSOR, tmp_path)
+    path = tmp_path / "sensor.cfg"
+    path.write_bytes(rewrite_line(path.read_bytes(), "range_noise = ", "range_noise = -1.0"))
+    with pytest.raises(cloudio.FormatError, match=re.escape("sensor.cfg: range_noise -1.0 m")):
+        simulator.read_sensor_config(tmp_path)
