@@ -125,8 +125,6 @@ def drop_boxes(boxes, fraction: float, seed) -> list:
     """
     kept = list(boxes)
     n_drop = int(round(fraction * len(kept)))
-    if n_drop == 0:
-        return kept
     rng = np.random.default_rng(seed)
     dropped = set(rng.choice(len(kept), size=n_drop, replace=False).tolist())
     return [b for i, b in enumerate(kept) if i not in dropped]

@@ -163,10 +163,7 @@ def critical_points(cloud: PointCloud, box: OrientedBox, victim, eps: float = 0.
                     psi: float = 0.3, iters: int = 10) -> np.ndarray:
     """Cloud indices of the ceil(10%) object points the L2 attack moves furthest."""
     result = _l2_attack(cloud, box, victim, eps, psi, iters)
-    n_obj = len(result.object_idx)
-    if n_obj == 0:
-        return np.zeros(0, dtype=np.int64)
-    count = math.ceil(0.1 * n_obj)
+    count = math.ceil(0.1 * len(result.object_idx))
     magnitudes = np.linalg.norm(result.offsets, axis=1)
     top = np.argsort(-magnitudes, kind="stable")[:count]
     return result.object_idx[top]
@@ -186,11 +183,10 @@ def adversarial_generation(cloud: PointCloud, box: OrientedBox, victim,
     """Append copies of the critical points and attack only the copies.
 
     The original points are left bit-identical; the appended points start at
-    the critical locations and then move under the L2 attack.
+    the critical locations and then move under the L2 attack. A box holding
+    no point appends none, and the victim never runs.
     """
     source = critical_points(cloud, box, victim, eps, psi, iters)
-    if source.size == 0:
-        return cloud.copy()
     grown = PointCloud(
         np.concatenate([cloud.xyz, cloud.xyz[source]]),
         np.concatenate([cloud.intensity, cloud.intensity[source]]),

@@ -33,7 +33,7 @@ import numpy as np
 from . import attack as attack_mod
 from . import baselines, cloudio, evaluate, simulator, victim as victim_mod
 from .field import make_bank
-from .rotation import BOX_MODES, GroupScheme, target_boxes
+from .rotation import BOX_MODES, target_boxes
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -217,7 +217,7 @@ def cmd_baseline_attack(args) -> None:
     for scene in scenes:
         cloud = scene.cloud
         # the gt boxes a field bank would deform; baselines need no group
-        for box, _ in target_boxes(scene, class_id, "gt", GroupScheme(1), step=0.0):
+        for box, _ in target_boxes(scene, class_id, "gt", 1, step=0.0):
             cloud = fn(cloud, box, model, **kwargs)
         attacked.append(simulator.Scene(scene.sensor, cloud, scene.boxes))
     # a split that eval and train-victim read like any other

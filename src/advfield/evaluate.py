@@ -16,7 +16,7 @@ from .cloudio import PointCloud
 from .field import (FieldBank, anchor, anchored_vectors, deform, deform_targets,
                     make_bank, plan_deformation, plan_targets)
 from .geometry import OrientedBox, iou_3d
-from .rotation import GroupScheme, target_boxes
+from .rotation import reference_angle, target_boxes
 from .simulator import Scene, SensorSpec
 from .victim import train_det, train_seg
 
@@ -38,8 +38,7 @@ def augment_scene(scene: Scene, bank: FieldBank, rng: np.random.Generator,
     point outside the chosen box are never modified.
     """
     cloud = scene.cloud
-    eligible = target_boxes(scene, bank.class_id, bank.boxes, GroupScheme(bank.groups),
-                            bank.step)
+    eligible = target_boxes(scene, bank.class_id, bank.boxes, bank.groups, bank.step)
     if not eligible:
         augment_scene.skipped += 1
         return cloud
@@ -370,7 +369,6 @@ def analyze_fields(bank: FieldBank) -> list:
     away from the sensor, per box face region.
     """
     origin = SensorSpec().origin
-    scheme = GroupScheme(bank.groups)
     w0, h0, l0 = bank.dims
     start = make_bank(bank.class_id, bank.class_name, bank.dims, bank.step, bank.groups,
                       bank.variants, bank.seed, bank.eps, bank.psi)
@@ -381,7 +379,7 @@ def analyze_fields(bank: FieldBank) -> list:
         norm = np.linalg.norm(fld.vectors[:, :3], axis=1)
         active = norm > init_norm
 
-        beta = scheme.reference_angle(fld.group)
+        beta = reference_angle(fld.group, bank.groups)
         center = np.array([REFERENCE_RANGE * math.cos(beta),
                            REFERENCE_RANGE * math.sin(beta), h0 / 2.0])
         box = OrientedBox(center, w0, h0, l0, 0.0)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cloudio import PointCloud
 from .geometry import OrientedBox, box_contains_many, rot_z
-from .rotation import BOX_MODES, GroupScheme, target_boxes
+from .rotation import BOX_MODES, target_boxes
 from .simulator import CLASS_NAMES
 
 # Points closer than this to a root are hard-assigned to it (weight 1),
@@ -296,15 +296,13 @@ def plan_deformation(cloud: PointCloud, box: OrientedBox, field: VectorField,
     d = np.take_along_axis(dist, order, axis=1)
     nearest = np.take_along_axis(cand, order, axis=1)
 
-    weights = np.empty_like(d)
+    # rows away from every root hold no d below the floor, so it changes none
+    # of their weights; coincident rows are then made one-hot
+    inv = 1.0 / np.maximum(d, COINCIDENT_EPS)
+    weights = inv / inv.sum(axis=1, keepdims=True)
     coincident = d[:, 0] < COINCIDENT_EPS
-    safe = ~coincident
-    if np.any(safe):
-        inv = 1.0 / d[safe]
-        weights[safe] = inv / inv.sum(axis=1, keepdims=True)
-    if np.any(coincident):
-        weights[coincident] = 0.0
-        weights[coincident, 0] = 1.0
+    weights[coincident] = 0.0
+    weights[coincident, 0] = 1.0
 
     return DeformationPlan(inside, nearest, weights, rays, box.yaw)
 
@@ -341,8 +339,7 @@ def plan_targets(scene, bank: FieldBank, k: int) -> list:
     class and its box mode ``bank.boxes``. Plans are made on the clean cloud,
     so fitting and evaluation deform the same points with the same weights.
     """
-    targets = target_boxes(scene, bank.class_id, bank.boxes, GroupScheme(bank.groups),
-                           bank.step)
+    targets = target_boxes(scene, bank.class_id, bank.boxes, bank.groups, bank.step)
     return [(group, plan_deformation(scene.cloud, box, bank.fields[0],
                                      scene.sensor.origin, k))
             for box, group in targets]

@@ -98,10 +98,7 @@ class OrientedBox:
 
 def box_contains_many(box: OrientedBox, points: np.ndarray) -> np.ndarray:
     """Vectorized membership test for an (n, 3) array of world points."""
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        return np.zeros(0, dtype=bool)
-    local = box.to_local(pts)
+    local = box.to_local(points)
     return np.all(np.abs(local) <= box.half_extents, axis=1)
 
 

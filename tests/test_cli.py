@@ -149,6 +149,17 @@ def test_manifest_of_another_subcommand_exits_2(pipeline, tmp_path):
                "--out", tmp_path / "x.vfb") == cli.EXIT_CONFIG
 
 
+def test_a_manifest_without_a_subcommand_exits_2_and_writes_nothing(pipeline, tmp_path,
+                                                                    capsys):
+    config = cloudio.read_config(pipeline / "data" / "manifest.cfg")
+    del config["subcommand"]
+    cloudio.write_config(config, tmp_path / "bare.cfg")
+    out = tmp_path / "data"
+    assert run("--config", tmp_path / "bare.cfg", "--out", out) == cli.EXIT_CONFIG
+    assert "--config: the manifest names no subcommand (None)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def detection(pipeline):
     root = pipeline
@@ -770,6 +781,13 @@ def test_simulate_refuses_a_negative_split_size_and_writes_nothing(tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_refuses_an_ood_split_larger_than_val_and_writes_nothing(tmp_path, capsys):
+    assert run("simulate", "--sizes", "4,1,2,0", *TINY[2:],
+               "--out", tmp_path / "data") == cli.EXIT_CONFIG
+    assert "ood splits cannot outnumber their paired clean split" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--max-range", -1, "max range must be positive"),
     ("--origin-height", 0, "origin height must be positive"),
@@ -992,6 +1010,12 @@ TEXT_INPUTS = {
     "boxes-not-a-float": (lambda split: _edit_boxes(split, lambda row: row.rsplit(b" ", 1)[0]
                                                     + b" 0.5rad"),
                           ":1: could not convert string to float: '0.5rad'"),
+    "boxes-nan-centre": (lambda split: _edit_boxes(split, lambda row: b" ".join(
+                             [row.split()[0], b"nan", *row.split()[2:]])),
+                         ":1: center must have finite components, got ["),
+    "boxes-inf-yaw": (lambda split: _edit_boxes(split, lambda row: row.rsplit(b" ", 1)[0]
+                                                + b" inf"),
+                      ":1: box yaw must be finite"),
 }
 
 
@@ -1010,6 +1034,34 @@ def test_a_broken_text_input_exits_2_and_names_its_file_and_line(pipeline, case,
     assert run("train-victim", "--data", split, "--epochs", 1,
                "--out", out / "victim.ckpt") == cli.EXIT_CONFIG
     assert f"{path}{message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_blank_boxes_lines_are_skipped(pipeline, tmp_path):
+    split = copy_split(pipeline / "data" / "val", tmp_path / "split")
+    path = split / "000001.boxes"
+    rows = path.read_bytes().split(b"\n")
+    path.write_bytes(b"\n".join([b"", rows[0], b"   ", *rows[1:], b"\t"]))
+    got, want = (simulator.load_split(d)[0] for d in (split, pipeline / "data" / "val"))
+    assert len(got.boxes) == len(want.boxes) > 1
+    for a, b in zip(got.boxes, want.boxes):
+        assert a.class_id == b.class_id
+        assert (*a.box.center, a.box.width, a.box.height, a.box.length, a.box.yaw) == \
+            (*b.box.center, b.box.width, b.box.height, b.box.length, b.box.yaw)
+
+
+@pytest.mark.parametrize("command", ["train-victim", "eval"])
+def test_a_point_outside_the_segmenters_grid_exits_2_and_writes_nothing(pipeline, command,
+                                                                       tmp_path, capsys):
+    split = copy_split(pipeline / "data" / "val", tmp_path / "split")
+    cloud = split / "000000.bin"
+    data = np.frombuffer(cloud.read_bytes(), dtype="<f4").copy()
+    data[0] = 1e6  # x of the first point, 1,000 km out
+    cloud.write_bytes(data.tobytes())
+    out = tmp_path / "out"
+    argv = SPLIT_READERS[command](pipeline, out)
+    assert run(command, "--data", split, *argv) == cli.EXIT_CONFIG
+    assert "point coordinates exceed the supported grid range" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -88,6 +88,15 @@ class TestLabels:
         with pytest.raises(FormatError, match=f"{path}: expected 12 bytes for 3 points, got 8"):
             cloudio.read_labeled_cloud(zero_cloud(tmp_path / "short.bin", 3), path)
 
+    @pytest.mark.parametrize("semantic, instance, kind", [
+        ([70000], [0], "semantic"), ([1], [-1], "instance"), ([1], [70000], "instance")],
+        ids=["semantic-70000", "instance-minus-1", "instance-70000"])
+    def test_an_id_outside_16_bits_is_refused_and_creates_no_file(self, tmp_path, semantic,
+                                                                   instance, kind):
+        with pytest.raises(ValueError, match=f"{kind} ids must fit in 16 bits"):
+            cloudio.write_labels(tmp_path / "x.label", semantic, instance)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBankFormat:
     def _random_bank(self, seed=0, groups=2, variants=3):

@@ -1,6 +1,7 @@
 """Package-wide invariants: every module imports, its exports resolve, the
-runtime needs numpy and the standard library alone, every name the
-benchmark wraps still exists, and every call the benchmark makes still binds."""
+runtime needs numpy and the standard library alone, no module or test imports
+a name it never uses, every name the benchmark wraps still exists, and every
+call the benchmark makes still binds."""
 
 import ast
 import importlib
@@ -19,6 +20,7 @@ WORKLOADS = TRACING.with_name("workloads.py")
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(advfield.__path__, "advfield."))
 SOURCES = sorted(Path(advfield.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -68,6 +70,26 @@ def test_no_module_imports_a_private_name_of_another(path):
                and (node.level or (node.module or "").split(".")[0] == "advfield")
                for alias in node.names if alias.name.startswith("_")]
     assert not private, private
+
+
+def _unused_imports(tree) -> list:
+    """``(line, name)`` of every name the module imports and never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS,
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_every_imported_name_is_used(path):
+    unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not unused, [f"{path.name}:{line}: {name}" for line, name in unused]
 
 
 def _wrapped_names() -> list:

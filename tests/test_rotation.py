@@ -5,11 +5,11 @@ import pytest
 
 from advfield.cloudio import PointCloud
 from advfield.geometry import OrientedBox, rot_z
-from advfield.rotation import (GroupScheme, axis_aligned_box_of_instance,
-                               fold_opposite, group_of, group_of_axis_aligned)
+from advfield.rotation import (axis_aligned_box_of_instance, group_of, group_of_axis_aligned,
+                               reference_angle, slice_of)
 
 SENSOR = np.array([0.0, 0.0, 1.7])
-TWELVE = GroupScheme(12)
+TWELVE = 12
 
 
 def forward_box(bearing_angle, yaw, rng_range=20.0):
@@ -20,49 +20,48 @@ def forward_box(bearing_angle, yaw, rng_range=20.0):
 
 class TestScheme:
     def test_reference_angles(self):
-        assert TWELVE.reference_angle(1) == 0.0
-        assert TWELVE.reference_angle(4) == pytest.approx(math.pi / 2)
+        assert reference_angle(1, TWELVE) == 0.0
+        assert reference_angle(4, TWELVE) == pytest.approx(math.pi / 2)
 
     def test_slices_partition_circle(self):
         angles = np.linspace(0, 2 * math.pi, 3600, endpoint=False)
-        groups = np.array([TWELVE.slice_of(a) for a in angles])
+        groups = np.array([slice_of(a, TWELVE) for a in angles])
         assert set(groups) == set(range(1, 13))
         counts = np.bincount(groups)[1:]
         assert counts.min() == counts.max() == 300
 
     def test_boundary_goes_to_higher_group(self):
-        half = TWELVE.slice_width / 2
-        assert TWELVE.slice_of(TWELVE.reference_angle(3) + half) == 4
-        assert TWELVE.slice_of(TWELVE.reference_angle(3) + half - 1e-9) == 3
+        half = math.pi / TWELVE
+        assert slice_of(reference_angle(3, TWELVE) + half, TWELVE) == 4
+        assert slice_of(reference_angle(3, TWELVE) + half - 1e-9, TWELVE) == 3
         # every boundary of the axis-aligned bank (6), the default scheme (12)
         # and the doubled scheme that axis-aligned grouping of 12 groups uses
-        for scheme in (GroupScheme(6), TWELVE, GroupScheme(24)):
-            half = scheme.slice_width / 2
-            for g in range(1, scheme.count + 1):
-                boundary = scheme.reference_angle(g) + half
-                assert scheme.slice_of(boundary) == g % scheme.count + 1, (scheme, g)
-                assert scheme.slice_of(boundary - 1e-9) == g, (scheme, g)
+        for groups in (6, TWELVE, 24):
+            half = math.pi / groups
+            for g in range(1, groups + 1):
+                boundary = reference_angle(g, groups) + half
+                assert slice_of(boundary, groups) == g % groups + 1, (groups, g)
+                assert slice_of(boundary - 1e-9, groups) == g, (groups, g)
 
     def test_single_group_scheme(self):
-        one = GroupScheme(1)
-        assert all(one.slice_of(a) == 1 for a in np.linspace(0, 6.28, 50))
+        assert all(slice_of(a, 1) == 1 for a in np.linspace(0, 6.28, 50))
 
 
 class TestGroupOf:
     def test_forward_facing_at_reference_angles(self):
         for g in range(1, 13):
-            box = forward_box(TWELVE.reference_angle(g), yaw=0.0)
+            box = forward_box(reference_angle(g, TWELVE), yaw=0.0)
             assert group_of(box, SENSOR, TWELVE) == g
 
     def test_clock_position_one_pointing_left(self):
         # the reference diagram is drawn with its clock numbering running
         # clockwise; mirrored into this frame, "pointing left" is yaw -pi/2
-        box = forward_box(TWELVE.reference_angle(1), yaw=-math.pi / 2)
+        box = forward_box(reference_angle(1, TWELVE), yaw=-math.pi / 2)
         assert group_of(box, SENSOR, TWELVE) == 4
 
     def test_clock_position_ten_rotated_twenty_degrees(self):
         # clockwise rotation in the diagram maps to positive yaw here
-        box = forward_box(TWELVE.reference_angle(10), yaw=math.radians(20.0))
+        box = forward_box(reference_angle(10, TWELVE), yaw=math.radians(20.0))
         assert group_of(box, SENSOR, TWELVE) == 9
 
     def test_global_rotation_equivariance(self):
@@ -85,26 +84,19 @@ class TestGroupOf:
 
 class TestAxisAlignedGrouping:
     def test_opposite_bearings_fold_together(self):
-        six = GroupScheme(6)
         a = forward_box(0.3, 0.0)
         b = forward_box(0.3 + math.pi, 0.0)
-        assert group_of_axis_aligned(a, SENSOR, six) == \
-            group_of_axis_aligned(b, SENSOR, six)
-
-    def test_folding_identifies_g_and_g_plus_six(self):
-        for g in range(1, 13):
-            assert fold_opposite(g, 6) == fold_opposite((g - 1 + 6) % 12 + 1, 6)
+        assert group_of_axis_aligned(a, SENSOR, 6) == group_of_axis_aligned(b, SENSOR, 6)
 
     def test_folded_equals_oriented_group_mod_six(self):
         rng = np.random.default_rng(2)
-        six = GroupScheme(6)
         for _ in range(1000):
             bearing_angle = rng.uniform(0, 2 * math.pi)
             yaw = rng.uniform(-math.pi, math.pi)
             box = forward_box(bearing_angle, yaw, rng_range=rng.uniform(5, 50))
             oriented = group_of(box, SENSOR, TWELVE)
-            folded = group_of_axis_aligned(box, SENSOR, six)
-            assert folded == fold_opposite(oriented, 6)
+            folded = group_of_axis_aligned(box, SENSOR, 6)
+            assert folded == (oriented - 1) % 6 + 1
 
 
 class TestInstanceBoxes:

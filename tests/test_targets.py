@@ -18,15 +18,15 @@ from advfield.cloudio import PointCloud
 from advfield.field import deform, make_bank, plan_deformation
 from advfield.geometry import OrientedBox, box_contains_many
 from advfield.victim import DetHeadMini, SegNetMini
-from advfield.rotation import (GroupScheme, axis_aligned_box_of_instance, group_of,
-                               group_of_axis_aligned, target_boxes)
+from advfield.rotation import (axis_aligned_box_of_instance, group_of, group_of_axis_aligned,
+                               target_boxes)
 
 CAR = simulator.CAR
 PERSON = simulator.CLASS_NAMES.index("person")
 SENSOR = simulator.SensorSpec()
 DIMS = (1.0, 0.8, 2.0)
 STEP = 0.4
-SIX = GroupScheme(6)
+SIX = 6
 
 
 def car_box(x, y, yaw):
@@ -162,8 +162,7 @@ def fleet_scene(cars):
 def inline_deform_all(scene, bank, k=2):
     """Every target planned on the clean cloud and deformed with variant 1."""
     cloud = scene.cloud
-    for box, group in target_boxes(scene, bank.class_id, bank.boxes,
-                                   GroupScheme(bank.groups), bank.step):
+    for box, group in target_boxes(scene, bank.class_id, bank.boxes, bank.groups, bank.step):
         plan = plan_deformation(scene.cloud, box, bank.fields[0], scene.sensor.origin, k)
         cloud = deform(cloud, plan, bank.field(group, 1))
     return cloud

@@ -10,8 +10,6 @@ a move leaves without points, and a voxel that a car point shares with a
 ground point.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -287,6 +285,8 @@ def test_an_empty_box_returns_the_cloud_without_a_victim_pass():
                              (cloud.xyz, cloud.intensity, cloud.semantic, cloud.instance)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert out.xyz is not cloud.xyz
+    critical = baselines.critical_points(cloud, far, RaisingVictim())
+    assert critical.dtype == np.int64 and critical.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
