@@ -15,9 +15,9 @@ the loss over its rows: every point that feeds a row's voxel statistics is
 itself a row. The attacks run the MLP on those rows alone and keep the clean
 cloud's loss for every other row.
 
-Each head's forward pass and input gradient share one aggregation operator,
-which is its own adjoint: the segmenter's voxel mean and the detector's 3x3
-box sum over anchor cells.
+Each head's forward pass and input gradient share one aggregation: the
+segmenter's voxel mean, its own adjoint, and the detector's table of
+(nonempty cell, occupied anchor) pairs, summed per anchor and per cell.
 
 A pass allocates only what it returns and computes only what its caller
 reads. The MLP writes bias adds, ``tanh`` and the ``tanh`` slope into arrays
@@ -312,12 +312,31 @@ class SegNetMini:
 # detection head
 # ---------------------------------------------------------------------------
 
+def _pair_sums(index: np.ndarray, weights, size: int) -> np.ndarray:
+    """One ``np.bincount`` of ``index`` per row of ``weights`` -> (rows, size)
+    float64, also when empty; each bin adds its weights in input order."""
+    return np.array([np.bincount(index, weights=w, minlength=size) for w in weights], dtype=float)
+
+
+def _neighbor_table(cells: np.ndarray, k: int):
+    """The pairs (nonempty cell, in-grid anchor of the cell's 3x3
+    neighborhood) of the increasing flat ``cells`` of a k x k grid, in
+    increasing cell order -> (anchors, pairs): the pairs' distinct anchors,
+    increasing, and per pair its index into ``cells`` and into ``anchors``.
+    Summing over ``pairs[1]`` adds each anchor's cells in increasing order."""
+    ci, cj = np.divmod(cells[:, None, None], k)
+    ai, aj = ci + np.arange(-1, 2)[:, None], cj + np.arange(-1, 2)
+    inside = (ai >= 0) & (ai < k) & (aj >= 0) & (aj < k)  # (C, 3, 3), row-major
+    anchors, pair_anchor = np.unique((ai * k + aj)[inside], return_inverse=True)
+    return anchors, np.stack([np.nonzero(inside)[0], pair_anchor])
+
+
 @dataclass
 class DetTape:
     """One detector pass. The MLP ran once per distinct anchor row: row 0 is
     the shared all-zero row of the empty anchors, rows 1.. the occupied
     anchors in anchor order. ``anchor_row`` maps each anchor to its row of
-    ``mlp_tape``; the pooled statistics are kept for the occupied rows."""
+    ``mlp_tape``; the occupied rows keep their pooled statistics."""
 
     cloud: PointCloud
     point_cell: np.ndarray     # (n,) flat cell index per point, -1 off-grid
@@ -325,21 +344,21 @@ class DetTape:
     means: np.ndarray          # (R - 1, 3) neighborhood mean positions per occupied row
     mlp_tape: tuple
     anchor_row: np.ndarray     # (A,) row of mlp_tape per anchor
+    cells: np.ndarray          # (C,) nonempty cells, increasing
+    pairs: np.ndarray          # (2, P) _neighbor_table: index into cells, row - 1
 
 
 class DetHeadMini:
     """Single-class detector over a ground-plane anchor grid.
 
     One axis-aligned anchor per 2 m cell of [-64 m, 64 m) squared at the
-    canonical car size. Each
-    anchor pools first and second point moments over its 3x3 cell
-    neighborhood (integral-image box sums, so the receptive field spans a
-    whole car); an MLP maps them to a confidence logit and box residuals
-    (center offsets, log-size scales, doubled-angle yaw). Intensity is not
-    used by this head.
-
-    The box sum is symmetric, so it is its own adjoint, and the input
-    gradient is one box sum of the occupied anchors' coefficient grids.
+    canonical car size. Each anchor pools first and second point moments
+    over its 3x3 cell neighborhood, so the receptive field spans a whole
+    car; an MLP maps them to a confidence logit and box residuals (center
+    offsets, log-size scales, doubled-angle yaw). Intensity is not used by
+    this head. A pass pools through its ``_neighbor_table``: the forward sums
+    the nonempty cells' moments per anchor, the input gradient the occupied
+    anchors' coefficients per cell.
 
     The MLP runs on the distinct anchor rows alone: row 0, the all-zero
     features of every empty anchor, then one row per occupied anchor. Every
@@ -381,47 +400,26 @@ class DetHeadMini:
         # confident-negative prior: empty anchors start well under relevance
         self.mlp.params["b3"][0] = -3.0
 
-    def _box_sum(self, grids: np.ndarray) -> np.ndarray:
-        """3x3 neighborhood sums of a (C, K * K) stack of per-cell grids."""
-        k = self.cells_per_axis
-        # integral[:, 1 + i, 1 + j] sums rows 0..i and cols 0..j of the grids
-        # padded by one zero cell on each side; row 0 and col 0 stay zero
-        integral = np.zeros((len(grids), k + 3, k + 3))
-        np.cumsum(grids.reshape(-1, k, k), axis=1, out=integral[:, 2:k + 2, 2:k + 2])
-        # starting from the zero column, this sum also turns any -0.0 into 0.0
-        rows = integral[:, 2:k + 2, 1:k + 2]
-        np.cumsum(rows, axis=2, out=rows)
-        # the padding's last row and column add zeros: copy the sums before them
-        integral[:, k + 2] = integral[:, k + 1]
-        integral[:, :, k + 2] = integral[:, :, k + 1]
-        # neighborhood of cell (i, j) spans padded rows i..i+2, cols j..j+2
-        sums = integral[:, 3:, 3:] - integral[:, :k, 3:]
-        sums -= integral[:, 3:, :k]
-        sums += integral[:, :k, :k]
-        return sums.reshape(len(grids), k * k)
-
     def _pool(self, cloud: PointCloud):
         k = self.cells_per_axis
-        ij = np.floor((cloud.xyz[:, :2] + self.area) / self.stride).astype(np.int64)
-        i, j = ij[:, 0], ij[:, 1]
-        valid = (i >= 0) & (i < k) & (j >= 0) & (j < k)
-        valid &= cloud.xyz[:, 2] > self.GROUND_CLIP  # ground returns carry no box cue
-        point_cell = np.where(valid, i * k + j, -1)
+        above = np.flatnonzero(cloud.xyz[:, 2] > self.GROUND_CLIP)  # ground carries no box cue
+        i, j = np.floor((cloud.xyz[above, :2] + self.area) / self.stride).astype(np.int64).T
+        inside = (i >= 0) & (i < k) & (j >= 0) & (j < k)
+        pooled, flat = above[inside], i[inside] * k + j[inside]
+        point_cell = np.full(cloud.n, -1, dtype=np.int64)
+        point_cell[pooled] = flat
 
-        x, y, z = cloud.xyz[valid].T
-        cells = point_cell[valid]
-        moments = np.array([np.bincount(cells, weights=values, minlength=k * k)
-                            for values in (np.ones_like(x), x, y, z, x * x, y * y, x * y)],
-                           dtype=float)
-        sums = self._box_sum(moments)
+        x, y, z = cloud.xyz[pooled].T
+        cells, slot = np.unique(flat, return_inverse=True)
+        occupied, pairs = _neighbor_table(cells, k)
+        moments = _pair_sums(slot, (np.ones_like(x), x, y, z, x * x, y * y, x * y), len(cells))
+        sums = _pair_sums(pairs[1], moments[:, pairs[0]], len(occupied))
 
-        # row 0 is the all-zero row of every empty anchor; occupied anchors
-        # take rows 1.. in anchor order
-        occupied = np.flatnonzero(sums[0] > 0)
+        # row 0 is every empty anchor's zero row, rows 1.. the occupied anchors
         anchor_row = np.zeros(k * k, dtype=np.int64)
         anchor_row[occupied] = np.arange(1, len(occupied) + 1)
-        n = sums[0, occupied]
-        means = sums[1:4, occupied].T / n[:, None]
+        n = sums[0]
+        means = sums[1:4].T / n[:, None]
 
         # moments are expressed in each anchor's view frame (x radial from
         # the sensor, y tangential): the offset between a car's visible side
@@ -432,9 +430,9 @@ class DetHeadMini:
         mean_x, mean_y, mean_z = means.T
         off_x = mean_x - self.centers[occupied, 0]
         off_y = mean_y - self.centers[occupied, 1]
-        var_x = sums[4, occupied] / n - mean_x ** 2
-        var_y = sums[5, occupied] / n - mean_y ** 2
-        cov2 = 2.0 * (sums[6, occupied] / n - mean_x * mean_y)
+        var_x = sums[4] / n - mean_x ** 2
+        var_y = sums[5] / n - mean_y ** 2
+        cov2 = 2.0 * (sums[6] / n - mean_x * mean_y)
         dvar = var_x - var_y
 
         feats = np.zeros((len(occupied) + 1, self.N_FEATURES))
@@ -446,8 +444,9 @@ class DetHeadMini:
         rows[:, 4] = var_x + var_y                        # rotation invariant
         rows[:, 5] = cos2 * dvar + sin2 * cov2            # doubled-angle pair,
         rows[:, 6] = -sin2 * dvar + cos2 * cov2           # view frame
-        rows[:, 7] = np.log1p(moments[0, occupied]) * _COUNT_SCALE  # own-cell occupancy
-        return feats, anchor_row, point_cell, n, means
+        # own-cell occupancy; an anchor whose cell is empty keeps log1p(0) = 0
+        rows[np.searchsorted(occupied, cells), 7] = np.log1p(moments[0]) * _COUNT_SCALE
+        return feats, anchor_row, point_cell, n, means, cells, pairs
 
     def forward(self, cloud: PointCloud):
         """Scores and raw outputs of the distinct anchor rows -> (scores, outputs, tape).
@@ -456,9 +455,9 @@ class DetHeadMini:
         1e-12 relative of running the MLP on all anchors: BLAS may round a
         product over fewer rows differently.
         """
-        feats, anchor_row, point_cell, counts, means = self._pool(cloud)
+        feats, anchor_row, point_cell, counts, means, cells, pairs = self._pool(cloud)
         outputs, mlp_tape = self.mlp.forward(feats)
-        tape = DetTape(cloud, point_cell, counts, means, mlp_tape, anchor_row)
+        tape = DetTape(cloud, point_cell, counts, means, mlp_tape, anchor_row, cells, pairs)
         return _sigmoid(outputs[:, 0]), outputs, tape
 
     def proposals(self, scores: np.ndarray, tape: DetTape) -> np.ndarray:
@@ -599,9 +598,9 @@ class DetHeadMini:
 
         Under one anchor, a pooled point's gradient is affine in its (x, y).
         An anchor's neighborhood holds a cell exactly when the cell's
-        neighborhood holds the anchor; so the box sum of the occupied
-        anchors' coefficients, read at a point's cell, gives the point's
-        coefficients.
+        neighborhood holds the anchor; so the neighbor table, read backwards,
+        sums each nonempty cell's coefficients over its anchors, and each
+        pooled point takes its cell's.
         """
         occupied = np.flatnonzero(tape.anchor_row)
         # undo the per-anchor view rotation of offsets and moments
@@ -620,10 +619,10 @@ class DetHeadMini:
                                  d_off_y - yy * mean_y - xy * mean_x,
                                  dfeat[:, 3] * _Z_SCALE, xx, yy, xy])
         coefficients *= 1.0 / tape.neighbor_counts
-        grids = np.zeros((6, self.n_anchors))
-        grids[:, occupied] = coefficients
-        pooled = tape.point_cell >= 0
-        gx, gy, gz, gxx, gyy, gxy = self._box_sum(grids)[:, tape.point_cell[pooled]]
+        pairs, pooled = tape.pairs, tape.point_cell >= 0
+        per_cell = _pair_sums(pairs[0], coefficients[:, pairs[1]], len(tape.cells))
+        slot = np.searchsorted(tape.cells, tape.point_cell[pooled])
+        gx, gy, gz, gxx, gyy, gxy = per_cell[:, slot]
         x, y = tape.cloud.xyz[pooled, 0], tape.cloud.xyz[pooled, 1]
         dpos = np.zeros((tape.cloud.n, 3))
         dpos[pooled] = np.column_stack([gx + gxx * x + gxy * y, gy + gyy * y + gxy * x, gz])
@@ -681,16 +680,16 @@ def class_weights(scenes, n_classes: int) -> np.ndarray:
 def standard_augment(cloud: PointCloud, boxes, rng: np.random.Generator):
     """Global yaw rotation in (-pi, pi] about the sensor axis plus a random y flip.
 
-    Returns the moved cloud and ``boxes`` (OrientedBoxes) moved by the same
-    draw. The rng draws the angle first, then the flip.
+    Returns the moved cloud, with arrays of its own, and ``boxes`` moved by
+    the same draw. The rng draws the angle first, then the flip.
     """
     angle = rng.uniform(-math.pi, math.pi)
     flip = rng.random() < 0.5
     rotation = rot_z(angle)
-    out = cloud.copy()
-    out.xyz = out.xyz @ rotation.T
+    xyz = cloud.xyz @ rotation.T
     if flip:
-        out.xyz[:, 1] *= -1.0
+        xyz[:, 1] *= -1.0
+    out = PointCloud(xyz, cloud.intensity.copy(), cloud.semantic.copy(), cloud.instance.copy())
     moved = []
     for box in boxes:
         center = rotation @ box.center

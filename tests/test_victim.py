@@ -16,8 +16,8 @@ from advfield.cloudio import PointCloud
 from advfield.geometry import OrientedBox, box_contains_many, rot_z
 from advfield.simulator import CANONICAL_CAR_DIMS
 from advfield.victim import (_COUNT_SCALE, _REL_SCALE, _Z_SCALE, SEG_POINTS_PER_SCENE,
-                             DetHeadMini, DetTape, SegNetMini, _Mlp, _train, standard_augment,
-                             train_det, train_seg)
+                             DetHeadMini, DetTape, SegNetMini, _Mlp, _neighbor_table, _pair_sums,
+                             _train, standard_augment, train_det, train_seg)
 from anchor_fold import fold_onto_rows
 
 
@@ -48,6 +48,9 @@ def test_no_boxes_moves_only_the_cloud():
     assert boxes == []
     assert math.isclose(np.linalg.norm(moved.xyz[0, :2]), math.hypot(1.0, 2.0))
     assert moved.xyz[0, 2] == 0.5
+    # the moved cloud shares no array with the input
+    for name in ("xyz", "intensity", "semantic", "instance"):
+        assert not np.shares_memory(getattr(moved, name), getattr(cloud, name)), name
 
 
 def tiny_scenes(count=3):
@@ -212,14 +215,32 @@ def desk_clouds():
 
 
 def scatter_box_sum(grid, k):
-    """3x3 neighborhood sums of one (K, K) grid, from its own integral image."""
-    integral = np.pad(np.pad(grid, 1).cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
-    return (integral[3:3 + k, 3:3 + k] - integral[:k, 3:3 + k]
-            - integral[3:3 + k, :k] + integral[:k, :k])
+    """3x3 neighborhood sums of one (K, K) grid: from 0.0, each cell adds its
+    neighbor cells in increasing flat order."""
+    padded = np.pad(grid, 1)
+    sums = np.zeros((k, k))
+    for di in range(3):
+        for dj in range(3):
+            sums += padded[di:di + k, dj:dj + k]
+    return sums
+
+
+def loop_neighbor_table(model, point_cell):
+    """The neighbor table, cell by cell and neighbor by neighbor -> (cells,
+    pairs), as ``_neighbor_table`` gives them."""
+    k = model.cells_per_axis
+    cells = sorted(set(point_cell[point_cell >= 0].tolist()))
+    pairs = [(slot, ai * k + aj) for slot, cell in enumerate(cells)
+             for ai in range(cell // k - 1, cell // k + 2)
+             for aj in range(cell % k - 1, cell % k + 2) if 0 <= ai < k and 0 <= aj < k]
+    row = {anchor: r for r, anchor in enumerate(sorted({anchor for _, anchor in pairs}))}
+    pairs = [(slot, row[anchor]) for slot, anchor in pairs]
+    return np.array(cells, dtype=np.int64), np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
 
 def scatter_pool(model, cloud):
-    """The detector's features, moment by moment through np.add.at."""
+    """The detector's features, moment by moment through np.add.at -> (feats,
+    point_cell, count, means, cells, pairs); the last two from the loop."""
     k = model.cells_per_axis
     ij = np.floor((cloud.xyz[:, :2] + model.area) / model.stride).astype(np.int64)
     valid = np.all((ij >= 0) & (ij < k), axis=1) & (cloud.xyz[:, 2] > model.GROUND_CLIP)
@@ -251,16 +272,17 @@ def scatter_pool(model, cloud):
     np.add.at(own, point_cell[rows], 1.0)
     feats[:, 7] = np.log1p(own) * _COUNT_SCALE
     feats[count == 0] = 0.0
-    return feats, point_cell, count, means
+    return (feats, point_cell, count, means) + loop_neighbor_table(model, point_cell)
 
 
 def all_row_forward(model, cloud):
     """The detector's forward with the MLP on every anchor's row of the
     scatter features -> (scores, outputs, tape); its ``anchor_row`` is the
-    identity."""
-    feats, point_cell, count, means = scatter_pool(model, cloud)
+    identity, and its table that of the loop, over the occupied anchors."""
+    feats, point_cell, count, means, cells, pairs = scatter_pool(model, cloud)
     outputs, mlp_tape = model.mlp.forward(feats)
-    tape = DetTape(cloud, point_cell, count, means, mlp_tape, np.arange(model.n_anchors))
+    tape = DetTape(cloud, point_cell, count, means, mlp_tape, np.arange(model.n_anchors),
+                   cells, pairs)
     return 1.0 / (1.0 + np.exp(-outputs[:, 0])), outputs, tape
 
 
@@ -297,14 +319,17 @@ def test_the_detector_pools_what_the_scatter_oracle_pools(desk_clouds):
     model = DetHeadMini()
     for cloud in desk_clouds + [PointCloud.unlabeled(np.zeros((0, 3)), np.zeros(0))]:
         feats, anchor_row, *rest = model._pool(cloud)
-        want_feats, want_cells, want_counts, want_means = scatter_pool(model, cloud)
+        want_feats, want_point_cell, want_counts, want_means, *table = scatter_pool(model, cloud)
         # row 0 is the empty anchors' zero row, then one row per occupied anchor
         occupied = np.flatnonzero(want_counts > 0)
         assert np.array_equal(anchor_row[occupied], np.arange(1, len(occupied) + 1))
         assert len(feats) == len(occupied) + 1 and np.all(feats[0] == 0.0)
         assert feats[anchor_row].tobytes() == want_feats.tobytes()
         # the tape keeps the neighborhood statistics of the occupied rows
-        for got, want in zip(rest, (want_cells, want_counts[occupied], want_means[occupied])):
+        # and the neighbor table
+        want = (want_point_cell, want_counts[occupied], want_means[occupied], *table)
+        assert len(rest) == len(want)
+        for got, want in zip(rest, want):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -322,27 +347,111 @@ def test_the_detector_input_gradient_matches_the_neighborhood_loop(desk_clouds):
         assert np.all(got[tape.point_cell < 0] == 0.0)
 
 
-def test_the_box_sum_is_bit_equal_to_the_scatter_oracle_on_sparse_grids():
+def test_the_neighbor_table_sums_are_adjoint_and_match_the_direct_sums():
     model = DetHeadMini()
     k = model.cells_per_axis
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        grids = rng.normal(size=(7, k, k)) * (rng.random((7, k, k)) < 0.05)
-        # the border cells, which the padding neighbours, are never empty
-        for edge in (np.s_[:, 0], np.s_[:, -1], np.s_[:, :, 0], np.s_[:, :, -1]):
-            grids[edge] = rng.normal(size=(7, k))
-        got = model._box_sum(grids.reshape(7, k * k))
-        want = np.stack([scatter_box_sum(grid, k).ravel() for grid in grids])
-        assert got.tobytes() == want.tobytes()
+    for _ in range(5):
+        nonempty = rng.random((k, k)) < 0.05
+        # the border and corner cells, whose neighborhoods leave the grid
+        for edge in (np.s_[0], np.s_[-1], np.s_[:, 0], np.s_[:, -1]):
+            nonempty[edge] = True
+        cells = np.flatnonzero(nonempty)
+        anchors, pairs = _neighbor_table(cells, k)
+        want_cells, want_pairs = loop_neighbor_table(model, cells)
+        assert np.array_equal(cells, want_cells) and np.array_equal(pairs, want_pairs)
+        moments = rng.normal(size=(7, len(cells)))
+        coefficients = rng.normal(size=(7, len(anchors)))
+        scattered = _pair_sums(pairs[1], moments[:, pairs[0]], len(anchors))
+        gathered = _pair_sums(pairs[0], coefficients[:, pairs[1]], len(cells))
+        np.testing.assert_allclose(np.sum(scattered * coefficients, axis=1),
+                                   np.sum(moments * gathered, axis=1), rtol=1e-12)
+        # both sums add their terms in increasing cell or anchor order, as
+        # the direct sums over the dense grid do
+        for values, got, at, read in ((moments, scattered, cells, anchors),
+                                      (coefficients, gathered, anchors, cells)):
+            grids = np.zeros((7, k * k))
+            grids[:, at] = values
+            want = np.stack([scatter_box_sum(grid.reshape(k, k), k).ravel() for grid in grids])
+            assert got.tobytes() == want[:, read].tobytes()
 
 
-def test_the_box_sum_is_its_own_adjoint():
+def test_the_detector_passes_an_empty_an_all_ground_and_a_corner_cloud():
     model = DetHeadMini()
-    rng = np.random.default_rng(3)
-    a, b = rng.normal(size=(2, 5, model.n_anchors))
-    left = np.sum(model._box_sum(a) * b, axis=1)
-    right = np.sum(a * model._box_sum(b), axis=1)
-    np.testing.assert_allclose(left, right, rtol=1e-12)
+    model.init_random(2)
+    model.mlp.params["b3"][0] = 0.0
+    low, high = -model.area + 0.5, model.area - 0.5
+    corners = [[low, low, 1.0], [low, high, 1.0], [high, low, 1.0], [high, high, 1.0]]
+    ground = [[3.0, 1.0, 0.0], [-5.0, 3.0, model.GROUND_CLIP]]
+    off_grid = [[model.area, 0.0, 1.0], [0.0, -model.area - 0.5, 1.0], [90.0, 90.0, 2.0]]
+    # each corner cell's neighborhood holds 4 anchors
+    for points, n_occupied in (([], 0), (ground, 0), (corners + ground + off_grid, 16)):
+        cloud = PointCloud.unlabeled(np.reshape(points, (-1, 3)), np.full(len(points), 0.5))
+        scores, outputs, tape = model.forward(cloud)
+        assert len(scores) == len(outputs) == n_occupied + 1
+        assert np.count_nonzero(tape.anchor_row) == n_occupied
+        assert tape.neighbor_counts.shape == (n_occupied,)
+        assert tape.means.shape == (n_occupied, 3)
+        for array in (scores, outputs, tape.neighbor_counts, tape.means, *tape.mlp_tape):
+            assert array.dtype == np.float64
+        assert np.all(tape.mlp_tape[0][0] == 0.0)  # the empty anchors' zero row
+        assert tape.cells.dtype == tape.pairs.dtype == np.int64
+        want_scores, want_outputs, oracle = all_row_forward(model, cloud)
+        assert_within(scores[tape.anchor_row], want_scores, 1e-12)
+        assert_within(outputs[tape.anchor_row], want_outputs, 1e-12)
+        d_outputs = np.random.default_rng(3).normal(size=(model.n_anchors, model.N_OUTPUTS))
+        dpos = model.backward_inputs(tape, fold_onto_rows(tape, d_outputs))
+        assert dpos.dtype == np.float64 and dpos.shape == (cloud.n, 3)
+        assert np.all(dpos[tape.point_cell < 0] == 0.0)
+        assert_within(dpos, all_anchor_gradient(model, oracle, d_outputs), 1e-12)
+        assert np.count_nonzero(np.any(dpos != 0.0, axis=1)) == min(n_occupied, 4)
+
+
+def two_pass_variance_features(model, cloud):
+    """The pooled variance features (columns 4-6) of every occupied anchor,
+    in long double: the neighborhood means first, then the mean squared
+    deviations from them -> (occupied anchors, (R - 1, 3) features)."""
+    k, ld = model.cells_per_axis, np.longdouble
+    ij = np.floor((cloud.xyz[:, :2] + model.area) / model.stride).astype(np.int64)
+    pooled = np.flatnonzero(np.all((ij >= 0) & (ij < k), axis=1)
+                            & (cloud.xyz[:, 2] > model.GROUND_CLIP))
+    points, anchors = [], []
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            ai, aj = ij[pooled, 0] + di, ij[pooled, 1] + dj
+            inside = (ai >= 0) & (ai < k) & (aj >= 0) & (aj < k)
+            points.append(pooled[inside])
+            anchors.append(ai[inside] * k + aj[inside])
+    points = np.concatenate(points)
+    occupied, row = np.unique(np.concatenate(anchors), return_inverse=True)
+
+    def mean(values):
+        sums = np.zeros(len(occupied), dtype=ld)
+        np.add.at(sums, row, values)
+        return sums / np.bincount(row).astype(ld)
+
+    x, y = cloud.xyz[points, 0].astype(ld), cloud.xyz[points, 1].astype(ld)
+    dx, dy = x - mean(x)[row], y - mean(y)[row]
+    var_x, var_y, cov2 = mean(dx * dx), mean(dy * dy), 2 * mean(dx * dy)
+    cos2, sin2 = model.cos2[occupied].astype(ld), model.sin2[occupied].astype(ld)
+    dvar = var_x - var_y
+    return occupied, np.column_stack([var_x + var_y, cos2 * dvar + sin2 * cov2,
+                                      -sin2 * dvar + cos2 * cov2])
+
+
+# the desk clouds' worst error is 6.4e-13 with direct neighborhood sums;
+# prefix sums over the whole grid (integral images) reach 1.2e-11
+VARIANCE_FEATURE_ERROR = 2e-12
+
+
+def test_the_pooled_variance_features_are_within_2e12_of_a_two_pass_oracle(desk_clouds):
+    model = DetHeadMini()
+    for cloud in desk_clouds:
+        feats, anchor_row, *_ = model._pool(cloud)
+        occupied, want = two_pass_variance_features(model, cloud)
+        assert np.array_equal(np.flatnonzero(anchor_row), occupied)
+        error = np.abs(feats[1:, 4:7].astype(np.longdouble) - want)
+        assert error.max() <= VARIANCE_FEATURE_ERROR
 
 
 def scatter_voxel_features(model, cloud):
@@ -534,7 +643,7 @@ def all_anchor_gradient(model, tape, d_outputs):
     anchor_row = np.zeros(model.n_anchors, dtype=np.int64)
     anchor_row[occupied] = np.arange(1, len(occupied) + 1)
     rows = DetTape(tape.cloud, tape.point_cell, tape.neighbor_counts[occupied],
-                   tape.means[occupied], None, anchor_row)
+                   tape.means[occupied], None, anchor_row, tape.cells, tape.pairs)
     return model._pool_adjoint(rows, dfeat[occupied])
 
 
