@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="targeted mode only")
     p.add_argument("--victim", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--G", type=int, default=12)
+    p.add_argument("--G", type=int, default=12, help="at most 6 with --boxes axis-aligned")
     p.add_argument("--N", type=int, default=6)
     p.add_argument("--eps", type=finite_float, default=0.3)
     p.add_argument("--psi", type=finite_float, default=0.3)

@@ -4,7 +4,7 @@ Formats:
   * ``.bin``    little-endian float32, 4 per point (x, y, z, intensity)
   * ``.label``  little-endian uint32 per point; low 16 bits semantic id,
                 high 16 bits instance id (0 = no instance)
-  * ``.vfb``    field banks (version 6) and ``.ckpt`` victim checkpoints
+  * ``.vfb``    field banks (version 7) and ``.ckpt`` victim checkpoints
                 (version 5), in one grammar: a ``MAGIC VERSION`` line,
                 ``key = value`` header lines, then per named array an
                 ``array <name> <d0> <d1> ...`` line followed by exactly
@@ -19,16 +19,16 @@ Formats:
                 its ``class_name``, one of ``simulator.CLASS_NAMES``, whose
                 position there is the bank's class id; its lattice ``dims``
                 and ``step``, its budget ``eps`` and ``psi``, its box mode
-                and the ``seed`` its initial vectors were drawn from, as
-                ``float.hex`` text where a float; its one array,
-                ``vectors``, has shape (G, N, m, 4), one ``dx dy dz dtau``
-                row per lattice root of each slot (g, n), with m following
-                from dims and step. Every spatial component must lie in
-                [-eps, eps] and every intensity shift in [-psi, psi]. A
-                checkpoint's header holds only its head ``kind``, ``seg``
-                or ``det``; every size of a head, a segmenter's class count
-                included, is fixed by the build. It stores one array per
-                MLP parameter, ``W1 b1 W2 b2 W3 b3``.
+                and the ``seed`` its initial vectors were drawn from, a
+                float as its ``repr`` text, which ``float`` reads back bit
+                for bit; its one array, ``vectors``, has shape (G, N, m, 4),
+                one ``dx dy dz dtau`` row per lattice root of each slot
+                (g, n), with m following from dims and step. Every spatial
+                component must lie in [-eps, eps] and every intensity shift
+                in [-psi, psi]. A checkpoint's header holds only its head
+                ``kind``, ``seg`` or ``det``; every size of a head, a
+                segmenter's class count included, is fixed by the build. It
+                stores one array per MLP parameter, ``W1 b1 W2 b2 W3 b3``.
   * text        UTF-8 lines, each followed by one ``\n`` and holding no line
                 break (nothing ``str.splitlines`` splits on): reports,
                 ``.boxes`` rows and configs
@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 BANK_MAGIC = "advfield-vfb"
-BANK_VERSION = 6
+BANK_VERSION = 7
 
 
 class FormatError(ValueError):
@@ -280,49 +280,47 @@ def write_config(config: dict, path) -> None:
 # field banks (.vfb)
 # ---------------------------------------------------------------------------
 
-def _hex(x: float) -> str:
-    return float(x).hex()
+def _in_budget(bank):
+    """``bank`` if every vector lies in its budget, else ValueError naming the first slot."""
+    for g, n in np.ndindex(bank.vectors.shape[:2]):  # not `> bound`: nan is outside too
+        if not np.all(np.abs(bank.vectors[g, n]) <= [bank.eps, bank.eps, bank.eps, bank.psi]):
+            raise ValueError(f"array vectors, slot ({g + 1}, {n + 1}), has a vector outside "
+                             f"the bank's budget eps = {bank.eps}, psi = {bank.psi}")
+    return bank
 
 
 def save_bank(bank, path) -> None:
-    """Write a FieldBank as a .vfb: its header, then its (G, N, m, 4) ``vectors``."""
-    header = {"class_name": bank.class_name, "dims": " ".join(map(_hex, bank.dims)),
-              "step": _hex(bank.step), "eps": _hex(bank.eps), "psi": _hex(bank.psi),
+    """Write a FieldBank as a .vfb; ValueError, before writing, for a vector outside its budget."""
+    header = {"class_name": bank.class_name, "dims": " ".join(map(repr, bank.dims)),
+              "step": repr(bank.step), "eps": repr(float(bank.eps)), "psi": repr(float(bank.psi)),
               "boxes": bank.boxes, "seed": bank.seed}
-    write_arrays(path, BANK_MAGIC, BANK_VERSION, header, {"vectors": bank.vectors})
+    write_arrays(path, BANK_MAGIC, BANK_VERSION, header, {"vectors": _in_budget(bank).vectors})
 
 
 def load_bank(path):
     """Read a .vfb back into a FieldBank; every float round-trips exactly."""
-    from .field import FieldBank, check_budget, lattice_counts  # local imports, avoid a cycle
+    from .field import FieldBank  # local imports, avoid a cycle
     from .simulator import CLASS_NAMES
 
     header, arrays = read_arrays(path, BANK_MAGIC, BANK_VERSION)
+
+    def number(key, parse=float):
+        try:
+            return parse(header[key])
+        except ValueError as err:  # a FormatError below, naming the key
+            raise ValueError(f"{key} {header[key]!r}: {err}") from None
+
     try:
         if header["class_name"] not in CLASS_NAMES:
             raise ValueError(f"class_name {header['class_name']!r} is not one of this "
                              f"build's {','.join(CLASS_NAMES)}")
-        dims = tuple(map(float.fromhex, header["dims"].split()))
-        step = float.fromhex(header["step"])
-        eps, psi = float.fromhex(header["eps"]), float.fromhex(header["psi"])
-        check_budget(eps, psi)
         if list(arrays) != ["vectors"]:
             raise ValueError(f"a bank holds one array, vectors, got {sorted(arrays)}")
-        vectors = arrays["vectors"]
-        roots = math.prod(lattice_counts(dims, step))
-        if vectors.shape[2:] != (roots, 4):  # so 4 dimensions
-            raise ValueError(f"array vectors has shape {vectors.shape}, expected (G, N, "
-                             f"{roots}, 4): one vector row per lattice root")
-        for g, n in np.ndindex(vectors.shape[:2]):
-            # not `> bound`: a nan component is outside the budget too
-            if not np.all(np.abs(vectors[g, n]) <= [eps, eps, eps, psi]):
-                raise ValueError(f"array vectors, slot ({g + 1}, {n + 1}), has a vector "
-                                 f"outside the bank's budget eps = {eps}, psi = {psi}")
-        return FieldBank(class_id=CLASS_NAMES.index(header["class_name"]),
-                         class_name=header["class_name"],
-                         dims=dims, step=step, vectors=vectors, seed=int(header["seed"]),
-                         eps=eps, psi=psi, boxes=header["boxes"])
+        return _in_budget(FieldBank(
+            CLASS_NAMES.index(header["class_name"]), header["class_name"],
+            number("dims", lambda text: [float(d) for d in text.split()]), number("step"),
+            arrays["vectors"], number("seed", int), number("eps"), number("psi"), header["boxes"]))
     except KeyError as err:
         raise FormatError(f"{path}: missing header key {err}") from err
-    except (ValueError, OverflowError) as err:  # float.fromhex overflows past the float range
+    except ValueError as err:
         raise FormatError(f"{path}: {err}") from err

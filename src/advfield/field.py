@@ -58,8 +58,6 @@ class VectorField:
         self.step = float(self.step)
         self.roots = lattice_roots(self.dims, self.step)
         self.vectors = np.asarray(self.vectors, dtype=float).reshape(-1, 4)
-        if len(self.vectors) != len(self.roots):
-            raise ValueError(f"need {len(self.roots)} vectors, one per root")
 
     @property
     def size(self) -> int:
@@ -98,8 +96,10 @@ class FieldBank:
         self.dims = tuple(float(d) for d in self.dims)
         self.step = float(self.step)
         self.vectors = np.asarray(self.vectors, dtype=float)
-        if self.vectors.ndim != 4 or self.vectors.shape[3] != 4:
-            raise ValueError(f"bank vectors need shape (G, N, m, 4), got {self.vectors.shape}")
+        m = math.prod(lattice_counts(self.dims, self.step))  # one vector row per lattice root
+        if self.vectors.shape[2:] != (m, 4):  # so 4 dimensions
+            raise ValueError(f"array vectors has shape {self.vectors.shape}, "
+                             f"expected (G, N, {m}, 4)")
         _check_bank_size(self.groups, self.variants)
         self.fields = [VectorField(self.dims, self.step, self.vectors[g, n], g + 1, n + 1)
                        for g, n in np.ndindex(self.groups, self.variants)]

@@ -454,10 +454,12 @@ def test_analyze_fields_finds_no_active_vector_in_an_unfitted_bank(pipeline, tmp
 
 
 def test_a_bank_outside_its_recorded_budget_exits_2(pipeline, tmp_path, capsys):
-    bank = cloudio.load_bank(pipeline / "bank" / "car.vfb")
-    bank.vectors[2, 0, 5, 3] = 0.5  # an intensity shift above psi = 0.3
+    source = pipeline / "bank" / "car.vfb"
+    vectors = cloudio.load_bank(source).vectors
+    vectors[2, 0, 5, 3] = 0.5  # an intensity shift above psi = 0.3
+    # save_bank refuses such a bank, so the file is edited: its vectors end it
     path = tmp_path / "over.vfb"
-    cloudio.save_bank(bank, path)
+    path.write_bytes(source.read_bytes()[:-vectors.nbytes] + vectors.astype("<f8").tobytes())
     out = tmp_path / "fields.csv"
     assert run("analyze-fields", "--bank", path, "--out", out) == cli.EXIT_CONFIG
     assert ("array vectors, slot (3, 1), has a vector outside the bank's budget"
@@ -849,7 +851,7 @@ def test_analyze_fields_of_a_bank_with_infinite_dims_exits_2(pipeline, tmp_path,
     dims = cloudio.load_bank(source).dims
     bank = tmp_path / "inf.vfb"
     bank.write_bytes(rewrite_line(source.read_bytes(), "dims = ",
-                                  " ".join(["dims = inf", *map(float.hex, dims[1:])])))
+                                  " ".join(["dims = inf", *map(repr, dims[1:])])))
     out = tmp_path / "fields.csv"
     assert run("analyze-fields", "--bank", bank, "--out", out) == cli.EXIT_CONFIG
     assert "finite cell count" in capsys.readouterr().err
@@ -1132,6 +1134,8 @@ HEADER_VALUES = ("0", "-1", "1e300", "12345678901234567890", "nan", "abc")
 # (artifact, key) -> values that must exit 2, with a message naming the key;
 # a bank's class is one of this build's, so every edit of it is refused
 MUST_REFUSE = {("bank", "class_name"): HEADER_VALUES, ("bank", "seed"): ("-1",),
+               ("bank", "eps"): ("0", "-1", "nan", "abc"),
+               ("bank", "psi"): ("0", "-1", "nan", "abc"),
                ("sensor", "range_noise"): ("-1",), ("victim", "kind"): HEADER_VALUES}
 
 

@@ -137,14 +137,14 @@ class TestBankFormat:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.vfb"
-        for version in (5, 999):  # the format before this one, and a later one
+        for version in (6, 999):  # the format before this one, and a later one
             path.write_text(f"advfield-vfb {version}\n")
-            with pytest.raises(FormatError, match=f"unsupported version {version}, expected 6"):
+            with pytest.raises(FormatError, match=f"unsupported version {version}, expected 7"):
                 cloudio.load_bank(path)
         # a whole bank under the old version line
         cloudio.save_bank(self._random_bank(), path)
-        path.write_bytes(rewrite_line(path.read_bytes(), "advfield-vfb ", "advfield-vfb 5"))
-        with pytest.raises(FormatError, match="unsupported version 5, expected 6"):
+        path.write_bytes(rewrite_line(path.read_bytes(), "advfield-vfb ", "advfield-vfb 6"))
+        with pytest.raises(FormatError, match="unsupported version 6, expected 7"):
             cloudio.load_bank(path)
 
     def test_main_configuration_vector_count_on_disk(self, tmp_path):
@@ -164,7 +164,7 @@ class TestBankFormat:
 
 
 class TestBankFormatV2:
-    """What bank format 2 introduced and format 6 keeps: the box mode, no root rows."""
+    """What bank format 2 introduced and format 7 keeps: the box mode, no root rows."""
 
     def test_roundtrip_keeps_box_mode(self, tmp_path):
         bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 6, 2, seed=4, boxes="axis-aligned")
@@ -182,7 +182,7 @@ class TestBankFormatV2:
         data = path.read_bytes()
         at = data.index(b"array ")
         lines = data[:at].decode("utf-8").splitlines()
-        assert lines[0] == "advfield-vfb 6"
+        assert lines[0] == "advfield-vfb 7"
         at_psi = lines.index(next(x for x in lines if x.startswith("psi")))
         assert lines[at_psi + 1:] == ["boxes = gt", "seed = 4"]
         assert not any(x.startswith(("r ", "roots_per_field", "G ", "N ")) for x in lines)
@@ -271,7 +271,7 @@ MALFORMED_BANKS = {
     "eps-nan": (_line("eps = ", "eps = nan"),
                 "eps and psi must be finite and positive, got nan and 0.3"),
     "bad-hexfloat": (_line("step = ", "step = 0y1.999999999999ap-2"),
-                     "invalid hexadecimal floating-point string"),
+                     "step '0y1.999999999999ap-2': could not convert string to float"),
 }
 
 
@@ -284,6 +284,17 @@ def test_malformed_bank_raises_format_error(tmp_path, case):
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(FormatError, match=message):
         cloudio.load_bank(path)
+
+
+@pytest.mark.parametrize("column, value", [(0, 0.5), (3, -0.5), (2, math.nan)])
+def test_a_bank_outside_its_budget_is_refused_and_writes_nothing(tmp_path, column, value):
+    bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 2, 1, seed=4)
+    bank.vectors[1, 0, -1, column] = value
+    with pytest.raises(ValueError, match=re.escape(
+            "array vectors, slot (2, 1), has a vector outside the bank's budget "
+            "eps = 0.3, psi = 0.3")):
+        cloudio.save_bank(bank, tmp_path / "new" / "bank.vfb")
+    assert not any(tmp_path.iterdir())
 
 
 def test_edited_banks_load_or_raise_a_format_error(tmp_path):
@@ -495,7 +506,7 @@ def test_eval_of_an_unreadable_victim_exits_2(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # floats in artifacts: each array's values as raw little-endian float64, and
-# a bank's header floats as float.hex text
+# a bank's header floats as repr text, which float reads back
 # ---------------------------------------------------------------------------
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
@@ -559,8 +570,8 @@ def test_text_lines_may_end_in_crlf(tmp_path):
     assert header == {"k": "v"} and arrays["a"].tobytes() == np.arange(4.0).tobytes()
 
 
-class TestHexfloatCodec:
-    """Payload values keep every bit; a bank header's floats read as ``float.fromhex`` reads."""
+class TestFloatCodec:
+    """Payload values keep every bit; a bank header's floats are ``repr`` text ``float`` reads."""
 
     def test_every_exponent_and_both_signs(self, tmp_path):
         exponents = np.arange(-1074, 1024, dtype=float)
@@ -593,42 +604,47 @@ class TestHexfloatCodec:
             assert [x.hex() for x in back[name].ravel().tolist()] == \
                 [x.hex() for x in value.ravel().tolist()]
 
-    @staticmethod
-    def bank_with_eps(tmp_path, token):
-        bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 2, 1, seed=4)
-        bank.vectors[:] = 0.0  # inside every budget
-        path = tmp_path / "eps.vfb"
-        cloudio.save_bank(bank, path)
-        path.write_bytes(rewrite_line(path.read_bytes(), "eps = ", f"eps = {token}"))
+    # a bank's header written by hand: one 1 x 1 slot of 200 zero vectors
+    HAND_HEADER = {"class_name": "car", "dims": "1.0 0.8 2.0", "step": "0.2", "eps": "0.3",
+                   "psi": "0.3", "boxes": "gt", "seed": "4"}
+
+    def hand_bank(self, tmp_path, **values):
+        path = tmp_path / "hand.vfb"
+        cloudio.write_arrays(path, cloudio.BANK_MAGIC, cloudio.BANK_VERSION,
+                             {**self.HAND_HEADER, **values}, {"vectors": np.zeros((1, 1, 200, 4))})
         return path
 
-    @pytest.mark.parametrize("token", ["0x1.0p-1", "0X1P-3", "+0x1.8p+1", "0x1.8000000000000P+1",
-                                       "0x1.ABCDEF0000000p+4", "0x1.abcdefp+4", "0x0.8p-1022",
-                                       "0x1.0000000000000p+01", "0x1.0000000000000p-0",
-                                       "0x2.0p+3", "-0x0.0p+0", "0x0.0p-0", "0x.8p1", "1",
-                                       "0x1p+0\t", "\t-0x1.8p+1", "nan", "-inf", "inf",
-                                       "0x0.0000000000001p-1022", "0x1.fffffffffffffp+1023",
-                                       "0x1.00000000000001p+0", "0x0.8000000000000p-1",
-                                       "0x1.0000000000000p+000000001"])
-    def test_any_other_token_reads_as_float_fromhex_reads_it(self, tmp_path, token):
-        path = self.bank_with_eps(tmp_path, token)
-        eps = float.fromhex(token)
-        if 0.0 < eps < math.inf:
-            assert np.float64(cloudio.load_bank(path).eps).tobytes() == np.float64(eps).tobytes()
-        else:  # read as float.fromhex reads it, then refused as a budget
-            with pytest.raises(FormatError, match=f"eps and psi must be finite and positive, "
-                                                  f"got {eps} and 0.3"):
-                cloudio.load_bank(path)
+    def test_hand_written_decimals_load_as_float_reads_them(self, tmp_path):
+        path = self.hand_bank(tmp_path)
+        bank = cloudio.load_bank(path)
+        for got, text in [(bank.eps, "0.3"), (bank.psi, "0.3"), (bank.step, "0.2"),
+                          *zip(bank.dims, ["1.0", "0.8", "2.0"])]:
+            assert np.float64(got).tobytes() == np.float64(float(text)).tobytes()
+        # the saved header is the text it was read from
+        cloudio.save_bank(bank, tmp_path / "again.vfb")
+        assert (tmp_path / "again.vfb").read_bytes() == path.read_bytes()
 
-    # float.fromhex raises OverflowError for the first three
-    @pytest.mark.parametrize("token", ["0x1p+99999", "-0x1.8p+1024", "0x1.fffffffffffff8p+1023",
-                                       "0x1.0p", "0x1.0000000000000q+0", "0x1.000000000000gp+0",
-                                       "", "--0x1p+0", "0x1.0p+0x", "0x0.0p+0x"])
-    def test_a_token_float_fromhex_refuses_is_a_format_error(self, tmp_path, token):
-        path = self.bank_with_eps(tmp_path, token)
-        with pytest.raises(FormatError, match=f"{path}: (invalid hexadecimal floating-point "
-                                              "string|hexadecimal value too large)"):
+    def test_a_version_6_hexfloat_token_is_a_format_error(self, tmp_path):
+        path = self.hand_bank(tmp_path, eps="0x1.3333333333333p-2")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: eps '0x1.3333333333333p-2': could not convert string to float")):
             cloudio.load_bank(path)
+
+    # the smallest and largest budgets a bank can hold, and one of 17 significant digits
+    @pytest.mark.parametrize("eps", [0.1 + 0.2, 5e-324, 1.7976931348623157e308])
+    def test_every_header_float_keeps_every_bit(self, tmp_path, eps):
+        dims, step, psi = (1.0000000000000002, 2.0000000000000004, 1.1 + 2.2), \
+            0.40000000000000013, 0.30000000000000016
+        assert all(float(f"{x:.16g}") != x for x in (0.1 + 0.2, *dims, step, psi))
+        bank = make_bank(1, "car", dims, step, 2, 1, seed=4, eps=eps, psi=psi)
+        bank.vectors[:] = 0.0  # inside the smallest budget
+        path = tmp_path / "b.vfb"
+        cloudio.save_bank(bank, path)
+        assert f"\neps = {eps!r}\n" in path.read_bytes().decode("latin-1")
+        back = cloudio.load_bank(path)
+        for name in ("dims", "step", "eps", "psi"):
+            assert np.float64(getattr(back, name)).tobytes() == \
+                np.float64(getattr(bank, name)).tobytes(), name
 
 
 @pytest.mark.parametrize("load, suffix", [(cloudio.load_bank, ".vfb"),

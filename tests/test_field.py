@@ -580,9 +580,10 @@ def test_a_slot_outside_the_grid_has_no_field(slot):
 
 
 @pytest.mark.parametrize("shape, message", [
-    ((2, 20, 4), "shape \\(G, N, m, 4\\)"), ((2, 1, 20, 3), "shape \\(G, N, m, 4\\)"),
+    ((2, 20, 4), "array vectors has shape \\(2, 20, 4\\), expected \\(G, N, 20, 4\\)"),
+    ((2, 1, 20, 3), "array vectors has shape \\(2, 1, 20, 3\\), expected \\(G, N, 20, 4\\)"),
     ((0, 1, 20, 4), "G, N >= 1"), ((2, 0, 20, 4), "G, N >= 1"),
-    ((2, 1, 19, 4), "need 20 vectors, one per root")])
+    ((2, 1, 19, 4), "array vectors has shape \\(2, 1, 19, 4\\), expected \\(G, N, 20, 4\\)")])
 def test_bank_vectors_must_be_a_grid_of_whole_lattices(shape, message):
     with pytest.raises(ValueError, match=message):
         FieldBank(1, "car", (1.0, 0.8, 2.0), 0.4, np.zeros(shape), seed=0)
