@@ -624,6 +624,39 @@ class TestFloatCodec:
         cloudio.save_bank(bank, tmp_path / "again.vfb")
         assert (tmp_path / "again.vfb").read_bytes() == path.read_bytes()
 
+    @staticmethod
+    def bank_with_eps(tmp_path, token):
+        bank = make_bank(1, "car", (1.0, 0.8, 2.0), 0.4, 2, 1, seed=4)
+        bank.vectors[:] = 0.0  # inside every budget
+        path = tmp_path / "eps.vfb"
+        cloudio.save_bank(bank, path)
+        path.write_bytes(rewrite_line(path.read_bytes(), "eps = ", f"eps = {token}"))
+        return path
+
+    @pytest.mark.parametrize("token", ["0.3", "0.1", "1", "+1.5", "-1.5", "1e-3", "1E-3",
+                                       "2.5e+2", "3.", ".5", "00.125", "0.30000000000000004",
+                                       "5e-324", "2.2250738585072014e-308",
+                                       "1.7976931348623157e308", "1e-400", "1e309", "0",
+                                       "-0.0", "nan", "NaN", "-inf", "Infinity",
+                                       "0.25\t", "\t0.25", "  7  "])
+    def test_any_other_token_reads_as_float_reads_it(self, tmp_path, token):
+        path = self.bank_with_eps(tmp_path, token)
+        eps = float(token)
+        if 0.0 < eps < math.inf:
+            assert np.float64(cloudio.load_bank(path).eps).tobytes() == np.float64(eps).tobytes()
+        else:  # read as float reads it, then refused as a budget
+            with pytest.raises(FormatError, match=re.escape(
+                    f"eps and psi must be finite and positive, got {eps} and 0.3")):
+                cloudio.load_bank(path)
+
+    @pytest.mark.parametrize("token", ["0x1p+0", "0x1.0p-1", "0x0.0p+0", "abc", "",
+                                       "1.5.2", "--1", "1e", "0.3f", "1,5"])
+    def test_a_token_float_refuses_is_a_format_error_naming_its_key(self, tmp_path, token):
+        path = self.bank_with_eps(tmp_path, token)
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: eps {token!r}: could not convert string to float")):
+            cloudio.load_bank(path)
+
     def test_a_version_6_hexfloat_token_is_a_format_error(self, tmp_path):
         path = self.hand_bank(tmp_path, eps="0x1.3333333333333p-2")
         with pytest.raises(FormatError, match=re.escape(
