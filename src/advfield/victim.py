@@ -22,10 +22,14 @@ segmenter's voxel mean, its own adjoint, and the detector's table of
 A pass allocates only what it returns and computes only what its caller
 reads. The MLP writes bias adds, ``tanh`` and the ``tanh`` slope into arrays
 it has just allocated, so no (rows x hidden) temporary is thrown away, and
-input gradients skip the parameter gradients. Tapes are fresh per call and
-no workspace outlives a call: a caller may keep one pass's outputs and tape
-while it runs the next (the attacks keep the clean cloud's losses), and the
-CLI's ``eval`` runs one model's passes in a thread pool, one thread per CPU.
+input gradients skip the parameter gradients. A segmenter pass over some
+rows builds the features of those rows alone. ``SegNetMini.predict`` keeps
+no tape: it runs the MLP over blocks of ``PREDICT_BLOCK`` rows and keeps
+each row's argmax, so no (n x hidden) activation exists. Tapes are fresh
+per call and no workspace outlives a call: a caller may keep one pass's
+outputs and tape while it runs the next (the attacks keep the clean cloud's
+losses), and the CLI's ``eval`` runs one model's passes in a thread pool, one
+thread per CPU.
 
 The detector runs its MLP once per distinct anchor row, and every pass works
 on those rows alone. Every empty anchor pools all-zero features, so the empty
@@ -52,7 +56,8 @@ the frame they are decoded in. ``DetHeadMini.proposals`` is the one proposal
 rule of attack and evaluation. ``DetHeadMini.box_targets`` builds the training
 targets of a box list, testing each box only against the anchors it can
 reach. ``train_seg`` and ``train_det`` share one loop, ``_train``, and
-supply only their seed streams and a per-scene step.
+supply only their seed streams and a per-scene step; ``train_det`` trains on
+the points above ``GROUND_CLIP`` alone, the points the detector pools.
 """
 
 from __future__ import annotations
@@ -189,12 +194,32 @@ class _Mlp:
 # segmentation head
 # ---------------------------------------------------------------------------
 
-def _voxel_means(values: np.ndarray, inverse: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _voxel_means(values: np.ndarray, inverse: np.ndarray, counts: np.ndarray,
+                 at: np.ndarray | None = None) -> np.ndarray:
     """Per row of ``values``, the column means over the rows of its voxel
-    (``inverse`` per row, ``counts`` per voxel); symmetric, so its own adjoint."""
+    (``inverse`` per row, ``counts`` per voxel); symmetric, so its own adjoint.
+    ``at`` gives the voxels to read instead, one output row per entry."""
     sums = np.column_stack([np.bincount(inverse, weights=column, minlength=len(counts))
                             for column in values.T])
-    return (sums / counts[:, None])[inverse]
+    return (sums / counts[:, None])[inverse if at is None else at]
+
+
+# rows per MLP block of SegNetMini.predict: a (512 x 64) float64 activation
+# is 256 KB, which stays in a core's L2 cache
+PREDICT_BLOCK = 512
+
+
+def _row_blocks(n: int) -> list:
+    """Slices of ``PREDICT_BLOCK`` consecutive rows that cover ``range(n)``.
+
+    A last block of one row joins the block before it: numpy multiplies a
+    one-row matrix through BLAS gemv, which may round otherwise than gemm
+    does for the same row of a larger product.
+    """
+    starts = list(range(0, n, PREDICT_BLOCK))
+    if n % PREDICT_BLOCK == 1 and len(starts) > 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
 
 
 @dataclass
@@ -226,16 +251,27 @@ class SegNetMini:
     def init_random(self, seed) -> None:
         self.mlp.init_random(seed)
 
-    def _features(self, cloud: PointCloud):
+    def _features(self, cloud: PointCloud, rows: np.ndarray | None = None):
+        """Features of the cloud's ``rows`` (all rows by default) -> (feats,
+        inverse, counts), with one feature row per entry of ``rows``.
+
+        Voxel keys, counts and sums come from the whole cloud; only the
+        feature rows are gathered, bit for bit the same rows of the full
+        matrix. ``inverse`` and ``counts`` always cover the whole cloud.
+        """
         keys = _grid_keys(cloud.xyz, self.radius)
         _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        means = _voxel_means(np.column_stack([cloud.xyz, cloud.intensity]), inverse, counts)
+        xyz, intensity, voxel = cloud.xyz, cloud.intensity, inverse
+        if rows is not None:
+            xyz, intensity, voxel = xyz[rows], intensity[rows], inverse[rows]
+        means = _voxel_means(np.column_stack([cloud.xyz, cloud.intensity]), inverse, counts,
+                             at=voxel)
 
-        feats = np.empty((cloud.n, self.N_FEATURES))
-        feats[:, 0:3] = (cloud.xyz - means[:, 0:3]) * _REL_SCALE
-        feats[:, 3] = cloud.xyz[:, 2] * _Z_SCALE
-        feats[:, 4] = cloud.intensity
-        feats[:, 5] = np.log1p(counts[inverse]) * _COUNT_SCALE
+        feats = np.empty((len(voxel), self.N_FEATURES))
+        feats[:, 0:3] = (xyz - means[:, 0:3]) * _REL_SCALE
+        feats[:, 3] = xyz[:, 2] * _Z_SCALE
+        feats[:, 4] = intensity
+        feats[:, 5] = np.log1p(counts[voxel]) * _COUNT_SCALE
         feats[:, 6] = means[:, 3]
         return feats, inverse, counts
 
@@ -260,9 +296,7 @@ class SegNetMini:
         Rows that hold whole voxels, such as those of :meth:`touched_rows`,
         give a tape that :meth:`backward_inputs` accepts.
         """
-        feats, inverse, counts = self._features(cloud)
-        if rows is not None:
-            feats = feats[rows]
+        feats, inverse, counts = self._features(cloud, rows)
         logits, mlp_tape = self.mlp.forward(feats)
         return _softmax(logits), SegTape(inverse, counts, mlp_tape, rows)
 
@@ -292,8 +326,21 @@ class SegNetMini:
         return dpos, dtau
 
     def predict(self, cloud: PointCloud) -> np.ndarray:
-        probs, _ = self.forward(cloud)
-        return probs.argmax(axis=1).astype(np.int32)
+        """Per-point class ids, int32: ``forward(cloud)[0].argmax(1)`` bit for bit.
+
+        A pass with no tape: the features come once, then the MLP and the
+        softmax run over the row blocks of ``_row_blocks``, so no
+        (n x hidden) activation is allocated. The softmax stays, so that ties
+        break as in ``forward``. The argmax is ``forward``'s as long as BLAS
+        rounds each row of a product apart from the other rows, which a test
+        checks at desk shapes.
+        """
+        feats, _, _ = self._features(cloud)
+        pred = np.empty(cloud.n, dtype=np.int32)
+        for block in _row_blocks(cloud.n):
+            logits, _ = self.mlp.forward(feats[block])
+            pred[block] = _softmax(logits).argmax(axis=1)
+        return pred
 
     def state(self) -> tuple:
         if self.n_classes != len(CLASS_NAMES):  # else no checkpoint could be read back
@@ -399,6 +446,14 @@ class DetHeadMini:
         self.mlp.init_random(seed)
         # confident-negative prior: empty anchors start well under relevance
         self.mlp.params["b3"][0] = -3.0
+
+    def above_ground(self, cloud: PointCloud) -> PointCloud:
+        """The points of ``cloud`` above ``GROUND_CLIP``, in order: the
+        points a pass pools, so a pass over them gives the rows of a pass
+        over ``cloud`` bit for bit."""
+        above = cloud.xyz[:, 2] > self.GROUND_CLIP
+        return PointCloud(cloud.xyz[above], cloud.intensity[above], cloud.semantic[above],
+                          cloud.instance[above])
 
     def _pool(self, cloud: PointCloud):
         k = self.cells_per_axis
@@ -788,8 +843,19 @@ def train_det(scenes, boxes_per_scene, epochs: int, lr: float, seed,
     distinct rows, within 1e-10 relative, in the trained parameters, of the
     same loss taken anchor by anchor. ``hook`` works as in
     :func:`train_seg`; it moves points, never boxes.
+
+    Training runs on :meth:`DetHeadMini.above_ground` clouds, the points the
+    detector pools. ``standard_augment`` keeps z bit for bit, so the clip
+    may come before it: once per scene, or, with a hook, right after the
+    hook, whose moved points may cross the clip height. The parameters are
+    those of training on the whole clouds bit for bit.
     """
     model = DetHeadMini()
+    if hook is None:
+        scenes = [model.above_ground(cloud) for cloud in scenes]
+    else:
+        hook = (lambda index, cloud, deform=hook:
+                model.above_ground(deform(index, cloud)))
 
     def step(cloud, boxes, _):
         _, outputs, tape = model.forward(cloud)

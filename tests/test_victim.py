@@ -2,8 +2,10 @@
 fixed anchor grid (box decoding and the proposal rule), each head's one
 aggregation operator against a scatter oracle, the in-place MLP passes and
 input gradients against their expression-form oracles, the detector's
-distinct-row passes and training against the MLP run on every anchor, and
-its windowed training targets against the per-anchor loop over every anchor."""
+distinct-row passes and training against the MLP run on every anchor, its
+windowed training targets against the per-anchor loop over every anchor, the
+segmenter's tape-less predict and row-only features against its taped
+forward, and the detector's training on clipped clouds against the whole."""
 
 import math
 from collections import Counter
@@ -15,9 +17,12 @@ from advfield import simulator
 from advfield.cloudio import PointCloud
 from advfield.geometry import OrientedBox, box_contains_many, rot_z
 from advfield.simulator import CANONICAL_CAR_DIMS
-from advfield.victim import (_COUNT_SCALE, _REL_SCALE, _Z_SCALE, SEG_POINTS_PER_SCENE,
-                             DetHeadMini, DetTape, SegNetMini, _Mlp, _neighbor_table, _pair_sums,
-                             _train, standard_augment, train_det, train_seg)
+from advfield.evaluate import deform_all_objects
+from advfield.field import make_bank
+from advfield.victim import (_COUNT_SCALE, _REL_SCALE, _Z_SCALE, PREDICT_BLOCK,
+                             SEG_POINTS_PER_SCENE, DetHeadMini, DetTape, SegNetMini, _Mlp,
+                             _neighbor_table, _pair_sums, _row_blocks, _train, standard_augment,
+                             train_det, train_seg)
 from anchor_fold import fold_onto_rows
 
 
@@ -515,6 +520,103 @@ def test_segmenter_input_gradients_of_an_empty_cloud_are_empty():
 
 
 # ---------------------------------------------------------------------------
+# the tape-less predict and the row-only features against the taped forward
+# ---------------------------------------------------------------------------
+
+def assert_predict_is_the_forward_argmax(model, cloud):
+    pred = model.predict(cloud)
+    want = model.forward(cloud)[0].argmax(axis=1).astype(np.int32)
+    assert pred.dtype == np.int32
+    assert pred.tobytes() == want.tobytes()
+
+
+def test_predict_is_the_forward_argmax_on_desk_val_ood_and_deformed_scenes():
+    model = SegNetMini(len(simulator.CLASS_NAMES))
+    model.init_random(6)
+    bank = make_bank(simulator.CLASS_NAMES.index("car"), "car", CANONICAL_CAR_DIMS, 0.2,
+                     6, 1, seed=0)
+    bank.vectors[...] = np.random.default_rng(3).uniform(-0.3, 0.3, bank.vectors.shape)
+    for seed, domain in ((0, "normal"), (1, "normal"), (2, "rare"), (3, "damaged")):
+        scene = simulator.generate_scene(seed, domain, None, DESK_SENSOR)
+        deformed = deform_all_objects(scene, bank)
+        if domain == "normal":
+            assert not np.array_equal(deformed.xyz, scene.cloud.xyz)
+        for cloud in (scene.cloud, deformed):
+            assert cloud.n > 2 * PREDICT_BLOCK
+            assert_predict_is_the_forward_argmax(model, cloud)
+
+
+@pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1027])
+def test_predict_is_the_forward_argmax_at_block_edges(n):
+    model = SegNetMini(5)
+    model.init_random(1)
+    rng = np.random.default_rng(n)
+    # about 4 points per voxel, so the features vary within a voxel too
+    cloud = PointCloud.unlabeled(rng.uniform(-2.0, 2.0, size=(n, 3)), rng.uniform(0.0, 1.0, n))
+    assert_predict_is_the_forward_argmax(model, cloud)
+    # consecutive blocks cover every row once, and only a one-row cloud
+    # makes a one-row block
+    blocks = _row_blocks(n)
+    assert [row for block in blocks for row in range(n)[block]] == list(range(n))
+    assert all(min(n, 2) <= b.stop - b.start <= PREDICT_BLOCK + 1 for b in blocks)
+
+
+@pytest.mark.parametrize("gap", [0, 1])
+def test_predict_breaks_ties_as_the_forward_argmax(gap):
+    model = SegNetMini(5)
+    model.init_random(2)
+    params = model.mlp.params
+    # classes 1 and 3 score 0.1 on every point, far above the others, and
+    # class 3 ``gap`` ulps more: the softmax's exp loses one ulp at 0.1, so
+    # the probabilities tie either way and the lower class wins
+    params["W3"][:, [1, 3]] = 0.0
+    params["b3"][:] = -50.0
+    params["b3"][1] = 0.1
+    params["b3"][3] = 0.1 + gap * np.spacing(0.1)
+    cloud = PointCloud.unlabeled(np.random.default_rng(0).uniform(-3.0, 3.0, size=(700, 3)),
+                                 np.full(700, 0.5))
+    probs, _ = model.forward(cloud)
+    assert np.array_equal(probs[:, 1], probs[:, 3])
+    assert_predict_is_the_forward_argmax(model, cloud)
+    assert np.all(model.predict(cloud) == 1)
+
+
+def test_a_block_pass_of_the_mlp_is_the_rows_of_the_full_pass(desk_clouds):
+    model = SegNetMini(len(simulator.CLASS_NAMES))
+    model.init_random(6)
+    for cloud in desk_clouds:
+        feats, _, _ = model._features(cloud)
+        logits, tape = model.mlp.forward(feats)
+        for block in _row_blocks(cloud.n):
+            block_logits, block_tape = model.mlp.forward(feats[block])
+            assert block_logits.tobytes() == logits[block].tobytes()
+            for got, want in zip(block_tape, tape):
+                assert got.tobytes() == want[block].tobytes()
+
+
+def test_the_features_of_rows_are_those_rows_of_the_full_features(desk_clouds):
+    model = SegNetMini(len(simulator.CLASS_NAMES))
+    for seed, cloud in enumerate(desk_clouds):
+        rng = np.random.default_rng(seed)
+        full, inverse, counts = model._features(cloud)
+        moved = rng.choice(cloud.n, size=20, replace=False)
+        after = cloud.copy()
+        after.xyz[moved] += rng.uniform(-0.3, 0.3, size=(20, 3))
+        after_full = model._features(after)[0]
+        cases = [(cloud, full, np.sort(rng.choice(cloud.n, size=n, replace=False)))
+                 for n in (0, 1, 500)]
+        cases += [(cloud, full, np.arange(cloud.n)),
+                  (after, after_full, model.touched_rows(cloud, after, moved))]
+        for source, source_full, rows in cases:
+            feats, got_inverse, got_counts = model._features(source, rows)
+            assert feats.shape == (len(rows), model.N_FEATURES)
+            assert feats.tobytes() == source_full[rows].tobytes()
+            if source is cloud:
+                assert np.array_equal(got_inverse, inverse)
+                assert np.array_equal(got_counts, counts)
+
+
+# ---------------------------------------------------------------------------
 # the in-place MLP passes against their expression form
 # ---------------------------------------------------------------------------
 
@@ -868,3 +970,53 @@ def test_train_det_is_bit_equal_to_a_training_on_the_loop_targets(monkeypatch):
     for name, value in model.mlp.params.items():
         assert value.tobytes() == oracle.mlp.params[name].tobytes(), name
 
+
+# ---------------------------------------------------------------------------
+# the detector trains on the points above GROUND_CLIP
+# ---------------------------------------------------------------------------
+
+def test_the_detector_pass_of_the_clipped_cloud_is_the_pass_of_the_whole_cloud(desk_clouds):
+    model = DetHeadMini()
+    model.init_random(2)
+    for cloud in desk_clouds:
+        clipped = model.above_ground(cloud)
+        assert 0 < clipped.n < cloud.n
+        assert np.all(clipped.xyz[:, 2] > model.GROUND_CLIP)
+        scores, outputs, tape = model.forward(cloud)
+        got_scores, got_outputs, got_tape = model.forward(clipped)
+        assert np.array_equal(got_tape.anchor_row, tape.anchor_row)
+        assert got_scores.tobytes() == scores.tobytes()
+        assert got_outputs.tobytes() == outputs.tobytes()
+
+
+def test_standard_augment_keeps_z_bit_for_bit(desk_clouds):
+    for seed, cloud in enumerate(desk_clouds):
+        for draw in range(4):
+            moved, _ = standard_augment(cloud, (), np.random.default_rng([seed, draw]))
+            assert moved.xyz[:, 2].tobytes() == cloud.xyz[:, 2].tobytes()
+
+
+def lifting_hook(clouds):
+    """A hook that moves every point of scene ``index`` up or down by up to
+    0.3 m, the same draw each epoch, so points cross GROUND_CLIP both ways."""
+    def hook(index, cloud):
+        xyz = cloud.xyz.copy()
+        xyz[:, 2] += np.random.default_rng(index).uniform(-0.3, 0.3, cloud.n)
+        return PointCloud(xyz, cloud.intensity, cloud.semantic, cloud.instance)
+    clip = DetHeadMini.GROUND_CLIP
+    for index, cloud in enumerate(clouds):
+        moved = hook(index, cloud).xyz[:, 2] > clip
+        before = cloud.xyz[:, 2] > clip
+        assert np.any(moved & ~before) and np.any(before & ~moved)
+    return hook
+
+
+@pytest.mark.parametrize("hooked", [False, True])
+def test_train_det_on_clipped_clouds_is_bit_equal_to_an_unclipped_oracle(hooked, monkeypatch):
+    clouds, boxes = tiny_scenes()
+    hook = lifting_hook(clouds) if hooked else None
+    model = train_det(clouds, boxes, epochs=2, lr=0.01, seed=7, hook=hook)
+    monkeypatch.setattr(DetHeadMini, "above_ground", lambda self, cloud: cloud)
+    oracle = train_det(clouds, boxes, epochs=2, lr=0.01, seed=7, hook=hook)
+    for name, value in model.mlp.params.items():
+        assert value.tobytes() == oracle.mlp.params[name].tobytes(), name
