@@ -56,8 +56,9 @@ the frame they are decoded in. ``DetHeadMini.proposals`` is the one proposal
 rule of attack and evaluation. ``DetHeadMini.box_targets`` builds the training
 targets of a box list, testing each box only against the anchors it can
 reach. ``train_seg`` and ``train_det`` share one loop, ``_train``, and
-supply only their seed streams and a per-scene step; ``train_det`` trains on
-the points above ``GROUND_CLIP`` alone, the points the detector pools.
+supply only their seed streams and a per-scene step; without a hook,
+``train_det`` trains on the points above ``GROUND_CLIP`` alone, the points
+the detector pools.
 """
 
 from __future__ import annotations
@@ -209,19 +210,6 @@ def _voxel_means(values: np.ndarray, inverse: np.ndarray, counts: np.ndarray,
 PREDICT_BLOCK = 512
 
 
-def _row_blocks(n: int) -> list:
-    """Slices of ``PREDICT_BLOCK`` consecutive rows that cover ``range(n)``.
-
-    A last block of one row joins the block before it: numpy multiplies a
-    one-row matrix through BLAS gemv, which may round otherwise than gemm
-    does for the same row of a larger product.
-    """
-    starts = list(range(0, n, PREDICT_BLOCK))
-    if n % PREDICT_BLOCK == 1 and len(starts) > 1:
-        starts.pop()
-    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
-
-
 @dataclass
 class SegTape:
     """Activations of one forward pass, consumed by the backward passes."""
@@ -329,17 +317,20 @@ class SegNetMini:
         """Per-point class ids, int32: ``forward(cloud)[0].argmax(1)`` bit for bit.
 
         A pass with no tape: the features come once, then the MLP and the
-        softmax run over the row blocks of ``_row_blocks``, so no
-        (n x hidden) activation is allocated. The softmax stays, so that ties
-        break as in ``forward``. The argmax is ``forward``'s as long as BLAS
-        rounds each row of a product apart from the other rows, which a test
-        checks at desk shapes.
+        softmax run over balanced blocks of at most ``PREDICT_BLOCK``
+        consecutive rows, so no (n x hidden) activation is allocated. The
+        softmax stays, so that ties break as in ``forward``. The argmax is
+        ``forward``'s as long as BLAS rounds each row of a product apart from
+        the other rows, which a test checks at desk shapes.
         """
         feats, _, _ = self._features(cloud)
         pred = np.empty(cloud.n, dtype=np.int32)
-        for block in _row_blocks(cloud.n):
-            logits, _ = self.mlp.forward(feats[block])
-            pred[block] = _softmax(logits).argmax(axis=1)
+        # balanced blocks: none has one row unless the cloud has, since numpy
+        # multiplies a one-row matrix through gemv, which may round otherwise
+        blocks = max(1, -(-cloud.n // PREDICT_BLOCK))
+        for rows, out in zip(np.array_split(feats, blocks), np.array_split(pred, blocks)):
+            logits, _ = self.mlp.forward(rows)
+            out[:] = _softmax(logits).argmax(axis=1)
         return pred
 
     def state(self) -> tuple:
@@ -447,17 +438,22 @@ class DetHeadMini:
         # confident-negative prior: empty anchors start well under relevance
         self.mlp.params["b3"][0] = -3.0
 
+    def _above(self, cloud: PointCloud) -> np.ndarray:
+        """Mask of the points of ``cloud`` that a pass pools; ground carries
+        no box cue."""
+        return cloud.xyz[:, 2] > self.GROUND_CLIP
+
     def above_ground(self, cloud: PointCloud) -> PointCloud:
         """The points of ``cloud`` above ``GROUND_CLIP``, in order: the
         points a pass pools, so a pass over them gives the rows of a pass
         over ``cloud`` bit for bit."""
-        above = cloud.xyz[:, 2] > self.GROUND_CLIP
+        above = self._above(cloud)
         return PointCloud(cloud.xyz[above], cloud.intensity[above], cloud.semantic[above],
                           cloud.instance[above])
 
     def _pool(self, cloud: PointCloud):
         k = self.cells_per_axis
-        above = np.flatnonzero(cloud.xyz[:, 2] > self.GROUND_CLIP)  # ground carries no box cue
+        above = np.flatnonzero(self._above(cloud))
         i, j = np.floor((cloud.xyz[above, :2] + self.area) / self.stride).astype(np.int64).T
         inside = (i >= 0) & (i < k) & (j >= 0) & (j < k)
         pooled, flat = above[inside], i[inside] * k + j[inside]
@@ -844,18 +840,17 @@ def train_det(scenes, boxes_per_scene, epochs: int, lr: float, seed,
     same loss taken anchor by anchor. ``hook`` works as in
     :func:`train_seg`; it moves points, never boxes.
 
-    Training runs on :meth:`DetHeadMini.above_ground` clouds, the points the
-    detector pools. ``standard_augment`` keeps z bit for bit, so the clip
-    may come before it: once per scene, or, with a hook, right after the
-    hook, whose moved points may cross the clip height. The parameters are
-    those of training on the whole clouds bit for bit.
+    Without a hook, training runs on :meth:`DetHeadMini.above_ground`
+    clouds, clipped once per scene: the points the detector pools.
+    ``standard_augment`` keeps z bit for bit, so the clip may come before it,
+    and the parameters are those of training on the whole clouds bit for bit
+    as long as no clipped cloud holds exactly one point (numpy rotates a
+    one-row matrix through gemv, which may round x and y otherwise than the
+    whole cloud's gemm). With a hook, training runs on the whole clouds.
     """
     model = DetHeadMini()
     if hook is None:
         scenes = [model.above_ground(cloud) for cloud in scenes]
-    else:
-        hook = (lambda index, cloud, deform=hook:
-                model.above_ground(deform(index, cloud)))
 
     def step(cloud, boxes, _):
         _, outputs, tape = model.forward(cloud)

@@ -21,8 +21,8 @@ from advfield.evaluate import deform_all_objects
 from advfield.field import make_bank
 from advfield.victim import (_COUNT_SCALE, _REL_SCALE, _Z_SCALE, PREDICT_BLOCK,
                              SEG_POINTS_PER_SCENE, DetHeadMini, DetTape, SegNetMini, _Mlp,
-                             _neighbor_table, _pair_sums, _row_blocks, _train, standard_augment,
-                             train_det, train_seg)
+                             _neighbor_table, _pair_sums, _train, standard_augment, train_det,
+                             train_seg)
 from anchor_fold import fold_onto_rows
 
 
@@ -554,11 +554,6 @@ def test_predict_is_the_forward_argmax_at_block_edges(n):
     # about 4 points per voxel, so the features vary within a voxel too
     cloud = PointCloud.unlabeled(rng.uniform(-2.0, 2.0, size=(n, 3)), rng.uniform(0.0, 1.0, n))
     assert_predict_is_the_forward_argmax(model, cloud)
-    # consecutive blocks cover every row once, and only a one-row cloud
-    # makes a one-row block
-    blocks = _row_blocks(n)
-    assert [row for block in blocks for row in range(n)[block]] == list(range(n))
-    assert all(min(n, 2) <= b.stop - b.start <= PREDICT_BLOCK + 1 for b in blocks)
 
 
 @pytest.mark.parametrize("gap", [0, 1])
@@ -587,7 +582,7 @@ def test_a_block_pass_of_the_mlp_is_the_rows_of_the_full_pass(desk_clouds):
     for cloud in desk_clouds:
         feats, _, _ = model._features(cloud)
         logits, tape = model.mlp.forward(feats)
-        for block in _row_blocks(cloud.n):
+        for block in np.array_split(np.arange(cloud.n), -(-cloud.n // PREDICT_BLOCK)):
             block_logits, block_tape = model.mlp.forward(feats[block])
             assert block_logits.tobytes() == logits[block].tobytes()
             for got, want in zip(block_tape, tape):
@@ -1020,3 +1015,19 @@ def test_train_det_on_clipped_clouds_is_bit_equal_to_an_unclipped_oracle(hooked,
     oracle = train_det(clouds, boxes, epochs=2, lr=0.01, seed=7, hook=hook)
     for name, value in model.mlp.params.items():
         assert value.tobytes() == oracle.mlp.params[name].tobytes(), name
+
+
+def test_train_det_on_a_one_point_clip_is_within_rounding_of_an_unclipped_oracle(monkeypatch):
+    """A cloud clipped to one point is rotated through gemv, not the whole
+    cloud's gemm, so x and y may differ in the last bit: bit equality is not
+    promised there, closeness is."""
+    clouds, boxes = tiny_scenes()
+    clouds = [PointCloud(cloud.xyz[79:], cloud.intensity[79:], cloud.semantic[79:],
+                         cloud.instance[79:]) for cloud in clouds]
+    assert all(DetHeadMini().above_ground(cloud).n == 1 for cloud in clouds)
+    model = train_det(clouds, boxes, epochs=2, lr=0.01, seed=7)
+    monkeypatch.setattr(DetHeadMini, "above_ground", lambda self, cloud: cloud)
+    oracle = train_det(clouds, boxes, epochs=2, lr=0.01, seed=7)
+    for name, value in model.mlp.params.items():
+        np.testing.assert_allclose(value, oracle.mlp.params[name], rtol=1e-10, atol=1e-14,
+                                   err_msg=name)
