@@ -206,9 +206,10 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
     by slot, then steps the slots the batch trained, and the bank is clamped.
 
     In the segmentation modes the victim runs, once per scene, on the clean
-    cloud; each iteration then runs it only on the voxels that the planned
-    points occupy before or after the deformation. Every other row keeps its
-    clean loss, so ``trace.losses`` still sums the loss of every row.
+    cloud, with no tape, since only its losses are read; each iteration then
+    runs it, taped, only on the voxels that the planned points occupy before
+    or after the deformation. Every other row keeps its clean loss, so
+    ``trace.losses`` still sums the loss of every row.
     """
     if isinstance(victim, SegNetMini) and cfg.mode == "detection":
         raise ValueError("detection mode needs a detection head")
@@ -233,7 +234,8 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
         for item in work:
             if item.plans:
                 cloud = item.scene.cloud
-                item.clean_losses = objective(victim.forward(cloud)[0], cloud.semantic)[0]
+                probs, _ = victim.forward(cloud, tape=False)
+                item.clean_losses = objective(probs, cloud.semantic)[0]
 
         def scene_loss(cloud, item):
             return touched_loss_and_grads(victim, item.scene.cloud, item.clean_losses, cloud,

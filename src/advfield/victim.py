@@ -23,13 +23,16 @@ A pass allocates only what it returns and computes only what its caller
 reads. The MLP writes bias adds, ``tanh`` and the ``tanh`` slope into arrays
 it has just allocated, so no (rows x hidden) temporary is thrown away, and
 input gradients skip the parameter gradients. A segmenter pass over some
-rows builds the features of those rows alone. ``SegNetMini.predict`` keeps
-no tape: it runs the MLP over blocks of ``PREDICT_BLOCK`` rows and keeps
-each row's argmax, so no (n x hidden) activation exists. Tapes are fresh
-per call and no workspace outlives a call: a caller may keep one pass's
-outputs and tape while it runs the next (the attacks keep the clean cloud's
-losses), and the CLI's ``eval`` runs one model's passes in a thread pool, one
-thread per CPU.
+rows keys only the voxels those rows occupy and sums only those voxels'
+points. A segmenter pass whose caller reads only the probabilities, such as
+``SegNetMini.predict`` and the attacks' clean-loss passes, asks
+``forward(cloud, tape=False)``: it keeps no tape and runs the MLP over
+blocks of ``PREDICT_BLOCK`` rows, so no (n x hidden) activation exists. The
+softmax takes each row's maximum column by column. Tapes are fresh per call
+and no workspace outlives a call: a caller may keep one pass's outputs and
+tape while it runs the next (the attacks keep the clean cloud's losses), and
+the CLI's ``eval`` runs one model's passes in a thread pool, one thread per
+CPU.
 
 The detector runs its MLP once per distinct anchor row, and every pass works
 on those rows alone. Every empty anchor pools all-zero features, so the empty
@@ -92,8 +95,19 @@ def _grid_keys(xyz: np.ndarray, cell: float) -> np.ndarray:
     return (ids[:, 0] << (2 * _KEY_BITS)) | (ids[:, 1] << _KEY_BITS) | ids[:, 2]
 
 
+def _in_sorted(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Mask of the ``keys`` found in the increasing, distinct ``table``:
+    ``np.isin(keys, table)`` for nonnegative grid keys, by one binary search."""
+    return np.append(table, -1)[np.searchsorted(table, keys)] == keys
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    probs = logits - logits.max(axis=1, keepdims=True)
+    # the row maximum column by column: exact, so the probabilities are those
+    # of logits.max(axis=1), at a fraction of its cost over few columns
+    top = logits[:, 0].copy()
+    for column in logits.T[1:]:
+        np.maximum(top, column, out=top)
+    probs = logits - top[:, None]
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs
@@ -205,8 +219,8 @@ def _voxel_means(values: np.ndarray, inverse: np.ndarray, counts: np.ndarray,
     return (sums / counts[:, None])[inverse if at is None else at]
 
 
-# rows per MLP block of SegNetMini.predict: a (512 x 64) float64 activation
-# is 256 KB, which stays in a core's L2 cache
+# rows per MLP block of a tape-less SegNetMini pass: a (512 x 64) float64
+# activation is 256 KB, which stays in a core's L2 cache
 PREDICT_BLOCK = 512
 
 
@@ -214,8 +228,8 @@ PREDICT_BLOCK = 512
 class SegTape:
     """Activations of one forward pass, consumed by the backward passes."""
 
-    inverse: np.ndarray       # (n,) voxel index per point
-    counts: np.ndarray        # (nv,) points per voxel
+    inverse: np.ndarray       # (r,) voxel of each tape row, indexing counts
+    counts: np.ndarray        # (nv,) cloud points in each of the pass's voxels
     mlp_tape: tuple
     rows: np.ndarray | None = None  # the cloud rows the MLP ran on; None for all
 
@@ -243,23 +257,34 @@ class SegNetMini:
         """Features of the cloud's ``rows`` (all rows by default) -> (feats,
         inverse, counts), with one feature row per entry of ``rows``.
 
-        Voxel keys, counts and sums come from the whole cloud; only the
-        feature rows are gathered, bit for bit the same rows of the full
-        matrix. ``inverse`` and ``counts`` always cover the whole cloud.
+        The pass's voxels are those its rows occupy: ``counts`` holds each
+        one's points in the whole cloud, and ``inverse`` the voxel of each
+        row. Over given ``rows``, only the points of those voxels are summed,
+        in increasing point order, the order in which the whole cloud's
+        ``np.bincount`` adds them; so the feature rows are those rows of the
+        full matrix bit for bit.
         """
         keys = _grid_keys(cloud.xyz, self.radius)
-        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        xyz, intensity, voxel = cloud.xyz, cloud.intensity, inverse
+        xyz, intensity = cloud.xyz, cloud.intensity
+        if rows is None:
+            _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+            members, slot = slice(None), inverse
+        else:
+            voxels = np.unique(keys[rows])
+            members = np.flatnonzero(_in_sorted(keys, voxels))
+            slot = np.searchsorted(voxels, keys[members])  # voxel of each member
+            counts = np.bincount(slot, minlength=len(voxels))
+            inverse = np.searchsorted(voxels, keys[rows])
+        means = _voxel_means(np.column_stack([xyz[members], intensity[members]]), slot, counts,
+                             at=inverse)
         if rows is not None:
-            xyz, intensity, voxel = xyz[rows], intensity[rows], inverse[rows]
-        means = _voxel_means(np.column_stack([cloud.xyz, cloud.intensity]), inverse, counts,
-                             at=voxel)
+            xyz, intensity = xyz[rows], intensity[rows]
 
-        feats = np.empty((len(voxel), self.N_FEATURES))
+        feats = np.empty((len(inverse), self.N_FEATURES))
         feats[:, 0:3] = (xyz - means[:, 0:3]) * _REL_SCALE
         feats[:, 3] = xyz[:, 2] * _Z_SCALE
         feats[:, 4] = intensity
-        feats[:, 5] = np.log1p(counts[voxel]) * _COUNT_SCALE
+        feats[:, 5] = np.log1p(counts[inverse]) * _COUNT_SCALE
         feats[:, 6] = means[:, 3]
         return feats, inverse, counts
 
@@ -269,24 +294,40 @@ class SegNetMini:
 
         Each such voxel comes whole. Every other voxel holds the same unmoved
         points in both clouds, so its rows keep their features, and their
-        losses, from ``before``.
+        losses, from ``before``. A row belongs when a binary search finds its
+        key among the sorted distinct keys of the moved points.
         """
         keys = _grid_keys(after.xyz, self.radius)
-        moved_keys = np.concatenate([_grid_keys(before.xyz[moved], self.radius),
-                                     keys[moved]])
-        return np.flatnonzero(np.isin(keys, moved_keys))
+        moved_keys = np.unique(np.concatenate([_grid_keys(before.xyz[moved], self.radius),
+                                               keys[moved]]))
+        return np.flatnonzero(_in_sorted(keys, moved_keys))
 
-    def forward(self, cloud: PointCloud, rows: np.ndarray | None = None):
+    def forward(self, cloud: PointCloud, rows: np.ndarray | None = None, tape: bool = True):
         """Per-point class probabilities; rows restricts the MLP to a subset.
 
         Neighborhood statistics always come from the full cloud. Returns
         ``(probs, tape)``; with ``rows`` given, probs has one row per entry.
         Rows that hold whole voxels, such as those of :meth:`touched_rows`,
         give a tape that :meth:`backward_inputs` accepts.
+
+        With ``tape=False`` the tape is None: the MLP and the softmax run over
+        balanced blocks of at most ``PREDICT_BLOCK`` rows into one (rows, C)
+        array, so no (rows x hidden) activation outlives a block. The
+        probabilities are the taped pass's as long as BLAS rounds each row of
+        a product apart from the other rows, which a test checks at desk
+        shapes. The blocks are balanced so that none has one row unless the
+        pass has: numpy multiplies a one-row matrix through gemv, which may
+        round otherwise.
         """
         feats, inverse, counts = self._features(cloud, rows)
-        logits, mlp_tape = self.mlp.forward(feats)
-        return _softmax(logits), SegTape(inverse, counts, mlp_tape, rows)
+        if tape:
+            logits, mlp_tape = self.mlp.forward(feats)
+            return _softmax(logits), SegTape(inverse, counts, mlp_tape, rows)
+        probs = np.empty((len(feats), self.n_classes))
+        blocks = max(1, -(-len(feats) // PREDICT_BLOCK))
+        for block, out in zip(np.array_split(feats, blocks), np.array_split(probs, blocks)):
+            out[:] = _softmax(self.mlp.forward(block)[0])
+        return probs, None
 
     def backward_inputs(self, tape: SegTape, dlogits: np.ndarray):
         """Exact gradients w.r.t. (x, y, z) and intensity of the tape's rows.
@@ -298,40 +339,25 @@ class SegNetMini:
         the tape, and the result is the exact gradient of the loss over the
         tape's rows. Raises ValueError on rows that split a voxel.
         """
-        inverse = tape.inverse
         if tape.rows is not None:
-            inverse = inverse[tape.rows]
-            held = np.bincount(inverse, minlength=len(tape.counts))
-            split = (held > 0) & (held != tape.counts)
-            if np.any(np.diff(tape.rows) <= 0) or split.any():
+            # every voxel of the pass holds a row, so a split voxel holds fewer
+            held = np.bincount(tape.inverse, minlength=len(tape.counts))
+            if np.any(np.diff(tape.rows) <= 0) or np.any(held != tape.counts):
                 raise ValueError("input gradients need increasing rows that hold "
                                  "whole voxels")
         dfeat = self.mlp.backward_inputs(tape.mlp_tape, dlogits)
-        means = _voxel_means(dfeat[:, [0, 1, 2, 6]], inverse, tape.counts)
+        means = _voxel_means(dfeat[:, [0, 1, 2, 6]], tape.inverse, tape.counts)
         dpos = (dfeat[:, 0:3] - means[:, 0:3]) * _REL_SCALE
         dpos[:, 2] += dfeat[:, 3] * _Z_SCALE
         dtau = dfeat[:, 4] + means[:, 3]
         return dpos, dtau
 
     def predict(self, cloud: PointCloud) -> np.ndarray:
-        """Per-point class ids, int32: ``forward(cloud)[0].argmax(1)`` bit for bit.
-
-        A pass with no tape: the features come once, then the MLP and the
-        softmax run over balanced blocks of at most ``PREDICT_BLOCK``
-        consecutive rows, so no (n x hidden) activation is allocated. The
-        softmax stays, so that ties break as in ``forward``. The argmax is
-        ``forward``'s as long as BLAS rounds each row of a product apart from
-        the other rows, which a test checks at desk shapes.
-        """
-        feats, _, _ = self._features(cloud)
-        pred = np.empty(cloud.n, dtype=np.int32)
-        # balanced blocks: none has one row unless the cloud has, since numpy
-        # multiplies a one-row matrix through gemv, which may round otherwise
-        blocks = max(1, -(-cloud.n // PREDICT_BLOCK))
-        for rows, out in zip(np.array_split(feats, blocks), np.array_split(pred, blocks)):
-            logits, _ = self.mlp.forward(rows)
-            out[:] = _softmax(logits).argmax(axis=1)
-        return pred
+        """Per-point class ids, int32: the argmax of the tape-less
+        ``forward(cloud, tape=False)``, so ``forward(cloud)[0].argmax(1)``
+        bit for bit. The argmax is of the probabilities, not the logits, so
+        that ties break as in ``forward``."""
+        return self.forward(cloud, tape=False)[0].argmax(axis=1).astype(np.int32)
 
     def state(self) -> tuple:
         if self.n_classes != len(CLASS_NAMES):  # else no checkpoint could be read back

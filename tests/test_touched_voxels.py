@@ -271,7 +271,7 @@ def test_baselines_match_the_full_cloud_oracle(monkeypatch, kind):
 
 
 class RaisingVictim:
-    def forward(self, cloud, rows=None):
+    def forward(self, cloud, rows=None, tape=True):
         raise AssertionError("the victim ran")
 
 
@@ -298,9 +298,9 @@ def test_forward_always_receives_the_full_cloud_and_rows_holding_every_moved_poi
     calls = []
     original = SegNetMini.forward
 
-    def recording(self, cloud, rows=None):
-        calls.append((cloud.copy(), None if rows is None else np.array(rows)))
-        return original(self, cloud, rows)
+    def recording(self, cloud, rows=None, tape=True):
+        calls.append((cloud.copy(), None if rows is None else np.array(rows), tape))
+        return original(self, cloud, rows, tape=tape)
 
     monkeypatch.setattr(SegNetMini, "forward", recording)
     scene = SCENES[0]
@@ -308,9 +308,14 @@ def test_forward_always_receives_the_full_cloud_and_rows_holding_every_moved_poi
     attack.fit_bank(strong_bank(1), [scene], victim(), cfg)
     baselines.iterative_gradient_l2(scene.cloud, scene.boxes[0].box, victim(), iters=2)
     assert len(calls) == 2 * (1 + 2)
-    for cloud, rows in calls:
+    # one clean pass over the whole clean cloud, read without a tape, then
+    # one taped pass over touched rows per iteration
+    assert [(rows is None, tape) for _, rows, tape in calls] == [(True, False),
+                                                                (False, True),
+                                                                (False, True)] * 2
+    for cloud, rows, _ in calls:
         assert cloud.n == scene.cloud.n
         moved = np.flatnonzero(np.any(cloud.xyz != scene.cloud.xyz, axis=1)
                                | (cloud.intensity != scene.cloud.intensity))
-        assert rows is None or np.isin(moved, rows).all()
-    assert any(rows is not None and len(rows) < scene.cloud.n for _, rows in calls)
+        assert np.isin(moved, rows).all() if rows is not None else len(moved) == 0
+    assert any(rows is not None and len(rows) < scene.cloud.n for _, rows, _ in calls)

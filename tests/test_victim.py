@@ -4,8 +4,9 @@ aggregation operator against a scatter oracle, the in-place MLP passes and
 input gradients against their expression-form oracles, the detector's
 distinct-row passes and training against the MLP run on every anchor, its
 windowed training targets against the per-anchor loop over every anchor, the
-segmenter's tape-less predict and row-only features against its taped
-forward, and the detector's training on clipped clouds against the whole."""
+segmenter's tape-less passes and row-keyed features against its taped full
+forward, its softmax against the expression form, and the detector's
+training on clipped clouds against the whole."""
 
 import math
 from collections import Counter
@@ -21,8 +22,8 @@ from advfield.evaluate import deform_all_objects
 from advfield.field import make_bank
 from advfield.victim import (_COUNT_SCALE, _REL_SCALE, _Z_SCALE, PREDICT_BLOCK,
                              SEG_POINTS_PER_SCENE, DetHeadMini, DetTape, SegNetMini, _Mlp,
-                             _neighbor_table, _pair_sums, _train, standard_augment, train_det,
-                             train_seg)
+                             _grid_keys, _neighbor_table, _pair_sums, _softmax, _train,
+                             standard_augment, train_det, train_seg)
 from anchor_fold import fold_onto_rows
 
 
@@ -478,7 +479,7 @@ def scatter_voxel_features(model, cloud):
 
 def scatter_voxel_gradient(model, tape, dlogits):
     """The segmenter's input gradient, voxel sums through np.add.at."""
-    inverse = tape.inverse if tape.rows is None else tape.inverse[tape.rows]
+    inverse = tape.inverse  # the voxel of each tape row
     dfeat, _ = model.mlp.backward(tape.mlp_tape, dlogits)
     rel_sums = np.zeros((len(tape.counts), 3))
     np.add.at(rel_sums, inverse, dfeat[:, 0:3])
@@ -520,14 +521,29 @@ def test_segmenter_input_gradients_of_an_empty_cloud_are_empty():
 
 
 # ---------------------------------------------------------------------------
-# the tape-less predict and the row-only features against the taped forward
+# the tape-less passes and the row-keyed features against the taped forward
 # ---------------------------------------------------------------------------
 
 def assert_predict_is_the_forward_argmax(model, cloud):
+    """``predict`` is the taped forward's argmax, and a tape-less forward
+    gives the taped forward's probabilities bit for bit: over every row, over
+    the rows that 20 moved points touch (in the moved cloud), and over a
+    random subset of up to ``SEG_POINTS_PER_SCENE`` rows in draw order, as
+    ``train_seg`` draws them."""
     pred = model.predict(cloud)
     want = model.forward(cloud)[0].argmax(axis=1).astype(np.int32)
     assert pred.dtype == np.int32
     assert pred.tobytes() == want.tobytes()
+    rng = np.random.default_rng(cloud.n)
+    moved = rng.choice(cloud.n, size=min(20, cloud.n), replace=False)
+    after = cloud.copy()
+    after.xyz[moved] += rng.uniform(-0.3, 0.3, size=(len(moved), 3))
+    subset = rng.choice(cloud.n, size=min(SEG_POINTS_PER_SCENE, cloud.n), replace=False)
+    for source, rows in ((cloud, None), (after, model.touched_rows(cloud, after, moved)),
+                         (cloud, subset)):
+        probs, tape = model.forward(source, rows, tape=False)
+        assert tape is None
+        assert probs.tobytes() == model.forward(source, rows)[0].tobytes()
 
 
 def test_predict_is_the_forward_argmax_on_desk_val_ood_and_deformed_scenes():
@@ -589,6 +605,19 @@ def test_a_block_pass_of_the_mlp_is_the_rows_of_the_full_pass(desk_clouds):
                 assert got.tobytes() == want[block].tobytes()
 
 
+def assert_row_voxels_are_the_full_voxels(rows, inverse, counts, full_inverse, full_counts):
+    """A row pass's voxels are the full pass's voxels of its rows: each
+    holds a row, two rows share a voxel exactly when they do in the full
+    pass, and each voxel counts the points of the whole cloud."""
+    assert inverse.shape == (len(rows),)
+    want = full_inverse[rows]
+    # sharing agrees both ways when the (row voxel, full voxel) pairs are
+    # one to one
+    pairs = len(np.unique(np.column_stack([inverse, want]), axis=0))
+    assert pairs == len(np.unique(inverse)) == len(np.unique(want)) == len(counts)
+    assert np.array_equal(counts[inverse], full_counts[want])
+
+
 def test_the_features_of_rows_are_those_rows_of_the_full_features(desk_clouds):
     model = SegNetMini(len(simulator.CLASS_NAMES))
     for seed, cloud in enumerate(desk_clouds):
@@ -606,14 +635,72 @@ def test_the_features_of_rows_are_those_rows_of_the_full_features(desk_clouds):
             feats, got_inverse, got_counts = model._features(source, rows)
             assert feats.shape == (len(rows), model.N_FEATURES)
             assert feats.tobytes() == source_full[rows].tobytes()
-            if source is cloud:
-                assert np.array_equal(got_inverse, inverse)
-                assert np.array_equal(got_counts, counts)
+            _, full_inverse, full_counts = (model._features(source) if source is after
+                                            else (None, inverse, counts))
+            assert_row_voxels_are_the_full_voxels(rows, got_inverse, got_counts,
+                                                  full_inverse, full_counts)
+
+
+def test_touched_rows_and_row_features_on_edge_inputs():
+    model = SegNetMini(5)
+    # voxels of 0.5 m: three points in one, two in the next, one alone
+    cloud = PointCloud.unlabeled([[0.1, 0.1, 0.1], [0.2, 0.3, 0.1], [0.4, 0.2, 0.3],
+                                  [0.6, 0.1, 0.1], [0.9, 0.4, 0.2], [2.1, 2.1, 0.1]],
+                                 [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    after = cloud.copy()
+    after.xyz[1] = [3.3, -1.2, 0.4]  # into a voxel that held no point before
+    keys = _grid_keys(after.xyz, model.radius)
+    cases = [(after, np.zeros(0, np.int64)), (after, np.array([1])),
+             (after, np.array([0, 1, 5])), (cloud, np.arange(cloud.n))]
+    for source, moved in cases:
+        got = model.touched_rows(cloud, source, moved)
+        rule = np.isin(keys if source is after else _grid_keys(cloud.xyz, model.radius),
+                       np.concatenate([_grid_keys(cloud.xyz[moved], model.radius),
+                                       _grid_keys(source.xyz[moved], model.radius)]))
+        assert got.dtype == np.int64 and got.tobytes() == np.flatnonzero(rule).tobytes()
+    assert model.touched_rows(cloud, after, np.array([1])).tolist() == [0, 1, 2]
+    for source in (cloud, after):
+        full, full_inverse, full_counts = model._features(source)
+        # no row; one row; a lone point; rows whose voxels hold other points
+        for rows in ([], [1], [5], [0, 3], [4, 2], [2, 0, 4, 1]):
+            rows = np.array(rows, dtype=np.int64)
+            feats, inverse, counts = model._features(source, rows)
+            assert feats.shape == (len(rows), model.N_FEATURES)
+            assert feats.tobytes() == full[rows].tobytes()
+            assert_row_voxels_are_the_full_voxels(rows, inverse, counts, full_inverse,
+                                                  full_counts)
 
 
 # ---------------------------------------------------------------------------
 # the in-place MLP passes against their expression form
 # ---------------------------------------------------------------------------
+
+def expression_softmax(logits):
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def test_the_softmax_is_bit_equal_to_its_expression_form():
+    rng = np.random.default_rng(4)
+    cases = [rng.normal(scale=5.0, size=(700, 5)), rng.normal(size=(3, 1))]
+    # the row maximum in each column in turn, once well clear and once tied
+    for top in range(5):
+        logits = rng.normal(size=(5, 5))
+        logits[:, top] = 10.0
+        tied = logits.copy()
+        tied[:, (top + 2) % 5] = 10.0
+        cases += [logits, tied]
+    cases.append(np.full((4, 5), 0.25))  # every column tied
+    # a maximum of +0.0 or -0.0, alone or tied with the other zero
+    cases.append(np.array([[0.0, -1.0, -2.0, -3.0, -4.0], [-1.0, -0.0, -2.0, -3.0, -4.0],
+                           [-0.0, -1.0, 0.0, -3.0, -4.0], [-5.0, 0.0, -0.0, -3.0, -0.0]]))
+    cases.append(np.zeros((0, 5)))
+    for logits in cases:
+        kept = logits.copy()
+        got = _softmax(logits)
+        assert got.shape == logits.shape and got.dtype == np.float64
+        assert got.tobytes() == expression_softmax(logits).tobytes()
+        assert logits.tobytes() == kept.tobytes()  # the input is left alone
 
 def oracle_forward(mlp, x):
     """``_Mlp.forward`` in expression form: every operation into a new array."""
