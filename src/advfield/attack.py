@@ -205,11 +205,11 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
     independent. Gradients accumulate over small scene batches; one Adam, keyed
     by slot, then steps the slots the batch trained, and the bank is clamped.
 
-    In the segmentation modes the victim runs, once per scene, on the clean
-    cloud, with no tape, since only its losses are read; each iteration then
-    runs it, taped, only on the voxels that the planned points occupy before
-    or after the deformation. Every other row keeps its clean loss, so
-    ``trace.losses`` still sums the loss of every row.
+    In the segmentation modes the victim runs once per scene over the whole
+    clean cloud, without rows and so without a tape, since only its losses
+    are read; each iteration then runs it over the rows of the voxels that
+    the planned points occupy before or after the deformation. Every other
+    row keeps its clean loss, so ``trace.losses`` still sums every row's.
     """
     if isinstance(victim, SegNetMini) and cfg.mode == "detection":
         raise ValueError("detection mode needs a detection head")
@@ -234,7 +234,7 @@ def fit_bank(bank: FieldBank, scenes, victim, cfg: AttackConfig) -> tuple:
         for item in work:
             if item.plans:
                 cloud = item.scene.cloud
-                probs, _ = victim.forward(cloud, tape=False)
+                probs, _ = victim.forward(cloud)
                 item.clean_losses = objective(probs, cloud.semantic)[0]
 
         def scene_loss(cloud, item):

@@ -14,11 +14,11 @@ gradient, plus an optional penalty gradient; moves each intensity offset by
 intensity already sits at a clip bound of [0, 1]; and then projects the
 offsets back into the attack's budget. No caller sets another step size.
 
-Each call runs the victim once on the cloud it is given, with no tape, for
-the clean loss of every row. Every step after that runs it, taped, only on
-the voxels that the attacked points occupy before or after moving; every
-other row keeps its loss in the given cloud, since the victim is frozen, so
-the loss still covers every row.
+Each call runs the victim once over the whole cloud it is given, without
+rows and so without a tape, for the clean loss of every row. Every step
+after that runs it over the rows of the voxels that the attacked points
+occupy before or after moving; every other row keeps its loss in the given
+cloud, since the victim is frozen, so the loss still covers every row.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def _pgd(cloud: PointCloud, idx, victim, iters: int, project, penalty=None) -> t
     tau_shift = np.zeros(len(idx))
     if len(idx) == 0:
         return offsets, tau_shift
-    clean_losses = untargeted_objective(victim.forward(cloud, tape=False)[0], cloud.semantic)[0]
+    clean_losses = untargeted_objective(victim.forward(cloud)[0], cloud.semantic)[0]
     for _ in range(iters):
         attacked = _apply_offsets(cloud, idx, offsets, tau_shift)
         loss, dpos, dtau = touched_loss_and_grads(victim, cloud, clean_losses, attacked, idx,

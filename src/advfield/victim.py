@@ -22,17 +22,17 @@ segmenter's voxel mean, its own adjoint, and the detector's table of
 A pass allocates only what it returns and computes only what its caller
 reads. The MLP writes bias adds, ``tanh`` and the ``tanh`` slope into arrays
 it has just allocated, so no (rows x hidden) temporary is thrown away, and
-input gradients skip the parameter gradients. A segmenter pass over some
-rows keys only the voxels those rows occupy and sums only those voxels'
-points. A segmenter pass whose caller reads only the probabilities, such as
-``SegNetMini.predict`` and the attacks' clean-loss passes, asks
-``forward(cloud, tape=False)``: it keeps no tape and runs the MLP over
-blocks of ``PREDICT_BLOCK`` rows, so no (n x hidden) activation exists. The
-softmax takes each row's maximum column by column. Tapes are fresh per call
-and no workspace outlives a call: a caller may keep one pass's outputs and
-tape while it runs the next (the attacks keep the clean cloud's losses), and
-the CLI's ``eval`` runs one model's passes in a thread pool, one thread per
-CPU.
+input gradients skip the parameter gradients. A segmenter pass over given
+rows returns their probabilities and a tape; it keys only the voxels those
+rows occupy and sums only those voxels' points. A pass without rows, for
+callers that read only the probabilities (``SegNetMini.predict`` and the
+attacks' clean-loss passes), returns every point's and no tape: it runs the
+MLP over blocks of ``PREDICT_BLOCK`` rows, so no (n x hidden) activation
+exists. The softmax takes each row's maximum column by column. Tapes are
+fresh per call and no workspace outlives a call: a caller may keep one
+pass's outputs and tape while it runs the next (the attacks keep the clean
+cloud's losses), and the CLI's ``eval`` runs one model's passes in a thread
+pool, one thread per CPU.
 
 The detector runs its MLP once per distinct anchor row, and every pass works
 on those rows alone. Every empty anchor pools all-zero features, so the empty
@@ -209,29 +209,27 @@ class _Mlp:
 # segmentation head
 # ---------------------------------------------------------------------------
 
-def _voxel_means(values: np.ndarray, inverse: np.ndarray, counts: np.ndarray,
-                 at: np.ndarray | None = None) -> np.ndarray:
-    """Per row of ``values``, the column means over the rows of its voxel
-    (``inverse`` per row, ``counts`` per voxel); symmetric, so its own adjoint.
-    ``at`` gives the voxels to read instead, one output row per entry."""
+def _voxel_means(values: np.ndarray, inverse: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per voxel, the column means of the rows of ``values`` in it (``inverse``
+    per row, ``counts`` per voxel); indexed by ``inverse``, its own adjoint."""
     sums = np.column_stack([np.bincount(inverse, weights=column, minlength=len(counts))
                             for column in values.T])
-    return (sums / counts[:, None])[inverse if at is None else at]
+    return sums / counts[:, None]
 
 
-# rows per MLP block of a tape-less SegNetMini pass: a (512 x 64) float64
+# rows per MLP block of a whole-cloud SegNetMini pass: a (512 x 64) float64
 # activation is 256 KB, which stays in a core's L2 cache
 PREDICT_BLOCK = 512
 
 
 @dataclass
 class SegTape:
-    """Activations of one forward pass, consumed by the backward passes."""
+    """Activations of one pass over rows, consumed by the backward passes."""
 
     inverse: np.ndarray       # (r,) voxel of each tape row, indexing counts
     counts: np.ndarray        # (nv,) cloud points in each of the pass's voxels
     mlp_tape: tuple
-    rows: np.ndarray | None = None  # the cloud rows the MLP ran on; None for all
+    rows: np.ndarray          # (r,) the cloud rows the MLP ran on
 
 
 class SegNetMini:
@@ -275,8 +273,8 @@ class SegNetMini:
             slot = np.searchsorted(voxels, keys[members])  # voxel of each member
             counts = np.bincount(slot, minlength=len(voxels))
             inverse = np.searchsorted(voxels, keys[rows])
-        means = _voxel_means(np.column_stack([xyz[members], intensity[members]]), slot, counts,
-                             at=inverse)
+        means = _voxel_means(np.column_stack([xyz[members], intensity[members]]), slot,
+                             counts)[inverse]
         if rows is not None:
             xyz, intensity = xyz[rows], intensity[rows]
 
@@ -302,25 +300,25 @@ class SegNetMini:
                                                keys[moved]]))
         return np.flatnonzero(_in_sorted(keys, moved_keys))
 
-    def forward(self, cloud: PointCloud, rows: np.ndarray | None = None, tape: bool = True):
-        """Per-point class probabilities; rows restricts the MLP to a subset.
+    def forward(self, cloud: PointCloud, rows: np.ndarray | None = None):
+        """Per-point class probabilities -> ``(probs, tape)``.
 
-        Neighborhood statistics always come from the full cloud. Returns
-        ``(probs, tape)``; with ``rows`` given, probs has one row per entry.
-        Rows that hold whole voxels, such as those of :meth:`touched_rows`,
-        give a tape that :meth:`backward_inputs` accepts.
+        Neighborhood statistics always come from the full cloud. With
+        ``rows``, probs has one row per entry and the tape is a
+        :class:`SegTape`; rows that hold whole voxels, such as those of
+        :meth:`touched_rows`, give a tape that :meth:`backward_inputs` accepts.
 
-        With ``tape=False`` the tape is None: the MLP and the softmax run over
-        balanced blocks of at most ``PREDICT_BLOCK`` rows into one (rows, C)
-        array, so no (rows x hidden) activation outlives a block. The
-        probabilities are the taped pass's as long as BLAS rounds each row of
-        a product apart from the other rows, which a test checks at desk
-        shapes. The blocks are balanced so that none has one row unless the
-        pass has: numpy multiplies a one-row matrix through gemv, which may
-        round otherwise.
+        Without ``rows``, probs covers every point and the tape is None: the
+        MLP and the softmax run over balanced blocks of at most
+        ``PREDICT_BLOCK`` rows, so no (n x hidden) activation outlives a
+        block. The probabilities are those of ``rows=np.arange(cloud.n)`` as
+        long as BLAS rounds each row of a product apart from the other rows,
+        which a test checks at desk shapes. The blocks are balanced so that
+        none has one row unless the cloud has: numpy multiplies a one-row
+        matrix through gemv, which may round otherwise.
         """
         feats, inverse, counts = self._features(cloud, rows)
-        if tape:
+        if rows is not None:
             logits, mlp_tape = self.mlp.forward(feats)
             return _softmax(logits), SegTape(inverse, counts, mlp_tape, rows)
         probs = np.empty((len(feats), self.n_classes))
@@ -334,30 +332,26 @@ class SegNetMini:
 
         ``dlogits`` holds one row per tape row, and so do the returned
         ``(dpos, dtau)``. A point's gradient sums the feature gradients of the
-        points of its voxel, so a row-restricted tape must hold whole voxels
-        (rows in increasing order): then every term of those sums is a row of
-        the tape, and the result is the exact gradient of the loss over the
-        tape's rows. Raises ValueError on rows that split a voxel.
+        points of its voxel, so the tape's rows must hold whole voxels, in
+        increasing order: then every term of those sums is a row of the tape,
+        and the result is the exact gradient of the loss over the tape's rows.
+        Raises ValueError on rows that split a voxel.
         """
-        if tape.rows is not None:
-            # every voxel of the pass holds a row, so a split voxel holds fewer
-            held = np.bincount(tape.inverse, minlength=len(tape.counts))
-            if np.any(np.diff(tape.rows) <= 0) or np.any(held != tape.counts):
-                raise ValueError("input gradients need increasing rows that hold "
-                                 "whole voxels")
+        # every voxel of the pass holds a row, so a split voxel holds fewer
+        held = np.bincount(tape.inverse, minlength=len(tape.counts))
+        if np.any(np.diff(tape.rows) <= 0) or np.any(held != tape.counts):
+            raise ValueError("input gradients need increasing rows that hold whole voxels")
         dfeat = self.mlp.backward_inputs(tape.mlp_tape, dlogits)
-        means = _voxel_means(dfeat[:, [0, 1, 2, 6]], tape.inverse, tape.counts)
+        means = _voxel_means(dfeat[:, [0, 1, 2, 6]], tape.inverse, tape.counts)[tape.inverse]
         dpos = (dfeat[:, 0:3] - means[:, 0:3]) * _REL_SCALE
         dpos[:, 2] += dfeat[:, 3] * _Z_SCALE
         dtau = dfeat[:, 4] + means[:, 3]
         return dpos, dtau
 
     def predict(self, cloud: PointCloud) -> np.ndarray:
-        """Per-point class ids, int32: the argmax of the tape-less
-        ``forward(cloud, tape=False)``, so ``forward(cloud)[0].argmax(1)``
-        bit for bit. The argmax is of the probabilities, not the logits, so
-        that ties break as in ``forward``."""
-        return self.forward(cloud, tape=False)[0].argmax(axis=1).astype(np.int32)
+        """Per-point class ids, int32: the argmax of ``forward(cloud)``'s
+        probabilities, not of its logits, so that ties break as in them."""
+        return self.forward(cloud)[0].argmax(axis=1).astype(np.int32)
 
     def state(self) -> tuple:
         if self.n_classes != len(CLASS_NAMES):  # else no checkpoint could be read back

@@ -64,7 +64,7 @@ class TestSegNetBackwardInputs:
             probs, _ = model.forward(PointCloud(xyz, tau, cloud.semantic, cloud.instance))
             return float((weights * probs).sum())
 
-        probs, tape = model.forward(cloud)
+        probs, tape = model.forward(cloud, np.arange(cloud.n))
         dlogits = probs * (weights - (weights * probs).sum(axis=1, keepdims=True))
         dpos, dtau = model.backward_inputs(tape, dlogits)
 

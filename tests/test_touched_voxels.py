@@ -18,7 +18,7 @@ from advfield.attack import targeted_objective, untargeted_objective
 from advfield.cloudio import PointCloud
 from advfield.field import deform_targets, make_bank, plan_targets
 from advfield.geometry import OrientedBox, box_contains_many
-from advfield.victim import SegNetMini
+from advfield.victim import SegNetMini, SegTape, train_seg
 
 CAR = simulator.CAR
 GROUND = simulator.GROUND
@@ -92,7 +92,7 @@ def assert_cases_covered(before, after, moved):
 
 def full_cloud_objective(model, cloud, labels, cfg):
     """The oracle: loss and input gradients with every row through the MLP."""
-    probs, tape = model.forward(cloud)
+    probs, tape = model.forward(cloud, np.arange(cloud.n))
     if cfg.mode == "seg-untargeted":
         losses, dlogits = untargeted_objective(probs, labels)
     else:
@@ -146,7 +146,7 @@ def test_a_whole_voxel_tape_gives_the_full_cloud_gradients_of_its_rows():
     dpos, dtau = model.backward_inputs(tape, untargeted_objective(probs, labels[rows])[1])
     assert dpos.shape == (len(rows), 3) and dtau.shape == (len(rows),)
 
-    full_probs, full_tape = model.forward(after)
+    full_probs, full_tape = model.forward(after, np.arange(after.n))
     # the loss over the rows alone: other rows' logit gradients are zero
     dlogits = np.zeros_like(full_probs)
     dlogits[rows] = untargeted_objective(full_probs[rows], labels[rows])[1]
@@ -271,7 +271,7 @@ def test_baselines_match_the_full_cloud_oracle(monkeypatch, kind):
 
 
 class RaisingVictim:
-    def forward(self, cloud, rows=None, tape=True):
+    def forward(self, cloud, rows=None):
         raise AssertionError("the victim ran")
 
 
@@ -298,9 +298,10 @@ def test_forward_always_receives_the_full_cloud_and_rows_holding_every_moved_poi
     calls = []
     original = SegNetMini.forward
 
-    def recording(self, cloud, rows=None, tape=True):
-        calls.append((cloud.copy(), None if rows is None else np.array(rows), tape))
-        return original(self, cloud, rows, tape=tape)
+    def recording(self, cloud, rows=None):
+        probs, tape = original(self, cloud, rows)
+        calls.append((cloud.copy(), rows, tape))
+        return probs, tape
 
     monkeypatch.setattr(SegNetMini, "forward", recording)
     scene = SCENES[0]
@@ -310,12 +311,25 @@ def test_forward_always_receives_the_full_cloud_and_rows_holding_every_moved_poi
     assert len(calls) == 2 * (1 + 2)
     # one clean pass over the whole clean cloud, read without a tape, then
     # one taped pass over touched rows per iteration
-    assert [(rows is None, tape) for _, rows, tape in calls] == [(True, False),
-                                                                (False, True),
-                                                                (False, True)] * 2
+    assert [rows is None for _, rows, _ in calls] == [True, False, False] * 2
     for cloud, rows, _ in calls:
         assert cloud.n == scene.cloud.n
         moved = np.flatnonzero(np.any(cloud.xyz != scene.cloud.xyz, axis=1)
                                | (cloud.intensity != scene.cloud.intensity))
         assert np.isin(moved, rows).all() if rows is not None else len(moved) == 0
     assert any(rows is not None and len(rows) < scene.cloud.n for _, rows, _ in calls)
+
+    # training passes over rows, scoring over the whole cloud; each pass
+    # without rows keeps no tape, and each pass over rows tapes those rows
+    attacks = len(calls)
+    model = victim()
+    model.predict(scene.cloud)
+    trained = train_seg([item.cloud for item in SCENES], model.n_classes, 1, 0.01, 0)
+    trained.predict(SCENES[1].cloud)
+    kinds = [rows is None for _, rows, _ in calls[attacks:]]
+    assert kinds == [True] + [False] * len(SCENES) + [True]
+    for _, rows, tape in calls:
+        if rows is None:
+            assert tape is None
+        else:
+            assert isinstance(tape, SegTape) and tape.rows is rows

@@ -4,8 +4,8 @@ aggregation operator against a scatter oracle, the in-place MLP passes and
 input gradients against their expression-form oracles, the detector's
 distinct-row passes and training against the MLP run on every anchor, its
 windowed training targets against the per-anchor loop over every anchor, the
-segmenter's tape-less passes and row-keyed features against its taped full
-forward, its softmax against the expression form, and the detector's
+segmenter's whole-cloud passes and row-keyed features against its passes
+over rows, its softmax against the expression form, and the detector's
 training on clipped clouds against the whole."""
 
 import math
@@ -502,7 +502,7 @@ def test_the_segmenter_matches_the_scatter_oracle_on_full_and_touched_tapes(desk
         after.xyz[moved] += rng.uniform(-0.3, 0.3, size=(20, 3))
         touched = model.touched_rows(cloud, after, moved)
         assert 20 <= len(touched) < cloud.n
-        for rows in (None, touched):
+        for rows in (np.arange(after.n), touched):
             probs, tape = model.forward(after, rows=rows)
             dlogits = rng.normal(size=probs.shape)
             got = model.backward_inputs(tape, dlogits)
@@ -514,24 +514,28 @@ def test_the_segmenter_matches_the_scatter_oracle_on_full_and_touched_tapes(desk
 def test_segmenter_input_gradients_of_an_empty_cloud_are_empty():
     model = SegNetMini(5)
     model.init_random(0)
-    probs, tape = model.forward(PointCloud.unlabeled(np.zeros((0, 3)), np.zeros(0)))
+    cloud = PointCloud.unlabeled(np.zeros((0, 3)), np.zeros(0))
+    probs, tape = model.forward(cloud)
+    assert probs.shape == (0, 5) and tape is None
+    probs, tape = model.forward(cloud, np.arange(0))
     assert probs.shape == (0, 5)
     dpos, dtau = model.backward_inputs(tape, np.zeros((0, 5)))
     assert dpos.shape == (0, 3) and dtau.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
-# the tape-less passes and the row-keyed features against the taped forward
+# the whole-cloud passes and the row-keyed features against passes over rows
 # ---------------------------------------------------------------------------
 
 def assert_predict_is_the_forward_argmax(model, cloud):
-    """``predict`` is the taped forward's argmax, and a tape-less forward
-    gives the taped forward's probabilities bit for bit: over every row, over
-    the rows that 20 moved points touch (in the moved cloud), and over a
-    random subset of up to ``SEG_POINTS_PER_SCENE`` rows in draw order, as
-    ``train_seg`` draws them."""
+    """``predict`` is the argmax of a pass over every row, and a pass without
+    rows gives the probabilities of a pass over rows bit for bit: over every
+    row, over the rows that 20 moved points touch (in the moved cloud), and
+    over a random subset of up to ``SEG_POINTS_PER_SCENE`` rows in draw
+    order, as ``train_seg`` draws them."""
+    every = np.arange(cloud.n)
     pred = model.predict(cloud)
-    want = model.forward(cloud)[0].argmax(axis=1).astype(np.int32)
+    want = model.forward(cloud, every)[0].argmax(axis=1).astype(np.int32)
     assert pred.dtype == np.int32
     assert pred.tobytes() == want.tobytes()
     rng = np.random.default_rng(cloud.n)
@@ -539,11 +543,11 @@ def assert_predict_is_the_forward_argmax(model, cloud):
     after = cloud.copy()
     after.xyz[moved] += rng.uniform(-0.3, 0.3, size=(len(moved), 3))
     subset = rng.choice(cloud.n, size=min(SEG_POINTS_PER_SCENE, cloud.n), replace=False)
-    for source, rows in ((cloud, None), (after, model.touched_rows(cloud, after, moved)),
+    for source, rows in ((cloud, every), (after, model.touched_rows(cloud, after, moved)),
                          (cloud, subset)):
-        probs, tape = model.forward(source, rows, tape=False)
+        probs, tape = model.forward(source)
         assert tape is None
-        assert probs.tobytes() == model.forward(source, rows)[0].tobytes()
+        assert probs[rows].tobytes() == model.forward(source, rows)[0].tobytes()
 
 
 def test_predict_is_the_forward_argmax_on_desk_val_ood_and_deformed_scenes():
@@ -805,7 +809,7 @@ def test_the_segmenter_input_gradient_is_the_dx_of_the_full_backward(desk_clouds
         moved = rng.choice(cloud.n, size=20, replace=False)
         after = cloud.copy()
         after.xyz[moved] += rng.uniform(-0.3, 0.3, size=(20, 3))
-        for rows in (None, model.touched_rows(cloud, after, moved)):
+        for rows in (np.arange(after.n), model.touched_rows(cloud, after, moved)):
             probs, tape = model.forward(after, rows=rows)
             dlogits = rng.normal(size=probs.shape)
             want, _ = model.mlp.backward(tape.mlp_tape, dlogits)
